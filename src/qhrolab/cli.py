@@ -75,7 +75,11 @@ def cmd_describe(name):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both", show_default=True)
 @click.option("--jobs", type=click.IntRange(1), default=None, help="defaults to QHRO_JOBS or 1")
 def cmd_run(name, config_path, seed, trials, outdir, fmt, jobs):
-    """Run one experiment and write report files."""
+    """Run one experiment and write report files.
+
+    Exits 0 when every check passes, 1 on a failed check, 2 on an unknown
+    experiment or invalid config, and 3 when a resource limit is hit.
+    """
     if name not in EXPERIMENTS:
         click.echo(f"unknown experiment {name!r}", err=True)
         sys.exit(2)
@@ -95,6 +99,9 @@ def cmd_run(name, config_path, seed, trials, outdir, fmt, jobs):
     except (ValueError, KeyError, TypeError) as exc:
         click.echo(f"invalid run: {exc}", err=True)
         sys.exit(2)
+    except MemoryError as exc:
+        click.echo(f"resource limit: {exc}", err=True)
+        sys.exit(3)
 
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
     rundir = os.path.join(outdir, name, f"{stamp}-{report.seed}")

@@ -24,7 +24,7 @@ from .linalg import (
     trace_distance,
     trial_rng,
 )
-from .relstate import CFParams, PurifiedState, Rel, _deposit, _extract, cf_set, is_collision_free
+from .relstate import PurifiedState, classical_record, extract_bits, key_pauli, pcfpr_apply, pr_apply
 
 __all__ = [
     "Interleave",
@@ -216,28 +216,7 @@ def _apply_interleave(state: PurifiedState, step: Interleave) -> PurifiedState:
     return state.apply_matrix(step.u.entries, targets)
 
 
-def _key_pauli(state, kind, lam, key_slot, input_qubits, n_oracle):
-    """Key-controlled X^k / Z^k on the lam-bit prefix of the oracle register."""
-    n = state.n_qubits
-    prefix_shifts = [n - 1 - q for q in input_qubits[:lam]]
-    out = {}
-    for lab, vec in state.terms.items():
-        k = lab[key_slot]
-        nv = {}
-        for i, a in vec.items():
-            if kind == "X":
-                j = _deposit(i, prefix_shifts, _extract(i, prefix_shifts) ^ k)
-                nv[j] = nv.get(j, 0) + a
-            else:
-                sign = -1.0 if bin(_extract(i, prefix_shifts) & k).count("1") % 2 else 1.0
-                nv[i] = nv.get(i, 0) + sign * a
-        out[lab] = nv
-    return PurifiedState(n, out, state.entry_cap)
-
-
 def _quantum_query_pr(state, desc: OracleDescriptor, input_qubits):
-    from .relstate import pcfpr_apply, pr_apply
-
     for s in desc.steps:
         if s[0] == "pr":
             shared = desc.shared_slots if desc.shared_slots else None
@@ -248,57 +227,10 @@ def _quantum_query_pr(state, desc: OracleDescriptor, input_qubits):
         elif s[0] == "pauli":
             if desc.key_slot is None:
                 raise ValueError("key-controlled Pauli needs a key slot")
-            state = _key_pauli(state, s[1], desc.lam, desc.key_slot, list(input_qubits), desc.n)
+            state = key_pauli(state, s[1], desc.lam, desc.key_slot, list(input_qubits))
         else:
             raise ValueError(f"unknown descriptor step {s!r}")
     return state
-
-
-def _classical_query_pr(state, oracle: ClassicalPROracle, w):
-    """Append an answer register and record (input_of(k, w), y) per label."""
-    n_old = state.n_qubits
-    n = oracle.n
-    N = 2**n
-    out = {}
-    count = 0
-    for lab, vec in state.terms.items():
-        k = lab[oracle.key_slot] if oracle.key_slot is not None else 0
-        x = oracle.input_of(k, w)
-        holder = lab[oracle.rel_slot]
-        if oracle.avoid.startswith("per_w"):
-            rel = holder[w]
-        else:
-            rel = holder
-        avoid = set(rel.image)
-        if oracle.avoid in ("global", "per_w_global"):
-            if oracle.avoid == "per_w_global":
-                for r in holder:
-                    avoid |= set(r.image)
-            for s in oracle.avoid_slots:
-                avoid |= set(lab[s].image)
-        cands = [y for y in range(N) if y not in avoid]
-        if not cands:
-            raise ValueError("classical recording undefined: no outputs left")
-        norm = 1.0 / math.sqrt(len(cands))
-        for y in cands:
-            nl = list(lab)
-            if oracle.avoid.startswith("per_w"):
-                fam = list(holder)
-                fam[w] = rel.add(x, y)
-                nl[oracle.rel_slot] = tuple(fam)
-            else:
-                nl[oracle.rel_slot] = rel.add(x, y)
-            if oracle.transcript_slot is not None:
-                nl[oracle.transcript_slot] = nl[oracle.transcript_slot] + (w,)
-            nl = tuple(nl)
-            bucket = out.setdefault(nl, {})
-            for i, a in vec.items():
-                j = (i << n) | y
-                bucket[j] = bucket.get(j, 0) + a * norm
-                count += 1
-                if count > state.entry_cap:
-                    raise MemoryError(f"purified state exceeds the {state.entry_cap}-entry cap")
-    return PurifiedState(n_old + n, out, state.entry_cap)
 
 
 def run_pr(program: AdversaryProgram, bindings: dict, init_label) -> PurifiedState:
@@ -328,44 +260,66 @@ def run_pr(program: AdversaryProgram, bindings: dict, init_label) -> PurifiedSta
             oracle = bindings[step.oracle_id]
             if not isinstance(oracle, ClassicalPROracle):
                 raise ValueError(f"oracle {step.oracle_id!r} is not a classical recorder")
-            state = _classical_query_pr(state, oracle, step.w)
+            state = classical_record(state, oracle, step.w)
         else:
             raise ValueError(f"unknown step {step!r}")
     return state
 
 
+_PAIR_CHUNK = 1 << 14  # (entry, entry) products per reduce_view batch
+
+
 def reduce_view(purified: PurifiedState, keep=None) -> ViewResult:
-    """Trace out the purification labels (and optionally register qubits)."""
+    """Trace out the purification labels (and optionally register qubits).
+
+    Entries are grouped by (label, traced-out register bits). Within a group
+    every ordered pair of entries adds a * conj(b) to the kept-bit pair's
+    density element; pairs are formed in bounded chunks.
+    """
     n = purified.n_qubits
-    if keep is None:
-        keep = list(range(n))
-    keep = list(keep)
+    keep = list(range(n)) if keep is None else list(keep)
+    if any(not 0 <= q < n for q in keep) or len(set(keep)) != len(keep):
+        raise ValueError("invalid qubit indices")
     kq = len(keep)
     if kq > 12:
         raise ValueError("reduced view exceeds the 12-qubit density cap")
-    keep_shifts = [n - 1 - q for q in keep]
-    rho = np.zeros((2**kq, 2**kq), dtype=complex)
-    mass = 0.0
-    for vec in purified.terms.values():
-        groups = {}
-        for i, a in vec.items():
-            kpart = _extract(i, keep_shifts)
-            rest = i
-            for s in keep_shifts:
-                rest &= ~(1 << s)
-            groups.setdefault(rest, []).append((kpart, a))
-            mass += abs(a) ** 2
-        for ents in groups.values():
-            for ia, aa in ents:
-                for ib, ab in ents:
-                    rho[ia, ib] += aa * ab.conjugate()
+    dk = 2**kq
+    idx = purified.indices
+    mask = sum(1 << (n - 1 - q) for q in keep)
+    group = (purified.label_ids << n) | (idx & ~mask)
+    order = np.argsort(group, kind="stable")
+    group = group[order]
+    kept = extract_bits(idx[order], n, keep)
+    amp = purified.amplitudes[order]
+    del order
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    del group
+    sizes = np.diff(np.append(starts, len(kept)))
+    reach = np.cumsum(sizes**2)
+    acc = np.zeros(dk * dk, dtype=complex)
+    g0 = 0
+    while g0 < len(starts):
+        done = reach[g0 - 1] if g0 else 0
+        g1 = max(int(np.searchsorted(reach, done + _PAIR_CHUNK, side="right")), g0 + 1)
+        # every entry of groups g0..g1 pairs with each entry of its group
+        size = sizes[g0:g1]
+        base = starts[g0:g1] - starts[g0]
+        lo = starts[g0]
+        hi = lo + int(size.sum())
+        k, a = kept[lo:hi], amp[lo:hi]
+        w = np.repeat(size, size)
+        rows = np.repeat(np.arange(hi - lo), w)
+        cols = np.repeat(base, size)[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(w) - w, w)
+        np.add.at(acc, k[rows] * dk + k[cols], a[rows] * a[cols].conj())
+        g0 = g1
+    mass = purified.norm_sq()
     diag = {
         "label_count": purified.label_count(),
         "entry_count": purified.entry_count(),
         "mass": mass,
         "norm_deficit": 1.0 - mass,
     }
-    return ViewResult(DensityMatrix(rho, kq), diag)
+    return ViewResult(DensityMatrix(acc.reshape(dk, dk), kq), diag)
 
 
 # ---------------------------------------------------------------- Monte Carlo
@@ -389,16 +343,19 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None, batches=20, j
         b = sampler(trial_rng(master_seed, t))
         return view_of_state(run_concrete(program, b), keep).entries
 
+    # trial 0 is the view computed above to learn the dimension
+    sums[0] += first.entries
+    counts[0] += 1
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = ex.map(one, range(trials))
-            for t, ent in enumerate(results):
+            results = ex.map(one, range(1, trials))
+            for t, ent in enumerate(results, 1):
                 sums[t % batches] += ent
                 counts[t % batches] += 1
     else:
-        for t in range(trials):
+        for t in range(1, trials):
             sums[t % batches] += one(t)
             counts[t % batches] += 1
     total = sums.sum(axis=0) / trials

@@ -4,6 +4,10 @@ A PurifiedState is a superposition over classical purification labels, each
 label carrying a (sparse) amplitude vector on the adversary's registers.
 Recording maps grow one relation slot per query; label-rewriting isometries
 act on labels only and are invisible to the reduced adversary view.
+
+Labels are interned as the rows of one int64 table and amplitudes are kept
+as three entry arrays, so every recording step, key layer and interleave is
+a handful of whole-array operations (see PurifiedState).
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +32,9 @@ __all__ = [
     "PurifiedState",
     "relation_state_vector",
     "pr_apply",
+    "classical_record",
+    "key_pauli",
+    "extract_bits",
     "cf_set",
     "cf_count",
     "is_collision_free",
@@ -90,6 +98,13 @@ class Rel:
     def union(self, other):
         return Rel(self.pairs + tuple(other.pairs))
 
+    @classmethod
+    def _canonical(cls, pairs):
+        """Wrap pairs that are already sorted with distinct outputs."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "pairs", pairs)
+        return rel
+
 
 class MSet:
     """Canonically sorted multiset of integers or integer tuples."""
@@ -136,18 +151,289 @@ class CFParams:
             raise ValueError("fold bound must be >= 1")
 
 
-@dataclass
+# ------------------------------------------------------------- label table
+#
+# A label is a tuple of slot values. The labels of one state share a schema,
+# one spec per slot:
+#   ("int",)         one column holding the integer;
+#   ("rel", w)       w columns of sorted pair codes x << 32 | y, padded with PAD;
+#   ("fam", (w, ..)) a tuple of Rel (a per-w family): one "rel" block each;
+#   ("obj",)         one column holding an id into the state's object table
+#                    (MSet, transcripts, strings and any other value).
+
+PAD = np.iinfo(np.int64).max  # unused pair position; sorts after every code
+_Y_BITS = 32
+_Y_MASK = (1 << _Y_BITS) - 1
+_PAIR_LIMIT = 1 << 31  # pair values must lie in [0, 2^31) to be packed
+_INT_LIMIT = 1 << 62  # integer slots hold values in (-2^62, 2^62)
+_DECODE_CHUNK = 1 << 12  # labels decoded per batch of Python callbacks
+_BLOCK_BYTES = 1 << 25  # bound on one dense complex block
+
+
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
+
+
+def _rel_block(rels):
+    """Code block of a list of Rel (one row each), or None if a pair does not pack."""
+    if not all(isinstance(r, Rel) for r in rels):
+        return None
+    lengths = np.array([len(r.pairs) for r in rels], dtype=np.int64)
+    pairs = np.array([p for r in rels for p in r.pairs]).reshape(-1, 2)
+    if len(pairs) and (pairs.dtype.kind not in "iu" or not np.all((pairs >= 0) & (pairs < _PAIR_LIMIT))):
+        return None
+    pairs = pairs.astype(np.int64)
+    block = np.full((len(rels), int(lengths.max(initial=0))), PAD, dtype=np.int64)
+    owner = np.repeat(np.arange(len(rels)), lengths)
+    column = np.arange(len(owner)) - (np.cumsum(lengths) - lengths)[owner]
+    block[owner, column] = (pairs[:, 0] << _Y_BITS) | pairs[:, 1]
+    return block
+
+
+def _slot_block(values):
+    """(spec, block) storing one slot's values across all labels."""
+    block = _rel_block(values)
+    if block is not None:
+        return ("rel", block.shape[1]), block
+    if all(_is_int(v) and -_INT_LIMIT < v < _INT_LIMIT for v in values):
+        return ("int",), np.array(values, dtype=np.int64).reshape(-1, 1)
+    if all(type(v) is tuple and v for v in values) and len({len(v) for v in values}) == 1:
+        comps = [_rel_block([v[c] for v in values]) for c in range(len(values[0]))]
+        if all(c is not None for c in comps):
+            return ("fam", tuple(c.shape[1] for c in comps)), np.hstack(comps)
+    return ("obj",), None
+
+
+def _width(spec):
+    if spec[0] == "rel":
+        return spec[1]
+    if spec[0] == "fam":
+        return sum(spec[1])
+    return 1
+
+
+def _slot_span(schema, slot):
+    """Column range (start, stop) of one slot."""
+    slot = range(len(schema))[slot]
+    start = sum(_width(s) for s in schema[:slot])
+    return start, start + _width(schema[slot])
+
+
+def _rel_span(schema, slot, comp=None):
+    """Column range of a Rel slot, or of component `comp` of a family slot."""
+    start, stop = _slot_span(schema, slot)
+    spec = schema[slot]
+    if comp is None:
+        if spec[0] != "rel":
+            raise ValueError(f"label slot {slot} does not hold a relation")
+        return start, stop
+    if spec[0] != "fam" or not 0 <= comp < len(spec[1]):
+        raise ValueError(f"label slot {slot} has no relation component {comp}")
+    start += sum(spec[1][:comp])
+    return start, start + spec[1][comp]
+
+
+def _int_column(schema, rows, slot):
+    start, _ = _slot_span(schema, slot)
+    if schema[slot][0] != "int":
+        raise ValueError(f"label slot {slot} does not hold an integer key")
+    return rows[:, start]
+
+
+def _rels(block):
+    """Rel objects for the rows of a code block; each pair tuple is built once."""
+    codes, inv = np.unique(block, return_inverse=True)
+    pairs = [(c >> _Y_BITS, c & _Y_MASK) for c in codes.tolist()]
+    lengths = np.count_nonzero(block != PAD, axis=1).tolist()
+    pair = pairs.__getitem__
+    return [Rel._canonical(tuple(map(pair, row[:k]))) for row, k in zip(inv.reshape(block.shape).tolist(), lengths)]
+
+
+def _intern_obj(objs, index, value):
+    i = index.get(value)
+    if i is None:
+        i = index[value] = len(objs)
+        objs.append(value)
+    return i
+
+
+def _encode(labels):
+    """(schema, rows, object table) for a list of label tuples."""
+    objs, index = [], {}
+    if not labels:
+        return (), np.zeros((0, 0), dtype=np.int64), objs
+    if len({len(lab) for lab in labels}) != 1:
+        raise ValueError("all labels of a state must have the same number of slots")
+    schema, blocks = [], [np.zeros((len(labels), 0), dtype=np.int64)]
+    for s in range(len(labels[0])):
+        values = [lab[s] for lab in labels]
+        spec, block = _slot_block(values)
+        if block is None:
+            block = np.array([_intern_obj(objs, index, v) for v in values], dtype=np.int64).reshape(-1, 1)
+        blocks.append(block)
+        schema.append(spec)
+    return tuple(schema), np.hstack(blocks), objs
+
+
+def _slot_values(spec, block, objs):
+    """Decode one slot's columns into Python values, one per row."""
+    if spec[0] == "int":
+        return block[:, 0].tolist()
+    if spec[0] == "obj":
+        return [objs[i] for i in block[:, 0].tolist()]
+    if spec[0] == "rel":
+        return _rels(block)
+    comps, start = [], 0
+    for w in spec[1]:
+        comps.append(_rels(block[:, start : start + w]))
+        start += w
+    return list(zip(*comps))
+
+
+def _decode(schema, rows, objs):
+    cols = []
+    for s, spec in enumerate(schema):
+        a, b = _slot_span(schema, s)
+        cols.append(_slot_values(spec, rows[:, a:b], objs))
+    return list(zip(*cols)) if cols else [()] * len(rows)
+
+
+def _digits(col):
+    """Order-preserving small non-negative digits of one column, with sizes."""
+    pad = col == PAD
+    vals = col[~pad]
+    if vals.size == 0:
+        return [(np.zeros(len(col), dtype=np.int64), 1)]
+    lo, hi = int(vals.min()), int(vals.max())
+    if hi - lo <= _Y_MASK:
+        return [(np.where(pad, hi - lo + 1, col - lo), hi - lo + 2)]
+    high, low = col >> _Y_BITS, col & _Y_MASK
+    hlo, hhi = int(high[~pad].min()), int(high[~pad].max())
+    llo, lhi = int(low[~pad].min()), int(low[~pad].max())
+    return [
+        (np.where(pad, hhi - hlo + 1, high - hlo), hhi - hlo + 2),
+        (np.where(pad, 0, low - llo), lhi - llo + 1),
+    ]
+
+
+def _intern(rows):
+    """Distinct rows in lexicographic order, and each row's position among them.
+
+    Columns are folded into one int64 key digit by digit (re-ranked whenever
+    the key would overflow), so interning costs one 1-D sort.
+    """
+    key = np.zeros(len(rows), dtype=np.int64)
+    span = 1
+    for c in range(rows.shape[1]):
+        for digit, size in _digits(rows[:, c]):
+            if span > (1 << 62) // size:
+                uniq, key = np.unique(key, return_inverse=True)
+                span = len(uniq)
+            key = key * size + digit
+            span *= size
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return rows[first], inv.reshape(-1)
+
+
+def extract_bits(indices, n_qubits, qubits):
+    """Values of `qubits` (first qubit most significant) in each basis index."""
+    val = np.zeros_like(indices)
+    for q in qubits:
+        val = (val << 1) | ((indices >> (n_qubits - 1 - q)) & 1)
+    return val
+
+
+def _deposit_bits(indices, n_qubits, qubits, val):
+    """Overwrite `qubits` of each basis index with the low bits of `val`."""
+    nb = len(qubits)
+    out = indices.copy()
+    for b, q in enumerate(qubits):
+        s = n_qubits - 1 - q
+        out = (out & ~(1 << s)) | (((val >> (nb - 1 - b)) & 1) << s)
+    return out
+
+
+def _parity(v):
+    """Parity of the set bits of each non-negative int64."""
+    for s in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> s)
+    return v & 1
+
+
+def _group_batches(ginv, n_groups, width):
+    """(g0, g1, entries) for runs of whole groups whose dense block stays bounded."""
+    order = np.argsort(ginv, kind="stable")
+    bounds = np.searchsorted(ginv[order], np.arange(n_groups + 1))
+    step = max(1, _BLOCK_BYTES // (16 * width))
+    for g0 in range(0, n_groups, step):
+        g1 = min(g0 + step, n_groups)
+        yield g0, g1, order[bounds[g0] : bounds[g1]]
+
+
+def _key(n_qubits, lab, idx):
+    """Entry sort key label << n_qubits | index."""
+    if len(lab) and int(lab.max()) >= 1 << (62 - n_qubits):
+        raise MemoryError("too many labels for the entry key")
+    return (lab << n_qubits) | idx
+
+
+def _merge(n_qubits, key, amp):
+    """Entries sorted by key, with the amplitudes of equal keys summed."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    amp = amp[order]
+    del order
+    if len(key):
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        if len(starts) < len(key):
+            amp = np.add.reduceat(amp, starts)
+            key = key[starts]
+    return key >> n_qubits, key & ((1 << n_qubits) - 1), amp
+
+
 class PurifiedState:
     """Superposition over purification labels with sparse register vectors.
 
-    terms maps a label tuple (slots holding Rel, MSet, int keys, or nested
-    tuples of those) to {basis index: amplitude}. `n_qubits` is the size of
-    the adversary register the basis indices live on.
+    Built from {label: {basis index: amplitude}}: a label is a tuple of
+    slots holding Rel, MSet, int keys, tuples of Rel, or any other hashable
+    value, and `n_qubits` is the size of the adversary register the basis
+    indices live on. Internally the labels are the distinct rows of the int64
+    table `rows` (layout in `schema`, see the label table notes above), and
+    the amplitudes are three entry arrays, `label_ids`, `indices` and
+    `amplitudes`, distinct in (label id, index) and sorted by it. A label may
+    hold no entries. `terms` decodes the state into a read-only mapping of the
+    constructor's form.
     """
 
-    n_qubits: int
-    terms: dict = field(default_factory=dict)
-    entry_cap: int = ENTRY_CAP
+    def __init__(self, n_qubits, terms=None, entry_cap=ENTRY_CAP):
+        terms = {} if terms is None else terms
+        schema, rows, objs = _encode(list(terms))
+        sizes = [len(vec) for vec in terms.values()]
+        count = sum(sizes)
+        lab = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        idx = np.fromiter((i for vec in terms.values() for i in vec), dtype=np.int64, count=count)
+        amp = np.fromiter((a for vec in terms.values() for a in vec.values()), dtype=complex, count=count)
+        table, inv = _intern(rows)
+        self._set(n_qubits, schema, table, objs, *_merge(n_qubits, _key(n_qubits, inv[lab], idx), amp), entry_cap)
+
+    def _set(self, n_qubits, schema, rows, objs, lab, idx, amp, entry_cap):
+        self.n_qubits = n_qubits
+        self.entry_cap = entry_cap
+        self.schema = schema
+        self.objs = tuple(objs)
+        for arr in (rows, lab, idx, amp):
+            arr.flags.writeable = False
+        self.rows, self.label_ids, self.indices, self.amplitudes = rows, lab, idx, amp
+        self._terms = None
+
+    def _make(self, schema, rows, objs, lab, idx, amp, n_qubits=None):
+        st = object.__new__(PurifiedState)
+        n = self.n_qubits if n_qubits is None else n_qubits
+        st._set(n, schema, rows, objs, lab, idx, amp, self.entry_cap)
+        return st
+
+    def _with_entries(self, lab, idx, amp):
+        return self._make(self.schema, self.rows, self.objs, lab, idx, amp)
 
     @property
     def dim(self):
@@ -157,27 +443,69 @@ class PurifiedState:
     def initial(cls, n_qubits, label, index=0, amp=1.0, entry_cap=ENTRY_CAP):
         return cls(n_qubits, {tuple(label): {index: complex(amp)}}, entry_cap)
 
+    def __repr__(self):
+        return f"PurifiedState(n_qubits={self.n_qubits}, labels={self.label_count()}, entries={self.entry_count()})"
+
+    def labels(self, start=0, stop=None):
+        """Decoded label tuples for table rows start..stop."""
+        return _decode(self.schema, self.rows[start:stop], self.objs)
+
+    def label_chunks(self):
+        """(start, decoded labels) in bounded batches over the label table."""
+        for start in range(0, self.label_count(), _DECODE_CHUNK):
+            yield start, self.labels(start, start + _DECODE_CHUNK)
+
+    @property
+    def terms(self):
+        """Read-only {label: {basis index: amplitude}}, decoded once on first use."""
+        if self._terms is None:
+            bounds = np.searchsorted(self.label_ids, np.arange(self.label_count() + 1))
+            idx, amp = self.indices.tolist(), self.amplitudes.tolist()
+            out = {}
+            for start, labels in self.label_chunks():
+                for k, lab in enumerate(labels, start):
+                    a, b = bounds[k], bounds[k + 1]
+                    out[lab] = MappingProxyType(dict(zip(idx[a:b], amp[a:b])))
+            self._terms = MappingProxyType(out)
+        return self._terms
+
     def entry_count(self):
-        return sum(len(v) for v in self.terms.values())
+        return len(self.amplitudes)
 
     def norm_sq(self):
-        return float(sum(abs(a) ** 2 for v in self.terms.values() for a in v.values()))
+        """Sum of |a|^2, accumulated left to right in entry order."""
+        if not self.entry_count():
+            return 0.0
+        return float(np.cumsum(np.abs(self.amplitudes) ** 2)[-1])
 
     def label_count(self):
-        return len(self.terms)
+        return len(self.rows)
 
     def check_cap(self):
         if self.entry_count() > self.entry_cap:
             raise MemoryError(f"purified state exceeds the {self.entry_cap}-entry cap")
 
+    def select_labels(self, keep):
+        """The sub-state on the labels where the boolean mask `keep` holds."""
+        new_id = np.cumsum(keep) - 1
+        on = keep[self.label_ids]
+        return self._make(
+            self.schema,
+            self.rows[keep],
+            self.objs,
+            new_id[self.label_ids[on]],
+            self.indices[on],
+            self.amplitudes[on],
+        )
+
     def prune(self, tol=0.0):
         """Drop zero (or sub-tolerance) amplitudes and empty labels."""
-        out = {}
-        for lab, vec in self.terms.items():
-            nv = {i: a for i, a in vec.items() if abs(a) > tol}
-            if nv:
-                out[lab] = nv
-        return PurifiedState(self.n_qubits, out, self.entry_cap)
+        on = np.abs(self.amplitudes) > tol
+        lab = self.label_ids[on]
+        keep = np.zeros(self.label_count(), dtype=bool)
+        keep[lab] = True
+        new_id = np.cumsum(keep) - 1
+        return self._make(self.schema, self.rows[keep], self.objs, new_id[lab], self.indices[on], self.amplitudes[on])
 
     def dense_vector(self, label):
         v = np.zeros(self.dim, dtype=complex)
@@ -186,78 +514,80 @@ class PurifiedState:
         return v
 
     def apply_matrix(self, mat, targets=None):
-        """Apply a unitary to the adversary register of every label."""
-        from ._kernels import apply_gate
+        """Apply a unitary to the adversary register of every label.
 
+        Entries are grouped by (label, non-target bits); each group is one
+        dense 2^k vector, and groups go through the gate in bounded blocks.
+        Amplitudes of modulus <= 1e-15 are dropped.
+        """
         n = self.n_qubits
-        if targets is None:
-            targets = list(range(n))
-        targets = list(targets)
-        out = {}
-        for lab, vec in self.terms.items():
-            dense = np.zeros(self.dim, dtype=complex)
-            for i, a in vec.items():
-                dense[i] = a
-            dense = apply_gate(dense, mat, targets, n)
-            nz = np.nonzero(np.abs(dense) > 1e-15)[0]
-            out[lab] = {int(i): complex(dense[i]) for i in nz}
-        st = PurifiedState(self.n_qubits, out, self.entry_cap)
+        targets = list(range(n)) if targets is None else list(targets)
+        mat = np.asarray(mat, dtype=complex)
+        dk = 2 ** len(targets)
+        local = extract_bits(self.indices, n, targets)
+        rest = _deposit_bits(self.indices, n, targets, np.zeros_like(local))
+        groups, ginv = np.unique((self.label_ids << n) | rest, return_inverse=True)
+        labs, idxs, amps = [], [], []
+        for g0, g1, sel in _group_batches(ginv, len(groups), dk):
+            block = np.zeros((g1 - g0, dk), dtype=complex)
+            block[ginv[sel] - g0, local[sel]] = self.amplitudes[sel]
+            out = block @ mat.T
+            gi, val = np.nonzero(np.abs(out) > 1e-15)
+            g = groups[g0 + gi]
+            labs.append(g >> n)
+            idxs.append(_deposit_bits(g & ((1 << n) - 1), n, targets, val))
+            amps.append(out[gi, val])
+        if labs:
+            lab, idx, amp = _merge(n, _key(n, np.concatenate(labs), np.concatenate(idxs)), np.concatenate(amps))
+        else:
+            lab, idx, amp = self.label_ids, self.indices, self.amplitudes
+        st = self._with_entries(lab, idx, amp)
         st.check_cap()
         return st
 
     def apply_sparse_map(self, fn, targets):
         """Apply a basis-permutation-with-phase map on `targets`.
 
-        fn maps the register value on `targets` to (new value, phase);
-        keeps sparse vectors sparse.
+        fn maps the register value on `targets` to (new value, phase); it is
+        called once per distinct value. Keeps sparse vectors sparse.
         """
         n = self.n_qubits
-        shifts = [n - 1 - q for q in targets]
-        out = {}
-        for lab, vec in self.terms.items():
-            nv = {}
-            for i, a in vec.items():
-                val = 0
-                for b, s in enumerate(shifts):
-                    val = (val << 1) | ((i >> s) & 1)
-                nval, phase = fn(val)
-                j = i
-                for b, s in enumerate(shifts):
-                    bit = (nval >> (len(shifts) - 1 - b)) & 1
-                    j = (j & ~(1 << s)) | (bit << s)
-                nv[j] = nv.get(j, 0) + a * phase
-            out[lab] = nv
-        return PurifiedState(self.n_qubits, out, self.entry_cap)
+        targets = list(targets)
+        vals, inv = np.unique(extract_bits(self.indices, n, targets), return_inverse=True)
+        images = [fn(int(v)) for v in vals.tolist()]
+        new_val = np.array([int(nv) for nv, _ in images], dtype=np.int64).reshape(-1)
+        phase = np.array([complex(ph) for _, ph in images], dtype=complex).reshape(-1)
+        idx = _deposit_bits(self.indices, n, targets, new_val[inv])
+        return self._with_entries(*_merge(n, _key(n, self.label_ids, idx), self.amplitudes * phase[inv]))
 
-    def global_phase_by_label(self, fn):
-        """Multiply each label's vector by fn(label) (modulus <= 1 scalars)."""
-        out = {lab: {i: a * fn(lab) for i, a in vec.items()} for lab, vec in self.terms.items()}
-        return PurifiedState(self.n_qubits, out, self.entry_cap)
+    def _common_ids(self, other):
+        """Label ids of both states in one shared numbering (self keeps its own)."""
+        ids = {lab: i for i, lab in enumerate(self.labels())}
+        other_ids = [ids.setdefault(lab, len(ids)) for lab in other.labels()]
+        return np.arange(self.label_count()), np.array(other_ids, dtype=np.int64)
+
+    def _entry_keys(self, ids):
+        return (ids[self.label_ids] << self.n_qubits) | self.indices
 
     def inner(self, other):
         if other.n_qubits != self.n_qubits:
             raise ValueError("register mismatch")
-        acc = 0.0 + 0.0j
-        for lab, vec in self.terms.items():
-            ov = other.terms.get(lab)
-            if not ov:
-                continue
-            for i, a in vec.items():
-                b = ov.get(i)
-                if b is not None:
-                    acc += a.conjugate() * b
-        return complex(acc)
+        ia, ib = self._common_ids(other)
+        _, pa, pb = np.intersect1d(self._entry_keys(ia), other._entry_keys(ib), return_indices=True)
+        return complex(np.sum(self.amplitudes[pa].conj() * other.amplitudes[pb]))
 
     def max_diff(self, other):
         """Largest amplitude difference over the union of labels/entries."""
-        keys = set(self.terms) | set(other.terms)
-        worst = 0.0
-        for lab in keys:
-            va = self.terms.get(lab, {})
-            vb = other.terms.get(lab, {})
-            for i in set(va) | set(vb):
-                worst = max(worst, abs(va.get(i, 0) - vb.get(i, 0)))
-        return worst
+        ia, ib = self._common_ids(other)
+        n = max(self.n_qubits, other.n_qubits)
+        keys = np.concatenate([(ia[self.label_ids] << n) | self.indices, (ib[other.label_ids] << n) | other.indices])
+        if not len(keys):
+            return 0.0
+        amps = np.concatenate([self.amplitudes, -other.amplitudes])
+        _, inv = np.unique(keys, return_inverse=True)
+        re = np.bincount(inv, weights=amps.real)
+        im = np.bincount(inv, weights=amps.imag)
+        return float(np.max(np.hypot(re, im)))
 
     def to_json(self):
         """Debug serialization: labels as arrays, amplitudes as [re, im]."""
@@ -272,8 +602,9 @@ class PurifiedState:
             return x
 
         items = []
-        for lab in sorted(self.terms, key=repr):
-            vec = self.terms[lab]
+        terms = self.terms
+        for lab in sorted(terms, key=repr):
+            vec = terms[lab]
             items.append(
                 {
                     "label": [enc_label(s) for s in lab],
@@ -313,54 +644,98 @@ def relation_state_vector(rel, n: int) -> StateVector:
     return StateVector(amps, 2 * n * t)
 
 
-def _extract(idx, shifts):
-    val = 0
-    for s in shifts:
-        val = (val << 1) | ((idx >> s) & 1)
-    return val
+
+# ---------------------------------------------------------- recording engine
 
 
-def _deposit(idx, shifts, val):
-    nb = len(shifts)
-    for b, s in enumerate(shifts):
-        bit = (val >> (nb - 1 - b)) & 1
-        idx = (idx & ~(1 << s)) | (bit << s)
-    return idx
+def _free_outputs(rows, spans, N):
+    """(labels, N) mask of the outputs y < N outside every given Rel image."""
+    free = np.ones((len(rows), N), dtype=bool)
+    for a, b in spans:
+        block = rows[:, a:b]
+        r, c = np.nonzero(block != PAD)
+        y = block[r, c] & _Y_MASK
+        ok = y < N
+        free[r[ok], y[ok]] = False
+    return free
 
 
-def _record(state, slot, input_qubits, candidates_fn):
-    """Shared engine for all recording maps.
+def _open_slot(schema, rows, slot, comp=None):
+    """Make sure the target Rel block ends in a PAD column (widen it if not)."""
+    a, b = _rel_span(schema, slot, comp)
+    if b > a and not np.any(rows[:, b - 1] != PAD):
+        return schema, rows, (a, b)
+    rows = np.insert(rows, b, PAD, axis=1)
+    slot = range(len(schema))[slot]
+    spec = schema[slot]
+    if comp is None:
+        spec = ("rel", spec[1] + 1)
+    else:
+        spec = ("fam", tuple(w + (c == comp) for c, w in enumerate(spec[1])))
+    return schema[:slot] + (spec,) + schema[slot + 1 :], rows, (a, b + 1)
 
-    candidates_fn(label) returns the candidate output list for that label;
-    the appended amplitude factor is 1/sqrt(len(candidates)).
+
+def _append_pair(state, schema, rows, objs, span, free, x, per_label, place, n_qubits):
+    """The one recording step behind every recording map.
+
+    Each entry (label l, index i, amplitude a) goes to a / sqrt(#free(l))
+    at label l + (x, y) and index place(i, y), for every free output y of l;
+    (x, y) lands in the Rel block `span`, whose last column is PAD. x is
+    given per label when `per_label`, else per entry. New label rows are
+    built once per distinct (label, x, y) and interned, so every path that
+    reaches a relation lands on its one label; entries that meet at one
+    (label, index) are summed. The output size is known from the free counts
+    before anything is built, and the entry cap is checked against it. Both
+    loops run over the rank of y among the free outputs, so temporaries stay
+    the size of the input.
     """
-    n = state.n_qubits
-    shifts = [n - 1 - q for q in input_qubits]
-    out = {}
-    count = 0
-    for lab, vec in state.terms.items():
-        cands = candidates_fn(lab)
-        if not cands:
-            raise ValueError("recording map undefined: no available outputs")
-        norm = 1.0 / math.sqrt(len(cands))
-        rel = lab[slot]
-        for i, a in vec.items():
-            x = _extract(i, shifts)
-            scaled = a * norm
-            for y in cands:
-                nl = list(lab)
-                nl[slot] = rel.add(x, y)
-                nl = tuple(nl)
-                j = _deposit(i, shifts, y)
-                bucket = out.setdefault(nl, {})
-                if j in bucket:
-                    bucket[j] += scaled
-                else:
-                    bucket[j] = scaled
-                    count += 1
-                    if count > state.entry_cap:
-                        raise MemoryError(f"purified state exceeds the {state.entry_cap}-entry cap")
-    return PurifiedState(n, out, state.entry_cap)
+    lab, idx, amp = state.label_ids, state.indices, state.amplitudes
+    nfree = free.sum(axis=1)
+    if np.any(nfree == 0):
+        raise ValueError("recording map undefined: no available outputs")
+    per_entry = nfree[lab]
+    total = int(per_entry.sum())
+    if total > state.entry_cap:
+        raise MemoryError(f"purified state exceeds the {state.entry_cap}-entry cap")
+    if np.any((x < 0) | (x >= _PAIR_LIMIT)):
+        raise ValueError("recorded inputs must lie in [0, 2^31)")
+    free_y = np.flatnonzero(free) % free.shape[1]  # free outputs, label by label
+    free_start = np.cumsum(nfree) - nfree
+    ranks = range(int(nfree.max(initial=0)))
+    # sources: distinct (label, x); triple (source s, rank r) sits at s_start[s] + r
+    if per_label:
+        src_lab, src_x, ent_src = np.arange(len(rows)), x, lab
+    else:
+        keys, ent_src = np.unique((lab << _Y_BITS) | x, return_inverse=True)
+        src_lab, src_x = keys >> _Y_BITS, keys & _Y_MASK
+    per_src = nfree[src_lab]
+    s_start = np.cumsum(per_src) - per_src
+    a, b = span
+    new = np.empty((int(per_src.sum()), rows.shape[1]), dtype=np.int64)
+    for r in ranks:
+        s = np.flatnonzero(per_src > r)
+        t = s_start[s] + r
+        new[t] = rows[src_lab[s]]
+        new[t, b - 1] = (src_x[s] << _Y_BITS) | free_y[free_start[src_lab[s]] + r]
+    new[:, a:b] = np.sort(new[:, a:b], axis=1)
+    table, t_lab = _intern(new)
+    del new
+    if len(table) >= 1 << (62 - n_qubits):
+        raise MemoryError("too many labels for the entry key")
+    # every entry times every free output of its label
+    key = np.empty(total, dtype=np.int64)
+    out = np.empty(total, dtype=complex)
+    scaled = amp * (1.0 / np.sqrt(nfree))[lab]
+    start = 0
+    for r in ranks:
+        e = np.flatnonzero(per_entry > r)
+        stop = start + len(e)
+        y = free_y[free_start[lab[e]] + r]
+        key[start:stop] = (t_lab[s_start[ent_src[e]] + r] << n_qubits) | place(idx[e], y)
+        out[start:stop] = scaled[e]
+        start = stop
+    del t_lab
+    return state._make(schema, table, objs, *_merge(n_qubits, key, out), n_qubits=n_qubits)
 
 
 def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None):
@@ -378,16 +753,25 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None):
     slots = list(shared_slots) if shared_slots is not None else [relation_slot]
     if relation_slot not in slots:
         slots.append(relation_slot)
+    if not state.label_count():
+        return state
+    schema, rows = state.schema, state.rows
+    a, b = _rel_span(schema, relation_slot)
+    if np.any(np.count_nonzero(rows[:, a:b] != PAD, axis=1) >= N):
+        raise ValueError("relation is full: the recording map is undefined at |R| = N")
+    free = _free_outputs(rows, [_rel_span(schema, s) for s in slots], N)
+    return _record_query(state, relation_slot, input_qubits, free)
 
-    def candidates(lab):
-        im = set()
-        for s in slots:
-            im |= set(lab[s].image)
-        if len(lab[relation_slot]) >= N:
-            raise ValueError("relation is full: the recording map is undefined at |R| = N")
-        return [y for y in range(N) if y not in im]
 
-    return _record(state, relation_slot, input_qubits, candidates)
+def _record_query(state, slot, input_qubits, free):
+    """Quantum recording: x is read from, and y written to, the input qubits."""
+    n = state.n_qubits
+    qubits = list(input_qubits)
+    schema, rows, span = _open_slot(state.schema, state.rows, slot)
+    x = extract_bits(state.indices, n, qubits)
+    return _append_pair(
+        state, schema, rows, state.objs, span, free, x, False, lambda i, y: _deposit_bits(i, n, qubits, y), n
+    )
 
 
 def _prefix(y, params: CFParams):
@@ -477,34 +861,101 @@ def cf_count(strings, params: CFParams) -> int:
     return int(ok.sum())
 
 
+
 def pcfpr_apply(state, target_slot, other_slots, input_qubits, params: CFParams):
     """Collision-free recording across two (or more) relation slots.
 
     |x>|R1>|R2> -> |CF(Im(R1 u R2))|^{-1/2} sum_{y in CF} |y>, with (x, y)
     appended to the target slot. Preconditions (each slot's image, the joint
-    image, and disjointness) are checked on every populated label.
+    image, and disjointness) are checked once per distinct joint image, and
+    cf_set runs once per distinct joint image.
     """
     if isinstance(other_slots, int):
         other_slots = [other_slots]
     slots = [target_slot] + [s for s in other_slots if s != target_slot]
-    cache = {}
-
-    def candidates(lab):
-        images = [tuple(sorted(lab[s].image)) for s in slots]
-        joint = [y for im in images for y in im]
-        key = tuple(sorted(joint))
+    if not state.label_count():
+        return state
+    spans = [_rel_span(state.schema, s) for s in slots]
+    rows = state.rows
+    ys = np.hstack([np.where(rows[:, a:b] == PAD, PAD, rows[:, a:b] & _Y_MASK) for a, b in spans])
+    joints, inv = _intern(np.sort(ys, axis=1))
+    _, first = np.unique(inv, return_index=True)
+    free_joint = np.zeros((len(joints), 2**params.n), dtype=bool)
+    for d, row in enumerate(joints.tolist()):
+        joint = [y for y in row if y != PAD]
         if len(set(joint)) != len(joint):
             raise ValueError("relation slots are not disjoint")
-        if key not in cache:
-            for im in images:
-                if not is_collision_free(im, params):
-                    raise ValueError("a relation image is not collision-free")
-            if not is_collision_free(joint, params):
-                raise ValueError("the joint image is not collision-free")
-            cache[key] = sorted(cf_set(joint, params))
-        return cache[key]
+        for a, b in spans:
+            image = [c & _Y_MASK for c in rows[first[d], a:b].tolist() if c != PAD]
+            if not is_collision_free(sorted(image), params):
+                raise ValueError("a relation image is not collision-free")
+        if not is_collision_free(joint, params):
+            raise ValueError("the joint image is not collision-free")
+        free_joint[d, sorted(cf_set(joint, params))] = True
+    return _record_query(state, target_slot, input_qubits, free_joint[inv])
 
-    return _record(state, target_slot, input_qubits, candidates)
+
+def classical_record(state, oracle, w):
+    """Classical query w: append an oracle.n-qubit answer register and record.
+
+    Per label, the recorded input is oracle.input_of(k, w), with k the key
+    slot value (0 without a key slot), and the answer y runs over the outputs
+    left free by the avoid mode: 'slot' avoids the target relation, 'global'
+    also the avoid_slots, 'per_w' only component w of a per-w family slot,
+    and 'per_w_global' the whole family plus the avoid_slots. The transcript
+    slot, when set, gains w. `oracle` is a harness ClassicalPROracle.
+    """
+    n = oracle.n
+    n_new = state.n_qubits + n
+    schema, rows, objs = state.schema, state.rows, state.objs
+    if not len(rows):
+        return state._make(schema, rows, objs, state.label_ids, state.indices, state.amplitudes, n_new)
+    per_w = oracle.avoid.startswith("per_w")
+    spans = [_rel_span(schema, oracle.rel_slot, w if per_w else None)]
+    if oracle.avoid in ("global", "per_w_global"):
+        if oracle.avoid == "per_w_global":
+            spans.append(_slot_span(schema, oracle.rel_slot))
+        spans += [_rel_span(schema, s) for s in oracle.avoid_slots]
+    free = _free_outputs(rows, spans, 2**n)
+    if oracle.key_slot is None:
+        keys = np.zeros(len(rows), dtype=np.int64)
+    else:
+        keys = _int_column(schema, rows, oracle.key_slot)
+    uk, kinv = np.unique(keys, return_inverse=True)
+    x = np.array([oracle.input_of(k, w) for k in uk.tolist()], dtype=np.int64)[kinv]
+    if oracle.transcript_slot is not None:
+        rows, objs = _extend_objects(schema, rows, objs, oracle.transcript_slot, lambda t: t + (w,))
+    schema, rows, span = _open_slot(schema, rows, oracle.rel_slot, w if per_w else None)
+    return _append_pair(state, schema, rows, objs, span, free, x, True, lambda i, y: (i << n) | y, n_new)
+
+
+def _extend_objects(schema, rows, objs, slot, fn):
+    """Map the values of an object slot through an injective fn."""
+    a, _ = _slot_span(schema, slot)
+    if schema[slot][0] != "obj":
+        raise ValueError(f"label slot {slot} does not hold objects")
+    ids, inv = np.unique(rows[:, a], return_inverse=True)
+    objs = list(objs)
+    index = {o: i for i, o in enumerate(objs)}
+    new_ids = np.array([_intern_obj(objs, index, fn(objs[i])) for i in ids.tolist()], dtype=np.int64)
+    rows = rows.copy()
+    rows[:, a] = new_ids[inv]
+    return rows, objs
+
+
+def key_pauli(state, kind, lam, key_slot, input_qubits):
+    """Key-controlled X^k (kind 'X') or Z^k on the lam-bit prefix of the input."""
+    if not state.label_count():
+        return state
+    n = state.n_qubits
+    prefix = list(input_qubits)[:lam]
+    k = _int_column(state.schema, state.rows, key_slot)[state.label_ids]
+    val = extract_bits(state.indices, n, prefix)
+    if kind == "X":
+        idx = _deposit_bits(state.indices, n, prefix, val ^ k)
+        return state._with_entries(*_merge(n, _key(n, state.label_ids, idx), state.amplitudes))
+    odd = _parity(val & k) == 1
+    return state._with_entries(state.label_ids, state.indices, np.where(odd, -state.amplitudes, state.amplitudes))
 
 
 def corx(rel, k: int):
@@ -517,10 +968,13 @@ def good_keys(rel, fold: int, key_count: int):
     return {k for k in range(key_count) if len(corx(rel, k)) == fold}
 
 
+
 def project_good(state, predicate):
     """Keep only the terms whose label satisfies the predicate (subnormalized)."""
-    out = {lab: dict(vec) for lab, vec in state.terms.items() if predicate(lab)}
-    return PurifiedState(state.n_qubits, out, state.entry_cap)
+    keep = np.zeros(state.label_count(), dtype=bool)
+    for start, labels in state.label_chunks():
+        keep[start : start + len(labels)] = [bool(predicate(lab)) for lab in labels]
+    return state.select_labels(keep)
 
 
 def label_rewrite(state, rewriter, check_injective=True):
@@ -529,41 +983,48 @@ def label_rewrite(state, rewriter, check_injective=True):
     With check_injective, raises if two populated labels collide, which would
     make the rewrite non-isometric.
     """
-    out = {}
-    for lab, vec in state.terms.items():
-        nl = tuple(rewriter(lab))
-        if nl in out:
-            if check_injective:
-                raise ValueError(f"label rewrite is not injective at {nl!r}")
-            dst = out[nl]
-            for i, a in vec.items():
-                dst[i] = dst.get(i, 0) + a
-        else:
-            out[nl] = dict(vec)
-    return PurifiedState(state.n_qubits, out, state.entry_cap)
+    schema, rows, objs = _encode([tuple(rewriter(lab)) for _, labels in state.label_chunks() for lab in labels])
+    table, inv = _intern(rows)
+    n = state.n_qubits
+    if check_injective and len(table) < len(rows):
+        clash = int(np.flatnonzero(np.bincount(inv) > 1)[0])
+        raise ValueError(f"label rewrite is not injective at {_decode(schema, table[clash : clash + 1], objs)[0]!r}")
+    entries = _merge(n, _key(n, inv[state.label_ids], state.indices), state.amplitudes)
+    return state._make(schema, table, objs, *entries)
 
 
 def key_slot_hadamard(state, key_slot, lam):
-    """Hadamard transform of an integer key slot (2^lam keys)."""
-    groups = {}
-    for lab, vec in state.terms.items():
-        k = lab[key_slot]
-        rest = lab[:key_slot] + lab[key_slot + 1 :]
-        groups.setdefault(rest, {})[k] = vec
-    norm = 2 ** (-lam / 2.0)
-    out = {}
-    for rest, by_key in groups.items():
-        for h in range(2**lam):
-            acc = {}
-            for k, vec in by_key.items():
-                sign = -1.0 if bin(h & k).count("1") % 2 else 1.0
-                for i, a in vec.items():
-                    acc[i] = acc.get(i, 0) + sign * norm * a
-            acc = {i: a for i, a in acc.items() if abs(a) > 1e-14}
-            if acc:
-                nl = rest[:key_slot] + (h,) + rest[key_slot:]
-                out[nl] = acc
-    return PurifiedState(state.n_qubits, out, state.entry_cap)
+    """Hadamard transform of an integer key slot (2^lam keys).
+
+    Entries are grouped by (label without the key, index); each group is a
+    vector over the key values present and goes through the signed
+    2^(-lam/2) (-1)^{h.k} matrix in bounded blocks. Amplitudes of modulus
+    <= 1e-14 are dropped, and so are labels left without entries.
+    """
+    n = state.n_qubits
+    if not state.entry_count():
+        return state.select_labels(np.zeros(state.label_count(), dtype=bool))
+    a, _ = _slot_span(state.schema, key_slot)
+    keys, kinv = np.unique(_int_column(state.schema, state.rows, key_slot), return_inverse=True)
+    rests, rinv = _intern(np.delete(state.rows, a, axis=1))
+    groups, ginv = np.unique((rinv[state.label_ids] << n) | state.indices, return_inverse=True)
+    signs = np.where(_parity(keys[:, None] & np.arange(2**lam)[None, :]), -1.0, 1.0)
+    signs *= 2 ** (-lam / 2.0)
+    out_rest, out_h, out_idx, out_amp = [], [], [], []
+    for g0, g1, sel in _group_batches(ginv, len(groups), max(len(keys), 2**lam)):
+        block = np.zeros((g1 - g0, len(keys)), dtype=complex)
+        block[ginv[sel] - g0, kinv[state.label_ids[sel]]] = state.amplitudes[sel]
+        acc = block @ signs
+        gi, h = np.nonzero(np.abs(acc) > 1e-14)
+        out_rest.append(groups[g0 + gi] >> n)
+        out_idx.append(groups[g0 + gi] & ((1 << n) - 1))
+        out_h.append(h)
+        out_amp.append(acc[gi, h])
+    rest, h = np.concatenate(out_rest), np.concatenate(out_h)
+    pairs, lab = np.unique((rest << lam) | h, return_inverse=True)
+    table = np.insert(rests[pairs >> lam], a, pairs & ((1 << lam) - 1), axis=1)
+    entries = _merge(n, _key(n, lab, np.concatenate(out_idx)), np.concatenate(out_amp))
+    return state._make(state.schema, table, state.objs, *entries)
 
 
 def partition_by_key(state, source_slot, selector, check_injective=True):

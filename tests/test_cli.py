@@ -118,3 +118,16 @@ def test_run_invalid_params_exit_2(tmp_path):
     )
     assert res.exit_code == 2
     assert "invalid run" in res.output
+
+
+def test_run_resource_limit_exits_3(tmp_path, monkeypatch):
+    import qhrolab.cli
+
+    def out_of_entries(name, params):
+        raise MemoryError("purified state exceeds the 16-entry cap")
+
+    monkeypatch.setattr(qhrolab.cli, "run_experiment", out_of_entries)
+    res = CliRunner().invoke(main, ["run", "exp_split_augment", "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    assert "resource limit" in res.output
+    assert not os.path.exists(os.path.join(tmp_path, "exp_split_augment"))

@@ -150,6 +150,29 @@ def test_reduce_view_diagnostics_and_cap():
     assert small.diagnostics["label_count"] == 1
 
 
+def test_reduce_view_rejects_invalid_keep():
+    psi = PurifiedState(3, {("a",): {0b101: 1.0}})
+    for keep in ([0, 0], [-1], [3], [0, 1, 1]):
+        with pytest.raises(ValueError):
+            reduce_view(psi, keep=keep)
+    view = reduce_view(psi, keep=[2, 0]).reduced
+    assert view.qubit_count == 2 and abs(view.entries[0b11, 0b11] - 1.0) < 1e-12
+
+
+def test_haar_view_mc_samples_each_trial_once():
+    n, trials = 1, 7
+    prog = AdversaryProgram(n=n, steps=(identity_interleave(n), QuantumQuery("U")))
+    for jobs in (1, 2):
+        seen = []
+
+        def sampler(rng):
+            seen.append(1)
+            return {"U": haar_unitary(2, rng)}
+
+        haar_view_mc(prog, sampler, trials, 3, jobs=jobs)
+        assert len(seen) == trials
+
+
 def test_recording_bound_small_n():
     # TD(Haar MC mean, recording view) within 2t(t-1)/(N+1) + 3 stderr
     n, t, trials = 2, 2, 2000
