@@ -266,6 +266,7 @@ def run_pr(program: AdversaryProgram, bindings: dict, init_label) -> PurifiedSta
     return state
 
 
+_RUN_ENTRIES = 1 << 14  # entries per reduce_view run; a run holds whole labels
 _PAIR_CHUNK = 1 << 14  # (entry, entry) products per reduce_view batch
 
 
@@ -274,7 +275,8 @@ def reduce_view(purified: PurifiedState, keep=None) -> ViewResult:
 
     Entries are grouped by (label, traced-out register bits). Within a group
     every ordered pair of entries adds a * conj(b) to the kept-bit pair's
-    density element; pairs are formed in bounded chunks.
+    density element. Groups are sorted in runs of whole labels and pairs are
+    formed in bounded chunks, in the summation order of one pass over all groups.
     """
     n = purified.n_qubits
     keep = list(range(n)) if keep is None else list(keep)
@@ -284,34 +286,31 @@ def reduce_view(purified: PurifiedState, keep=None) -> ViewResult:
     if kq > 12:
         raise ValueError("reduced view exceeds the 12-qubit density cap")
     dk = 2**kq
-    idx = purified.indices
+    labs, idxs = purified.label_ids, purified.indices
     mask = sum(1 << (n - 1 - q) for q in keep)
-    group = (purified.label_ids << n) | (idx & ~mask)
-    order = np.argsort(group, kind="stable")
-    group = group[order]
-    kept = extract_bits(idx[order], n, keep)
-    amp = purified.amplitudes[order]
-    del order
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
-    del group
-    sizes = np.diff(np.append(starts, len(kept)))
-    reach = np.cumsum(sizes**2)
     acc = np.zeros(dk * dk, dtype=complex)
-    g0 = 0
-    while g0 < len(starts):
-        done = reach[g0 - 1] if g0 else 0
-        g1 = max(int(np.searchsorted(reach, done + _PAIR_CHUNK, side="right")), g0 + 1)
-        # every entry of groups g0..g1 pairs with each entry of its group
-        size = sizes[g0:g1]
-        base = starts[g0:g1] - starts[g0]
-        lo = starts[g0]
-        hi = lo + int(size.sum())
-        k, a = kept[lo:hi], amp[lo:hi]
-        w = np.repeat(size, size)
-        rows = np.repeat(np.arange(hi - lo), w)
-        cols = np.repeat(base, size)[rows] + np.arange(len(rows)) - np.repeat(np.cumsum(w) - w, w)
-        np.add.at(acc, k[rows] * dk + k[cols], a[rows] * a[cols].conj())
-        g0 = g1
+    # entries are sorted by label: a run ends where the label of its last entry does
+    ends = np.searchsorted(labs, labs[_RUN_ENTRIES - 1 :: _RUN_ENTRIES], side="right").tolist()
+    ends = list(dict.fromkeys(ends + [len(labs)]))  # a label longer than a run repeats an end
+    for lo, hi in zip([0] + ends, ends):
+        group = (labs[lo:hi] << n) | (idxs[lo:hi] & ~mask)
+        order = np.argsort(group, kind="stable")
+        kept = extract_bits(idxs[lo:hi][order], n, keep)
+        amp = purified.amplitudes[lo:hi][order]
+        starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+        sizes = np.diff(np.append(starts, len(kept)))
+        reach = np.cumsum(sizes**2)
+        g0 = 0
+        while g0 < len(starts):
+            done = reach[g0 - 1] if g0 else 0
+            g1 = max(int(np.searchsorted(reach, done + _PAIR_CHUNK, side="right")), g0 + 1)
+            # every entry of groups g0..g1 pairs with each entry of its group
+            size, a = sizes[g0:g1], starts[g0]
+            w = np.repeat(size, size)
+            rows = np.repeat(np.arange(a, a + len(w)), w)
+            cols = np.repeat(starts[g0:g1], size)[rows - a] + np.arange(len(rows)) - np.repeat(np.cumsum(w) - w, w)
+            np.add.at(acc, kept[rows] * dk + kept[cols], amp[rows] * amp[cols].conj())
+            g0 = g1
     mass = purified.norm_sq()
     diag = {
         "label_count": purified.label_count(),

@@ -61,10 +61,10 @@ class StateVector:
     qubit_count: int
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
         if self.qubit_count > VEC_QUBIT_CAP:
             raise ValueError(f"register of {self.qubit_count} qubits exceeds the {VEC_QUBIT_CAP}-qubit cap")
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1 or amps.size != 2**self.qubit_count:
             raise ValueError("amplitude vector length must be 2^qubit_count")
         if not np.all(np.isfinite(amps)):

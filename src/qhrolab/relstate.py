@@ -168,6 +168,7 @@ _PAIR_LIMIT = 1 << 31  # pair values must lie in [0, 2^31) to be packed
 _INT_LIMIT = 1 << 62  # integer slots hold values in (-2^62, 2^62)
 _DECODE_CHUNK = 1 << 12  # labels decoded per batch of Python callbacks
 _BLOCK_BYTES = 1 << 25  # bound on one dense complex block
+_ENTRY_CHUNK = 1 << 14  # entries per bounded batch of norm_sq and _merge
 
 
 def _is_int(v):
@@ -298,41 +299,52 @@ def _decode(schema, rows, objs):
     return list(zip(*cols)) if cols else [()] * len(rows)
 
 
-def _digits(col):
-    """Order-preserving small non-negative digits of one column, with sizes."""
+def _digits(col, digit):
+    """Order-preserving small non-negative digits of one column, written into
+    `digit` one at a time; yields the size of each. PAD sorts after all values.
+    """
     pad = col == PAD
-    vals = col[~pad]
-    if vals.size == 0:
-        return [(np.zeros(len(col), dtype=np.int64), 1)]
-    lo, hi = int(vals.min()), int(vals.max())
-    if hi - lo <= _Y_MASK:
-        return [(np.where(pad, hi - lo + 1, col - lo), hi - lo + 2)]
-    high, low = col >> _Y_BITS, col & _Y_MASK
-    hlo, hhi = int(high[~pad].min()), int(high[~pad].max())
-    llo, lhi = int(low[~pad].min()), int(low[~pad].max())
-    return [
-        (np.where(pad, hhi - hlo + 1, high - hlo), hhi - hlo + 2),
-        (np.where(pad, 0, low - llo), lhi - llo + 1),
-    ]
+    lo, hi = int(col.min(where=~pad, initial=PAD)), int(col.max(where=~pad, initial=-PAD))
+    for shift, mask in [(0, -1)] if hi - lo <= _Y_MASK else [(_Y_BITS, -1), (0, _Y_MASK)]:
+        np.bitwise_and(np.right_shift(col, shift, out=digit), mask, out=digit)
+        dlo = int(digit.min(where=~pad, initial=PAD))
+        dhi = int(digit.max(where=~pad, initial=dlo))
+        digit -= dlo
+        digit[pad] = dhi - dlo + 1
+        yield dhi - dlo + 2
 
 
 def _intern(rows):
     """Distinct rows in lexicographic order, and each row's position among them.
 
     Columns are folded into one int64 key digit by digit (re-ranked whenever
-    the key would overflow), so interning costs one 1-D sort.
+    the key would overflow), so interning costs one 1-D sort. Consumes `rows`,
+    which must own its data: the distinct rows move to its head and it shrinks in place.
     """
-    key = np.zeros(len(rows), dtype=np.int64)
+    key, digit = np.zeros(len(rows), dtype=np.int64), np.empty(len(rows), dtype=np.int64)
     span = 1
     for c in range(rows.shape[1]):
-        for digit, size in _digits(rows[:, c]):
+        for size in _digits(rows[:, c], digit):
             if span > (1 << 62) // size:
                 uniq, key = np.unique(key, return_inverse=True)
                 span = len(uniq)
-            key = key * size + digit
+            key *= size
+            key += digit
             span *= size
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    return rows[first], inv.reshape(-1)
+    del digit
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    first = order[head]
+    np.subtract(np.cumsum(head, out=key), 1, out=key)
+    inv = np.empty_like(order)
+    inv[order] = key
+    del key, order, head
+    for c in range(rows.shape[1]):
+        rows[: len(first), c] = rows[first, c]
+    rows.resize((len(first), rows.shape[1]), refcheck=False)
+    return rows, inv
 
 
 def extract_bits(indices, n_qubits, qubits):
@@ -378,17 +390,24 @@ def _key(n_qubits, lab, idx):
 
 
 def _merge(n_qubits, key, amp):
-    """Entries sorted by key, with the amplitudes of equal keys summed."""
+    """Entries sorted by key, with the amplitudes of equal keys summed.
+
+    Consumes the writable `key` and `amp`: `amp` is permuted in place, in bounded
+    chunks through the old key buffer, which then holds the indices.
+    """
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    amp = amp[order]
+    key, spare = key[order], key
+    for part in (amp.real, amp.imag):
+        for lo in range(0, len(order), _ENTRY_CHUNK):
+            spare[lo : lo + _ENTRY_CHUNK].view(np.float64)[...] = part[order[lo : lo + _ENTRY_CHUNK]]
+        part[...] = spare.view(np.float64)
     del order
-    if len(key):
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        if len(starts) < len(key):
-            amp = np.add.reduceat(amp, starts)
-            key = key[starts]
-    return key >> n_qubits, key & ((1 << n_qubits) - 1), amp
+    head = np.concatenate(([True], key[1:] != key[:-1]))
+    if not head.all():
+        starts = np.flatnonzero(head)
+        key, amp, spare = key[starts], np.add.reduceat(amp, starts), np.empty(len(starts), dtype=np.int64)
+    idx = np.bitwise_and(key, (1 << n_qubits) - 1, out=spare)
+    return np.right_shift(key, n_qubits, out=key), idx, amp
 
 
 class PurifiedState:
@@ -435,10 +454,6 @@ class PurifiedState:
     def _with_entries(self, lab, idx, amp):
         return self._make(self.schema, self.rows, self.objs, lab, idx, amp)
 
-    @property
-    def dim(self):
-        return 2**self.n_qubits
-
     @classmethod
     def initial(cls, n_qubits, label, index=0, amp=1.0, entry_cap=ENTRY_CAP):
         return cls(n_qubits, {tuple(label): {index: complex(amp)}}, entry_cap)
@@ -473,10 +488,11 @@ class PurifiedState:
         return len(self.amplitudes)
 
     def norm_sq(self):
-        """Sum of |a|^2, accumulated left to right in entry order."""
-        if not self.entry_count():
-            return 0.0
-        return float(np.cumsum(np.abs(self.amplitudes) ** 2)[-1])
+        """Sum of |a|^2 left to right in entry order; chunked, bitwise one cumsum."""
+        total = 0.0
+        for lo in range(0, self.entry_count(), _ENTRY_CHUNK):
+            total = float(np.cumsum(np.append(total, np.abs(self.amplitudes[lo : lo + _ENTRY_CHUNK]) ** 2))[-1])
+        return total
 
     def label_count(self):
         return len(self.rows)
@@ -485,33 +501,19 @@ class PurifiedState:
         if self.entry_count() > self.entry_cap:
             raise MemoryError(f"purified state exceeds the {self.entry_cap}-entry cap")
 
-    def select_labels(self, keep):
-        """The sub-state on the labels where the boolean mask `keep` holds."""
-        new_id = np.cumsum(keep) - 1
-        on = keep[self.label_ids]
-        return self._make(
-            self.schema,
-            self.rows[keep],
-            self.objs,
-            new_id[self.label_ids[on]],
-            self.indices[on],
-            self.amplitudes[on],
-        )
+    def select_labels(self, keep, on=None):
+        """The sub-state on the labels where the boolean mask `keep` holds
+        (and on the entries where `on` holds, if given)."""
+        on = keep[self.label_ids] if on is None else on
+        lab = (np.cumsum(keep) - 1)[self.label_ids[on]]
+        return self._make(self.schema, self.rows[keep], self.objs, lab, self.indices[on], self.amplitudes[on])
 
     def prune(self, tol=0.0):
         """Drop zero (or sub-tolerance) amplitudes and empty labels."""
         on = np.abs(self.amplitudes) > tol
-        lab = self.label_ids[on]
         keep = np.zeros(self.label_count(), dtype=bool)
-        keep[lab] = True
-        new_id = np.cumsum(keep) - 1
-        return self._make(self.schema, self.rows[keep], self.objs, new_id[lab], self.indices[on], self.amplitudes[on])
-
-    def dense_vector(self, label):
-        v = np.zeros(self.dim, dtype=complex)
-        for i, a in self.terms.get(tuple(label), {}).items():
-            v[i] = a
-        return v
+        keep[self.label_ids[on]] = True
+        return self.select_labels(keep, on)
 
     def apply_matrix(self, mat, targets=None):
         """Apply a unitary to the adversary register of every label.
@@ -681,13 +683,13 @@ def _append_pair(state, schema, rows, objs, span, free, x, per_label, place, n_q
     Each entry (label l, index i, amplitude a) goes to a / sqrt(#free(l))
     at label l + (x, y) and index place(i, y), for every free output y of l;
     (x, y) lands in the Rel block `span`, whose last column is PAD. x is
-    given per label when `per_label`, else per entry. New label rows are
-    built once per distinct (label, x, y) and interned, so every path that
-    reaches a relation lands on its one label; entries that meet at one
-    (label, index) are summed. The output size is known from the free counts
-    before anything is built, and the entry cap is checked against it. Both
-    loops run over the rank of y among the free outputs, so temporaries stay
-    the size of the input.
+    given per label when `per_label`, else per entry. `new` holds one row per
+    distinct (label, x, y), at least one per output label, and is interned in
+    place into the output table, so every path that reaches a relation lands
+    on its one label; entries that meet at one (label, index) are summed. The
+    entry cap is checked against the output size before anything is built.
+    Peak: the input, the output, the sort order and sorted keys of _merge,
+    and rank-loop temporaries the size of the input.
     """
     lab, idx, amp = state.label_ids, state.indices, state.amplitudes
     nfree = free.sum(axis=1)
@@ -706,8 +708,8 @@ def _append_pair(state, schema, rows, objs, span, free, x, per_label, place, n_q
     if per_label:
         src_lab, src_x, ent_src = np.arange(len(rows)), x, lab
     else:
-        keys, ent_src = np.unique((lab << _Y_BITS) | x, return_inverse=True)
-        src_lab, src_x = keys >> _Y_BITS, keys & _Y_MASK
+        src_lab, ent_src = np.unique((lab << _Y_BITS) | x, return_inverse=True)
+        src_lab, src_x = src_lab >> _Y_BITS, src_lab & _Y_MASK
     per_src = nfree[src_lab]
     s_start = np.cumsum(per_src) - per_src
     a, b = span
@@ -717,11 +719,10 @@ def _append_pair(state, schema, rows, objs, span, free, x, per_label, place, n_q
         t = s_start[s] + r
         new[t] = rows[src_lab[s]]
         new[t, b - 1] = (src_x[s] << _Y_BITS) | free_y[free_start[src_lab[s]] + r]
-    new[:, a:b] = np.sort(new[:, a:b], axis=1)
+    del src_lab, src_x, per_src, s, t
+    new[:, a:b].sort(axis=1)
     table, t_lab = _intern(new)
     del new
-    if len(table) >= 1 << (62 - n_qubits):
-        raise MemoryError("too many labels for the entry key")
     # every entry times every free output of its label
     key = np.empty(total, dtype=np.int64)
     out = np.empty(total, dtype=complex)
@@ -731,10 +732,10 @@ def _append_pair(state, schema, rows, objs, span, free, x, per_label, place, n_q
         e = np.flatnonzero(per_entry > r)
         stop = start + len(e)
         y = free_y[free_start[lab[e]] + r]
-        key[start:stop] = (t_lab[s_start[ent_src[e]] + r] << n_qubits) | place(idx[e], y)
+        key[start:stop] = _key(n_qubits, t_lab[s_start[ent_src[e]] + r], place(idx[e], y))
         out[start:stop] = scaled[e]
         start = stop
-    del t_lab
+    del t_lab, scaled, per_entry, ent_src, free_y, free_start, s_start, e, y
     return state._make(schema, table, objs, *_merge(n_qubits, key, out), n_qubits=n_qubits)
 
 
@@ -953,7 +954,7 @@ def key_pauli(state, kind, lam, key_slot, input_qubits):
     val = extract_bits(state.indices, n, prefix)
     if kind == "X":
         idx = _deposit_bits(state.indices, n, prefix, val ^ k)
-        return state._with_entries(*_merge(n, _key(n, state.label_ids, idx), state.amplitudes))
+        return state._with_entries(*_merge(n, _key(n, state.label_ids, idx), state.amplitudes.copy()))
     odd = _parity(val & k) == 1
     return state._with_entries(state.label_ids, state.indices, np.where(odd, -state.amplitudes, state.amplitudes))
 
@@ -986,10 +987,10 @@ def label_rewrite(state, rewriter, check_injective=True):
     schema, rows, objs = _encode([tuple(rewriter(lab)) for _, labels in state.label_chunks() for lab in labels])
     table, inv = _intern(rows)
     n = state.n_qubits
-    if check_injective and len(table) < len(rows):
+    if check_injective and len(table) < len(inv):
         clash = int(np.flatnonzero(np.bincount(inv) > 1)[0])
         raise ValueError(f"label rewrite is not injective at {_decode(schema, table[clash : clash + 1], objs)[0]!r}")
-    entries = _merge(n, _key(n, inv[state.label_ids], state.indices), state.amplitudes)
+    entries = _merge(n, _key(n, inv[state.label_ids], state.indices), state.amplitudes.copy())
     return state._make(schema, table, objs, *entries)
 
 

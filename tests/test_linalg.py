@@ -90,9 +90,17 @@ def test_unitary_rejects_non_unitary():
         UnitaryMatrix.from_array(np.array([[1, 0], [0, 2]], dtype=complex))
 
 
+class Unconvertible:
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("amplitudes converted before the cap check")
+
+
 def test_caps():
     with pytest.raises(ValueError):
         StateVector(np.zeros(2**25), 25)
+    with pytest.raises(ValueError):
+        # an oversized register is refused before its amplitudes are copied
+        StateVector(Unconvertible(), 25)
     with pytest.raises(ValueError):
         # the cap check fires before shape validation
         DensityMatrix(np.eye(2), QUBIT_CAP + 1)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qhrolab import relstate
 from qhrolab.relstate import (
     CFParams,
     MSet,
@@ -358,6 +359,19 @@ def test_purified_state_helpers():
     assert set(pruned.terms) == {("b",)}
     with pytest.raises(MemoryError):
         PurifiedState(1, {("a",): {0: 1.0, 1: 1.0}}, entry_cap=1).check_cap()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_norm_sq_is_one_left_to_right_sum(monkeypatch, chunk):
+    count = 3 * relstate._ENTRY_CHUNK + 5
+    rng = np.random.default_rng(11)
+    amps = (rng.normal(size=count) + 1j * rng.normal(size=count)) * 10.0 ** rng.integers(-6, 6, size=count)
+    half = count // 2
+    state = PurifiedState(17, {("a",): dict(enumerate(amps[:half])), ("b",): dict(enumerate(amps[half:]))})
+    if chunk is not None:
+        monkeypatch.setattr(relstate, "_ENTRY_CHUNK", chunk)
+    assert state.norm_sq() == float(np.cumsum(np.abs(state.amplitudes) ** 2)[-1])
+    assert PurifiedState(1, {}).norm_sq() == 0.0
 
 
 def test_purified_inner_and_diff():
