@@ -1,6 +1,4 @@
 """Exact-simulation laboratory for Haar-oracle pseudorandomness experiments."""
 
-from ._kernels import BACKEND
-
 __version__ = "0.1.0"
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

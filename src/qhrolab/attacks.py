@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import apply_gate
-from .linalg import StateVector, UnitaryMatrix, choi_state, haar_unitary, trial_rng
+from .linalg import StateVector, UnitaryMatrix, apply_gate, choi_state, haar_unitary, trial_rng
 
 __all__ = [
     "NonAdaptiveCircuit",

@@ -32,8 +32,8 @@ def _load_config(path, name):
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     if "experiment" in cfg and cfg["experiment"] != name:
         raise ValueError(f"config is for {cfg['experiment']!r}, not {name!r}")
-    cfg.pop("schema_version", None)
-    cfg.pop("experiment", None)
+    for key in ("schema_version", "experiment", "jobs"):
+        cfg.pop(key, None)
     return cfg
 
 
@@ -73,8 +73,8 @@ def cmd_describe(name):
 @click.option("--trials", type=click.IntRange(1), default=None)
 @click.option("--out", "outdir", type=click.Path(), default="results", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both", show_default=True)
-@click.option("--jobs", type=click.IntRange(1), default=None, help="defaults to QHRO_JOBS or 1")
-def cmd_run(name, config_path, seed, trials, outdir, fmt, jobs):
+@click.option("--jobs", type=click.IntRange(1), expose_value=False, help="accepted for schema v1; has no effect")
+def cmd_run(name, config_path, seed, trials, outdir, fmt):
     """Run one experiment and write report files.
 
     Exits 0 when every check passes, 1 on a failed check, 2 on an unknown
@@ -90,9 +90,6 @@ def cmd_run(name, config_path, seed, trials, outdir, fmt, jobs):
         params.setdefault("seed", seed)
         if trials is not None:
             params["trials"] = trials
-        if jobs is None:
-            jobs = int(os.environ.get("QHRO_JOBS", "1"))
-        params["jobs"] = jobs
         started = time.time()
         report = run_experiment(name, params)
         elapsed = time.time() - started

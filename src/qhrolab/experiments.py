@@ -67,6 +67,7 @@ from .relstate import (
     cf_count,
     cf_set,
     corx,
+    good_mass,
     is_collision_free,
     key_slot_hadamard,
     label_rewrite,
@@ -158,7 +159,6 @@ def exp_mh_bound(params) -> ExperimentReport:
     seed = params["seed"]
     t = params.get("t", 2)
     trials = params.get("trials", 20000)
-    jobs = params.get("jobs", 1)
     n_list = params.get("n_list", [2, 3, 4])
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -175,7 +175,7 @@ def exp_mh_bound(params) -> ExperimentReport:
         def sampler(rng, n=n):
             return {"U": haar_unitary(2**n, rng)}
 
-        mean, batches = haar_view_mc(prog, sampler, trials, seed + i, keep=keep, jobs=jobs)
+        mean, batches = haar_view_mc(prog, sampler, trials, seed + i, keep=keep)
         td = trace_distance(mean, pr_view)
         se = bootstrap_td_stderr(batches, pr_view, seed + i)
         bound = 2.0 * t * (t - 1) / (2**n + 1)
@@ -210,7 +210,6 @@ def exp_pru2(params) -> ExperimentReport:
     t = params.get("t", 2)
     ell = params.get("ell", 1)
     trials = params.get("trials", 20000)
-    jobs = params.get("jobs", 1)
     n_list = params.get("n_list", [3, 4])
     rep = ExperimentReport(
         "exp_pru2", seed, {"t": t, "ell": ell, "trials": trials, "n_list": list(n_list)}
@@ -227,8 +226,7 @@ def exp_pru2(params) -> ExperimentReport:
         # exact hybrid identities at the smallest grid point
         desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
         psi2 = run_pr(prog, {"G": desc_g, "U": haar_slot(n, slot=0)}, (Rel(), KeyInit(lam)))
-        good = project_good(psi2, lambda lab: len(corx(lab[0], lab[1])) == ell)
-        mass = good.norm_sq()
+        mass = good_mass(psi2, lambda lab: len(corx(lab[0], lab[1])) == ell)
         _check_ge(entry, "good_key_mass", "EXACT", mass, 1.0 - (t * t + t * ell) / N)
 
         psi3 = run_pr(
@@ -254,8 +252,8 @@ def exp_pru2(params) -> ExperimentReport:
         def ideal_sampler(rng, n=n):
             return {"G": haar_unitary(2**n, rng), "U": haar_unitary(2**n, rng)}
 
-        m_real, b_real = haar_view_mc(prog, real_sampler, trials, seed + 31 * i, jobs=jobs)
-        m_ideal, b_ideal = haar_view_mc(prog, ideal_sampler, trials, seed + 31 * i + 1, jobs=jobs)
+        m_real, b_real = haar_view_mc(prog, real_sampler, trials, seed + 31 * i)
+        m_ideal, b_ideal = haar_view_mc(prog, ideal_sampler, trials, seed + 31 * i + 1)
         b1 = 4.0 * (t + ell) * (t + ell - 1) / (N + 1)
         b3 = (t + ell) ** 2 / math.sqrt(N)
         td12 = trace_distance(m_real, rho2)
@@ -278,8 +276,8 @@ def exp_pru2(params) -> ExperimentReport:
             ),
         )
         keep = [0, 1]
-        me_r, be_r = haar_view_mc(prog_end, real_sampler, trials, seed + 51 * i, keep=keep, jobs=jobs)
-        me_i, be_i = haar_view_mc(prog_end, ideal_sampler, trials, seed + 53 * i, keep=keep, jobs=jobs)
+        me_r, be_r = haar_view_mc(prog_end, real_sampler, trials, seed + 51 * i, keep=keep)
+        me_i, be_i = haar_view_mc(prog_end, ideal_sampler, trials, seed + 53 * i, keep=keep)
         q = t + ell + 2
         end_bound = 4.0 * q * (q - 1) / (N + 1) + 2.0 * math.sqrt(q * q / N) + SLACK * q * q / math.sqrt(N)
         td_end = trace_distance(me_r, me_i)
@@ -331,7 +329,6 @@ def exp_pru1(params) -> ExperimentReport:
     ell = params.get("ell", 1)
     t = params.get("t", 3)
     trials = params.get("trials", 4000)
-    jobs = params.get("jobs", 1)
     N = 2**n
     cf = CFParams(max(ell, 1), lam, n)
     rep = ExperimentReport(
@@ -382,8 +379,8 @@ def exp_pru1(params) -> ExperimentReport:
     def ideal_sampler(rng):
         return {"G": haar_unitary(N, rng), "U": haar_unitary(N, rng)}
 
-    m_real, b_real = haar_view_mc(prog, real_sampler, trials, seed + 5, jobs=jobs)
-    m_ideal, b_ideal = haar_view_mc(prog, ideal_sampler, trials, seed + 6, jobs=jobs)
+    m_real, b_real = haar_view_mc(prog, real_sampler, trials, seed + 5)
+    m_ideal, b_ideal = haar_view_mc(prog, ideal_sampler, trials, seed + 6)
     td_end = trace_distance(m_real, m_ideal)
     se_end = bootstrap_td_pair(b_real, b_ideal, seed + 7)
     per_side = math.sqrt(max(ell, 1)) * t ** (ell + 1) / 2 ** (lam / 2.0) + 4.0 * t * (t - 1) / (N + 1)
@@ -479,11 +476,7 @@ def _prs_views(n, lam, t, s, want_mass):
     v_real = reduce_view(real, keep).reduced
     mass = None
     if want_mass:
-        good = project_good(
-            real, lambda lab: sum(1 for (x, _) in lab[0] if x == lab[1] << (n - lam)) == t
-        )
-        mass = good.norm_sq()
-        del good
+        mass = good_mass(real, lambda lab: sum(1 for (x, _) in lab[0] if x == lab[1] << (n - lam)) == t)
     del real
 
     ideal_bind = {
@@ -503,7 +496,6 @@ def exp_prs(params) -> ExperimentReport:
     t = params.get("t", 2)
     s = params.get("s", 2)
     trials = params.get("trials", 2000)
-    jobs = params.get("jobs", 1)
     scaling = params.get("scaling", True)
     rep = ExperimentReport("exp_prs", seed, {"n": n, "lam": lam, "t": t, "s": s, "trials": trials})
     rep.notes.append("t keyed copies plus s oracle queries vs independent Haar-state copies")
@@ -530,7 +522,7 @@ def exp_prs(params) -> ExperimentReport:
                     "U": u,
                 }
 
-            mean, batches = haar_view_mc(prog, real_sampler, trials, seed + 3, keep=keep, jobs=jobs)
+            mean, batches = haar_view_mc(prog, real_sampler, trials, seed + 3, keep=keep)
             td_mc = trace_distance(mean, v_real)
             se = bootstrap_td_stderr(batches, v_real, seed + 3)
             q = t + s
@@ -586,11 +578,7 @@ def _prfs_views(n, lam, m, t, want_mass):
     v_real = reduce_view(real, keep).reduced
     mass = None
     if want_mass:
-        good = project_good(
-            real, lambda lab: sum(1 for (x, _) in lab[0] if (x >> (n - lam)) == lab[1]) == t
-        )
-        mass = good.norm_sq()
-        del good
+        mass = good_mass(real, lambda lab: sum(1 for (x, _) in lab[0] if (x >> (n - lam)) == lab[1]) == t)
     del real
 
     ideal_bind = {
@@ -612,7 +600,6 @@ def exp_prfs(params) -> ExperimentReport:
     m = params.get("m_in", 1)
     t = params.get("t", 2)
     trials = params.get("trials", 2000)
-    jobs = params.get("jobs", 1)
     scaling = params.get("scaling", True)
     if n < lam + m:
         raise ValueError("need n >= lam + m_in")
@@ -644,7 +631,7 @@ def exp_prfs(params) -> ExperimentReport:
                     "U": u,
                 }
 
-            mean, batches = haar_view_mc(prog, real_sampler, trials, seed + 4, keep=keep, jobs=jobs)
+            mean, batches = haar_view_mc(prog, real_sampler, trials, seed + 4, keep=keep)
             td_mc = trace_distance(mean, v_real)
             se = bootstrap_td_stderr(batches, v_real, seed + 4)
             q = 2 * t

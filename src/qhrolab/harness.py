@@ -324,11 +324,11 @@ def reduce_view(purified: PurifiedState, keep=None) -> ViewResult:
 # ---------------------------------------------------------------- Monte Carlo
 
 
-def haar_view_mc(program, sampler, trials, master_seed, keep=None, batches=20, jobs=1):
+def haar_view_mc(program, sampler, trials, master_seed, keep=None, batches=20):
     """Mean adversary view over seeded trials, plus per-batch means.
 
-    sampler(rng) returns the concrete bindings for one trial. Trials are
-    combined in index order, so the result does not depend on `jobs`.
+    sampler(rng) returns the concrete bindings for one trial; trial t draws
+    from trial_rng(master_seed, t) and goes to batch t % batches.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -338,25 +338,13 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None, batches=20, j
     sums = np.zeros((batches, dim, dim), dtype=complex)
     counts = np.zeros(batches, dtype=np.int64)
 
-    def one(t):
-        b = sampler(trial_rng(master_seed, t))
-        return view_of_state(run_concrete(program, b), keep).entries
-
     # trial 0 is the view computed above to learn the dimension
     sums[0] += first.entries
     counts[0] += 1
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = ex.map(one, range(1, trials))
-            for t, ent in enumerate(results, 1):
-                sums[t % batches] += ent
-                counts[t % batches] += 1
-    else:
-        for t in range(1, trials):
-            sums[t % batches] += one(t)
-            counts[t % batches] += 1
+    for t in range(1, trials):
+        b = sampler(trial_rng(master_seed, t))
+        sums[t % batches] += view_of_state(run_concrete(program, b), keep).entries
+        counts[t % batches] += 1
     total = sums.sum(axis=0) / trials
     batch_means = [DensityMatrix(sums[b] / counts[b], first.qubit_count) for b in range(batches) if counts[b]]
     return DensityMatrix(total, first.qubit_count), batch_means

@@ -16,15 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import BACKEND, apply_gate
-
 QUBIT_CAP = 14
 VEC_QUBIT_CAP = 24  # pure vectors may be larger than matrix-backed objects
 
 __all__ = [
     "QUBIT_CAP",
     "VEC_QUBIT_CAP",
-    "BACKEND",
     "StateVector",
     "UnitaryMatrix",
     "DensityMatrix",
@@ -38,6 +35,7 @@ __all__ = [
     "partial_trace",
     "trace_distance",
     "mean_density",
+    "apply_gate",
     "apply_unitary",
     "tensor",
 ]
@@ -264,6 +262,32 @@ def mean_density(samples) -> DensityMatrix:
             raise ValueError("dimension mismatch")
         acc += np.outer(s.amplitudes, s.amplitudes.conj())
     return DensityMatrix(acc / len(samples), q)
+
+
+def apply_gate(vec, gate, targets, n):
+    """Apply a 2^k x 2^k gate to the `targets` qubits of an n-qubit vector.
+
+    Args:
+        vec: complex amplitude vector of length 2^n
+        gate: (2^k, 2^k) complex matrix; local index bit 0 (MSB) is targets[0]
+        targets: list of distinct qubit indices in [0, n) (big-endian)
+        n: total qubit count
+
+    Returns:
+        New vector of length 2^n.
+    """
+    seen = set()
+    for q in targets:
+        if not 0 <= q < n or q in seen:
+            raise ValueError(f"target qubit {q} must be distinct and in [0, {n})")
+        seen.add(q)
+    k = len(targets)
+    tens = np.asarray(vec, dtype=complex).reshape((2,) * n)
+    tens = np.moveaxis(tens, targets, range(k))
+    shape = tens.shape
+    out = (np.asarray(gate, dtype=complex) @ tens.reshape(2**k, -1)).reshape(shape)
+    out = np.moveaxis(out, range(k), targets)
+    return out.reshape(2**n).copy()
 
 
 def apply_unitary(state: StateVector, u: UnitaryMatrix, targets=None) -> StateVector:

@@ -42,6 +42,7 @@ __all__ = [
     "corx",
     "good_keys",
     "project_good",
+    "good_mass",
     "label_rewrite",
     "key_slot_hadamard",
     "partition_by_key",
@@ -487,11 +488,18 @@ class PurifiedState:
     def entry_count(self):
         return len(self.amplitudes)
 
-    def norm_sq(self):
-        """Sum of |a|^2 left to right in entry order; chunked, bitwise one cumsum."""
+    def norm_sq(self, keep=None):
+        """Sum of |a|^2 left to right in entry order; chunked, bitwise one cumsum.
+
+        With a boolean label mask `keep`, only the entries of those labels
+        count; the sum is bitwise that of select_labels(keep).norm_sq().
+        """
         total = 0.0
         for lo in range(0, self.entry_count(), _ENTRY_CHUNK):
-            total = float(np.cumsum(np.append(total, np.abs(self.amplitudes[lo : lo + _ENTRY_CHUNK]) ** 2))[-1])
+            amp = self.amplitudes[lo : lo + _ENTRY_CHUNK]
+            if keep is not None:
+                amp = amp[keep[self.label_ids[lo : lo + _ENTRY_CHUNK]]]
+            total = float(np.cumsum(np.append(total, np.abs(amp) ** 2))[-1])
         return total
 
     def label_count(self):
@@ -970,12 +978,21 @@ def good_keys(rel, fold: int, key_count: int):
 
 
 
-def project_good(state, predicate):
-    """Keep only the terms whose label satisfies the predicate (subnormalized)."""
+def _label_mask(state, predicate):
     keep = np.zeros(state.label_count(), dtype=bool)
     for start, labels in state.label_chunks():
         keep[start : start + len(labels)] = [bool(predicate(lab)) for lab in labels]
-    return state.select_labels(keep)
+    return keep
+
+
+def project_good(state, predicate):
+    """Keep only the terms whose label satisfies the predicate (subnormalized)."""
+    return state.select_labels(_label_mask(state, predicate))
+
+
+def good_mass(state, predicate):
+    """project_good(state, predicate).norm_sq(), bitwise, without the sub-state."""
+    return state.norm_sq(_label_mask(state, predicate))
 
 
 def label_rewrite(state, rewriter, check_injective=True):

@@ -93,6 +93,21 @@ def test_run_with_config(tmp_path):
     assert obj["params"]["n"] == 2 and obj["seed"] == 4
 
 
+def test_jobs_is_accepted_and_changes_nothing(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "jobs": 2}))
+    reports = []
+    for sub, extra in (("plain", []), ("flag", ["--jobs", "2"]), ("config", ["--config", str(cfg)])):
+        out = tmp_path / sub
+        res = CliRunner().invoke(
+            main, ["run", "exp_split_augment", "--seed", "5", "--format", "json", "--out", str(out), *extra]
+        )
+        assert res.exit_code == 0, res.output
+        (run,) = os.listdir(out / "exp_split_augment")
+        reports.append((out / "exp_split_augment" / run / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_config_rejections(tmp_path):
     runner = CliRunner()
 

@@ -162,15 +162,14 @@ def test_reduce_view_rejects_invalid_keep():
 def test_haar_view_mc_samples_each_trial_once():
     n, trials = 1, 7
     prog = AdversaryProgram(n=n, steps=(identity_interleave(n), QuantumQuery("U")))
-    for jobs in (1, 2):
-        seen = []
+    seen = []
 
-        def sampler(rng):
-            seen.append(1)
-            return {"U": haar_unitary(2, rng)}
+    def sampler(rng):
+        seen.append(1)
+        return {"U": haar_unitary(2, rng)}
 
-        haar_view_mc(prog, sampler, trials, 3, jobs=jobs)
-        assert len(seen) == trials
+    haar_view_mc(prog, sampler, trials, 3)
+    assert len(seen) == trials
 
 
 def test_recording_bound_small_n():
@@ -251,7 +250,7 @@ def test_classical_recording_keyed_and_global():
     assert abs(vec[0b01] - 1.0) < 1e-12
 
 
-def test_haar_view_mc_determinism_and_jobs():
+def test_haar_view_mc_determinism():
     n, trials = 2, 40
     prog = AdversaryProgram(n=n, steps=(identity_interleave(n), QuantumQuery("U")))
 
@@ -259,7 +258,7 @@ def test_haar_view_mc_determinism_and_jobs():
         return {"U": haar_unitary(4, rng)}
 
     m1, b1 = haar_view_mc(prog, sampler, trials, 5)
-    m2, _ = haar_view_mc(prog, sampler, trials, 5, jobs=2)
+    m2, _ = haar_view_mc(prog, sampler, trials, 5)
     m3, _ = haar_view_mc(prog, sampler, trials, 6)
     assert np.array_equal(m1.entries, m2.entries)
     assert not np.array_equal(m1.entries, m3.entries)

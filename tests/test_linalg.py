@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhrolab.linalg import (
-    BACKEND,
     QUBIT_CAP,
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    apply_gate,
     apply_unitary,
     basis_state,
     choi_state,
@@ -49,33 +49,36 @@ def test_basis_state_big_endian():
         basis_state(2, 4)
 
 
-def test_backend_reported():
-    assert BACKEND in ("cython", "python")
+def full_gate_matrix(gate, targets, n):
+    """The 2^n x 2^n matrix of a gate on `targets`: P^T (gate kron I) P, where P
+    reorders the qubits so that the targets come first, in order."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    x = np.arange(2**n)
+    bits = (x[:, None] >> (n - 1 - np.array(order))) & 1
+    y = bits @ (1 << np.arange(n - 1, -1, -1))
+    perm = np.zeros((2**n, 2**n))
+    perm[y, x] = 1.0
+    return perm.T @ np.kron(gate, np.eye(2 ** (n - len(targets)))) @ perm
 
 
-def test_force_py_selects_fallback():
-    import os
-    import subprocess
-    import sys
-
-    out = subprocess.check_output(
-        [sys.executable, "-c", "from qhrolab.linalg import BACKEND; print(BACKEND)"],
-        env={**os.environ, "QHRO_FORCE_PY": "1"},
-    )
-    assert out.strip() == b"python"
-
-
-def test_kernel_agrees_with_fallback():
-    from qhrolab._kernels import apply_gate
-    from qhrolab._kernels._fallback import apply_gate as apply_gate_py
-
+def test_apply_gate_matches_full_matrix():
     rng = trial_rng(3)
-    for n, targets in [(3, [1]), (4, [0, 2]), (5, [4, 1])]:
+    for n, targets in [(3, [1]), (4, [0, 2]), (5, [4, 1]), (3, [0, 1, 2]), (3, [2, 0, 1])]:
         vec = rand_state(2**n, rng).amplitudes
         g = haar_unitary(2 ** len(targets), rng).entries
-        a = apply_gate(vec, g, targets, n)
-        b = apply_gate_py(vec, g, targets, n)
-        assert np.max(np.abs(a - b)) < 1e-10
+        out = apply_gate(vec, g, targets, n)
+        assert np.max(np.abs(out - full_gate_matrix(g, targets, n) @ vec)) < 1e-12
+
+
+def test_apply_gate_rejects_invalid_targets():
+    # numpy would read -1 as the last axis; the kernel must refuse it
+    x = UnitaryMatrix.from_array(np.array([[0, 1], [1, 0]], dtype=complex))
+    psi = basis_state(3, 0)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=f"target qubit {bad} "):
+            apply_unitary(psi, x, [bad])
+    with pytest.raises(ValueError, match="target qubit 1 "):
+        apply_gate(psi.amplitudes, np.eye(4), [1, 1], 3)
 
 
 @settings(max_examples=40, deadline=None)

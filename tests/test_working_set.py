@@ -1,24 +1,106 @@
 """Bounded working set of the recording engine and of reduce_view.
 
 The view must not depend on how reduce_view cuts the entries into runs and
-pair chunks, and the traced peaks of reduce_view and of a recording step stay
+pair chunks, the good mass must equal the norm of the projected sub-state
+bitwise, and the traced peaks of reduce_view and of a recording step stay
 bounded on the state of the `record` benchmark workload: the ideal side of
 exp_prs at n=3, lam=3, t=2, s=3 (150,528 entries on 75,264 labels, 8.4 MB).
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from test_engine_diff import programs
+from hypothesis import strategies as st
 
-from qhrolab import experiments, harness
-from qhrolab.constructions import haar_slot
-from qhrolab.harness import ClassicalPROracle, KeyInit, reduce_view, run_pr
-from qhrolab.relstate import Rel
+from qhrolab import experiments, harness, relstate
+from qhrolab.constructions import haar_slot, pru_one_query, pru_two_query
+from qhrolab.harness import (
+    AdversaryProgram,
+    ClassicalPROracle,
+    ClassicalQuery,
+    KeyInit,
+    QuantumQuery,
+    haar_interleave,
+    phased_permutation_interleave,
+    reduce_view,
+    run_pr,
+)
+from qhrolab.linalg import trial_rng
+from qhrolab.relstate import CFParams, Rel, good_mass, project_good
 
 KEEP = list(range(6))  # exp_prs keeps the first 2n qubits
+
+# ------------------------------------------------------------ random programs
+
+# slots: 0 and 1 relations, 2 the key, 3 a per-w family, 4 a transcript
+INIT_SLOTS = (Rel(), Rel(), None, (Rel(), Rel()), ())
+
+CLASSICAL_MODES = {
+    "slot": dict(rel_slot=0),
+    "global": dict(rel_slot=0, avoid="global", avoid_slots=(1,)),
+    "per_w": dict(rel_slot=3, avoid="per_w"),
+    "per_w_global": dict(rel_slot=3, avoid="per_w_global", avoid_slots=(1,)),
+}
+
+
+# classical queries fail more often (their relations fill up), so they are drawn twice as often
+STEP_KINDS = ("dense", "sparse", "pr", "pr_shared", "two_query", "one_query_cf", "cf", "classical", "classical")
+
+
+def descriptor(kind, n, lam, fold, prefix):
+    cf = CFParams(fold, prefix, n)
+    if kind == "pr":
+        return haar_slot(n, slot=0)
+    if kind == "pr_shared":
+        return haar_slot(n, slot=1, shared_slots=(0, 1))
+    if kind == "two_query":
+        return dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=2)
+    if kind == "one_query_cf":
+        return dataclasses.replace(pru_one_query(n, lam, slot=0, cf=cf), key_slot=2)
+    return haar_slot(n, slot=1, cf=cf, shared_slots=(1, 0))
+
+
+@st.composite
+def programs(draw):
+    n = draw(st.integers(1, 3))
+    lam = draw(st.integers(1, n))
+    fold = draw(st.integers(1, 2))
+    prefix = draw(st.integers(1, n))
+    rng = trial_rng(draw(st.integers(0, 2**16)))
+    steps = [haar_interleave(n, rng)]
+    bindings = {}
+    reg = n
+    records = 0  # recordings so far; each multiplies the state by up to 2^n
+    for j in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(STEP_KINDS))
+        records += {"dense": 0, "sparse": 0, "two_query": 2}.get(kind, 1)
+        if records > 3:
+            break
+        if kind in ("dense", "sparse"):
+            targets = draw(st.lists(st.integers(0, reg - 1), min_size=1, max_size=reg, unique=True))
+            make = haar_interleave if kind == "dense" else phased_permutation_interleave
+            steps.append(make(reg, rng, targets=targets))
+        elif kind == "classical":
+            mode = draw(st.sampled_from(sorted(CLASSICAL_MODES)))
+            w = draw(st.integers(0, 1))
+            shift = draw(st.integers(0, 3))
+            bindings[f"C{j}"] = ClassicalPROracle(
+                n=1,
+                input_of=lambda k, w, s=shift: (k + w + s) % 4,
+                key_slot=draw(st.sampled_from([2, None])),
+                transcript_slot=4,
+                **CLASSICAL_MODES[mode],
+            )
+            steps.append(ClassicalQuery(f"C{j}", w))
+            reg += 1
+        else:
+            bindings[f"Q{j}"] = descriptor(kind, n, lam, fold, prefix)
+            steps.append(QuantumQuery(f"Q{j}", tuple(range(n))))
+    init = tuple(KeyInit(lam) if s is None else s for s in INIT_SLOTS)
+    return AdversaryProgram(n=n, steps=tuple(steps)), bindings, init
 
 
 def record_ideal_state():
@@ -77,6 +159,19 @@ def test_random_program_views_are_chunk_invariant(case):
         return  # the recording map is undefined on this program
     for keep in (None, list(range(min(state.n_qubits, 3)))):
         assert_same_view(unit_chunk_view(state, keep), reduce_view(state, keep))
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_good_mass_is_projected_norm(record_state, monkeypatch, chunk):
+    # labels whose U relation holds a fixed point (x, x): 9,408 of 75,264
+    def fixed_point(lab):
+        return any(x == y for x, y in lab[1])
+
+    if chunk is not None:
+        monkeypatch.setattr(relstate, "_ENTRY_CHUNK", chunk)
+    mass = good_mass(record_state, fixed_point)
+    assert 0.0 < mass < record_state.norm_sq()
+    assert mass == project_good(record_state, fixed_point).norm_sq()
 
 
 def test_reduce_view_peak_is_bounded(record_state):
