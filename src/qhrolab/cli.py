@@ -68,7 +68,7 @@ def cmd_describe(name):
 
 @main.command("run")
 @click.argument("name")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(1), default=None)
 @click.option("--out", "outdir", type=click.Path(), default="results", show_default=True)
@@ -93,7 +93,7 @@ def cmd_run(name, config_path, seed, trials, outdir, fmt):
         started = time.time()
         report = run_experiment(name, params)
         elapsed = time.time() - started
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         click.echo(f"invalid run: {exc}", err=True)
         sys.exit(2)
     except MemoryError as exc:

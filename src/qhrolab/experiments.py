@@ -462,8 +462,11 @@ def _prs_program(n, t, s):
 def _prs_views(n, lam, t, s, want_mass):
     """Exact purified views: shared-slot keyed copies vs independent slots.
 
-    The two purified states are built sequentially and freed right after
-    reduction; at the largest grid point each holds a few million labels.
+    The ideal side has no key: its copies ignore k, so a uniform key
+    register would only tensor the state 2^lam times over without changing
+    the view. The two purified states are built sequentially and freed right
+    after reduction; at the largest grid point the real side holds about
+    3.5M entries and the ideal side about 1.0M.
     """
     prog = _prs_program(n, t, s)
     keep = list(range(min(2 * n, n + t * n)))
@@ -480,10 +483,10 @@ def _prs_views(n, lam, t, s, want_mass):
     del real
 
     ideal_bind = {
-        "copy": ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: 0, key_slot=2),
+        "copy": ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: 0),
         "U": haar_slot(n, slot=1),
     }
-    ideal = run_pr(prog, ideal_bind, (Rel(), Rel(), KeyInit(lam)))
+    ideal = run_pr(prog, ideal_bind, (Rel(), Rel()))
     v_ideal = reduce_view(ideal, keep).reduced
     del ideal
     return prog, v_real, v_ideal, mass, keep
@@ -561,7 +564,11 @@ def _prfs_program(n, m, t):
 
 
 def _prfs_views(n, lam, m, t, want_mass):
-    """Exact purified views: keyed shared-slot oracle vs per-input slots."""
+    """Exact purified views: keyed shared-slot oracle vs per-input slots.
+
+    As in _prs_views, the ideal side has no key register: its oracle input
+    depends on w alone.
+    """
     if n < lam + m:
         raise ValueError("need n >= lam + m_in")
     prog = _prfs_program(n, m, t)
@@ -583,11 +590,11 @@ def _prfs_views(n, lam, m, t, want_mass):
 
     ideal_bind = {
         "O": ClassicalPROracle(
-            n=n, rel_slot=0, input_of=lambda k, w: w << shift, key_slot=2, avoid="per_w"
+            n=n, rel_slot=0, input_of=lambda k, w: w << shift, avoid="per_w"
         ),
         "U": haar_slot(n, slot=1),
     }
-    ideal = run_pr(prog, ideal_bind, (tuple(Rel() for _ in range(max(2**m, 1))), Rel(), KeyInit(lam)))
+    ideal = run_pr(prog, ideal_bind, (tuple(Rel() for _ in range(max(2**m, 1))), Rel()))
     v_ideal = reduce_view(ideal, keep).reduced
     del ideal
     return prog, v_real, v_ideal, mass, keep

@@ -122,6 +122,17 @@ def test_config_rejections(tmp_path):
     assert attempt({"schema_version": 2, "seed": 1}).exit_code == 2
     assert attempt({"schema_version": 1, "seed": 1, "bogus": 3}).exit_code == 2
     assert attempt({"schema_version": 1, "experiment": "exp_spru", "seed": 1}).exit_code == 2
+    # json reads 1e400 as inf, which no seed stream accepts
+    res = attempt({"schema_version": 1, "seed": 1e400})
+    assert res.exit_code == 2 and "invalid run" in res.output
+
+
+def test_config_directory_exits_2(tmp_path):
+    res = CliRunner().invoke(
+        main, ["run", "exp_split_augment", "--config", str(tmp_path), "--out", str(tmp_path / "o")]
+    )
+    assert res.exit_code == 2
+    assert "is a directory" in res.output
 
 
 def test_run_invalid_params_exit_2(tmp_path):

@@ -3,9 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from qhrolab import experiments
+from qhrolab.constructions import haar_slot
 from qhrolab.experiments import EXPERIMENTS, SLACK, run_experiment
+from qhrolab.harness import ClassicalPROracle, KeyInit, reduce_view, run_pr
+from qhrolab.relstate import Rel
 
 
 def checks_by_name(report):
@@ -140,3 +145,46 @@ def test_asymptotic_checks_are_flagged():
     assert "ASYMPTOTIC" in kinds or "EXACT" in kinds
     cs = checks_by_name(rep)
     assert cs["moment_distance_vs_gluing_bound"][0]["kind"] == "ASYMPTOTIC"
+
+
+# ------------------------------------- keyless ideal hybrids of exp_prs / exp_prfs
+
+
+def keyed_ideal_state(kind, n, lam, a, t):
+    """The ideal hybrid as built before it dropped its key.
+
+    The copy oracle ignores k, so the uniform key register is carried but
+    never read. `a` is s for exp_prs and m_in for exp_prfs.
+    """
+    if kind == "prs":
+        copy = ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: 0, key_slot=2)
+        bindings = {"copy": copy, "U": haar_slot(n, slot=1)}
+        return run_pr(experiments._prs_program(n, t, a), bindings, (Rel(), Rel(), KeyInit(lam)))
+    shift = n - lam - a
+    oracle = ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: w << shift, key_slot=2, avoid="per_w")
+    bindings = {"O": oracle, "U": haar_slot(n, slot=1)}
+    rels = tuple(Rel() for _ in range(max(2**a, 1)))
+    return run_pr(experiments._prfs_program(n, a, t), bindings, (rels, Rel(), KeyInit(lam)))
+
+
+@pytest.mark.parametrize(
+    "kind,n,lam,a,t",
+    [("prs", 3, 3, 3, 2), ("prs", 4, 2, 2, 2), ("prfs", 3, 2, 1, 2), ("prfs", 4, 2, 1, 2)],
+)
+def test_keyless_ideal_matches_keyed(monkeypatch, kind, n, lam, a, t):
+    entries = []
+
+    def counting_reduce_view(state, keep):
+        entries.append(state.entry_count())
+        return reduce_view(state, keep)
+
+    monkeypatch.setattr(experiments, "reduce_view", counting_reduce_view)
+    if kind == "prs":
+        _, _, v_ideal, _, keep = experiments._prs_views(n, lam, t, a, want_mass=False)
+    else:
+        _, _, v_ideal, _, keep = experiments._prfs_views(n, lam, a, t, want_mass=False)
+    keyed = keyed_ideal_state(kind, n, lam, a, t)
+    # reduce_view ran on the real side, then on the keyless ideal side
+    assert keyed.entry_count() == 2**lam * entries[1]
+    v_keyed = reduce_view(keyed, keep).reduced
+    assert np.max(np.abs(v_ideal.entries - v_keyed.entries)) <= 1e-12

@@ -3,8 +3,11 @@
 The view must not depend on how reduce_view cuts the entries into runs and
 pair chunks, the good mass must equal the norm of the projected sub-state
 bitwise, and the traced peaks of reduce_view and of a recording step stay
-bounded on the state of the `record` benchmark workload: the ideal side of
-exp_prs at n=3, lam=3, t=2, s=3 (150,528 entries on 75,264 labels, 8.4 MB).
+bounded on the keyed stress state of the engine: the ideal hybrid of exp_prs
+at n=3, lam=3, t=2, s=3 with an unread uniform key register (150,528 entries
+on 75,264 labels, 8.4 MB). exp_prs builds that hybrid without the key, 2^lam
+times smaller; the largest state of the `record` benchmark workload is now
+its real side (53,760 entries on 24,640 labels).
 """
 
 import dataclasses
@@ -14,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_experiments import keyed_ideal_state
 
-from qhrolab import experiments, harness, relstate
+from qhrolab import harness, relstate
 from qhrolab.constructions import haar_slot, pru_one_query, pru_two_query
 from qhrolab.harness import (
     AdversaryProgram,
@@ -103,18 +107,14 @@ def programs(draw):
     return AdversaryProgram(n=n, steps=tuple(steps)), bindings, init
 
 
-def record_ideal_state():
-    n, lam, t, s = 3, 3, 2, 3
-    bindings = {
-        "copy": ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: 0, key_slot=2),
-        "U": haar_slot(n, slot=1),
-    }
-    return run_pr(experiments._prs_program(n, t, s), bindings, (Rel(), Rel(), KeyInit(lam)))
+def keyed_stress_state():
+    """The keyed ideal hybrid of exp_prs at n=3, lam=3, t=2, s=3."""
+    return keyed_ideal_state("prs", 3, 3, 3, 2)
 
 
 @pytest.fixture(scope="module")
-def record_state():
-    return record_ideal_state()
+def stress_state():
+    return keyed_stress_state()
 
 
 def nbytes(state):
@@ -144,9 +144,9 @@ def assert_same_view(a, b):
     assert a.diagnostics == b.diagnostics
 
 
-def test_record_view_is_chunk_invariant(record_state):
-    assert record_state.entry_count() == 150528
-    assert_same_view(unit_chunk_view(record_state, KEEP), reduce_view(record_state, KEEP))
+def test_record_view_is_chunk_invariant(stress_state):
+    assert stress_state.entry_count() == 150528
+    assert_same_view(unit_chunk_view(stress_state, KEEP), reduce_view(stress_state, KEEP))
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -162,22 +162,22 @@ def test_random_program_views_are_chunk_invariant(case):
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
-def test_good_mass_is_projected_norm(record_state, monkeypatch, chunk):
+def test_good_mass_is_projected_norm(stress_state, monkeypatch, chunk):
     # labels whose U relation holds a fixed point (x, x): 9,408 of 75,264
     def fixed_point(lab):
         return any(x == y for x, y in lab[1])
 
     if chunk is not None:
         monkeypatch.setattr(relstate, "_ENTRY_CHUNK", chunk)
-    mass = good_mass(record_state, fixed_point)
-    assert 0.0 < mass < record_state.norm_sq()
-    assert mass == project_good(record_state, fixed_point).norm_sq()
+    mass = good_mass(stress_state, fixed_point)
+    assert 0.0 < mass < stress_state.norm_sq()
+    assert mass == project_good(stress_state, fixed_point).norm_sq()
 
 
-def test_reduce_view_peak_is_bounded(record_state):
+def test_reduce_view_peak_is_bounded(stress_state):
     # one run of whole labels and one pair chunk: about 2.4 MB on this state;
     # sorting the whole 8.4 MB state at once needs about 9.8 MB
-    _, peak = traced_peak(lambda: reduce_view(record_state, KEEP))
+    _, peak = traced_peak(lambda: reduce_view(stress_state, KEEP))
     assert peak < 4e6
 
 
@@ -190,7 +190,7 @@ def test_recording_step_peak_is_input_plus_output(monkeypatch):
         return out
 
     monkeypatch.setattr(harness, "pr_apply", traced)
-    record_ideal_state()
+    keyed_stress_state()
     # the last oracle query: 12,544 labels in, 75,264 out; about 1.24x here,
     # and about 1.86x with sorted entry copies and a second label table
     peak, size = steps[-1]
