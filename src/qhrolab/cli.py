@@ -5,6 +5,7 @@ No numerics live here; everything routes through the experiments registry.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -12,9 +13,9 @@ import time
 
 import click
 
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, field_doc, run_experiment
 
-CONFIG_KEYS = {"schema_version", "experiment", "seed", "trials", "jobs"}
+CONFIG_KEYS = {"schema_version", "experiment", "jobs"}  # besides the experiment's parameters
 
 
 def _load_config(path, name):
@@ -26,7 +27,7 @@ def _load_config(path, name):
         raise ValueError("config is missing schema_version")
     if cfg["schema_version"] != 1:
         raise ValueError(f"unsupported schema_version {cfg['schema_version']!r}")
-    allowed = CONFIG_KEYS | set(EXPERIMENTS[name].defaults)
+    allowed = CONFIG_KEYS | {f.name for f in dataclasses.fields(EXPERIMENTS[name].schema)}
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
@@ -50,24 +51,21 @@ def cmd_list():
 
 
 @main.command("describe")
-@click.argument("name")
+@click.argument("name", type=click.Choice(sorted(EXPERIMENTS)), metavar="NAME")
 def cmd_describe(name):
     """Show parameters, bound, and pass rule of one experiment."""
-    if name not in EXPERIMENTS:
-        click.echo(f"unknown experiment {name!r}", err=True)
-        sys.exit(2)
     d = EXPERIMENTS[name]
     click.echo(f"experiment: {name}")
     click.echo(f"description: {d.description}")
     click.echo(f"bound: {d.bound}")
     click.echo(f"pass rule: {d.pass_rule}")
-    click.echo("defaults:")
-    for k, v in sorted(d.defaults.items()):
-        click.echo(f"  {k} = {v}")
+    click.echo("parameters:")
+    for f in dataclasses.fields(d.schema):
+        click.echo(f"  {field_doc(f)}")
 
 
 @main.command("run")
-@click.argument("name")
+@click.argument("name", type=click.Choice(sorted(EXPERIMENTS)), metavar="NAME")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(1), default=None)
@@ -78,11 +76,9 @@ def cmd_run(name, config_path, seed, trials, outdir, fmt):
     """Run one experiment and write report files.
 
     Exits 0 when every check passes, 1 on a failed check, 2 on an unknown
-    experiment or invalid config, and 3 when a resource limit is hit.
+    experiment, an invalid config or invalid parameters, and 3 when a
+    resource limit is hit.
     """
-    if name not in EXPERIMENTS:
-        click.echo(f"unknown experiment {name!r}", err=True)
-        sys.exit(2)
     params = {}
     try:
         if config_path:

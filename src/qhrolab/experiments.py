@@ -13,12 +13,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import attacks, constructions
 from .constructions import (
-    OracleDescriptor,
     concrete_oracle,
     haar_slot,
     prfs_output,
@@ -33,7 +33,6 @@ from .harness import (
     ClassicalConcreteOracle,
     ClassicalPROracle,
     ClassicalQuery,
-    Interleave,
     KeyInit,
     QuantumQuery,
     bootstrap_td_pair,
@@ -43,15 +42,10 @@ from .harness import (
     identity_interleave,
     phased_permutation_interleave,
     reduce_view,
-    run_concrete,
     run_pr,
-    view_of_state,
 )
 from .linalg import (
-    DensityMatrix,
     UnitaryMatrix,
-    apply_unitary,
-    basis_state,
     choi_state,
     haar_unitary,
     pauli_string,
@@ -140,6 +134,82 @@ def _check_ge(entry, name, kind, value, floor, stderr=0.0):
     )
 
 
+# ---------------------------------------------------------- parameter schemas
+
+
+def _param(default=dataclasses.MISSING, *, lo=None, choices=None, rule=None):
+    """A schema field: its default, the floor of an int (or of each list
+    item), the strings it allows, or the rule of a default that follows from
+    other fields (the field then defaults to None and `describe` shows it).
+    """
+    return field(default=default, metadata={"lo": lo, "choices": choices, "rule": rule})
+
+
+def _kind(f):
+    """(what a schema field accepts in words, the test of a value) by annotation."""
+    lo, choices, rule = f.metadata["lo"], f.metadata["choices"], f.metadata["rule"]
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+    return {
+        "bool": ("true or false", lambda v: isinstance(v, bool)),
+        "str": ("one of " + ", ".join(map(json.dumps, choices or ())), lambda v: v in choices),
+        "tuple[int, ...]": (
+            f"a non-empty list of ints >= {lo}",
+            lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(is_int, v)),
+        ),
+    }.get(f.type, (f"an int >= {lo}", lambda v: is_int(v) or (v is None and rule is not None)))
+
+
+def field_doc(f) -> str:
+    """One line of `qhro describe`: a schema field, its default and what it accepts."""
+    if f.default is dataclasses.MISSING:
+        return f"{f.name} (required; {_kind(f)[0]})"
+    default = f.metadata["rule"] or json.dumps(f.default)
+    return f"{f.name} = {default} ({_kind(f)[0]})"
+
+
+@dataclass(frozen=True)
+class Params:
+    """The parameters of one experiment run, checked before any numerics.
+
+    Each experiment subclasses this with its own fields; `_derive` fills in
+    the defaults that follow from other fields and checks fields against
+    each other.
+    """
+
+    seed: int = _param(lo=0)
+
+    @classmethod
+    def parse(cls, params: dict):
+        """The schema instance for a dict of overrides; ValueError on bad input."""
+        unknown = sorted(set(params) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown parameters: {', '.join(map(str, unknown))}")
+        if "seed" not in params:
+            raise ValueError("a seed is required")
+        return cls(**params)
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            words, accepts = _kind(f)
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {words}, not {value!r}")
+            if f.type == "tuple[int, ...]":
+                object.__setattr__(self, f.name, tuple(value))
+        self._derive()
+
+    def _derive(self):
+        pass
+
+    def recorded(self, *unrecorded):
+        """The report's params: every field but the seed and `unrecorded`."""
+        omit = ("seed", *unrecorded)
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name not in omit}
+
+
 # --------------------------------------------------------------- exp_mh_bound
 
 
@@ -155,14 +225,16 @@ def _generic_program(n, t):
     return AdversaryProgram(n=n, steps=tuple(steps))
 
 
-def exp_mh_bound(params) -> ExperimentReport:
-    seed = params["seed"]
-    t = params.get("t", 2)
-    trials = params.get("trials", 20000)
-    n_list = params.get("n_list", [2, 3, 4])
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rep = ExperimentReport("exp_mh_bound", seed, {"t": t, "trials": trials, "n_list": list(n_list)})
+@dataclass(frozen=True)
+class MhBoundParams(Params):
+    n_list: tuple[int, ...] = _param((2, 3, 4), lo=1)
+    t: int = _param(2, lo=0)
+    trials: int = _param(20000, lo=1)
+
+
+def exp_mh_bound(p: MhBoundParams) -> ExperimentReport:
+    seed, t, trials, n_list = p.seed, p.t, p.trials, p.n_list
+    rep = ExperimentReport("exp_mh_bound", seed, p.recorded())
     rep.notes.append("recording-oracle view vs Haar Monte Carlo; bound 2t(t-1)/(N+1)")
     results = []
     for i, n in enumerate(n_list):
@@ -192,6 +264,19 @@ def exp_mh_bound(params) -> ExperimentReport:
 # ----------------------------------------------------------------- exp_pru2
 
 
+def _keyed_hybrids(prog, desc_g, lam, cf=None):
+    """Hybrid 2 (keyed G recording in U's relation) and hybrid 3 (G and U in
+    two relations whose outputs avoid each other), with their views."""
+    n = prog.n
+    psi2 = run_pr(prog, {"G": desc_g, "U": haar_slot(n, slot=0, cf=cf)}, (Rel(), KeyInit(lam)))
+    apart = {
+        "G": haar_slot(n, slot=0, cf=cf, shared_slots=(0, 1)),
+        "U": haar_slot(n, slot=1, cf=cf, shared_slots=(0, 1)),
+    }
+    psi3 = run_pr(prog, apart, (Rel(), Rel()))
+    return psi2, psi3, reduce_view(psi2).reduced, reduce_view(psi3).reduced
+
+
 def _pru2_program(n, rng):
     """One keyed query then one direct query, mixed interleaves."""
     return AdversaryProgram(
@@ -205,40 +290,36 @@ def _pru2_program(n, rng):
     )
 
 
-def exp_pru2(params) -> ExperimentReport:
-    seed = params["seed"]
-    t = params.get("t", 2)
-    ell = params.get("ell", 1)
-    trials = params.get("trials", 20000)
-    n_list = params.get("n_list", [3, 4])
-    rep = ExperimentReport(
-        "exp_pru2", seed, {"t": t, "ell": ell, "trials": trials, "n_list": list(n_list)}
-    )
+@dataclass(frozen=True)
+class Pru2Params(Params):
+    n_list: tuple[int, ...] = _param((3, 4), lo=2)
+    lam: int | None = _param(None, lo=1, rule="n at each grid point")
+    t: int = _param(2, lo=0)
+    ell: int = _param(1, lo=0)
+    trials: int = _param(20000, lo=1)
+
+    def _derive(self):
+        if self.lam is not None and self.lam > min(self.n_list):
+            raise ValueError("need lam <= n at every grid point")
+
+
+def exp_pru2(p: Pru2Params) -> ExperimentReport:
+    seed, t, ell, trials, n_list = p.seed, p.t, p.ell, p.trials, p.n_list
+    rep = ExperimentReport("exp_pru2", seed, p.recorded("lam"))
     rep.notes.append("two-query keyed construction; proof-internal identities exact, end-to-end MC")
     rep.notes.append(f"ASYMPTOTIC checks use the constant-slack policy C={SLACK}")
     ends = []
     for i, n in enumerate(n_list):
         N = 2**n
-        lam = params.get("lam") or n
+        lam = n if p.lam is None else p.lam
         prog = _pru2_program(n, trial_rng(seed, 20_000 + n))
         entry = rep.add_point({"n": n, "lam": lam, "t": t, "ell": ell})
 
         # exact hybrid identities at the smallest grid point
         desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
-        psi2 = run_pr(prog, {"G": desc_g, "U": haar_slot(n, slot=0)}, (Rel(), KeyInit(lam)))
+        psi2, _, rho2, rho3 = _keyed_hybrids(prog, desc_g, lam)
         mass = good_mass(psi2, lambda lab: len(corx(lab[0], lab[1])) == ell)
         _check_ge(entry, "good_key_mass", "EXACT", mass, 1.0 - (t * t + t * ell) / N)
-
-        psi3 = run_pr(
-            prog,
-            {
-                "G": haar_slot(n, slot=0, shared_slots=(0, 1)),
-                "U": haar_slot(n, slot=1, shared_slots=(0, 1)),
-            },
-            (Rel(), Rel()),
-        )
-        rho2 = reduce_view(psi2).reduced
-        rho3 = reduce_view(psi3).reduced
         td23 = trace_distance(rho2, rho3)
         bound23 = 2.0 * math.sqrt((t * t + t * ell) / N)
         _check(entry, "td_hybrid2_vs_hybrid3", "EXACT", td23, bound23)
@@ -319,21 +400,35 @@ def _unique_subset(rel, ell, h, n, lam):
     return hits[0]
 
 
-def exp_pru1(params) -> ExperimentReport:
-    mode = params.get("mode", "secure")
-    if mode == "break":
-        return _pru1_break(params)
-    seed = params["seed"]
-    n = params.get("n", 3)
-    lam = params.get("lam", n)
-    ell = params.get("ell", 1)
-    t = params.get("t", 3)
-    trials = params.get("trials", 4000)
+@dataclass(frozen=True)
+class Pru1Params(Params):
+    mode: str = _param("secure", choices=("secure", "break"))
+    n: int = _param(3, lo=1)
+    lam: int | None = _param(None, lo=1, rule="n")
+    ell: int = _param(1, lo=0)
+    t: int = _param(3, lo=0)
+    trials: int = _param(4000, lo=1)
+    copies_per_key: int | None = _param(None, lo=1, rule="4*lam")
+
+    def _derive(self):
+        if self.lam is None:
+            object.__setattr__(self, "lam", self.n)
+        if self.copies_per_key is None:
+            object.__setattr__(self, "copies_per_key", 4 * self.lam)
+        if self.lam > self.n:
+            raise ValueError("need lam <= n")
+        if self.ell > self.t:
+            raise ValueError("need ell <= t: ell of the t queries are keyed")
+
+
+def exp_pru1(p: Pru1Params) -> ExperimentReport:
+    """Secure mode; break mode (`mode` = "break") reads n, lam, trials and copies_per_key."""
+    if p.mode == "break":
+        return _pru1_break(p)
+    seed, n, lam, ell, t, trials = p.seed, p.n, p.lam, p.ell, p.t, p.trials
     N = 2**n
     cf = CFParams(max(ell, 1), lam, n)
-    rep = ExperimentReport(
-        "exp_pru1", seed, {"n": n, "lam": lam, "ell": ell, "t": t, "mode": mode, "trials": trials}
-    )
+    rep = ExperimentReport("exp_pru1", seed, p.recorded("copies_per_key"))
     rep.notes.append("one-query keyed construction; hybrid equality is exact via the key-Hadamard isometry")
     prog = _pru1_program(n, t, ell, trial_rng(seed, 30_000 + n))
     entry = rep.add_point({"n": n, "lam": lam, "t": t, "ell": ell})
@@ -342,17 +437,7 @@ def exp_pru1(params) -> ExperimentReport:
         desc_g = dataclasses.replace(pru_one_query(n, lam, slot=0, cf=cf), key_slot=1)
     else:
         desc_g = haar_slot(n, slot=0, cf=cf)
-    psi2 = run_pr(prog, {"G": desc_g, "U": haar_slot(n, slot=0, cf=cf)}, (Rel(), KeyInit(lam)))
-    psi3 = run_pr(
-        prog,
-        {
-            "G": haar_slot(n, slot=0, cf=cf, shared_slots=(0, 1)),
-            "U": haar_slot(n, slot=1, cf=cf, shared_slots=(0, 1)),
-        },
-        (Rel(), Rel()),
-    )
-    rho2 = reduce_view(psi2).reduced
-    rho3 = reduce_view(psi3).reduced
+    psi2, psi3, rho2, rho3 = _keyed_hybrids(prog, desc_g, lam, cf)
     _check(entry, "td_hybrid2_vs_hybrid3", "EXACT", trace_distance(rho2, rho3), 1e-8)
 
     if ell > 0:
@@ -388,17 +473,9 @@ def exp_pru1(params) -> ExperimentReport:
     return rep
 
 
-def _pru1_break(params) -> ExperimentReport:
-    seed = params["seed"]
-    n = params.get("n", 2)
-    lam = params.get("lam", n)
-    trials = params.get("trials", 300)
-    copies_per_key = params.get("copies_per_key", 4 * lam)
-    rep = ExperimentReport(
-        "exp_pru1",
-        seed,
-        {"n": n, "lam": lam, "mode": "break", "trials": trials, "copies_per_key": copies_per_key},
-    )
+def _pru1_break(p: Pru1Params) -> ExperimentReport:
+    seed, n, lam, trials, copies_per_key = p.seed, p.n, p.lam, p.trials, p.copies_per_key
+    rep = ExperimentReport("exp_pru1", seed, p.recorded("ell", "t"))
     rep.notes.append("key search by per-key SWAP-test batteries on prepared Choi states")
     rep.notes.append(
         "the two-query arm uses the best single-call preparation (pre X^k); the construction is not of that form"
@@ -443,240 +520,172 @@ def _pru1_break(params) -> ExperimentReport:
     return rep
 
 
-# ------------------------------------------------------------------ exp_prs
+# ------------------------------------------------------- exp_prs / exp_prfs
+#
+# The multi-copy state generator (PRS) and the function-state generator with
+# classical queries (PRFS) are one game with two input maps. The adversary
+# sends t classical inputs w to a keyed oracle that answers U|k || w || 0>,
+# then makes s direct queries to U; the ideal oracle answers an independent
+# Haar state per w. PRS is the game without function bits (m = 0, w = 0).
 
 
-def _prs_points(n, lam):
-    return [(n, lam), (n, lam + 1), (n + 1, lam)]
+@dataclass(frozen=True)
+class _OracleParams(Params):
+    n: int = _param(4, lo=1)
+    lam: int = _param(2, lo=1)
+    t: int = _param(2, lo=0)
+    trials: int = _param(2000, lo=1)
+    scaling: bool = _param(True)
+
+    def _derive(self):
+        # the scaling points add one key bit at the same n
+        if self.n < self.lam + getattr(self, "m_in", 0) + self.scaling:
+            raise ValueError("need n >= lam + m_in, plus one when scaling")
 
 
-def _prs_program(n, t, s):
+@dataclass(frozen=True)
+class PrsParams(_OracleParams):
+    s: int = _param(2, lo=0)
+
+
+@dataclass(frozen=True)
+class PrfsParams(_OracleParams):
+    m_in: int = _param(1, lo=0)
+
+
+# A game is a namespace of the parts in which exp_prs and exp_prfs differ:
+#   oracle  binding name of the keyed classical oracle;
+#   m       function-input bits; classical query i asks w = i mod 2^m;
+#   t, s    classical queries, then direct queries to U;
+#   good    (n, lam) -> label predicate: every classical query is a good pair;
+#   output  (u, k, w, n, lam) -> the keyed oracle's reply state;
+#   bound   (n, lam) -> hybrid distance bound before the slack.
+
+
+def _prs_game(t, s):
+    return SimpleNamespace(
+        oracle="copy", m=0, t=t, s=s,
+        good=lambda n, lam: lambda lab: sum(1 for (x, _) in lab[0] if x == lab[1] << (n - lam)) == t,
+        output=lambda u, k, w, n, lam: prs_output(u, k, n, lam),
+        bound=lambda n, lam: math.sqrt(s / 2**lam) + (t + s) ** 2 / 2 ** (n / 2.0),
+    )
+
+
+def _prfs_game(m, t):
+    return SimpleNamespace(
+        oracle="O", m=m, t=t, s=t,
+        good=lambda n, lam: lambda lab: sum(1 for (x, _) in lab[0] if (x >> (n - lam)) == lab[1]) == t,
+        output=lambda u, k, w, n, lam: prfs_output(u, k, w, n, lam, m),
+        bound=lambda n, lam: t * t / 2 ** (n - m) + t * t / 2 ** (n / 2.0) + math.sqrt(t / 2**lam),
+    )
+
+
+def _oracle_program(game, n):
     steps = [identity_interleave(n)]
-    for _ in range(t):
-        steps.append(ClassicalQuery("copy", 0))
-    for _ in range(s):
-        steps.append(QuantumQuery("U", tuple(range(n))))
+    steps += [ClassicalQuery(game.oracle, i % 2**game.m) for i in range(game.t)]
+    steps += [QuantumQuery("U", tuple(range(n))) for _ in range(game.s)]
     return AdversaryProgram(n=n, steps=tuple(steps))
 
 
-def _prs_views(n, lam, t, s, want_mass):
-    """Exact purified views: shared-slot keyed copies vs independent slots.
+def _oracle_views(game, n, lam, want_mass):
+    """Exact purified views: shared-slot keyed oracle vs one slot per w.
 
-    The ideal side has no key: its copies ignore k, so a uniform key
-    register would only tensor the state 2^lam times over without changing
-    the view. The two purified states are built sequentially and freed right
-    after reduction; at the largest grid point the real side holds about
-    3.5M entries and the ideal side about 1.0M.
+    The ideal side has no key: its input depends on w alone, so a uniform
+    key register would only tensor the state 2^lam times over without
+    changing the view. The two purified states are built one after the
+    other and each is freed right after its reduction; at the largest grid
+    point of exp_prs the real side holds about 3.5M entries and the ideal
+    side about 1.0M.
     """
-    prog = _prs_program(n, t, s)
-    keep = list(range(min(2 * n, n + t * n)))
+    m = game.m
+    prog = _oracle_program(game, n)
+    keep = list(range(min(2 * n, n + game.t * n)))
 
     real_bind = {
-        "copy": ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: k << (n - lam), key_slot=1),
+        game.oracle: ClassicalPROracle(
+            n=n, rel_slot=0, input_of=lambda k, w: ((k << m) | w) << (n - lam - m), key_slot=1
+        ),
         "U": haar_slot(n, slot=0),
     }
     real = run_pr(prog, real_bind, (Rel(), KeyInit(lam)))
     v_real = reduce_view(real, keep).reduced
-    mass = None
-    if want_mass:
-        mass = good_mass(real, lambda lab: sum(1 for (x, _) in lab[0] if x == lab[1] << (n - lam)) == t)
+    mass = good_mass(real, game.good(n, lam)) if want_mass else None
     del real
 
     ideal_bind = {
-        "copy": ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: 0),
+        game.oracle: ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: w << (n - lam - m), avoid="per_w"),
         "U": haar_slot(n, slot=1),
     }
-    ideal = run_pr(prog, ideal_bind, (Rel(), Rel()))
+    ideal = run_pr(prog, ideal_bind, (tuple(Rel() for _ in range(2**m)), Rel()))
     v_ideal = reduce_view(ideal, keep).reduced
     del ideal
     return prog, v_real, v_ideal, mass, keep
 
 
-def exp_prs(params) -> ExperimentReport:
-    seed = params["seed"]
-    n = params.get("n", 4)
-    lam = params.get("lam", 2)
-    t = params.get("t", 2)
-    s = params.get("s", 2)
-    trials = params.get("trials", 2000)
-    scaling = params.get("scaling", True)
-    rep = ExperimentReport("exp_prs", seed, {"n": n, "lam": lam, "t": t, "s": s, "trials": trials})
-    rep.notes.append("t keyed copies plus s oracle queries vs independent Haar-state copies")
+def _oracle_experiment(rep, game, p, point, mc_seed):
+    """Exact hybrid distance at (n, lam) and its scaling points, plus an MC cross-check."""
     rep.notes.append("primary TD is exact between the two purified hybrid oracles, on the first 2n qubits")
-    points = _prs_points(n, lam) if scaling else [(n, lam)]
+    n, lam = p.n, p.lam
+    points = [(n, lam), (n, lam + 1), (n + 1, lam)] if p.scaling else [(n, lam)]
     tds = {}
     for (nn, ll) in points:
         base = (nn, ll) == (n, lam)
-        prog, v_real, v_ideal, mass, keep = _prs_views(nn, ll, t, s, want_mass=base)
+        prog, v_real, v_ideal, mass, keep = _oracle_views(game, nn, ll, want_mass=base)
         td = trace_distance(v_real, v_ideal)
         tds[(nn, ll)] = td
-        bound = math.sqrt(s / 2**ll) + (t + s) ** 2 / 2 ** (nn / 2.0)
-        entry = rep.add_point({"n": nn, "lam": ll, "t": t, "s": s})
-        _check(entry, "td_hybrid_real_vs_ideal", "ASYMPTOTIC", td, SLACK * bound)
+        entry = rep.add_point({"n": nn, "lam": ll, **point})
+        _check(entry, "td_hybrid_real_vs_ideal", "ASYMPTOTIC", td, SLACK * game.bound(nn, ll))
         if base:
-            _check_ge(entry, "good_pair_mass", "EXACT", mass, 1.0 - s / 2**ll)
+            _check_ge(entry, "good_pair_mass", "EXACT", mass, 1.0 - game.s / 2**ll)
 
             # Monte Carlo cross-check against concrete sampling
             def real_sampler(rng, nn=nn, ll=ll):
                 u = haar_unitary(2**nn, rng)
                 k = int(rng.integers(0, 2**ll))
-                return {
-                    "copy": ClassicalConcreteOracle(nn, lambda w, u=u, k=k: prs_output(u, k, nn, ll)),
-                    "U": u,
-                }
+                reply = ClassicalConcreteOracle(nn, lambda w, u=u, k=k: game.output(u, k, w, nn, ll))
+                return {game.oracle: reply, "U": u}
 
-            mean, batches = haar_view_mc(prog, real_sampler, trials, seed + 3, keep=keep)
+            mean, batches = haar_view_mc(prog, real_sampler, p.trials, mc_seed, keep=keep)
             td_mc = trace_distance(mean, v_real)
-            se = bootstrap_td_stderr(batches, v_real, seed + 3)
-            q = t + s
+            se = bootstrap_td_stderr(batches, v_real, mc_seed)
+            q = game.t + game.s
             _check(entry, "mc_real_vs_purified", "MC", td_mc, 2.0 * q * (q - 1) / (2**nn + 1), se)
-    if scaling:
+    if p.scaling:
         entry = rep.add_point({"scaling": "lam,n"})
-        _check(
-            entry,
-            "td_strictly_decreasing_in_lam",
-            "EXACT",
-            tds[(n, lam + 1)],
-            tds[(n, lam)],
-            passed=tds[(n, lam + 1)] < tds[(n, lam)],
-        )
-        _check(
-            entry,
-            "td_strictly_decreasing_in_n",
-            "EXACT",
-            tds[(n + 1, lam)],
-            tds[(n, lam)],
-            passed=tds[(n + 1, lam)] < tds[(n, lam)],
-        )
+        for grown, at in (("lam", (n, lam + 1)), ("n", (n + 1, lam))):
+            td, base_td = tds[at], tds[(n, lam)]
+            _check(entry, f"td_strictly_decreasing_in_{grown}", "EXACT", td, base_td, passed=td < base_td)
     return rep
 
 
-# ----------------------------------------------------------------- exp_prfs
+def exp_prs(p: PrsParams) -> ExperimentReport:
+    rep = ExperimentReport("exp_prs", p.seed, p.recorded("scaling"))
+    rep.notes.append("t keyed copies plus s oracle queries vs independent Haar-state copies")
+    return _oracle_experiment(rep, _prs_game(p.t, p.s), p, {"t": p.t, "s": p.s}, p.seed + 3)
 
 
-def _prfs_program(n, m, t):
-    steps = [identity_interleave(n)]
-    for i in range(t):
-        steps.append(ClassicalQuery("O", i % max(2**m, 1)))
-    for _ in range(t):
-        steps.append(QuantumQuery("U", tuple(range(n))))
-    return AdversaryProgram(n=n, steps=tuple(steps))
-
-
-def _prfs_views(n, lam, m, t, want_mass):
-    """Exact purified views: keyed shared-slot oracle vs per-input slots.
-
-    As in _prs_views, the ideal side has no key register: its oracle input
-    depends on w alone.
-    """
-    if n < lam + m:
-        raise ValueError("need n >= lam + m_in")
-    prog = _prfs_program(n, m, t)
-    keep = list(range(min(2 * n, n + t * n)))
-    shift = n - lam - m
-
-    real_bind = {
-        "O": ClassicalPROracle(
-            n=n, rel_slot=0, input_of=lambda k, w: ((k << m) | w) << shift, key_slot=1
-        ),
-        "U": haar_slot(n, slot=0),
-    }
-    real = run_pr(prog, real_bind, (Rel(), KeyInit(lam)))
-    v_real = reduce_view(real, keep).reduced
-    mass = None
-    if want_mass:
-        mass = good_mass(real, lambda lab: sum(1 for (x, _) in lab[0] if (x >> (n - lam)) == lab[1]) == t)
-    del real
-
-    ideal_bind = {
-        "O": ClassicalPROracle(
-            n=n, rel_slot=0, input_of=lambda k, w: w << shift, avoid="per_w"
-        ),
-        "U": haar_slot(n, slot=1),
-    }
-    ideal = run_pr(prog, ideal_bind, (tuple(Rel() for _ in range(max(2**m, 1))), Rel()))
-    v_ideal = reduce_view(ideal, keep).reduced
-    del ideal
-    return prog, v_real, v_ideal, mass, keep
-
-
-def exp_prfs(params) -> ExperimentReport:
-    seed = params["seed"]
-    n = params.get("n", 4)
-    lam = params.get("lam", 2)
-    m = params.get("m_in", 1)
-    t = params.get("t", 2)
-    trials = params.get("trials", 2000)
-    scaling = params.get("scaling", True)
-    if n < lam + m:
-        raise ValueError("need n >= lam + m_in")
-    rep = ExperimentReport("exp_prfs", seed, {"n": n, "lam": lam, "m_in": m, "t": t, "trials": trials})
+def exp_prfs(p: PrfsParams) -> ExperimentReport:
+    rep = ExperimentReport("exp_prfs", p.seed, p.recorded("scaling"))
     rep.notes.append("classical-query function-state oracle vs per-input independent Haar states")
-    rep.notes.append("primary TD is exact between the two purified hybrid oracles, on the first 2n qubits")
-    points = [(n, lam), (n, lam + 1), (n + 1, lam)] if scaling else [(n, lam)]
-    tds = {}
-    for (nn, ll) in points:
-        if nn < ll + m:
-            raise ValueError("scaling point violates n >= lam + m_in")
-        base = (nn, ll) == (n, lam)
-        prog, v_real, v_ideal, mass, keep = _prfs_views(nn, ll, m, t, want_mass=base)
-        td = trace_distance(v_real, v_ideal)
-        tds[(nn, ll)] = td
-        bound = t * t / 2 ** (nn - m) + t * t / 2 ** (nn / 2.0) + math.sqrt(t / 2**ll)
-        entry = rep.add_point({"n": nn, "lam": ll, "m_in": m, "t": t})
-        _check(entry, "td_hybrid_real_vs_ideal", "ASYMPTOTIC", td, SLACK * bound)
-        if base:
-            _check_ge(entry, "good_pair_mass", "EXACT", mass, 1.0 - t / 2**ll)
-
-            def real_sampler(rng, nn=nn, ll=ll):
-                u = haar_unitary(2**nn, rng)
-                k = int(rng.integers(0, 2**ll))
-                return {
-                    "O": ClassicalConcreteOracle(
-                        nn, lambda w, u=u, k=k: prfs_output(u, k, w, nn, ll, m)
-                    ),
-                    "U": u,
-                }
-
-            mean, batches = haar_view_mc(prog, real_sampler, trials, seed + 4, keep=keep)
-            td_mc = trace_distance(mean, v_real)
-            se = bootstrap_td_stderr(batches, v_real, seed + 4)
-            q = 2 * t
-            _check(entry, "mc_real_vs_purified", "MC", td_mc, 2.0 * q * (q - 1) / (2**nn + 1), se)
-    if scaling:
-        entry = rep.add_point({"scaling": "lam,n"})
-        _check(
-            entry,
-            "td_strictly_decreasing_in_lam",
-            "EXACT",
-            tds[(n, lam + 1)],
-            tds[(n, lam)],
-            passed=tds[(n, lam + 1)] < tds[(n, lam)],
-        )
-        _check(
-            entry,
-            "td_strictly_decreasing_in_n",
-            "EXACT",
-            tds[(n + 1, lam)],
-            tds[(n, lam)],
-            passed=tds[(n + 1, lam)] < tds[(n, lam)],
-        )
-    return rep
+    return _oracle_experiment(rep, _prfs_game(p.m_in, p.t), p, {"m_in": p.m_in, "t": p.t}, p.seed + 4)
 
 
 # -------------------------------------------------------------- exp_cf_bound
 
 
-def exp_cf_bound(params) -> ExperimentReport:
-    seed = params["seed"]
-    n_max = params.get("n_max", 8)
-    ell_max = params.get("ell_max", 2)
-    smax = params.get("smax", 4)
-    sample_count = params.get("samples", 300)
-    exhaustive_cap = params.get("exhaustive_cap", 60000)
-    rep = ExperimentReport(
-        "exp_cf_bound", seed, {"n_max": n_max, "ell_max": ell_max, "smax": smax, "samples": sample_count}
-    )
+@dataclass(frozen=True)
+class CfBoundParams(Params):
+    n_max: int = _param(8, lo=1)
+    ell_max: int = _param(2, lo=1)
+    smax: int = _param(4, lo=0)
+    samples: int = _param(300, lo=0)
+    exhaustive_cap: int = _param(60000, lo=0)
+
+
+def exp_cf_bound(p: CfBoundParams) -> ExperimentReport:
+    seed, n_max, ell_max, smax = p.seed, p.n_max, p.ell_max, p.smax
+    sample_count, exhaustive_cap = p.samples, p.exhaustive_cap
+    rep = ExperimentReport("exp_cf_bound", seed, p.recorded("exhaustive_cap"))
     rep.notes.append("set-size lower bound 2^n - l*|S|^{2l}*2^{n-lam}; zero violations required")
     rep.notes.append(
         "cells beyond the exhaustive cap are covered by the vacuity argument plus seeded sampling"
@@ -750,22 +759,30 @@ def exp_cf_bound(params) -> ExperimentReport:
 # --------------------------------------------------------- exp_split_augment
 
 
-def exp_split_augment(params) -> ExperimentReport:
-    seed = params["seed"]
-    n = params.get("n", 3)
-    t = params.get("t", 1)
-    ell = params.get("ell", min(t, 1))
+@dataclass(frozen=True)
+class SplitAugmentParams(Params):
+    n: int = _param(3, lo=1)
+    t: int = _param(1, lo=0)
+    ell: int | None = _param(None, lo=0, rule="min(t, 1)")
+
+    def _derive(self):
+        if self.ell is None:
+            object.__setattr__(self, "ell", min(self.t, 1))
+        if self.t != 0 and not self.t == self.ell == 1:
+            raise ValueError("the desk-scale chain is implemented for t = ell = 1")
+
+
+def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
+    seed, n, t, ell = p.seed, p.n, p.t, p.ell
     N = 2**n
     lam = n
-    rep = ExperimentReport("exp_split_augment", seed, {"n": n, "t": t, "ell": ell})
+    rep = ExperimentReport("exp_split_augment", seed, p.recorded())
     rep.notes.append("label-isometry chain: split the keyed recording, augment the plain one")
     entry = rep.add_point({"n": n, "t": t, "ell": ell})
     if t == 0:
         _check(entry, "fidelity", "EXACT", -1.0, -1.0, passed=True)
         rep.notes.append("t=0: both sides are the empty-query state; fidelity 1 by construction")
         return rep
-    if t != ell or ell != 1:
-        raise ValueError("the desk-scale chain is implemented for t = ell = 1")
 
     rng = trial_rng(seed, 50_000 + n)
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("G")))
@@ -848,20 +865,20 @@ def exp_split_augment(params) -> ExperimentReport:
 # ------------------------------------------------------------------ exp_spru
 
 
-def exp_spru(params) -> ExperimentReport:
-    seed = params["seed"]
-    n_block = params.get("n_block", 2)
-    overlap = params.get("overlap", 1)
-    lam_small = params.get("lam_small", 1)
-    trials = params.get("trials", 1500)
-    probes = params.get("probes", 6)
+@dataclass(frozen=True)
+class SpruParams(Params):
+    n_block: int = _param(2, lo=1)
+    overlap: int = _param(1, lo=1)
+    lam_small: int = _param(1, lo=0)
+    trials: int = _param(1500, lo=1)
+    probes: int = _param(6, lo=1)
+
+
+def exp_spru(p: SpruParams) -> ExperimentReport:
+    seed, n_block, overlap, lam_small, trials = p.seed, p.n_block, p.overlap, p.lam_small, p.trials
     layout = spru(n_block, overlap, lam_small)
     d = 2**layout.total_qubits
-    rep = ExperimentReport(
-        "exp_spru",
-        seed,
-        {"n_block": n_block, "overlap": overlap, "lam_small": lam_small, "trials": trials},
-    )
+    rep = ExperimentReport("exp_spru", seed, p.recorded("probes"))
     rep.notes.append("gluing second-moment check; the bound 5k^2/2^|B| is vacuous at desk scale and labeled so")
 
     rng = trial_rng(seed, 60_000)
@@ -877,7 +894,7 @@ def exp_spru(params) -> ExperimentReport:
     # probe operators for the two-fold moment comparison
     probe_ops = []
     prng = trial_rng(seed, 60_001)
-    for _ in range(probes):
+    for _ in range(p.probes):
         a = prng.standard_normal((d * d, d * d)) + 1j * prng.standard_normal((d * d, d * d))
         h = (a + a.conj().T) / 2
         probe_ops.append(h / np.linalg.norm(h))
@@ -924,77 +941,75 @@ def exp_spru(params) -> ExperimentReport:
 @dataclass(frozen=True)
 class ExperimentDef:
     fn: object
+    schema: type  # a Params subclass: names, defaults, types and ranges
     description: str
     bound: str
     pass_rule: str
-    defaults: dict
 
 
 EXPERIMENTS = {
     "exp_mh_bound": ExperimentDef(
         exp_mh_bound,
+        MhBoundParams,
         "Haar Monte Carlo view vs exact recording-oracle view for a fixed 2-query adversary",
         "2t(t-1)/(N+1)",
         "TD <= bound + 3*stderr at every n; TD(n)/TD(n+1) >= 1.3 once stderr < TD/5",
-        {"n_list": [2, 3, 4], "t": 2, "trials": 20000},
     ),
     "exp_pru2": ExperimentDef(
         exp_pru2,
+        Pru2Params,
         "two-query keyed construction U X^k U: exact hybrid identities plus end-to-end MC",
         "good mass >= 1-(t^2+t*l)/N; TD(h2,h3) <= 2*sqrt((t^2+t*l)/N); end-to-end sum of three bounds, C=5",
         "all exact identities hold; MC distances within bounds + 3*stderr",
-        {"n_list": [3, 4], "t": 2, "ell": 1, "trials": 20000},
     ),
     "exp_pru1": ExperimentDef(
         exp_pru1,
+        Pru1Params,
         "one-query keyed construction (Z^k x I) U: exact hybrid equality via the key-Hadamard isometry, or break mode",
         "secure: TD(h2,h3) <= 1e-8 and sqrt(l)*t^(l+1)/2^(lam/2) end to end; break: advantage >= 0.9 vs <= 0.2",
         "secure: exact equality; break: SWAP-test key search separates the two constructions",
-        {"n": 3, "lam": 3, "ell": 1, "t": 3, "trials": 4000, "mode": "secure"},
     ),
     "exp_prs": ExperimentDef(
         exp_prs,
+        PrsParams,
         "multi-copy keyed state generator vs independent Haar state, with s oracle queries",
         "O(sqrt(s/2^lam) + (t+s)^2/sqrt(2^n)), C=5; good-pair mass >= 1 - s/2^lam",
         "exact hybrid TD <= C*bound, strictly decreasing in lam and n; MC cross-check within recording bound",
-        {"n": 4, "lam": 2, "t": 2, "s": 2, "trials": 2000},
     ),
     "exp_prfs": ExperimentDef(
         exp_prfs,
+        PrfsParams,
         "classical-query keyed function-state oracle vs per-input independent Haar states",
         "O(t^2/2^(n-m) + t^2/sqrt(2^n) + sqrt(t/2^lam)), C=5; good-pair mass >= 1 - t/2^lam; needs n >= lam + m_in",
         "exact hybrid TD <= C*bound, strictly decreasing in lam and n; MC cross-check within recording bound",
-        {"n": 4, "lam": 2, "m_in": 1, "t": 2, "trials": 2000},
     ),
     "exp_cf_bound": ExperimentDef(
         exp_cf_bound,
+        CfBoundParams,
         "exhaustive/sampled verification of the collision-free set-size lower bound",
         "|CF(S)| >= 2^n - l*|S|^(2l)*2^(n-lam)",
         "zero violations over the grid",
-        {"n_max": 8, "ell_max": 2, "smax": 4, "samples": 300},
     ),
     "exp_split_augment": ExperimentDef(
         exp_split_augment,
+        SplitAugmentParams,
         "split the keyed recording into pair/input parts and compare with the augmented plain recording",
         "fidelity >= sqrt(1 - (t^2+t*l)/N)",
         "fidelity floor holds; the label chain leaves both reduced views unchanged (1e-8)",
-        {"n": 3, "t": 1, "ell": 1},
     ),
     "exp_spru": ExperimentDef(
         exp_spru,
+        SpruParams,
         "staircase composition: zero-key algebra plus the glued second-moment comparison",
         "5k^2/2^|B| with k=2 (vacuous at desk scale, labeled)",
         "zero-key algebra exact; moment distance <= bound",
-        {"n_block": 2, "overlap": 1, "lam_small": 1, "trials": 1500},
     ),
 }
 
 
 def run_experiment(name, params) -> ExperimentReport:
+    """Run one registered experiment; ValueError on invalid params, before any numerics."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
-    merged = dict(EXPERIMENTS[name].defaults)
-    merged.update(params)
-    if "seed" not in merged:
-        raise ValueError("a seed is required")
-    return EXPERIMENTS[name].fn(merged)
+    d = EXPERIMENTS[name]
+    return d.fn(d.schema.parse(params))

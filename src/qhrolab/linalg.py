@@ -79,12 +79,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        nrm = self.norm()
-        if nrm < 1e-12:
-            raise ValueError("cannot normalize a zero vector")
-        return StateVector(self.amplitudes / nrm, self.qubit_count)
-
     def density(self) -> "DensityMatrix":
         v = self.amplitudes
         return DensityMatrix(np.outer(v, v.conj()), self.qubit_count)
@@ -125,12 +119,6 @@ class UnitaryMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.entries.conj().T, self.qubit_count)
-
-    def __matmul__(self, other: "UnitaryMatrix") -> "UnitaryMatrix":
-        return UnitaryMatrix(self.entries @ other.entries, self.qubit_count)
 
 
 @dataclass(frozen=True)

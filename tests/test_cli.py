@@ -1,11 +1,13 @@
 """Command-line front end: listing, describing, running, config handling."""
 
+import dataclasses
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
-from qhrolab.cli import main
+from qhrolab.cli import _load_config, main
 from qhrolab.experiments import EXPERIMENTS
 
 
@@ -23,6 +25,8 @@ def test_describe_shows_bound_and_defaults():
     assert "trials = 20000" in res.output
     res = CliRunner().invoke(main, ["describe", "exp_prfs"])
     assert "needs n >= lam + m_in" in res.output
+    res = CliRunner().invoke(main, ["describe", "exp_pru1"])
+    assert "lam = n (an int >= 1)" in res.output and "copies_per_key = 4*lam" in res.output
 
 
 def test_describe_unknown_exits_2():
@@ -144,6 +148,24 @@ def test_run_invalid_params_exit_2(tmp_path):
     )
     assert res.exit_code == 2
     assert "invalid run" in res.output
+    # exp_split_augment has no trials parameter
+    res = CliRunner().invoke(main, ["run", "exp_split_augment", "--trials", "5", "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "unknown parameters: trials" in res.output
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_schema_field_is_described_and_configurable(tmp_path, name):
+    schema = EXPERIMENTS[name].schema
+    fields = dataclasses.fields(schema)
+    values = json.loads(json.dumps({f.name: 0 if f.name == "seed" else f.default for f in fields}))
+    assert schema(**values) == schema.parse({"seed": 0})
+    out = CliRunner().invoke(main, ["describe", name]).output
+    for f in fields:
+        assert f"\n  {f.name} " in out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "experiment": name, "jobs": 1, **values}))
+    assert _load_config(str(cfg), name) == values
 
 
 def test_run_resource_limit_exits_3(tmp_path, monkeypatch):

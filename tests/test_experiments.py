@@ -1,10 +1,13 @@
 """Experiment registry: small-scale runs, determinism, and input validation."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhrolab import experiments
 from qhrolab.constructions import haar_slot
@@ -34,7 +37,7 @@ def test_registry_shape():
     }
     for d in EXPERIMENTS.values():
         assert d.description and d.bound and d.pass_rule
-        assert isinstance(d.defaults, dict)
+        assert dataclasses.is_dataclass(d.schema) and issubclass(d.schema, experiments.Params)
     assert SLACK == 5.0
 
 
@@ -150,21 +153,27 @@ def test_asymptotic_checks_are_flagged():
 # ------------------------------------- keyless ideal hybrids of exp_prs / exp_prfs
 
 
+def oracle_game(kind, a, t):
+    """The folded game of exp_prs (`a` = s) or exp_prfs (`a` = m_in)."""
+    return experiments._prs_game(t, a) if kind == "prs" else experiments._prfs_game(a, t)
+
+
 def keyed_ideal_state(kind, n, lam, a, t):
     """The ideal hybrid as built before it dropped its key.
 
     The copy oracle ignores k, so the uniform key register is carried but
     never read. `a` is s for exp_prs and m_in for exp_prfs.
     """
+    prog = experiments._oracle_program(oracle_game(kind, a, t), n)
     if kind == "prs":
         copy = ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: 0, key_slot=2)
         bindings = {"copy": copy, "U": haar_slot(n, slot=1)}
-        return run_pr(experiments._prs_program(n, t, a), bindings, (Rel(), Rel(), KeyInit(lam)))
+        return run_pr(prog, bindings, (Rel(), Rel(), KeyInit(lam)))
     shift = n - lam - a
     oracle = ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: w << shift, key_slot=2, avoid="per_w")
     bindings = {"O": oracle, "U": haar_slot(n, slot=1)}
     rels = tuple(Rel() for _ in range(max(2**a, 1)))
-    return run_pr(experiments._prfs_program(n, a, t), bindings, (rels, Rel(), KeyInit(lam)))
+    return run_pr(prog, bindings, (rels, Rel(), KeyInit(lam)))
 
 
 @pytest.mark.parametrize(
@@ -179,12 +188,107 @@ def test_keyless_ideal_matches_keyed(monkeypatch, kind, n, lam, a, t):
         return reduce_view(state, keep)
 
     monkeypatch.setattr(experiments, "reduce_view", counting_reduce_view)
-    if kind == "prs":
-        _, _, v_ideal, _, keep = experiments._prs_views(n, lam, t, a, want_mass=False)
-    else:
-        _, _, v_ideal, _, keep = experiments._prfs_views(n, lam, a, t, want_mass=False)
+    _, _, v_ideal, _, keep = experiments._oracle_views(oracle_game(kind, a, t), n, lam, want_mass=False)
     keyed = keyed_ideal_state(kind, n, lam, a, t)
     # reduce_view ran on the real side, then on the keyless ideal side
     assert keyed.entry_count() == 2**lam * entries[1]
     v_keyed = reduce_view(keyed, keep).reduced
     assert np.max(np.abs(v_ideal.entries - v_keyed.entries)) <= 1e-12
+
+
+# ------------------------------------------------------------ parameter schemas
+
+
+def test_pru1_lam_defaults_to_n():
+    rep = run_experiment("exp_pru1", {"seed": 3, "n": 2, "trials": 10})
+    assert rep.params["lam"] == 2
+
+
+def test_pru1_mode_is_secure_or_break():
+    with pytest.raises(ValueError, match="mode"):
+        run_experiment("exp_pru1", {"seed": 3, "mode": "Break"})
+    p = EXPERIMENTS["exp_pru1"].schema.parse({"seed": 3, "mode": "break"})
+    assert (p.n, p.lam, p.trials, p.copies_per_key) == (3, 3, 4000, 12)
+
+
+@pytest.fixture
+def no_numerics(monkeypatch):
+    """A registry whose experiment bodies fail the test when reached."""
+
+    def unreachable(p):
+        raise AssertionError(f"numerics ran for {p!r}")
+
+    for name, d in EXPERIMENTS.items():
+        monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(d, fn=unreachable))
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("exp_prs", {"seed": 1, "nn": 7, "lamda": 2}),
+        ("exp_spru", {"seed": 1, "trials": True}),
+        ("exp_cf_bound", {"seed": 1.0}),
+        ("exp_cf_bound", {"seed": -1}),
+        ("exp_mh_bound", {"seed": 1, "n_list": 3}),
+        ("exp_mh_bound", {"seed": 1, "n_list": [2, "3"]}),
+        ("exp_mh_bound", {"seed": 1, "n_list": []}),
+        ("exp_pru2", {"seed": 1, "lam": 0}),
+        ("exp_pru2", {"seed": 1, "lam": 4}),
+        ("exp_pru1", {"seed": 1, "n": 2, "lam": 3}),
+        ("exp_pru1", {"seed": 1, "t": 1, "ell": 2}),
+        ("exp_prs", {"seed": 1, "scaling": 1}),
+        ("exp_prs", {"seed": 1, "n": 3, "lam": 3}),
+        ("exp_prfs", {"seed": 1, "n": 3, "lam": 2}),
+        ("exp_split_augment", {"seed": 1, "trials": 5}),
+        ("exp_spru", {"seed": 1, "probes": 0}),
+    ],
+)
+def test_invalid_params_fail_before_numerics(no_numerics, name, params):
+    with pytest.raises(ValueError):
+        run_experiment(name, params)
+
+
+def typed_in_range(f, v):
+    """What a schema field accepts, stated apart from the validator."""
+    lo = f.metadata["lo"]
+    if f.type == "bool":
+        return type(v) is bool
+    if f.type == "str":
+        return v in f.metadata["choices"]
+    if f.type == "tuple[int, ...]":
+        return type(v) in (list, tuple) and len(v) > 0 and all(type(x) is int and x >= lo for x in v)
+    if v is None:
+        return f.metadata["rule"] is not None
+    return type(v) is int and v >= lo
+
+
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 9),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.sampled_from(["secure", "break"]),
+    st.lists(st.one_of(st.integers(-1, 9), st.booleans(), st.floats(allow_nan=False)), max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(EXPERIMENTS)), data=st.data())
+def test_validator_accepts_only_typed_in_range_values(name, data):
+    schema = EXPERIMENTS[name].schema
+    fields = {f.name: f for f in dataclasses.fields(schema)}
+    keys = data.draw(st.lists(st.sampled_from(sorted(fields) + ["nn", "lamda"]), unique=True))
+    params = {k: data.draw(VALUES) for k in keys}
+    bad = "seed" not in params or any(k not in fields or not typed_in_range(fields[k], v) for k, v in params.items())
+    if bad:
+        with pytest.raises(ValueError):
+            schema.parse(params)
+        return
+    try:
+        p = schema.parse(params)
+    except ValueError:
+        return  # a check of fields against each other
+    for k, v in params.items():
+        if v is not None:
+            assert getattr(p, k) == (tuple(v) if isinstance(v, list) else v)
