@@ -40,6 +40,7 @@ from .harness import (
     haar_interleave,
     haar_view_mc,
     identity_interleave,
+    key_sliced_view,
     phased_permutation_interleave,
     reduce_view,
     run_pr,
@@ -61,10 +62,13 @@ from .relstate import (
     cf_count,
     cf_set,
     corx,
-    good_mass,
+    corx_count,
     is_collision_free,
+    key_column,
     key_slot_hadamard,
+    label_mask,
     label_rewrite,
+    pair_columns,
     pair_multisets,
     partition_by_key,
     project_good,
@@ -264,17 +268,15 @@ def exp_mh_bound(p: MhBoundParams) -> ExperimentReport:
 # ----------------------------------------------------------------- exp_pru2
 
 
-def _keyed_hybrids(prog, desc_g, lam, cf=None):
-    """Hybrid 2 (keyed G recording in U's relation) and hybrid 3 (G and U in
-    two relations whose outputs avoid each other), with their views."""
-    n = prog.n
-    psi2 = run_pr(prog, {"G": desc_g, "U": haar_slot(n, slot=0, cf=cf)}, (Rel(), KeyInit(lam)))
+def _hybrid_bindings(n, desc_g, cf=None):
+    """Hybrid 2 (keyed G recording in U's relation, init label (Rel(), key))
+    and hybrid 3 (G and U in two relations whose outputs avoid each other,
+    init label (Rel(), Rel()))."""
     apart = {
         "G": haar_slot(n, slot=0, cf=cf, shared_slots=(0, 1)),
         "U": haar_slot(n, slot=1, cf=cf, shared_slots=(0, 1)),
     }
-    psi3 = run_pr(prog, apart, (Rel(), Rel()))
-    return psi2, psi3, reduce_view(psi2).reduced, reduce_view(psi3).reduced
+    return {"G": desc_g, "U": haar_slot(n, slot=0, cf=cf)}, apart
 
 
 def _pru2_program(n, rng):
@@ -317,8 +319,11 @@ def exp_pru2(p: Pru2Params) -> ExperimentReport:
 
         # exact hybrid identities at the smallest grid point
         desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
-        psi2, _, rho2, rho3 = _keyed_hybrids(prog, desc_g, lam)
-        mass = good_mass(psi2, lambda lab: len(corx(lab[0], lab[1])) == ell)
+        keyed, apart = _hybrid_bindings(n, desc_g)
+        rho2, mass = key_sliced_view(
+            prog, keyed, (Rel(), KeyInit(lam)), mask=lambda labels: corx_count(labels, 0, 1) == ell
+        )
+        rho3 = reduce_view(run_pr(prog, apart, (Rel(), Rel()))).reduced
         _check_ge(entry, "good_key_mass", "EXACT", mass, 1.0 - (t * t + t * ell) / N)
         td23 = trace_distance(rho2, rho3)
         bound23 = 2.0 * math.sqrt((t * t + t * ell) / N)
@@ -437,7 +442,10 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
         desc_g = dataclasses.replace(pru_one_query(n, lam, slot=0, cf=cf), key_slot=1)
     else:
         desc_g = haar_slot(n, slot=0, cf=cf)
-    psi2, psi3, rho2, rho3 = _keyed_hybrids(prog, desc_g, lam, cf)
+    # psi2 is built whole: the key-Hadamard isometry below reads every key
+    keyed, apart = _hybrid_bindings(n, desc_g, cf)
+    psi2, psi3 = run_pr(prog, keyed, (Rel(), KeyInit(lam))), run_pr(prog, apart, (Rel(), Rel()))
+    rho2, rho3 = reduce_view(psi2).reduced, reduce_view(psi3).reduced
     _check(entry, "td_hybrid2_vs_hybrid3", "EXACT", trace_distance(rho2, rho3), 1e-8)
 
     if ell > 0:
@@ -557,15 +565,30 @@ class PrfsParams(_OracleParams):
 #   oracle  binding name of the keyed classical oracle;
 #   m       function-input bits; classical query i asks w = i mod 2^m;
 #   t, s    classical queries, then direct queries to U;
-#   good    (n, lam) -> label predicate: every classical query is a good pair;
+#   good    (n, lam) -> column test: every classical query is a good pair;
 #   output  (u, k, w, n, lam) -> the keyed oracle's reply state;
 #   bound   (n, lam) -> hybrid distance bound before the slack.
+
+
+def _good_pairs(t, match):
+    """good(n, lam) of a game: the column test passed by the labels where t
+    recorded pairs of slot 0 have an x that match(x, k, n - lam) accepts, k
+    the key of slot 1."""
+
+    def good(n, lam):
+        def test(labels):
+            x, _, on = pair_columns(labels, 0)
+            return np.count_nonzero(on & match(x, key_column(labels, 1)[:, None], n - lam), axis=1) == t
+
+        return test
+
+    return good
 
 
 def _prs_game(t, s):
     return SimpleNamespace(
         oracle="copy", m=0, t=t, s=s,
-        good=lambda n, lam: lambda lab: sum(1 for (x, _) in lab[0] if x == lab[1] << (n - lam)) == t,
+        good=_good_pairs(t, lambda x, k, shift: x == k << shift),
         output=lambda u, k, w, n, lam: prs_output(u, k, n, lam),
         bound=lambda n, lam: math.sqrt(s / 2**lam) + (t + s) ** 2 / 2 ** (n / 2.0),
     )
@@ -574,7 +597,7 @@ def _prs_game(t, s):
 def _prfs_game(m, t):
     return SimpleNamespace(
         oracle="O", m=m, t=t, s=t,
-        good=lambda n, lam: lambda lab: sum(1 for (x, _) in lab[0] if (x >> (n - lam)) == lab[1]) == t,
+        good=_good_pairs(t, lambda x, k, shift: x >> shift == k),
         output=lambda u, k, w, n, lam: prfs_output(u, k, w, n, lam, m),
         bound=lambda n, lam: t * t / 2 ** (n - m) + t * t / 2 ** (n / 2.0) + math.sqrt(t / 2**lam),
     )
@@ -590,12 +613,11 @@ def _oracle_program(game, n):
 def _oracle_views(game, n, lam, want_mass):
     """Exact purified views: shared-slot keyed oracle vs one slot per w.
 
-    The ideal side has no key: its input depends on w alone, so a uniform
-    key register would only tensor the state 2^lam times over without
-    changing the view. The two purified states are built one after the
-    other and each is freed right after its reduction; at the largest grid
-    point of exp_prs the real side holds about 3.5M entries and the ideal
-    side about 1.0M.
+    The real side only reads its key, so it runs one key at a time
+    (key_sliced_view). The ideal side has no key: its input depends on w
+    alone, so a uniform key register would only tensor the state 2^lam
+    times over without changing the view. Each purified state is freed
+    right after its reduction.
     """
     m = game.m
     prog = _oracle_program(game, n)
@@ -607,10 +629,8 @@ def _oracle_views(game, n, lam, want_mass):
         ),
         "U": haar_slot(n, slot=0),
     }
-    real = run_pr(prog, real_bind, (Rel(), KeyInit(lam)))
-    v_real = reduce_view(real, keep).reduced
-    mass = good_mass(real, game.good(n, lam)) if want_mass else None
-    del real
+    mask = game.good(n, lam) if want_mass else None
+    v_real, mass = key_sliced_view(prog, real_bind, (Rel(), KeyInit(lam)), keep, mask)
 
     ideal_bind = {
         game.oracle: ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: w << (n - lam - m), avoid="per_w"),
@@ -787,10 +807,11 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
     rng = trial_rng(seed, 50_000 + n)
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("G")))
     desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
+    # psi2 is built whole: the label surgery below reads every key
     psi2 = run_pr(prog, {"G": desc_g}, (Rel(), KeyInit(lam)))
     rho2 = reduce_view(psi2).reduced
 
-    good = project_good(psi2, lambda lab: len(corx(lab[0], lab[1])) == ell)
+    good = project_good(psi2, label_mask(psi2, lambda labels: corx_count(labels, 0, 1) == ell))
 
     # move the (x, z) pairs out, then the (z xor k, y) pairs
     st = partition_by_key(good, 0, lambda p, lab: any(p[1] ^ q[0] == lab[-1] for q in lab[0]))

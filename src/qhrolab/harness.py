@@ -24,7 +24,16 @@ from .linalg import (
     trace_distance,
     trial_rng,
 )
-from .relstate import PurifiedState, classical_record, extract_bits, key_pauli, pcfpr_apply, pr_apply
+from .relstate import (
+    PurifiedState,
+    classical_record,
+    extract_bits,
+    good_mass,
+    key_pauli,
+    label_mask,
+    pcfpr_apply,
+    pr_apply,
+)
 
 __all__ = [
     "Interleave",
@@ -37,6 +46,7 @@ __all__ = [
     "ViewResult",
     "run_concrete",
     "run_pr",
+    "key_sliced_view",
     "reduce_view",
     "view_of_state",
     "haar_view_mc",
@@ -266,8 +276,56 @@ def run_pr(program: AdversaryProgram, bindings: dict, init_label) -> PurifiedSta
     return state
 
 
-_RUN_ENTRIES = 1 << 14  # entries per reduce_view run; a run holds whole labels
-_PAIR_CHUNK = 1 << 14  # (entry, entry) products per reduce_view batch
+def _key_slot(init_label):
+    """(slot, lam) of the one KeyInit slot of an init label."""
+    slots = [(i, s.lam) for i, s in enumerate(init_label) if isinstance(s, KeyInit)]
+    if len(slots) != 1:
+        raise ValueError(f"key slicing needs exactly one KeyInit slot, not {len(slots)}")
+    return slots[0]
+
+
+def _written_slots(oracle):
+    """Label slots an oracle records into, avoids or transcribes."""
+    if isinstance(oracle, ClassicalPROracle):
+        return {oracle.rel_slot, *oracle.avoid_slots, oracle.transcript_slot} - {None}
+    if isinstance(oracle, OracleDescriptor):
+        return {*oracle.record_slots(), *(oracle.shared_slots or ())}
+    return set()
+
+
+def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=None, mask=None):
+    """(view, good mass) of run_pr(program, bindings, init_label), one key at a time.
+
+    The one KeyInit(lam) slot of init_label is only read, by key Pauli layers
+    and classical inputs, so the purified state is a direct sum of orthogonal
+    per-key branches: its view, and its mass on the labels that pass the
+    column test `mask` (see relstate.label_mask), are 2^-lam times the
+    per-key sums. Each key runs with the slot holding the plain int k and is
+    reduced and freed before the next. The mass is None without a mask.
+    ValueError if an oracle records into, avoids or transcribes the key slot.
+    """
+    slot, lam = _key_slot(init_label)
+    width = len(init_label)
+    for name, oracle in bindings.items():
+        if slot in {s % width for s in _written_slots(oracle)}:
+            raise ValueError(f"oracle {name!r} writes key slot {slot}; it cannot be sliced by key")
+    acc, mass = None, 0.0
+    for k in range(2**lam):
+        state = run_pr(program, bindings, init_label[:slot] + (k,) + init_label[slot + 1 :])
+        view = reduce_view(state, keep).reduced
+        if acc is None:
+            acc = view.entries
+        else:
+            acc += view.entries
+        if mask is not None:
+            mass += good_mass(state, label_mask(state, mask))
+        del state
+    acc *= 2.0**-lam
+    return DensityMatrix(acc, view.qubit_count), mass * 2.0**-lam if mask is not None else None
+
+
+_RUN_ENTRIES = 1 << 12  # entries per reduce_view run; a run holds whole labels
+_PAIR_CHUNK = 1 << 12  # (entry, entry) products per reduce_view batch
 
 
 def reduce_view(purified: PurifiedState, keep=None) -> ViewResult:
@@ -346,35 +404,51 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None, batches=20):
         sums[t % batches] += view_of_state(run_concrete(program, b), keep).entries
         counts[t % batches] += 1
     total = sums.sum(axis=0) / trials
-    batch_means = [DensityMatrix(sums[b] / counts[b], first.qubit_count) for b in range(batches) if counts[b]]
+    # every batch holds a trial; the batch means are views into `sums`
+    sums /= counts[:, None, None]
+    batch_means = [DensityMatrix(sums[b], first.qubit_count) for b in range(batches)]
     return DensityMatrix(total, first.qubit_count), batch_means
+
+
+def _resample_mean(ents, idx, out):
+    """ents[idx].mean(axis=0), bitwise, formed in `out` from a list of rows.
+
+    Row idx[0] is copied and the other rows are added in resample order, as
+    the stacked mean does, without stacking the rows or copying the resample.
+    """
+    np.copyto(out, ents[idx[0]])
+    for i in idx[1:].tolist():
+        out += ents[i]
+    out /= len(idx)
+    return out
 
 
 def bootstrap_td_pair(batches_a, batches_b, master_seed, resamples=200):
     """Bootstrap stderr of TD(mean A, mean B) over two batch-mean families."""
-    ea = np.array([b.entries for b in batches_a])
-    eb = np.array([b.entries for b in batches_b])
+    ea = [b.entries for b in batches_a]
+    eb = [b.entries for b in batches_b]
+    ma, mb = np.empty_like(ea[0]), np.empty_like(eb[0])
     q = batches_a[0].qubit_count
     rng = trial_rng(master_seed, 10**9 + 1)
     vals = []
     na, nb = len(batches_a), len(batches_b)
     for _ in range(resamples):
-        ma = ea[rng.integers(0, na, size=na)].mean(axis=0)
-        mb = eb[rng.integers(0, nb, size=nb)].mean(axis=0)
+        _resample_mean(ea, rng.integers(0, na, size=na), ma)
+        _resample_mean(eb, rng.integers(0, nb, size=nb), mb)
         vals.append(trace_distance(DensityMatrix(ma, q), DensityMatrix(mb, q)))
     return float(np.std(vals))
 
 
 def bootstrap_td_stderr(batch_means, reference: DensityMatrix, master_seed, resamples=200):
     """Bootstrap stderr of TD(mean view, reference) over batch means."""
-    ents = np.array([b.entries for b in batch_means])
+    ents = [b.entries for b in batch_means]
+    mean = np.empty_like(ents[0])
     q = reference.qubit_count
     rng = trial_rng(master_seed, 10**9)
     vals = []
     nb = len(batch_means)
     for _ in range(resamples):
-        idx = rng.integers(0, nb, size=nb)
-        mean = ents[idx].mean(axis=0)
+        _resample_mean(ents, rng.integers(0, nb, size=nb), mean)
         vals.append(trace_distance(DensityMatrix(mean, q), reference))
     return float(np.std(vals))
 

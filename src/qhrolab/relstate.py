@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -41,6 +42,10 @@ __all__ = [
     "pcfpr_apply",
     "corx",
     "good_keys",
+    "label_mask",
+    "pair_columns",
+    "key_column",
+    "corx_count",
     "project_good",
     "good_mass",
     "label_rewrite",
@@ -170,6 +175,7 @@ _INT_LIMIT = 1 << 62  # integer slots hold values in (-2^62, 2^62)
 _DECODE_CHUNK = 1 << 12  # labels decoded per batch of Python callbacks
 _BLOCK_BYTES = 1 << 25  # bound on one dense complex block
 _ENTRY_CHUNK = 1 << 14  # entries per bounded batch of norm_sq and _merge
+_MASK_LABELS = 1 << 16  # labels per run of a column test (label_mask)
 
 
 def _is_int(v):
@@ -977,22 +983,52 @@ def good_keys(rel, fold: int, key_count: int):
     return {k for k in range(key_count) if len(corx(rel, k)) == fold}
 
 
+# Column tests read a label table (`schema` and `rows`): a whole state, or
+# one bounded run of its labels as label_mask hands it out.
 
-def _label_mask(state, predicate):
-    keep = np.zeros(state.label_count(), dtype=bool)
-    for start, labels in state.label_chunks():
-        keep[start : start + len(labels)] = [bool(predicate(lab)) for lab in labels]
+_LabelRun = namedtuple("_LabelRun", "schema rows")
+
+
+def label_mask(state, test):
+    """The boolean label mask test(run), evaluated on bounded runs of labels
+    so that the column temporaries stay small."""
+    keep = np.empty(state.label_count(), dtype=bool)
+    for lo in range(0, len(keep), _MASK_LABELS):
+        keep[lo : lo + _MASK_LABELS] = test(_LabelRun(state.schema, state.rows[lo : lo + _MASK_LABELS]))
     return keep
 
 
-def project_good(state, predicate):
-    """Keep only the terms whose label satisfies the predicate (subnormalized)."""
-    return state.select_labels(_label_mask(state, predicate))
+def pair_columns(table, slot):
+    """(x, y, present) of a Rel slot: one row per label, one column per pair
+    position; `present` is False at the padding."""
+    a, b = _rel_span(table.schema, slot)
+    codes = table.rows[:, a:b]
+    return codes >> _Y_BITS, codes & _Y_MASK, codes != PAD
 
 
-def good_mass(state, predicate):
-    """project_good(state, predicate).norm_sq(), bitwise, without the sub-state."""
-    return state.norm_sq(_label_mask(state, predicate))
+def key_column(table, slot):
+    """The values of an integer slot, one per label."""
+    return _int_column(table.schema, table.rows, slot)
+
+
+def corx_count(table, rel_slot, key_slot):
+    """len(corx(rel, k)) of every label, by width^2 column comparisons."""
+    x, y, on = pair_columns(table, rel_slot)
+    k = key_column(table, key_slot)[:, None]
+    count = np.zeros(len(k), dtype=np.int64)
+    for i in range(x.shape[1]):
+        count += np.count_nonzero(on & on[:, i, None] & ((y[:, i, None] ^ x) == k), axis=1)
+    return count
+
+
+def project_good(state, keep):
+    """The sub-state on the labels of the boolean mask `keep` (subnormalized)."""
+    return state.select_labels(keep)
+
+
+def good_mass(state, keep):
+    """project_good(state, keep).norm_sq(), bitwise, without the sub-state."""
+    return state.norm_sq(keep)
 
 
 def label_rewrite(state, rewriter, check_injective=True):

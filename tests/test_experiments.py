@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhrolab import experiments
+from qhrolab import experiments, harness, relstate
 from qhrolab.constructions import haar_slot
 from qhrolab.experiments import EXPERIMENTS, SLACK, run_experiment
-from qhrolab.harness import ClassicalPROracle, KeyInit, reduce_view, run_pr
-from qhrolab.relstate import Rel
+from qhrolab.harness import ClassicalPROracle, KeyInit, key_sliced_view, reduce_view, run_pr
+from qhrolab.relstate import Rel, corx, label_mask, project_good
 
 
 def checks_by_name(report):
@@ -190,10 +190,121 @@ def test_keyless_ideal_matches_keyed(monkeypatch, kind, n, lam, a, t):
     monkeypatch.setattr(experiments, "reduce_view", counting_reduce_view)
     _, _, v_ideal, _, keep = experiments._oracle_views(oracle_game(kind, a, t), n, lam, want_mass=False)
     keyed = keyed_ideal_state(kind, n, lam, a, t)
-    # reduce_view ran on the real side, then on the keyless ideal side
-    assert keyed.entry_count() == 2**lam * entries[1]
+    # the last reduce_view call of _oracle_views is on the keyless ideal side
+    assert keyed.entry_count() == 2**lam * entries[-1]
     v_keyed = reduce_view(keyed, keep).reduced
     assert np.max(np.abs(v_ideal.entries - v_keyed.entries)) <= 1e-12
+
+
+# ------------------------------------------- key-sliced real sides and column masks
+#
+# The real sides of exp_prs / exp_prfs and hybrid 2 of exp_pru2 run one key
+# at a time (harness.key_sliced_view). Here each is compared with run_pr on
+# the full KeyInit state, and the column masks with the per-label Python
+# predicates they replaced.
+
+
+def old_prs_good(n, lam, t):
+    return lambda lab: sum(1 for (x, _) in lab[0] if x == lab[1] << (n - lam)) == t
+
+
+def old_prfs_good(n, lam, t):
+    return lambda lab: sum(1 for (x, _) in lab[0] if (x >> (n - lam)) == lab[1]) == t
+
+
+def old_corx_good(ell):
+    return lambda lab: len(corx(lab[0], lab[1])) == ell
+
+
+def predicate_mask(state, predicate):
+    """A label mask from a per-label predicate on decoded labels, a chunk at a time."""
+    return np.array([bool(predicate(lab)) for _, labels in state.label_chunks() for lab in labels], dtype=bool)
+
+
+def sliced_calls(monkeypatch):
+    """Record (args, result) of every key_sliced_view call made by experiments."""
+    calls = []
+
+    def recording(program, bindings, init_label, keep=None, mask=None):
+        out = key_sliced_view(program, bindings, init_label, keep, mask)
+        calls.append(((program, bindings, init_label, keep, mask), out))
+        return out
+
+    monkeypatch.setattr(experiments, "key_sliced_view", recording)
+    return calls
+
+
+def run_sliced_point(kind, n, lam, a, t):
+    """Run the exact part of one grid point; return the old predicate of its good mass."""
+    if kind == "pru2":
+        run_experiment("exp_pru2", {"seed": 7, "n_list": [n], "trials": 1})
+        return old_corx_good(1)
+    experiments._oracle_views(oracle_game(kind, a, t), n, lam, want_mass=True)
+    return (old_prs_good if kind == "prs" else old_prfs_good)(n, lam, t)
+
+
+@pytest.mark.parametrize(
+    "kind,n,lam,a,t",
+    [
+        ("prs", 3, 3, 3, 2),
+        ("prs", 4, 2, 2, 2),
+        ("prfs", 3, 2, 1, 2),
+        ("prfs", 4, 2, 1, 2),
+        ("pru2", 3, 3, None, 2),
+        ("pru2", 4, 4, None, 2),
+    ],
+)
+def test_key_sliced_view_matches_full_state(monkeypatch, kind, n, lam, a, t):
+    monkeypatch.setattr(relstate, "_MASK_LABELS", 1000)  # many label runs per mask
+    calls = sliced_calls(monkeypatch)
+    old_good = run_sliced_point(kind, n, lam, a, t)
+    (program, bindings, init_label, keep, mask), (view, mass) = calls[0]
+    assert KeyInit(lam) in init_label
+    full = run_pr(program, bindings, init_label)
+    keep_mask = label_mask(full, mask)
+    assert np.array_equal(keep_mask, predicate_mask(full, old_good))
+    assert 0 < keep_mask.sum() < full.label_count()
+    assert np.max(np.abs(view.entries - reduce_view(full, keep).reduced.entries)) <= 1e-12
+    # the full state's good mass, correctly rounded: its sequential norm_sq
+    # over up to 0.9M entries is itself up to 2.2e-12 off at n = 4
+    full_mass = math.fsum((np.abs(full.amplitudes[keep_mask[full.label_ids]]) ** 2).tolist())
+    assert abs(mass - full_mass) <= 1e-12
+
+
+def test_split_augment_corx_mask_matches_predicate(monkeypatch):
+    projected = []
+
+    def recording(state, keep):
+        projected.append((state, keep))
+        return project_good(state, keep)
+
+    monkeypatch.setattr(experiments, "project_good", recording)
+    run_experiment("exp_split_augment", {"seed": 9})
+    (state, keep), = projected
+    assert np.array_equal(keep, predicate_mask(state, old_corx_good(1)))
+    assert 0 < keep.sum() < state.label_count()
+
+
+def test_record_point_reduces_no_full_keyed_state(monkeypatch):
+    entries = []
+
+    def counting(module):
+        original = module.reduce_view
+
+        def counting_reduce_view(state, keep=None):
+            entries.append(state.entry_count())
+            return original(state, keep)
+
+        monkeypatch.setattr(module, "reduce_view", counting_reduce_view)
+
+    counting(harness)
+    counting(experiments)
+    # the exp_prs point of the `record` benchmark workload: its full keyed
+    # real side held 53,760 entries
+    experiments._oracle_views(oracle_game("prs", 3, 2), 3, 3, want_mass=True)
+    *slices, ideal = entries
+    assert len(slices) == 2**3 and sum(slices) == 53_760
+    assert max(entries) < 53_760 and ideal == 18_816
 
 
 # ------------------------------------------------------------ parameter schemas

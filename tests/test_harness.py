@@ -1,5 +1,7 @@
 """Adversary harness: concrete vs purified execution, views, Monte Carlo."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from qhrolab.harness import (
     haar_interleave,
     haar_view_mc,
     identity_interleave,
+    key_sliced_view,
     phased_permutation_interleave,
     reduce_view,
     run_concrete,
@@ -274,3 +277,118 @@ def test_keyed_descriptor_needs_key_slot():
     prog = AdversaryProgram(n=2, steps=(identity_interleave(2), QuantumQuery("G")))
     with pytest.raises(ValueError):
         run_pr(prog, {"G": pru_two_query(2, 2)}, (Rel(),))
+
+
+# ------------------------------------------------------------ key slicing
+
+
+def sliced_setup(n=2, lam=2):
+    """A two-query keyed program on a (Rel, key) label and its bindings."""
+    prog = AdversaryProgram(n=n, steps=(haar_interleave(n, trial_rng(5)), QuantumQuery("G"), QuantumQuery("U")))
+    desc = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
+    return prog, {"G": desc, "U": haar_slot(n, slot=0)}
+
+
+def test_key_sliced_view_is_the_key_average():
+    prog, bindings = sliced_setup()
+    init = (Rel(), KeyInit(2))
+    full = run_pr(prog, bindings, init)
+    view, mass = key_sliced_view(prog, bindings, init, mask=lambda labels: np.ones(len(labels.rows), dtype=bool))
+    assert np.max(np.abs(view.entries - reduce_view(full).reduced.entries)) <= 1e-12
+    assert abs(mass - full.norm_sq()) <= 1e-12
+    assert key_sliced_view(prog, bindings, init, keep=[0])[1] is None
+
+
+def writes_key(**fields):
+    return ClassicalPROracle(n=1, input_of=lambda k, w: k, key_slot=1, **{"rel_slot": 0, **fields})
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        writes_key(rel_slot=1),
+        writes_key(avoid="global", avoid_slots=(1,)),
+        writes_key(transcript_slot=1),
+        writes_key(transcript_slot=-2),
+        haar_slot(2, slot=1),
+        haar_slot(2, slot=0, shared_slots=(0, 1)),
+        haar_slot(2, slot=0, cf=CFParams(1, 1, 2), shared_slots=(1, 0)),
+    ],
+)
+def test_key_slicing_refuses_oracles_that_write_the_key(oracle):
+    prog, bindings = sliced_setup()
+    with pytest.raises(ValueError, match="key slot"):
+        key_sliced_view(prog, {**bindings, "W": oracle}, (Rel(), KeyInit(2), ()))
+
+
+@pytest.mark.parametrize("init", [(Rel(), 0), (Rel(), KeyInit(1), KeyInit(1)), ()])
+def test_key_slicing_needs_one_key_init_slot(init):
+    prog, bindings = sliced_setup()
+    with pytest.raises(ValueError, match="exactly one KeyInit"):
+        key_sliced_view(prog, bindings, init)
+
+
+# ---------------------------------------- Monte Carlo batches, bitwise to the old formulas
+
+
+def old_haar_view_mc(program, sampler, trials, master_seed, keep=None, batches=20):
+    batches = min(batches, trials)
+    first = view_of_state(run_concrete(program, sampler(trial_rng(master_seed, 0))), keep)
+    dim = first.entries.shape[0]
+    sums = np.zeros((batches, dim, dim), dtype=complex)
+    counts = np.zeros(batches, dtype=np.int64)
+    sums[0] += first.entries
+    counts[0] += 1
+    for t in range(1, trials):
+        b = sampler(trial_rng(master_seed, t))
+        sums[t % batches] += view_of_state(run_concrete(program, b), keep).entries
+        counts[t % batches] += 1
+    total = sums.sum(axis=0) / trials
+    batch_means = [DensityMatrix(sums[b] / counts[b], first.qubit_count) for b in range(batches) if counts[b]]
+    return DensityMatrix(total, first.qubit_count), batch_means
+
+
+def old_bootstrap_td_pair(batches_a, batches_b, master_seed, resamples=200):
+    ea = np.array([b.entries for b in batches_a])
+    eb = np.array([b.entries for b in batches_b])
+    q = batches_a[0].qubit_count
+    rng = trial_rng(master_seed, 10**9 + 1)
+    vals = []
+    na, nb = len(batches_a), len(batches_b)
+    for _ in range(resamples):
+        ma = ea[rng.integers(0, na, size=na)].mean(axis=0)
+        mb = eb[rng.integers(0, nb, size=nb)].mean(axis=0)
+        vals.append(trace_distance(DensityMatrix(ma, q), DensityMatrix(mb, q)))
+    return float(np.std(vals))
+
+
+def old_bootstrap_td_stderr(batch_means, reference, master_seed, resamples=200):
+    ents = np.array([b.entries for b in batch_means])
+    q = reference.qubit_count
+    rng = trial_rng(master_seed, 10**9)
+    vals = []
+    nb = len(batch_means)
+    for _ in range(resamples):
+        idx = rng.integers(0, nb, size=nb)
+        mean = ents[idx].mean(axis=0)
+        vals.append(trace_distance(DensityMatrix(mean, q), reference))
+    return float(np.std(vals))
+
+
+@pytest.mark.parametrize("n", [2, 6])  # views of dimension 4 and 64
+@pytest.mark.parametrize("trials", [23, 7])  # not a multiple of the 20 batches; fewer than 20
+def test_mc_batches_and_bootstrap_are_bitwise_the_old_formulas(n, trials):
+    prog = AdversaryProgram(n=n, steps=(identity_interleave(n), QuantumQuery("U")))
+
+    def sampler(rng):
+        return {"U": haar_unitary(2**n, rng)}
+
+    mean, batches = haar_view_mc(prog, sampler, trials, 13)
+    old_mean, old_batches = old_haar_view_mc(prog, sampler, trials, 13)
+    assert np.array_equal(mean.entries, old_mean.entries)
+    assert len(batches) == len(old_batches) == min(trials, 20)
+    assert all(np.array_equal(b.entries, o.entries) for b, o in zip(batches, old_batches))
+    _, other = haar_view_mc(prog, sampler, trials + 5, 14)
+    ref = DensityMatrix(np.eye(2**n) / 2**n, n)
+    assert bootstrap_td_stderr(batches, ref, 3) == old_bootstrap_td_stderr(old_batches, ref, 3)
+    assert bootstrap_td_pair(batches, other, 3) == old_bootstrap_td_pair(old_batches, other, 3)

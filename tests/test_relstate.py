@@ -19,8 +19,10 @@ from qhrolab.relstate import (
     cf_count,
     cf_set,
     corx,
+    corx_count,
     good_keys,
     is_collision_free,
+    key_column,
     key_slot_hadamard,
     label_rewrite,
     merge_partition,
@@ -275,10 +277,22 @@ def two_label_state():
     )
 
 
+RELS = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4, unique_by=lambda p: p[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(RELS, st.integers(0, 7)), min_size=1, max_size=6))
+def test_corx_count_is_corx_size(labels):
+    state = PurifiedState(1, {(Rel(pairs), k): {0: 1.0} for pairs, k in labels})
+    expect = [len(corx(rel, k)) for rel, k in state.labels()]
+    assert corx_count(state, 0, 1).tolist() == expect
+
+
 def test_project_good_splits_mass():
     st0 = two_label_state()
-    good = project_good(st0, lambda lab: lab[1] == 0)
-    bad = project_good(st0, lambda lab: lab[1] == 1)
+    key = key_column(st0, 1)
+    good = project_good(st0, key == 0)
+    bad = project_good(st0, key == 1)
     assert abs(good.norm_sq() + bad.norm_sq() - st0.norm_sq()) < 1e-12
 
 

@@ -6,8 +6,9 @@ bitwise, and the traced peaks of reduce_view and of a recording step stay
 bounded on the keyed stress state of the engine: the ideal hybrid of exp_prs
 at n=3, lam=3, t=2, s=3 with an unread uniform key register (150,528 entries
 on 75,264 labels, 8.4 MB). exp_prs builds that hybrid without the key, 2^lam
-times smaller; the largest state of the `record` benchmark workload is now
-its real side (53,760 entries on 24,640 labels).
+times smaller, and runs its real side one key at a time (6,720 entries per
+key); the largest state of the `record` benchmark workload is now the
+keyless ideal side (18,816 entries).
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from qhrolab.harness import (
     run_pr,
 )
 from qhrolab.linalg import trial_rng
-from qhrolab.relstate import CFParams, Rel, good_mass, project_good
+from qhrolab.relstate import CFParams, Rel, good_mass, pair_columns, project_good
 
 KEEP = list(range(6))  # exp_prs keeps the first 2n qubits
 
@@ -164,8 +165,9 @@ def test_random_program_views_are_chunk_invariant(case):
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_good_mass_is_projected_norm(stress_state, monkeypatch, chunk):
     # labels whose U relation holds a fixed point (x, x): 9,408 of 75,264
-    def fixed_point(lab):
-        return any(x == y for x, y in lab[1])
+    x, y, on = pair_columns(stress_state, 1)
+    fixed_point = np.any(on & (x == y), axis=1)
+    assert fixed_point.sum() == 9408
 
     if chunk is not None:
         monkeypatch.setattr(relstate, "_ENTRY_CHUNK", chunk)
@@ -175,10 +177,11 @@ def test_good_mass_is_projected_norm(stress_state, monkeypatch, chunk):
 
 
 def test_reduce_view_peak_is_bounded(stress_state):
-    # one run of whole labels and one pair chunk: about 2.4 MB on this state;
-    # sorting the whole 8.4 MB state at once needs about 9.8 MB
+    # one run of whole labels and one pair chunk: about 0.66 MB on this state
+    # (2.4 MB with runs and chunks of 2^14); sorting the whole 8.4 MB state at
+    # once needs about 9.8 MB
     _, peak = traced_peak(lambda: reduce_view(stress_state, KEEP))
-    assert peak < 4e6
+    assert peak < 1.09e6
 
 
 def test_recording_step_peak_is_input_plus_output(monkeypatch):
