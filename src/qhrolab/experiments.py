@@ -41,11 +41,13 @@ from .harness import (
     haar_view_mc,
     identity_interleave,
     key_sliced_view,
+    key_slices,
     phased_permutation_interleave,
     reduce_view,
     run_pr,
 )
 from .linalg import (
+    DensityMatrix,
     UnitaryMatrix,
     choi_state,
     haar_unitary,
@@ -55,6 +57,7 @@ from .linalg import (
 )
 from .relstate import (
     CFParams,
+    KeyHadamard,
     MSet,
     PurifiedState,
     Rel,
@@ -63,9 +66,9 @@ from .relstate import (
     cf_set,
     corx,
     corx_count,
+    gather_pairs,
     is_collision_free,
     key_column,
-    key_slot_hadamard,
     label_mask,
     label_rewrite,
     pair_columns,
@@ -208,10 +211,10 @@ class Params:
     def _derive(self):
         pass
 
-    def recorded(self, *unrecorded):
-        """The report's params: every field but the seed and `unrecorded`."""
-        omit = ("seed", *unrecorded)
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name not in omit}
+    def recorded(self):
+        """The report's params: every field after defaults, but the seed, which
+        the report holds on its own."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "seed"}
 
 
 # --------------------------------------------------------------- exp_mh_bound
@@ -307,7 +310,7 @@ class Pru2Params(Params):
 
 def exp_pru2(p: Pru2Params) -> ExperimentReport:
     seed, t, ell, trials, n_list = p.seed, p.t, p.ell, p.trials, p.n_list
-    rep = ExperimentReport("exp_pru2", seed, p.recorded("lam"))
+    rep = ExperimentReport("exp_pru2", seed, p.recorded())
     rep.notes.append("two-query keyed construction; proof-internal identities exact, end-to-end MC")
     rep.notes.append(f"ASYMPTOTIC checks use the constant-slack policy C={SLACK}")
     ends = []
@@ -392,17 +395,30 @@ def _pru1_program(n, t, ell, rng):
     return AdversaryProgram(n=n, steps=tuple(steps))
 
 
-def _unique_subset(rel, ell, h, n, lam):
-    hits = []
-    for comb in itertools.combinations(rel.pairs, ell):
-        acc = 0
-        for (_, y) in comb:
-            acc ^= y >> (n - lam)
-        if acc == h:
-            hits.append(comb)
-    if len(hits) != 1:
+def _split_by_prefix_xor(mixed, ell, n, lam):
+    """The labels (Rel, h) of `mixed` rewritten to (Rel(sel), Rel(rest)).
+
+    sel is the one ell-subset of the pairs whose output prefixes XOR to h,
+    found by a column test over the C(w, ell) pair-position subsets;
+    ValueError unless exactly one subset matches on every label.
+    """
+    _, y, on = pair_columns(mixed, 0)
+    h = key_column(mixed, 1)
+    w = y.shape[1]
+    subsets = list(itertools.combinations(range(w), ell))
+    prefix = y >> (n - lam)
+    hits = np.zeros(len(h), dtype=np.int64)
+    pick = np.zeros(len(h), dtype=np.int64)
+    for i, sub in enumerate(subsets):
+        cols = list(sub)
+        match = on[:, cols].all(axis=1) & (np.bitwise_xor.reduce(prefix[:, cols], axis=1) == h)
+        hits += match
+        pick[match] = i
+    if np.any(hits != 1):
         raise ValueError("prefix-XOR subset is not unique; collision-freeness violated")
-    return hits[0]
+    sel = np.array(subsets, dtype=np.int64).reshape(len(subsets), ell)
+    rest = np.array([[c for c in range(w) if c not in sub] for sub in subsets], dtype=np.int64)
+    return gather_pairs(mixed, 0, [sel[pick], rest.reshape(len(subsets), w - ell)[pick]])
 
 
 @dataclass(frozen=True)
@@ -433,7 +449,7 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
     seed, n, lam, ell, t, trials = p.seed, p.n, p.lam, p.ell, p.t, p.trials
     N = 2**n
     cf = CFParams(max(ell, 1), lam, n)
-    rep = ExperimentReport("exp_pru1", seed, p.recorded("copies_per_key"))
+    rep = ExperimentReport("exp_pru1", seed, p.recorded())
     rep.notes.append("one-query keyed construction; hybrid equality is exact via the key-Hadamard isometry")
     prog = _pru1_program(n, t, ell, trial_rng(seed, 30_000 + n))
     entry = rep.add_point({"n": n, "lam": lam, "t": t, "ell": ell})
@@ -442,24 +458,20 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
         desc_g = dataclasses.replace(pru_one_query(n, lam, slot=0, cf=cf), key_slot=1)
     else:
         desc_g = haar_slot(n, slot=0, cf=cf)
-    # psi2 is built whole: the key-Hadamard isometry below reads every key
     keyed, apart = _hybrid_bindings(n, desc_g, cf)
-    psi2, psi3 = run_pr(prog, keyed, (Rel(), KeyInit(lam))), run_pr(prog, apart, (Rel(), Rel()))
-    rho2, rho3 = reduce_view(psi2).reduced, reduce_view(psi3).reduced
+    # hybrid 2 runs one key at a time: each slice is reduced and added into
+    # the key-Hadamard transform before it is freed
+    hadamard = KeyHadamard(1, lam)
+    rho2, _ = key_sliced_view(prog, keyed, (Rel(), KeyInit(lam)), each=hadamard.add if ell > 0 else None)
+    psi3 = run_pr(prog, apart, (Rel(), Rel()))
+    rho3 = reduce_view(psi3).reduced
     _check(entry, "td_hybrid2_vs_hybrid3", "EXACT", trace_distance(rho2, rho3), 1e-8)
 
     if ell > 0:
-        mixed = key_slot_hadamard(psi2, 1, lam).prune(1e-12)
-
-        def rewrite(lab):
-            rel, h = lab
-            sel = _unique_subset(rel, ell, h, n, lam)
-            rest = list(rel.pairs)
-            for p in sel:
-                rest.remove(p)
-            return (Rel(sel), Rel(rest))
-
-        walked = label_rewrite(mixed, rewrite)
+        # each slice weighs 2^(-lam/2) in hybrid 2
+        mixed = hadamard.state(scale=2.0**-lam).prune(1e-12)
+        del hadamard
+        walked = _split_by_prefix_xor(mixed, ell, n, lam)
         _check(entry, "isometry_state_match", "EXACT", walked.max_diff(psi3), 1e-8)
 
     # end-to-end Monte Carlo against independent oracles
@@ -483,7 +495,7 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
 
 def _pru1_break(p: Pru1Params) -> ExperimentReport:
     seed, n, lam, trials, copies_per_key = p.seed, p.n, p.lam, p.trials, p.copies_per_key
-    rep = ExperimentReport("exp_pru1", seed, p.recorded("ell", "t"))
+    rep = ExperimentReport("exp_pru1", seed, p.recorded())
     rep.notes.append("key search by per-key SWAP-test batteries on prepared Choi states")
     rep.notes.append(
         "the two-query arm uses the best single-call preparation (pre X^k); the construction is not of that form"
@@ -679,13 +691,13 @@ def _oracle_experiment(rep, game, p, point, mc_seed):
 
 
 def exp_prs(p: PrsParams) -> ExperimentReport:
-    rep = ExperimentReport("exp_prs", p.seed, p.recorded("scaling"))
+    rep = ExperimentReport("exp_prs", p.seed, p.recorded())
     rep.notes.append("t keyed copies plus s oracle queries vs independent Haar-state copies")
     return _oracle_experiment(rep, _prs_game(p.t, p.s), p, {"t": p.t, "s": p.s}, p.seed + 3)
 
 
 def exp_prfs(p: PrfsParams) -> ExperimentReport:
-    rep = ExperimentReport("exp_prfs", p.seed, p.recorded("scaling"))
+    rep = ExperimentReport("exp_prfs", p.seed, p.recorded())
     rep.notes.append("classical-query function-state oracle vs per-input independent Haar states")
     return _oracle_experiment(rep, _prfs_game(p.m_in, p.t), p, {"m_in": p.m_in, "t": p.t}, p.seed + 4)
 
@@ -705,7 +717,7 @@ class CfBoundParams(Params):
 def exp_cf_bound(p: CfBoundParams) -> ExperimentReport:
     seed, n_max, ell_max, smax = p.seed, p.n_max, p.ell_max, p.smax
     sample_count, exhaustive_cap = p.samples, p.exhaustive_cap
-    rep = ExperimentReport("exp_cf_bound", seed, p.recorded("exhaustive_cap"))
+    rep = ExperimentReport("exp_cf_bound", seed, p.recorded())
     rep.notes.append("set-size lower bound 2^n - l*|S|^{2l}*2^{n-lam}; zero violations required")
     rep.notes.append(
         "cells beyond the exhaustive cap are covered by the vacuity argument plus seeded sampling"
@@ -807,24 +819,40 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
     rng = trial_rng(seed, 50_000 + n)
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("G")))
     desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
-    # psi2 is built whole: the label surgery below reads every key
-    psi2 = run_pr(prog, {"G": desc_g}, (Rel(), KeyInit(lam)))
-    rho2 = reduce_view(psi2).reduced
+    psi3 = run_pr(prog, {"G": haar_slot(n, slot=0)}, (Rel(),))
+    rho3 = reduce_view(psi3).reduced
+    augmented = _augmented_part(psi3, N, lam, t, ell)
 
-    good = project_good(psi2, label_mask(psi2, lambda labels: corx_count(labels, 0, 1) == ell))
+    # the keyed side runs one key at a time, since its surgery reads the key
+    # (lab[-1]) and never writes it; a slice weighs 2^(-lam/2) in psi2, and
+    # the augmented parts are at the whole state's scale
+    views, overlap = {}, 0.0
+    for k, state in key_slices(prog, {"G": desc_g}, (Rel(), KeyInit(lam))):
+        good = project_good(state, label_mask(state, lambda labels: corx_count(labels, 0, 1) == ell))
+        psi2p, psi3p = _split_surgery(good), augmented(k)
+        overlap += psi2p.inner(psi3p)
+        for name, st in (("rho2", state), ("good", good), ("psi2p", psi2p), ("psi3p", psi3p)):
+            views[name] = views.get(name, 0) + reduce_view(st).reduced.entries
+        del state, good, psi2p, psi3p
+    rho2, v_good, v_psi2p = (DensityMatrix(views[name] * 2.0**-lam, n) for name in ("rho2", "good", "psi2p"))
+    v_psi3p = DensityMatrix(views["psi3p"], n)
 
+    fid = 2.0 ** (-lam / 2.0) * abs(overlap)
+    _check_ge(entry, "fidelity", "EXACT", fid, math.sqrt(1.0 - (t * t + t * ell) / N) - 1e-9)
+    _check(entry, "reduced_view_invariance_split", "EXACT", trace_distance(v_psi2p, v_good), 1e-8)
+    _check(entry, "reduced_view_invariance_augment", "EXACT", trace_distance(v_psi3p, rho3), 1e-8)
+    entry["point"]["td_sides"] = float(trace_distance(rho2, rho3))
+    return rep
+
+
+def _split_surgery(good):
+    """The label chain of one key slice: (Rel, k) -> (MSet[(x, y)], MSet[z], k)."""
     # move the (x, z) pairs out, then the (z xor k, y) pairs
     st = partition_by_key(good, 0, lambda p, lab: any(p[1] ^ q[0] == lab[-1] for q in lab[0]))
     # slots now: (rest, selected=(x,z), key)
     st = partition_by_key(st, 0, lambda p, lab: any(p[0] ^ q[1] == lab[-1] for q in lab[1]))
     # slots: (rest(empty), (z^k,y), (x,z), key)
-    st = pair_multisets(
-        st,
-        2,
-        1,
-        3,
-        lambda ea, eb, k: ea[1] ^ k == eb[0],
-    )
+    st = pair_multisets(st, 2, 1, 3, lambda ea, eb, k: ea[1] ^ k == eb[0])
     # slots: (rest, joined MSet[(x,z,zk,y)], key)
     st = apply_injection(st, 1, lambda e, k: (e[0], e[1], e[3]), key_slot=2)
 
@@ -834,53 +862,43 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
         zs = MSet(z for (x, z, y) in joined)
         return (xy, zs, k)
 
-    psi2p = label_rewrite(st, split)
+    return label_rewrite(st, split)
 
-    # augmented plain-recording side
-    prog_v = AdversaryProgram(n=n, steps=prog.steps)
-    psi3 = run_pr(prog_v, {"G": haar_slot(n, slot=0)}, (Rel(),))
-    rho3 = reduce_view(psi3).reduced
-    aug = {}
-    for lab, vec in psi3.terms.items():
+
+def _augmented_part(psi3, N, lam, t, ell):
+    """k -> the key-k part of the augmented plain recording.
+
+    Label (Rel([(x, y)]),) of psi3 and a fresh z go to (MSet([(x, y)]),
+    MSet([z]), k) for every key k with len(corx({(x, z), (z^k, y)}, k)) ==
+    ell, with amplitude 1/sqrt((N - t) * #keys) times psi3's.
+    """
+    terms = psi3.terms
+    keys = {}  # (label, z) -> bit mask of its keys
+    for lab in terms:
         rel = lab[0]
         (x, y) = rel.pairs[0]
         for z in range(N):
             if z in rel.image:
                 continue
-            goodk = []
+            mask = 0
             for k in range(2**lam):
                 try:
                     assembled = Rel([(x, z), (z ^ k, y)])
                 except ValueError:
                     continue
                 if len(corx(assembled, k)) == ell:
-                    goodk.append(k)
-            amp = 1.0 / math.sqrt((N - t) * len(goodk))
-            for k in goodk:
-                nl = (MSet([(x, y)]), MSet([z]), k)
-                bucket = aug.setdefault(nl, {})
-                for i, a in vec.items():
-                    bucket[i] = bucket.get(i, 0) + a * amp
-    psi3p = PurifiedState(psi3.n_qubits, aug)
+                    mask |= 1 << k
+            keys[(lab, z)] = mask
 
-    fid = abs(psi2p.inner(psi3p))
-    _check_ge(entry, "fidelity", "EXACT", fid, math.sqrt(1.0 - (t * t + t * ell) / N) - 1e-9)
-    _check(
-        entry,
-        "reduced_view_invariance_split",
-        "EXACT",
-        trace_distance(reduce_view(psi2p).reduced, reduce_view(good).reduced),
-        1e-8,
-    )
-    _check(
-        entry,
-        "reduced_view_invariance_augment",
-        "EXACT",
-        trace_distance(reduce_view(psi3p).reduced, rho3),
-        1e-8,
-    )
-    entry["point"]["td_sides"] = float(trace_distance(rho2, rho3))
-    return rep
+    def part(k):
+        aug = {}
+        for (lab, z), mask in keys.items():
+            if mask >> k & 1:
+                amp = 1.0 / math.sqrt((N - t) * mask.bit_count())
+                aug[(MSet(lab[0].pairs), MSet([z]), k)] = {i: a * amp for i, a in terms[lab].items()}
+        return PurifiedState(psi3.n_qubits, aug)
+
+    return part
 
 
 # ------------------------------------------------------------------ exp_spru
@@ -899,7 +917,7 @@ def exp_spru(p: SpruParams) -> ExperimentReport:
     seed, n_block, overlap, lam_small, trials = p.seed, p.n_block, p.overlap, p.lam_small, p.trials
     layout = spru(n_block, overlap, lam_small)
     d = 2**layout.total_qubits
-    rep = ExperimentReport("exp_spru", seed, p.recorded("probes"))
+    rep = ExperimentReport("exp_spru", seed, p.recorded())
     rep.notes.append("gluing second-moment check; the bound 5k^2/2^|B| is vacuous at desk scale and labeled so")
 
     rng = trial_rng(seed, 60_000)

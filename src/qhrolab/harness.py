@@ -46,6 +46,7 @@ __all__ = [
     "ViewResult",
     "run_concrete",
     "run_pr",
+    "key_slices",
     "key_sliced_view",
     "reduce_view",
     "view_of_state",
@@ -293,25 +294,35 @@ def _written_slots(oracle):
     return set()
 
 
-def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=None, mask=None):
-    """(view, good mass) of run_pr(program, bindings, init_label), one key at a time.
+def key_slices(program: AdversaryProgram, bindings: dict, init_label):
+    """(k, run_pr(...) with the one KeyInit(lam) slot of init_label holding k), for each key.
 
-    The one KeyInit(lam) slot of init_label is only read, by key Pauli layers
-    and classical inputs, so the purified state is a direct sum of orthogonal
-    per-key branches: its view, and its mass on the labels that pass the
-    column test `mask` (see relstate.label_mask), are 2^-lam times the
-    per-key sums. Each key runs with the slot holding the plain int k and is
-    reduced and freed before the next. The mass is None without a mask.
-    ValueError if an oracle records into, avoids or transcribes the key slot.
+    The key is only read, by key Pauli layers and classical inputs, so the
+    purified state of init_label is 2^(-lam/2) times the direct sum of these
+    orthogonal per-key branches. Each slice is run when it is asked for, so
+    a consumer that drops a slice before asking for the next never holds
+    two. ValueError, before any slice runs, if an oracle records into,
+    avoids or transcribes the key slot.
     """
     slot, lam = _key_slot(init_label)
     width = len(init_label)
     for name, oracle in bindings.items():
         if slot in {s % width for s in _written_slots(oracle)}:
             raise ValueError(f"oracle {name!r} writes key slot {slot}; it cannot be sliced by key")
+    return ((k, run_pr(program, bindings, init_label[:slot] + (k,) + init_label[slot + 1 :])) for k in range(2**lam))
+
+
+def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=None, mask=None, each=None):
+    """(view, good mass) of run_pr(program, bindings, init_label), one key at a time.
+
+    The view, and the mass on the labels that pass the column test `mask`
+    (see relstate.label_mask), are 2^-lam times the sums over key_slices;
+    each slice is reduced, handed to each(k, slice) if given, and freed
+    before the next. The mass is None without a mask.
+    """
+    _, lam = _key_slot(init_label)
     acc, mass = None, 0.0
-    for k in range(2**lam):
-        state = run_pr(program, bindings, init_label[:slot] + (k,) + init_label[slot + 1 :])
+    for k, state in key_slices(program, bindings, init_label):
         view = reduce_view(state, keep).reduced
         if acc is None:
             acc = view.entries
@@ -319,6 +330,8 @@ def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=
             acc += view.entries
         if mask is not None:
             mass += good_mass(state, label_mask(state, mask))
+        if each is not None:
+            each(k, state)
         del state
     acc *= 2.0**-lam
     return DensityMatrix(acc, view.qubit_count), mass * 2.0**-lam if mask is not None else None

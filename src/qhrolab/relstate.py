@@ -49,7 +49,8 @@ __all__ = [
     "project_good",
     "good_mass",
     "label_rewrite",
-    "key_slot_hadamard",
+    "KeyHadamard",
+    "gather_pairs",
     "partition_by_key",
     "apply_injection",
     "pair_multisets",
@@ -304,6 +305,64 @@ def _decode(schema, rows, objs):
         a, b = _slot_span(schema, s)
         cols.append(_slot_values(spec, rows[:, a:b], objs))
     return list(zip(*cols)) if cols else [()] * len(rows)
+
+
+_Table = namedtuple("_Table", "schema rows objs")  # a label table without entries
+
+
+def _rel_widths(spec):
+    return (spec[1],) if spec[0] == "rel" else spec[1]
+
+
+def _widen(spec, block, widths):
+    """A rel or fam block with each relation padded with PAD to `widths`."""
+    parts, start = [np.zeros((len(block), 0), dtype=np.int64)], 0
+    for w, want in zip(_rel_widths(spec), widths):
+        part = np.full((len(block), want), PAD, dtype=np.int64)
+        part[:, :w] = block[:, start : start + w]
+        parts.append(part)
+        start += w
+    return np.hstack(parts)
+
+
+def _joint_rows(a, b):
+    """(schema, rows of a, rows of b, objs): two label tables in one layout.
+
+    Relation blocks are padded to the wider table, and object ids index one
+    object table (a's ids are kept; b's are remapped once per distinct
+    object). A slot laid out differently otherwise holds object ids on both
+    sides. None if the labels differ in slot count.
+    """
+    if len(a.schema) != len(b.schema):
+        return None
+    objs = list(a.objs)
+    index = {o: i for i, o in enumerate(objs)}
+    remap = np.array([_intern_obj(objs, index, o) for o in b.objs], dtype=np.int64)
+
+    def obj_ids(spec, block, own_objs, remap=None):
+        if spec[0] == "obj":
+            return block if remap is None else remap[block]
+        values = _slot_values(spec, block, own_objs)
+        return np.array([_intern_obj(objs, index, v) for v in values], dtype=np.int64).reshape(-1, 1)
+
+    schema = []
+    cols_a, cols_b = [np.zeros((len(a.rows), 0), dtype=np.int64)], [np.zeros((len(b.rows), 0), dtype=np.int64)]
+    for s, (sa, sb) in enumerate(zip(a.schema, b.schema)):
+        ba = a.rows[:, slice(*_slot_span(a.schema, s))]
+        bb = b.rows[:, slice(*_slot_span(b.schema, s))]
+        if sa[0] == sb[0] in ("rel", "fam") and len(_rel_widths(sa)) == len(_rel_widths(sb)):
+            widths = tuple(map(max, _rel_widths(sa), _rel_widths(sb)))
+            spec = ("rel", widths[0]) if sa[0] == "rel" else ("fam", widths)
+            ba, bb = _widen(sa, ba, widths), _widen(sb, bb, widths)
+        elif sa == sb == ("int",):
+            spec = sa
+        else:
+            spec = ("obj",)
+            ba, bb = obj_ids(sa, ba, a.objs), obj_ids(sb, bb, b.objs, remap)
+        schema.append(spec)
+        cols_a.append(ba)
+        cols_b.append(bb)
+    return tuple(schema), np.hstack(cols_a), np.hstack(cols_b), objs
 
 
 def _digits(col, digit):
@@ -577,10 +636,14 @@ class PurifiedState:
         return self._with_entries(*_merge(n, _key(n, self.label_ids, idx), self.amplitudes * phase[inv]))
 
     def _common_ids(self, other):
-        """Label ids of both states in one shared numbering (self keeps its own)."""
-        ids = {lab: i for i, lab in enumerate(self.labels())}
-        other_ids = [ids.setdefault(lab, len(ids)) for lab in other.labels()]
-        return np.arange(self.label_count()), np.array(other_ids, dtype=np.int64)
+        """Label ids of both states in one numbering: their stacked label rows, interned."""
+        na, nb = self.label_count(), other.label_count()
+        joint = _joint_rows(self, other) if na and nb else None
+        if joint is None:
+            return np.arange(na), np.arange(na, na + nb)
+        _, a, b, _ = joint
+        _, inv = _intern(np.vstack([a, b]))
+        return inv[:na], inv[na:]
 
     def _entry_keys(self, ids):
         return (ids[self.label_ids] << self.n_qubits) | self.indices
@@ -594,8 +657,10 @@ class PurifiedState:
 
     def max_diff(self, other):
         """Largest amplitude difference over the union of labels/entries."""
+        if other.n_qubits != self.n_qubits:
+            raise ValueError("register mismatch")
         ia, ib = self._common_ids(other)
-        n = max(self.n_qubits, other.n_qubits)
+        n = self.n_qubits
         keys = np.concatenate([(ia[self.label_ids] << n) | self.indices, (ib[other.label_ids] << n) | other.indices])
         if not len(keys):
             return 0.0
@@ -983,10 +1048,8 @@ def good_keys(rel, fold: int, key_count: int):
     return {k for k in range(key_count) if len(corx(rel, k)) == fold}
 
 
-# Column tests read a label table (`schema` and `rows`): a whole state, or
-# one bounded run of its labels as label_mask hands it out.
-
-_LabelRun = namedtuple("_LabelRun", "schema rows")
+# Column tests read a label table (`schema`, `rows` and `objs`): a whole
+# state, or one bounded run of its labels as label_mask hands it out.
 
 
 def label_mask(state, test):
@@ -994,7 +1057,7 @@ def label_mask(state, test):
     so that the column temporaries stay small."""
     keep = np.empty(state.label_count(), dtype=bool)
     for lo in range(0, len(keep), _MASK_LABELS):
-        keep[lo : lo + _MASK_LABELS] = test(_LabelRun(state.schema, state.rows[lo : lo + _MASK_LABELS]))
+        keep[lo : lo + _MASK_LABELS] = test(_Table(state.schema, state.rows[lo : lo + _MASK_LABELS], state.objs))
     return keep
 
 
@@ -1038,6 +1101,14 @@ def label_rewrite(state, rewriter, check_injective=True):
     make the rewrite non-isometric.
     """
     schema, rows, objs = _encode([tuple(rewriter(lab)) for _, labels in state.label_chunks() for lab in labels])
+    return _relabel(state, schema, rows, objs, check_injective)
+
+
+def _relabel(state, schema, rows, objs, check_injective=True):
+    """The state with label i moved to row i of the label table (schema, rows, objs).
+
+    Consumes `rows`. With check_injective, raises if two labels meet.
+    """
     table, inv = _intern(rows)
     n = state.n_qubits
     if check_injective and len(table) < len(inv):
@@ -1047,38 +1118,97 @@ def label_rewrite(state, rewriter, check_injective=True):
     return state._make(schema, table, objs, *entries)
 
 
-def key_slot_hadamard(state, key_slot, lam):
-    """Hadamard transform of an integer key slot (2^lam keys).
+def gather_pairs(state, slot, positions):
+    """Relabel every label to Rel slots gathered from the pairs of its Rel slot `slot`.
 
-    Entries are grouped by (label without the key, index); each group is a
-    vector over the key values present and goes through the signed
-    2^(-lam/2) (-1)^{h.k} matrix in bounded blocks. Amplitudes of modulus
-    <= 1e-14 are dropped, and so are labels left without entries.
+    positions holds one (labels, width) int array per new slot, increasing
+    along each row: new slot i of a label holds the pairs at its row of
+    positions[i] (a position that holds padding adds nothing). Every
+    other slot is dropped. Amplitude vectors are untouched; raises if two
+    labels meet.
     """
-    n = state.n_qubits
-    if not state.entry_count():
-        return state.select_labels(np.zeros(state.label_count(), dtype=bool))
-    a, _ = _slot_span(state.schema, key_slot)
-    keys, kinv = np.unique(_int_column(state.schema, state.rows, key_slot), return_inverse=True)
-    rests, rinv = _intern(np.delete(state.rows, a, axis=1))
-    groups, ginv = np.unique((rinv[state.label_ids] << n) | state.indices, return_inverse=True)
-    signs = np.where(_parity(keys[:, None] & np.arange(2**lam)[None, :]), -1.0, 1.0)
-    signs *= 2 ** (-lam / 2.0)
-    out_rest, out_h, out_idx, out_amp = [], [], [], []
-    for g0, g1, sel in _group_batches(ginv, len(groups), max(len(keys), 2**lam)):
-        block = np.zeros((g1 - g0, len(keys)), dtype=complex)
-        block[ginv[sel] - g0, kinv[state.label_ids[sel]]] = state.amplitudes[sel]
-        acc = block @ signs
-        gi, h = np.nonzero(np.abs(acc) > 1e-14)
-        out_rest.append(groups[g0 + gi] >> n)
-        out_idx.append(groups[g0 + gi] & ((1 << n) - 1))
-        out_h.append(h)
-        out_amp.append(acc[gi, h])
-    rest, h = np.concatenate(out_rest), np.concatenate(out_h)
-    pairs, lab = np.unique((rest << lam) | h, return_inverse=True)
-    table = np.insert(rests[pairs >> lam], a, pairs & ((1 << lam) - 1), axis=1)
-    entries = _merge(n, _key(n, lab, np.concatenate(out_idx)), np.concatenate(out_amp))
-    return state._make(state.schema, table, state.objs, *entries)
+    a, b = _rel_span(state.schema, slot)
+    blocks = [np.take_along_axis(state.rows[:, a:b], np.asarray(p, dtype=np.int64), axis=1) for p in positions]
+    rows = np.hstack([np.zeros((state.label_count(), 0), dtype=np.int64), *blocks])
+    return _relabel(state, tuple(("rel", blk.shape[1]) for blk in blocks), rows, [])
+
+
+class KeyHadamard:
+    """Hadamard transform of an integer key slot (2^lam keys), added one key slice at a time.
+
+    add(k, state_k) takes the branch of key k: a state whose labels all hold
+    k in the key slot. Label (rest, h) of state() holds
+    scale * sum_k (-1)^{h.k} state_k(rest), rest being a label without its
+    key. The sum is kept in a dense (2^lam, groups) block over the groups
+    (rest, index) met so far; the block grows by the union of the slice
+    supports, so a caller that frees each slice after adding it never holds
+    the whole keyed state.
+    """
+
+    def __init__(self, key_slot, lam):
+        self.key_slot, self.lam = key_slot, lam
+        self.table = self.groups = self.acc = None
+
+    def add(self, k, state):
+        lam, n = self.lam, state.n_qubits
+        if not 0 <= k < 2**lam or np.any(_int_column(state.schema, state.rows, self.key_slot) != k):
+            raise ValueError(f"key slice {k} holds labels of another key")
+        slot = range(len(state.schema))[self.key_slot]
+        a, _ = _slot_span(state.schema, slot)
+        rest = _Table(state.schema[:slot] + state.schema[slot + 1 :], np.delete(state.rows, a, axis=1), state.objs)
+        if self.table is None:
+            self.n, self.slot, self.entry_cap = n, slot, state.entry_cap
+            joint = rest.schema, rest.rows[:0], rest.rows, list(rest.objs)
+        elif n != self.n or slot != self.slot:
+            raise ValueError("key slices differ in register or key slot")
+        else:
+            joint = _joint_rows(self.table, rest)
+            if joint is None:
+                raise ValueError("key slices differ in label slots")
+        schema, old_rows, new_rows, objs = joint
+        rows, inv = _intern(np.vstack([old_rows, new_rows]))
+        self.table = _Table(schema, rows, objs)
+        old = len(old_rows)
+        new_groups = _key(n, inv[old:][state.label_ids], state.indices)
+        if self.groups is None:
+            old_groups = new_groups[:0]
+        else:
+            old_groups = _key(n, inv[:old][self.groups >> n], self.groups & ((1 << n) - 1))
+        groups = np.concatenate([old_groups, new_groups])
+        groups.sort()
+        groups = groups[np.concatenate(([True], groups[1:] != groups[:-1]))]
+        if self.acc is None or not np.array_equal(groups, old_groups):
+            acc = np.zeros((2**lam, len(groups)), dtype=complex)
+            if self.acc is not None:
+                acc[:, np.searchsorted(groups, old_groups)] = self.acc
+            self.acc = acc
+        self.groups = groups
+        at = np.searchsorted(groups, new_groups)
+        for h, odd in enumerate(_parity(np.arange(2**lam) & k).tolist()):
+            if odd:
+                self.acc[h, at] -= state.amplitudes
+            else:
+                self.acc[h, at] += state.amplitudes
+
+    def state(self, scale=None):
+        """The transformed state; scale defaults to 2^(-lam/2), the transform of
+        the sum of the slices (the slices of a uniform key, harness.key_slices,
+        weigh 2^(-lam/2) each: pass 2^-lam). Amplitudes of modulus <= 1e-14
+        are dropped, and so are labels left without entries."""
+        if self.table is None:
+            raise ValueError("no key slice was added")
+        lam, n = self.lam, self.n
+        amp = self.acc * (2.0 ** (-lam / 2.0) if scale is None else scale)
+        h, g = np.nonzero(np.abs(amp) > 1e-14)
+        amp = amp[h, g]
+        labs, lab = np.unique(((self.groups[g] >> n) << lam) | h, return_inverse=True)
+        a = sum(_width(spec) for spec in self.table.schema[: self.slot])
+        rows = np.insert(self.table.rows[labs >> lam], a, labs & ((1 << lam) - 1), axis=1)
+        schema = self.table.schema[: self.slot] + (("int",),) + self.table.schema[self.slot :]
+        entries = _merge(n, _key(n, lab, self.groups[g] & ((1 << n) - 1)), amp)
+        out = object.__new__(PurifiedState)
+        out._set(n, schema, rows, tuple(self.table.objs), *entries, self.entry_cap)
+        return out
 
 
 def partition_by_key(state, source_slot, selector, check_injective=True):

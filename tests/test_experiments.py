@@ -1,6 +1,7 @@
 """Experiment registry: small-scale runs, determinism, and input validation."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -10,10 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhrolab import experiments, harness, relstate
-from qhrolab.constructions import haar_slot
+from qhrolab.constructions import haar_slot, pru_one_query, pru_two_query
 from qhrolab.experiments import EXPERIMENTS, SLACK, run_experiment
-from qhrolab.harness import ClassicalPROracle, KeyInit, key_sliced_view, reduce_view, run_pr
-from qhrolab.relstate import Rel, corx, label_mask, project_good
+from qhrolab.harness import (
+    AdversaryProgram,
+    ClassicalPROracle,
+    KeyInit,
+    QuantumQuery,
+    haar_interleave,
+    key_sliced_view,
+    reduce_view,
+    run_pr,
+)
+from qhrolab.linalg import trace_distance, trial_rng
+from qhrolab.relstate import CFParams, MSet, Rel, corx, label_mask, project_good
 
 
 def checks_by_name(report):
@@ -280,9 +291,11 @@ def test_split_augment_corx_mask_matches_predicate(monkeypatch):
 
     monkeypatch.setattr(experiments, "project_good", recording)
     run_experiment("exp_split_augment", {"seed": 9})
-    (state, keep), = projected
-    assert np.array_equal(keep, predicate_mask(state, old_corx_good(1)))
-    assert 0 < keep.sum() < state.label_count()
+    # one projection per key slice
+    assert len(projected) == 2**3
+    for state, keep in projected:
+        assert np.array_equal(keep, predicate_mask(state, old_corx_good(1)))
+        assert 0 < keep.sum() < state.label_count()
 
 
 def test_record_point_reduces_no_full_keyed_state(monkeypatch):
@@ -307,7 +320,204 @@ def test_record_point_reduces_no_full_keyed_state(monkeypatch):
     assert max(entries) < 53_760 and ideal == 18_816
 
 
+# ------------------------- exp_pru1 and exp_split_augment against their whole keyed states
+#
+# Both experiments now run hybrid 2 one key at a time. The whole-state path
+# they replaced lives on here as their differential oracle: the old
+# key_slot_hadamard, _unique_subset and Python rewrite of exp_pru1, and the
+# old body of exp_split_augment.
+
+
+def whole_key_slot_hadamard(state, key_slot, lam):
+    """The whole-state key-Hadamard transform that KeyHadamard replaced."""
+    n = state.n_qubits
+    a, _ = relstate._slot_span(state.schema, key_slot)
+    keys, kinv = np.unique(relstate._int_column(state.schema, state.rows, key_slot), return_inverse=True)
+    rests, rinv = relstate._intern(np.delete(state.rows, a, axis=1))
+    groups, ginv = np.unique((rinv[state.label_ids] << n) | state.indices, return_inverse=True)
+    signs = np.where(relstate._parity(keys[:, None] & np.arange(2**lam)[None, :]), -1.0, 1.0)
+    signs *= 2 ** (-lam / 2.0)
+    out_rest, out_h, out_idx, out_amp = [], [], [], []
+    for g0, g1, sel in relstate._group_batches(ginv, len(groups), max(len(keys), 2**lam)):
+        block = np.zeros((g1 - g0, len(keys)), dtype=complex)
+        block[ginv[sel] - g0, kinv[state.label_ids[sel]]] = state.amplitudes[sel]
+        acc = block @ signs
+        gi, h = np.nonzero(np.abs(acc) > 1e-14)
+        out_rest.append(groups[g0 + gi] >> n)
+        out_idx.append(groups[g0 + gi] & ((1 << n) - 1))
+        out_h.append(h)
+        out_amp.append(acc[gi, h])
+    rest, h = np.concatenate(out_rest), np.concatenate(out_h)
+    pairs, lab = np.unique((rest << lam) | h, return_inverse=True)
+    table = np.insert(rests[pairs >> lam], a, pairs & ((1 << lam) - 1), axis=1)
+    entries = relstate._merge(n, relstate._key(n, lab, np.concatenate(out_idx)), np.concatenate(out_amp))
+    return state._make(state.schema, table, state.objs, *entries)
+
+
+def old_unique_subset(rel, ell, h, n, lam):
+    hits = []
+    for comb in itertools.combinations(rel.pairs, ell):
+        acc = 0
+        for (_, y) in comb:
+            acc ^= y >> (n - lam)
+        if acc == h:
+            hits.append(comb)
+    if len(hits) != 1:
+        raise ValueError("prefix-XOR subset is not unique; collision-freeness violated")
+    return hits[0]
+
+
+def dict_max_diff(a, b):
+    """max_diff over the decoded terms, label by label."""
+    ta, tb = a.terms, b.terms
+    return max(
+        (
+            abs(ta.get(lab, {}).get(i, 0) - tb.get(lab, {}).get(i, 0))
+            for lab in set(ta) | set(tb)
+            for i in set(ta.get(lab, {})) | set(tb.get(lab, {}))
+        ),
+        default=0.0,
+    )
+
+
+def whole_pru1(seed, n, lam, t, ell):
+    """(TD(rho2, rho3), mixed, walked, psi3) of exp_pru1 secure on the whole keyed psi2."""
+    cf = CFParams(max(ell, 1), lam, n)
+    prog = experiments._pru1_program(n, t, ell, trial_rng(seed, 30_000 + n))
+    desc_g = dataclasses.replace(pru_one_query(n, lam, slot=0, cf=cf), key_slot=1)
+    keyed, apart = experiments._hybrid_bindings(n, desc_g, cf)
+    psi2, psi3 = run_pr(prog, keyed, (Rel(), KeyInit(lam))), run_pr(prog, apart, (Rel(), Rel()))
+    td = trace_distance(reduce_view(psi2).reduced, reduce_view(psi3).reduced)
+    mixed = whole_key_slot_hadamard(psi2, 1, lam).prune(1e-12)
+
+    def rewrite(lab):
+        rel, h = lab
+        sel = old_unique_subset(rel, ell, h, n, lam)
+        rest = list(rel.pairs)
+        for p in sel:
+            rest.remove(p)
+        return (Rel(sel), Rel(rest))
+
+    return td, mixed, relstate.label_rewrite(mixed, rewrite), psi3
+
+
+@pytest.mark.parametrize("n,lam,t,ell", [(3, 3, 3, 1), (3, 2, 3, 1), (2, 2, 2, 2), (3, 3, 3, 2)])
+def test_pru1_sliced_matches_whole_state(monkeypatch, n, lam, t, ell):
+    split, original = [], experiments._split_by_prefix_xor
+
+    def recording(mixed, *args):
+        walked = original(mixed, *args)
+        split.append((mixed, walked))
+        return walked
+
+    monkeypatch.setattr(experiments, "_split_by_prefix_xor", recording)
+    cs = checks_by_name(run_experiment("exp_pru1", {"seed": 3, "n": n, "lam": lam, "t": t, "ell": ell, "trials": 2}))
+    td, mixed, walked, psi3 = whole_pru1(3, n, lam, t, ell)
+    ((mixed_sliced, walked_sliced),) = split
+    assert dict_max_diff(mixed_sliced, mixed) <= 1e-12
+    assert dict_max_diff(walked_sliced, walked) <= 1e-12
+    assert abs(cs["td_hybrid2_vs_hybrid3"][0]["value"] - td) <= 1e-12
+    assert abs(cs["isometry_state_match"][0]["value"] - dict_max_diff(walked, psi3)) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [0, 1])
+def test_prefix_xor_split_needs_a_unique_subset(h):
+    # both outputs have prefix 0: two subsets give h = 0, none gives h = 1
+    rel = Rel([(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="not unique"):
+        old_unique_subset(rel, 1, h, 2, 1)
+    with pytest.raises(ValueError, match="not unique"):
+        experiments._split_by_prefix_xor(relstate.PurifiedState(2, {(rel, h): {0: 1.0}}), 1, 2, 1)
+
+
+def whole_split_augment(seed, n):
+    """(fidelity, split TD, augment TD, td_sides) of exp_split_augment on the whole keyed psi2."""
+    N, lam, t, ell = 2**n, n, 1, 1
+    rng = trial_rng(seed, 50_000 + n)
+    prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("G")))
+    desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
+    psi2 = run_pr(prog, {"G": desc_g}, (Rel(), KeyInit(lam)))
+    rho2 = reduce_view(psi2).reduced
+    good = project_good(psi2, predicate_mask(psi2, old_corx_good(ell)))
+    psi2p = experiments._split_surgery(good)
+    psi3 = run_pr(prog, {"G": haar_slot(n, slot=0)}, (Rel(),))
+    rho3 = reduce_view(psi3).reduced
+    aug = {}
+    for lab, vec in psi3.terms.items():
+        rel = lab[0]
+        (x, y) = rel.pairs[0]
+        for z in range(N):
+            if z in rel.image:
+                continue
+            goodk = []
+            for k in range(2**lam):
+                try:
+                    assembled = Rel([(x, z), (z ^ k, y)])
+                except ValueError:
+                    continue
+                if len(corx(assembled, k)) == ell:
+                    goodk.append(k)
+            amp = 1.0 / math.sqrt((N - t) * len(goodk))
+            for k in goodk:
+                bucket = aug.setdefault((MSet([(x, y)]), MSet([z]), k), {})
+                for i, a in vec.items():
+                    bucket[i] = bucket.get(i, 0) + a * amp
+    psi3p = relstate.PurifiedState(psi3.n_qubits, aug)
+    return (
+        abs(psi2p.inner(psi3p)),
+        trace_distance(reduce_view(psi2p).reduced, reduce_view(good).reduced),
+        trace_distance(reduce_view(psi3p).reduced, rho3),
+        trace_distance(rho2, rho3),
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_split_augment_sliced_matches_whole_state(n):
+    rep = run_experiment("exp_split_augment", {"seed": 9, "n": n})
+    cs = checks_by_name(rep)
+    fid, split, augment, td_sides = whole_split_augment(9, n)
+    assert abs(cs["fidelity"][0]["value"] - fid) <= 1e-12
+    assert abs(cs["reduced_view_invariance_split"][0]["value"] - split) <= 1e-12
+    assert abs(cs["reduced_view_invariance_augment"][0]["value"] - augment) <= 1e-12
+    assert abs(rep.grid[0]["point"]["td_sides"] - td_sides) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,params,lam",
+    [
+        ("exp_pru1", {"seed": 3, "trials": 2}, 3),
+        ("exp_pru1", {"seed": 3, "n": 3, "lam": 2, "ell": 2, "trials": 2}, 2),
+        ("exp_split_augment", {"seed": 9}, 3),
+    ],
+)
+def test_no_whole_keyed_state_is_built(monkeypatch, name, params, lam):
+    calls = []
+
+    def recording(program, bindings, init_label):
+        state = run_pr(program, bindings, init_label)
+        calls.append((program, bindings, init_label, state.entry_count()))
+        return state
+
+    monkeypatch.setattr(harness, "run_pr", recording)
+    monkeypatch.setattr(experiments, "run_pr", recording)
+    run_experiment(name, params)
+    assert not any(isinstance(slot, KeyInit) for _, _, init, _ in calls for slot in init)
+    program, bindings, init, _ = next(c for c in calls if isinstance(c[2][-1], int))
+    whole = run_pr(program, bindings, init[:-1] + (KeyInit(lam),)).entry_count()
+    assert max(count for *_, count in calls) <= whole / 2**lam
+
+
 # ------------------------------------------------------------ parameter schemas
+
+
+def test_report_params_record_every_field():
+    small = {"seed": 3, "n_max": 3, "smax": 2, "samples": 5}
+    reports = [run_experiment("exp_cf_bound", {**small, "exhaustive_cap": cap}) for cap in (60000, 10)]
+    assert [r.params["exhaustive_cap"] for r in reports] == [60000, 10]
+    assert reports[0].params != reports[1].params
+    for name, d in EXPERIMENTS.items():
+        fields = {f.name for f in dataclasses.fields(d.schema)} - {"seed"}
+        assert set(d.schema.parse({"seed": 3}).recorded()) == fields
 
 
 def test_pru1_lam_defaults_to_n():

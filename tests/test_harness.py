@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qhrolab import harness
 from qhrolab.constructions import haar_slot, pru_two_query
 from qhrolab.harness import (
     AdversaryProgram,
@@ -21,6 +22,7 @@ from qhrolab.harness import (
     haar_view_mc,
     identity_interleave,
     key_sliced_view,
+    key_slices,
     phased_permutation_interleave,
     reduce_view,
     run_concrete,
@@ -319,6 +321,17 @@ def test_key_slicing_refuses_oracles_that_write_the_key(oracle):
     prog, bindings = sliced_setup()
     with pytest.raises(ValueError, match="key slot"):
         key_sliced_view(prog, {**bindings, "W": oracle}, (Rel(), KeyInit(2), ()))
+
+
+def test_key_slices_refuse_before_running_a_slice(monkeypatch):
+    prog, bindings = sliced_setup()
+
+    def unreachable(*args):
+        raise AssertionError("a slice ran")
+
+    monkeypatch.setattr(harness, "run_pr", unreachable)
+    with pytest.raises(ValueError, match="key slot"):
+        key_slices(prog, {**bindings, "W": writes_key(rel_slot=1)}, (Rel(), KeyInit(2), ()))
 
 
 @pytest.mark.parametrize("init", [(Rel(), 0), (Rel(), KeyInit(1), KeyInit(1)), ()])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qhrolab import relstate
 from qhrolab.relstate import (
     CFParams,
+    KeyHadamard,
     MSet,
     PurifiedState,
     Rel,
@@ -20,10 +21,10 @@ from qhrolab.relstate import (
     cf_set,
     corx,
     corx_count,
+    gather_pairs,
     good_keys,
     is_collision_free,
     key_column,
-    key_slot_hadamard,
     label_rewrite,
     merge_partition,
     pair_multisets,
@@ -304,10 +305,38 @@ def test_label_rewrite_injective_only():
         label_rewrite(st0, lambda lab: ("same",))
 
 
+def key_slot_hadamard(state, key_slot, lam):
+    """The key-Hadamard transform of a whole state, added key slice by key slice."""
+    hadamard = KeyHadamard(key_slot, lam)
+    key = key_column(state, key_slot)
+    for k in np.unique(key).tolist():
+        hadamard.add(k, state.select_labels(key == k))
+    return hadamard.state()
+
+
 def test_key_slot_hadamard_involution():
     st0 = two_label_state()
     back = key_slot_hadamard(key_slot_hadamard(st0, 1, 1), 1, 1)
     assert back.max_diff(st0) <= 1e-12
+
+
+def test_key_hadamard_rejects_a_slice_of_another_key():
+    hadamard = KeyHadamard(1, 1)
+    with pytest.raises(ValueError, match="another key"):
+        hadamard.add(0, two_label_state())
+    with pytest.raises(ValueError, match="no key slice"):
+        hadamard.state()
+
+
+def test_gather_pairs_regroups_a_relation():
+    st0 = PurifiedState(1, {(Rel([(0, 1), (2, 3), (4, 5)]), 9): {0: 0.6}, (Rel([(0, 1), (6, 7)]), 9): {1: 0.8}})
+    out = gather_pairs(st0, 0, [[[0, 2], [0, 1]], [[1], [2]]])
+    assert dict(out.terms) == {
+        (Rel([(0, 1), (4, 5)]), Rel([(2, 3)])): {0: 0.6},
+        (Rel([(0, 1), (6, 7)]), Rel()): {1: 0.8},
+    }
+    with pytest.raises(ValueError, match="not injective"):
+        gather_pairs(st0, 0, [[[0], [0]]])
 
 
 def test_partition_merge_roundtrip():
@@ -395,6 +424,51 @@ def test_purified_inner_and_diff():
     assert abs(a.max_diff(b) - 0.5) < 1e-12
     with pytest.raises(ValueError):
         a.inner(PurifiedState(2, {}))
+    with pytest.raises(ValueError, match="register mismatch"):
+        a.max_diff(PurifiedState(2, {("x",): {0: 1.0}}))
+
+
+def dict_inner_and_diff(a, b):
+    """<a|b> and max_diff(a, b) over the decoded terms, label by label."""
+    ta, tb = a.terms, b.terms
+    inner = sum(ta[lab][i].conjugate() * vec[i] for lab, vec in tb.items() if lab in ta for i in vec if i in ta[lab])
+    diffs = [
+        abs(ta.get(lab, {}).get(i, 0) - tb.get(lab, {}).get(i, 0))
+        for lab in set(ta) | set(tb)
+        for i in set(ta.get(lab, {})) | set(tb.get(lab, {}))
+    ]
+    return inner, max(diffs, default=0.0)
+
+
+@pytest.mark.parametrize(
+    "labels_a,labels_b",
+    [
+        # Rel widths 2 and 1, object tables in another order, one int slot
+        (
+            [(Rel([(0, 1)]), MSet([1]), 3), (Rel([(0, 1), (1, 2)]), "x", 4), (Rel(), "y", 4)],
+            [(Rel([(0, 1)]), MSet([1]), 3), (Rel(), "y", 4), (Rel([(1, 2)]), "x", 4)],
+        ),
+        # an int slot against an object slot holding the same ints
+        ([(Rel([(0, 1)]), 3), (Rel([(2, 1)]), 5)], [(Rel([(0, 1)]), 3), (Rel([(0, 1)]), "z")]),
+        # per-w families of other widths, and a Rel slot against a family slot
+        ([((Rel([(0, 1)]), Rel()), 0), ((Rel(), Rel([(1, 1), (2, 2)])), 0)], [((Rel([(0, 1)]), Rel()), 0)]),
+        ([(Rel([(0, 1)]),)], [((Rel([(0, 1)]),),)]),
+        # other slot counts, and an empty state
+        ([(Rel([(0, 1)]), 1)], [(Rel([(0, 1)]),)]),
+        ([(Rel([(0, 1)]), 1)], []),
+    ],
+)
+def test_inner_and_diff_match_labels_across_layouts(labels_a, labels_b):
+    rng = np.random.default_rng(5)
+
+    def state(labels):
+        return PurifiedState(2, {lab: {int(i): complex(*rng.normal(size=2)) for i in rng.choice(4, 2)} for lab in labels})
+
+    a, b = state(labels_a), state(labels_b)
+    for x, y in ((a, b), (b, a)):
+        inner, diff = dict_inner_and_diff(x, y)
+        assert abs(x.inner(y) - inner) <= 1e-12
+        assert abs(x.max_diff(y) - diff) <= 1e-12
 
 
 def test_purified_to_json_golden():

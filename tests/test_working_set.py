@@ -12,7 +12,11 @@ keyless ideal side (18,816 entries).
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +203,18 @@ def test_recording_step_peak_is_input_plus_output(monkeypatch):
     peak, size = steps[-1]
     assert size > 9e6
     assert peak < 1.5 * size
+
+
+def test_keyed_isometry_checks_leave_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma, about 1.2 MB of resident memory
+    # that no experiment needs
+    code = (
+        "import sys; from qhrolab.experiments import run_experiment; "
+        "run_experiment('exp_pru1', {'seed': 3, 'trials': 20}); "
+        "run_experiment('exp_split_augment', {'seed': 9}); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(relstate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "False"
