@@ -58,22 +58,18 @@ from .linalg import (
 from .relstate import (
     CFParams,
     KeyHadamard,
-    MSet,
     PurifiedState,
     Rel,
-    apply_injection,
     cf_count,
     cf_set,
-    corx,
     corx_count,
     gather_pairs,
     is_collision_free,
     key_column,
     label_mask,
     label_rewrite,
+    pair_codes,
     pair_columns,
-    pair_multisets,
-    partition_by_key,
     project_good,
 )
 
@@ -456,13 +452,15 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
 
     if ell > 0:
         desc_g = dataclasses.replace(pru_one_query(n, lam, slot=0, cf=cf), key_slot=1)
+        keyed, apart = _hybrid_bindings(n, desc_g, cf)
+        # hybrid 2 runs one key at a time: each slice is reduced and added into
+        # the key-Hadamard transform before it is freed
+        hadamard = KeyHadamard(1, lam)
+        rho2, _ = key_sliced_view(prog, keyed, (Rel(), KeyInit(lam)), each=hadamard.add)
     else:
-        desc_g = haar_slot(n, slot=0, cf=cf)
-    keyed, apart = _hybrid_bindings(n, desc_g, cf)
-    # hybrid 2 runs one key at a time: each slice is reduced and added into
-    # the key-Hadamard transform before it is freed
-    hadamard = KeyHadamard(1, lam)
-    rho2, _ = key_sliced_view(prog, keyed, (Rel(), KeyInit(lam)), each=hadamard.add if ell > 0 else None)
+        # G is unkeyed and never queried, so every key slice is the same run
+        keyed, apart = _hybrid_bindings(n, haar_slot(n, slot=0, cf=cf), cf)
+        rho2 = reduce_view(run_pr(prog, keyed, (Rel(), 0))).reduced
     psi3 = run_pr(prog, apart, (Rel(), Rel()))
     rho3 = reduce_view(psi3).reduced
     _check(entry, "td_hybrid2_vs_hybrid3", "EXACT", trace_distance(rho2, rho3), 1e-8)
@@ -821,11 +819,11 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
     desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
     psi3 = run_pr(prog, {"G": haar_slot(n, slot=0)}, (Rel(),))
     rho3 = reduce_view(psi3).reduced
-    augmented = _augmented_part(psi3, N, lam, t, ell)
+    augmented = _augmented_part(psi3, N, lam, t)
 
     # the keyed side runs one key at a time, since its surgery reads the key
-    # (lab[-1]) and never writes it; a slice weighs 2^(-lam/2) in psi2, and
-    # the augmented parts are at the whole state's scale
+    # and never writes it; a slice weighs 2^(-lam/2) in psi2, and the
+    # augmented parts are at the whole state's scale
     views, overlap = {}, 0.0
     for k, state in key_slices(prog, {"G": desc_g}, (Rel(), KeyInit(lam))):
         good = project_good(state, label_mask(state, lambda labels: corx_count(labels, 0, 1) == ell))
@@ -845,58 +843,53 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
     return rep
 
 
+# a split or augmented label (Rel{(x, y)}, z, k)
+_SPLIT_SCHEMA = (("rel", 1), ("int",), ("int",))
+
+
 def _split_surgery(good):
-    """The label chain of one key slice: (Rel, k) -> (MSet[(x, y)], MSet[z], k)."""
-    # move the (x, z) pairs out, then the (z xor k, y) pairs
-    st = partition_by_key(good, 0, lambda p, lab: any(p[1] ^ q[0] == lab[-1] for q in lab[0]))
-    # slots now: (rest, selected=(x,z), key)
-    st = partition_by_key(st, 0, lambda p, lab: any(p[0] ^ q[1] == lab[-1] for q in lab[1]))
-    # slots: (rest(empty), (z^k,y), (x,z), key)
-    st = pair_multisets(st, 2, 1, 3, lambda ea, eb, k: ea[1] ^ k == eb[0])
-    # slots: (rest, joined MSet[(x,z,zk,y)], key)
-    st = apply_injection(st, 1, lambda e, k: (e[0], e[1], e[3]), key_slot=2)
+    """The label chain of one key slice: (Rel{p, q}, k) -> (Rel{(x, y)}, z, k).
 
-    def split(lab):
-        rest, joined, k = lab
-        xy = MSet((x, y) for (x, z, y) in joined)
-        zs = MSet(z for (x, z, y) in joined)
-        return (xy, zs, k)
+    p = (x, z) and q = (z^k, y) are the pairs with p.y ^ q.x == k, found by
+    column tests. ValueError unless every label holds exactly two pairs, no
+    pair matches itself, and exactly one ordered pair of positions matches.
+    """
+    x, y, on = pair_columns(good, 0)
+    k = key_column(good, 1)
+    if np.any(on.sum(axis=1) != 2):
+        raise ValueError("a label does not hold exactly two pairs")
+    # the two pairs of a label are its first two positions (padding sorts last)
+    x, y = x[:, :2], y[:, :2]
+    if np.any((y ^ x) == k[:, None]):
+        raise ValueError("a pair matches itself")
+    first = (y[:, 0] ^ x[:, 1]) == k  # p at position 0 and q at 1
+    if np.any(first == ((y[:, 1] ^ x[:, 0]) == k)):
+        raise ValueError("not exactly one ordered pair of positions matches")
+    x_p, z = np.where(first, x[:, 0], x[:, 1]), np.where(first, y[:, 0], y[:, 1])
+    y_q = np.where(first, y[:, 1], y[:, 0])
+    return label_rewrite(good, _SPLIT_SCHEMA, np.stack([pair_codes(x_p, y_q), z, k], axis=1))
 
-    return label_rewrite(st, split)
 
-
-def _augmented_part(psi3, N, lam, t, ell):
+def _augmented_part(psi3, N, lam, t):
     """k -> the key-k part of the augmented plain recording.
 
-    Label (Rel([(x, y)]),) of psi3 and a fresh z go to (MSet([(x, y)]),
-    MSet([z]), k) for every key k with len(corx({(x, z), (z^k, y)}, k)) ==
-    ell, with amplitude 1/sqrt((N - t) * #keys) times psi3's.
+    Label (Rel{(x, y)},) of psi3 and a fresh z go to (Rel{(x, y)}, z, k) for
+    every key k with len(corx({(x, z), (z^k, y)}, k)) == 1, that is for z != y
+    and k not in {x^z, x^y}: 2^lam - 2 keys, with amplitude
+    1/sqrt((N - t) * (2^lam - 2)) times psi3's.
     """
-    terms = psi3.terms
-    keys = {}  # (label, z) -> bit mask of its keys
-    for lab in terms:
-        rel = lab[0]
-        (x, y) = rel.pairs[0]
-        for z in range(N):
-            if z in rel.image:
-                continue
-            mask = 0
-            for k in range(2**lam):
-                try:
-                    assembled = Rel([(x, z), (z ^ k, y)])
-                except ValueError:
-                    continue
-                if len(corx(assembled, k)) == ell:
-                    mask |= 1 << k
-            keys[(lab, z)] = mask
+    x, y, _ = pair_columns(psi3, 0)
+    x, y = x[:, 0], y[:, 0]
+    code = pair_codes(x, y)
+    z = np.arange(N)
 
     def part(k):
-        aug = {}
-        for (lab, z), mask in keys.items():
-            if mask >> k & 1:
-                amp = 1.0 / math.sqrt((N - t) * mask.bit_count())
-                aug[(MSet(lab[0].pairs), MSet([z]), k)] = {i: a * amp for i, a in terms[lab].items()}
-        return PurifiedState(psi3.n_qubits, aug)
+        fresh = (z != y[:, None]) & (z != (x ^ k)[:, None]) & ((x ^ y) != k)[:, None]
+        # every entry once per fresh z of its label; equal rows are one label
+        e, zs = np.nonzero(fresh[psi3.label_ids])
+        rows = np.stack([code[psi3.label_ids[e]], zs, np.full(len(e), k)], axis=1)
+        amp = psi3.amplitudes[e] / math.sqrt((N - t) * (2**lam - 2))
+        return PurifiedState.from_table(psi3.n_qubits, _SPLIT_SCHEMA, rows, np.arange(len(e)), psi3.indices[e], amp)
 
     return part
 

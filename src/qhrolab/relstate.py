@@ -13,7 +13,6 @@ a handful of whole-array operations (see PurifiedState).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ ENTRY_CAP = 2**24  # total stored amplitude entries across all labels
 __all__ = [
     "ENTRY_CAP",
     "Rel",
-    "MSet",
     "CFParams",
     "PurifiedState",
     "relation_state_vector",
@@ -41,9 +39,9 @@ __all__ = [
     "is_collision_free",
     "pcfpr_apply",
     "corx",
-    "good_keys",
     "label_mask",
     "pair_columns",
+    "pair_codes",
     "key_column",
     "corx_count",
     "project_good",
@@ -51,9 +49,6 @@ __all__ = [
     "label_rewrite",
     "KeyHadamard",
     "gather_pairs",
-    "partition_by_key",
-    "apply_injection",
-    "pair_multisets",
 ]
 
 
@@ -99,48 +94,12 @@ class Rel:
     def domain(self):
         return frozenset(p[0] for p in self.pairs)
 
-    def add(self, x, y):
-        return Rel(self.pairs + ((x, y),))
-
-    def union(self, other):
-        return Rel(self.pairs + tuple(other.pairs))
-
     @classmethod
     def _canonical(cls, pairs):
         """Wrap pairs that are already sorted with distinct outputs."""
         rel = object.__new__(cls)
         object.__setattr__(rel, "pairs", pairs)
         return rel
-
-
-class MSet:
-    """Canonically sorted multiset of integers or integer tuples."""
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements=()):
-        object.__setattr__(self, "elements", tuple(sorted(elements)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MSet is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, MSet) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(("MSet", self.elements))
-
-    def __repr__(self):
-        return f"MSet({list(self.elements)})"
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def add(self, el):
-        return MSet(self.elements + (el,))
 
 
 @dataclass(frozen=True)
@@ -166,14 +125,14 @@ class CFParams:
 #   ("rel", w)       w columns of sorted pair codes x << 32 | y, padded with PAD;
 #   ("fam", (w, ..)) a tuple of Rel (a per-w family): one "rel" block each;
 #   ("obj",)         one column holding an id into the state's object table
-#                    (MSet, transcripts, strings and any other value).
+#                    (transcripts, strings and any other value).
 
 PAD = np.iinfo(np.int64).max  # unused pair position; sorts after every code
 _Y_BITS = 32
 _Y_MASK = (1 << _Y_BITS) - 1
 _PAIR_LIMIT = 1 << 31  # pair values must lie in [0, 2^31) to be packed
 _INT_LIMIT = 1 << 62  # integer slots hold values in (-2^62, 2^62)
-_DECODE_CHUNK = 1 << 12  # labels decoded per batch of Python callbacks
+_DECODE_CHUNK = 1 << 12  # labels decoded per batch (label_chunks)
 _BLOCK_BYTES = 1 << 25  # bound on one dense complex block
 _ENTRY_CHUNK = 1 << 14  # entries per bounded batch of norm_sq and _merge
 _MASK_LABELS = 1 << 16  # labels per run of a column test (label_mask)
@@ -480,9 +439,10 @@ class PurifiedState:
     """Superposition over purification labels with sparse register vectors.
 
     Built from {label: {basis index: amplitude}}: a label is a tuple of
-    slots holding Rel, MSet, int keys, tuples of Rel, or any other hashable
-    value, and `n_qubits` is the size of the adversary register the basis
-    indices live on. Internally the labels are the distinct rows of the int64
+    slots holding Rel, int keys, tuples of Rel, or any other hashable value
+    (or from a label table and entry arrays, `from_table`), and `n_qubits`
+    is the size of the adversary register the basis indices live on.
+    Internally the labels are the distinct rows of the int64
     table `rows` (layout in `schema`, see the label table notes above), and
     the amplitudes are three entry arrays, `label_ids`, `indices` and
     `amplitudes`, distinct in (label id, index) and sorted by it. A label may
@@ -498,6 +458,20 @@ class PurifiedState:
         lab = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
         idx = np.fromiter((i for vec in terms.values() for i in vec), dtype=np.int64, count=count)
         amp = np.fromiter((a for vec in terms.values() for a in vec.values()), dtype=complex, count=count)
+        self._gather(n_qubits, schema, rows, objs, lab, idx, amp, entry_cap)
+
+    @classmethod
+    def from_table(cls, n_qubits, schema, rows, label_ids, indices, amplitudes, entry_cap=ENTRY_CAP):
+        """The state whose entry i is amplitudes[i] at basis index indices[i] of
+        the label in row label_ids[i] of the label table (schema, rows), which
+        has no object slots. Equal rows are one label, and entries that meet
+        are summed. Consumes `rows` and `amplitudes`.
+        """
+        st = object.__new__(cls)
+        st._gather(n_qubits, schema, rows, (), label_ids, indices, amplitudes, entry_cap)
+        return st
+
+    def _gather(self, n_qubits, schema, rows, objs, lab, idx, amp, entry_cap):
         table, inv = _intern(rows)
         self._set(n_qubits, schema, table, objs, *_merge(n_qubits, _key(n_qubits, inv[lab], idx), amp), entry_cap)
 
@@ -669,30 +643,6 @@ class PurifiedState:
         re = np.bincount(inv, weights=amps.real)
         im = np.bincount(inv, weights=amps.imag)
         return float(np.max(np.hypot(re, im)))
-
-    def to_json(self):
-        """Debug serialization: labels as arrays, amplitudes as [re, im]."""
-
-        def enc_label(x):
-            if isinstance(x, Rel):
-                return {"rel": [list(p) for p in x.pairs]}
-            if isinstance(x, MSet):
-                return {"mset": [list(e) if isinstance(e, tuple) else e for e in x.elements]}
-            if isinstance(x, tuple):
-                return {"tuple": [enc_label(e) for e in x]}
-            return x
-
-        items = []
-        terms = self.terms
-        for lab in sorted(terms, key=repr):
-            vec = terms[lab]
-            items.append(
-                {
-                    "label": [enc_label(s) for s in lab],
-                    "amplitudes": [[i, [a.real, a.imag]] for i, a in sorted(vec.items())],
-                }
-            )
-        return json.dumps({"n_qubits": self.n_qubits, "terms": items}, sort_keys=True)
 
 
 def relation_state_vector(rel, n: int) -> StateVector:
@@ -1044,10 +994,6 @@ def corx(rel, k: int):
     return {(p, q) for p in pairs for q in pairs if p[1] ^ q[0] == k}
 
 
-def good_keys(rel, fold: int, key_count: int):
-    return {k for k in range(key_count) if len(corx(rel, k)) == fold}
-
-
 # Column tests read a label table (`schema`, `rows` and `objs`): a whole
 # state, or one bounded run of its labels as label_mask hands it out.
 
@@ -1067,6 +1013,15 @@ def pair_columns(table, slot):
     a, b = _rel_span(table.schema, slot)
     codes = table.rows[:, a:b]
     return codes >> _Y_BITS, codes & _Y_MASK, codes != PAD
+
+
+def pair_codes(x, y):
+    """The label-table codes of the pairs (x, y), for the Rel slot columns of
+    new label rows (pair_columns reads them back)."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    if np.any((x < 0) | (x >= _PAIR_LIMIT) | (y < 0) | (y >= _PAIR_LIMIT)):
+        raise ValueError("pair values must lie in [0, 2^31)")
+    return (x << _Y_BITS) | y
 
 
 def key_column(table, slot):
@@ -1094,28 +1049,21 @@ def good_mass(state, keep):
     return state.norm_sq(keep)
 
 
-def label_rewrite(state, rewriter, check_injective=True):
-    """Relabel every term; amplitude vectors untouched.
+def label_rewrite(state, schema, rows):
+    """The state with label i moved to row i of the label table (schema, rows),
+    which has no object slots.
 
-    With check_injective, raises if two populated labels collide, which would
-    make the rewrite non-isometric.
+    Amplitude vectors are untouched. Consumes `rows`. Raises if two labels
+    meet, which would make the rewrite non-isometric.
     """
-    schema, rows, objs = _encode([tuple(rewriter(lab)) for _, labels in state.label_chunks() for lab in labels])
-    return _relabel(state, schema, rows, objs, check_injective)
-
-
-def _relabel(state, schema, rows, objs, check_injective=True):
-    """The state with label i moved to row i of the label table (schema, rows, objs).
-
-    Consumes `rows`. With check_injective, raises if two labels meet.
-    """
-    table, inv = _intern(rows)
-    n = state.n_qubits
-    if check_injective and len(table) < len(inv):
-        clash = int(np.flatnonzero(np.bincount(inv) > 1)[0])
-        raise ValueError(f"label rewrite is not injective at {_decode(schema, table[clash : clash + 1], objs)[0]!r}")
-    entries = _merge(n, _key(n, inv[state.label_ids], state.indices), state.amplitudes.copy())
-    return state._make(schema, table, objs, *entries)
+    if len(rows) != state.label_count():
+        raise ValueError("a label rewrite needs one row per label")
+    out = PurifiedState.from_table(
+        state.n_qubits, schema, rows, state.label_ids, state.indices, state.amplitudes.copy(), state.entry_cap
+    )
+    if out.label_count() < state.label_count():
+        raise ValueError(f"label rewrite is not injective: {state.label_count()} labels meet in {out.label_count()}")
+    return out
 
 
 def gather_pairs(state, slot, positions):
@@ -1130,7 +1078,7 @@ def gather_pairs(state, slot, positions):
     a, b = _rel_span(state.schema, slot)
     blocks = [np.take_along_axis(state.rows[:, a:b], np.asarray(p, dtype=np.int64), axis=1) for p in positions]
     rows = np.hstack([np.zeros((state.label_count(), 0), dtype=np.int64), *blocks])
-    return _relabel(state, tuple(("rel", blk.shape[1]) for blk in blocks), rows, [])
+    return label_rewrite(state, tuple(("rel", blk.shape[1]) for blk in blocks), rows)
 
 
 class KeyHadamard:
@@ -1209,83 +1157,3 @@ class KeyHadamard:
         out = object.__new__(PurifiedState)
         out._set(n, schema, rows, tuple(self.table.objs), *entries, self.entry_cap)
         return out
-
-
-def partition_by_key(state, source_slot, selector, check_injective=True):
-    """Split a relation slot in two by a label-dependent pair predicate.
-
-    selector(pair, label) decides membership of the selected part; the label
-    gains a new slot (inserted right after source_slot) holding the selected
-    sub-relation. Inverse: merge_partition.
-    """
-
-    def rw(lab):
-        rel = lab[source_slot]
-        sel = [p for p in rel if selector(p, lab)]
-        rest = list(rel.pairs)
-        for p in sel:
-            rest.remove(p)
-        return lab[:source_slot] + (Rel(rest), Rel(sel)) + lab[source_slot + 1 :]
-
-    return label_rewrite(state, rw, check_injective)
-
-
-def merge_partition(state, slot_a, slot_b, check_injective=True):
-    """Union two relation slots back into one (inverse of partition_by_key)."""
-
-    def rw(lab):
-        merged = lab[slot_a].union(lab[slot_b])
-        keep = [s for i, s in enumerate(lab) if i not in (slot_a, slot_b)]
-        keep.insert(min(slot_a, slot_b), merged)
-        return tuple(keep)
-
-    return label_rewrite(state, rw, check_injective)
-
-
-def apply_injection(state, slot, func, key_slot=None, check_injective=True):
-    """Map each element of a relation/multiset slot through an injection.
-
-    func(element) or func(element, k) when key_slot is given. Works for Rel
-    (elements are pairs) and MSet slots.
-    """
-
-    def rw(lab):
-        obj = lab[slot]
-        args = (lab[key_slot],) if key_slot is not None else ()
-        if isinstance(obj, Rel):
-            new = Rel(func(p, *args) for p in obj)
-        else:
-            new = MSet(func(e, *args) for e in obj)
-        return lab[:slot] + (new,) + lab[slot + 1 :]
-
-    return label_rewrite(state, rw, check_injective)
-
-
-def pair_multisets(state, slot_a, slot_b, key_slot, match, check_injective=True):
-    """Zip two equal-size multiset slots into one multiset of joined tuples.
-
-    match(ea, eb, k) tells whether eb is the partner of ea; the pairing must
-    be a unique perfect matching on every populated label, else an error.
-    """
-
-    def rw(lab):
-        a = list(lab[slot_a])
-        b = list(lab[slot_b])
-        k = lab[key_slot]
-        if len(a) != len(b):
-            raise ValueError("multisets must have equal size")
-        joined = []
-        for ea in a:
-            partners = [eb for eb in b if match(ea, eb, k)]
-            if len(partners) != 1:
-                raise ValueError("pairing is not a unique perfect matching")
-            b.remove(partners[0])
-            ea_t = ea if isinstance(ea, tuple) else (ea,)
-            eb_t = partners[0] if isinstance(partners[0], tuple) else (partners[0],)
-            joined.append(ea_t + eb_t)
-        lo, hi = sorted((slot_a, slot_b))
-        keep = [s for i, s in enumerate(lab) if i not in (slot_a, slot_b)]
-        keep.insert(lo, MSet(joined))
-        return tuple(keep)
-
-    return label_rewrite(state, rw, check_injective)

@@ -1,7 +1,6 @@
 """Experiment registry: small-scale runs, determinism, and input validation."""
 
 import dataclasses
-import itertools
 import json
 import math
 
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhrolab import experiments, harness, relstate
-from qhrolab.constructions import haar_slot, pru_one_query, pru_two_query
+from qhrolab.constructions import haar_slot, pru_two_query
 from qhrolab.experiments import EXPERIMENTS, SLACK, run_experiment
 from qhrolab.harness import (
     AdversaryProgram,
@@ -24,7 +23,7 @@ from qhrolab.harness import (
     run_pr,
 )
 from qhrolab.linalg import trace_distance, trial_rng
-from qhrolab.relstate import CFParams, MSet, Rel, corx, label_mask, project_good
+from qhrolab.relstate import PurifiedState, Rel, corx, label_mask, project_good
 
 
 def checks_by_name(report):
@@ -320,51 +319,7 @@ def test_record_point_reduces_no_full_keyed_state(monkeypatch):
     assert max(entries) < 53_760 and ideal == 18_816
 
 
-# ------------------------- exp_pru1 and exp_split_augment against their whole keyed states
-#
-# Both experiments now run hybrid 2 one key at a time. The whole-state path
-# they replaced lives on here as their differential oracle: the old
-# key_slot_hadamard, _unique_subset and Python rewrite of exp_pru1, and the
-# old body of exp_split_augment.
-
-
-def whole_key_slot_hadamard(state, key_slot, lam):
-    """The whole-state key-Hadamard transform that KeyHadamard replaced."""
-    n = state.n_qubits
-    a, _ = relstate._slot_span(state.schema, key_slot)
-    keys, kinv = np.unique(relstate._int_column(state.schema, state.rows, key_slot), return_inverse=True)
-    rests, rinv = relstate._intern(np.delete(state.rows, a, axis=1))
-    groups, ginv = np.unique((rinv[state.label_ids] << n) | state.indices, return_inverse=True)
-    signs = np.where(relstate._parity(keys[:, None] & np.arange(2**lam)[None, :]), -1.0, 1.0)
-    signs *= 2 ** (-lam / 2.0)
-    out_rest, out_h, out_idx, out_amp = [], [], [], []
-    for g0, g1, sel in relstate._group_batches(ginv, len(groups), max(len(keys), 2**lam)):
-        block = np.zeros((g1 - g0, len(keys)), dtype=complex)
-        block[ginv[sel] - g0, kinv[state.label_ids[sel]]] = state.amplitudes[sel]
-        acc = block @ signs
-        gi, h = np.nonzero(np.abs(acc) > 1e-14)
-        out_rest.append(groups[g0 + gi] >> n)
-        out_idx.append(groups[g0 + gi] & ((1 << n) - 1))
-        out_h.append(h)
-        out_amp.append(acc[gi, h])
-    rest, h = np.concatenate(out_rest), np.concatenate(out_h)
-    pairs, lab = np.unique((rest << lam) | h, return_inverse=True)
-    table = np.insert(rests[pairs >> lam], a, pairs & ((1 << lam) - 1), axis=1)
-    entries = relstate._merge(n, relstate._key(n, lab, np.concatenate(out_idx)), np.concatenate(out_amp))
-    return state._make(state.schema, table, state.objs, *entries)
-
-
-def old_unique_subset(rel, ell, h, n, lam):
-    hits = []
-    for comb in itertools.combinations(rel.pairs, ell):
-        acc = 0
-        for (_, y) in comb:
-            acc ^= y >> (n - lam)
-        if acc == h:
-            hits.append(comb)
-    if len(hits) != 1:
-        raise ValueError("prefix-XOR subset is not unique; collision-freeness violated")
-    return hits[0]
+# ------------------------------------------------ isometry checks of exp_pru1 and exp_split_augment
 
 
 def dict_max_diff(a, b):
@@ -380,58 +335,41 @@ def dict_max_diff(a, b):
     )
 
 
-def whole_pru1(seed, n, lam, t, ell):
-    """(TD(rho2, rho3), mixed, walked, psi3) of exp_pru1 secure on the whole keyed psi2."""
-    cf = CFParams(max(ell, 1), lam, n)
-    prog = experiments._pru1_program(n, t, ell, trial_rng(seed, 30_000 + n))
-    desc_g = dataclasses.replace(pru_one_query(n, lam, slot=0, cf=cf), key_slot=1)
-    keyed, apart = experiments._hybrid_bindings(n, desc_g, cf)
-    psi2, psi3 = run_pr(prog, keyed, (Rel(), KeyInit(lam))), run_pr(prog, apart, (Rel(), Rel()))
-    td = trace_distance(reduce_view(psi2).reduced, reduce_view(psi3).reduced)
-    mixed = whole_key_slot_hadamard(psi2, 1, lam).prune(1e-12)
-
-    def rewrite(lab):
-        rel, h = lab
-        sel = old_unique_subset(rel, ell, h, n, lam)
-        rest = list(rel.pairs)
-        for p in sel:
-            rest.remove(p)
-        return (Rel(sel), Rel(rest))
-
-    return td, mixed, relstate.label_rewrite(mixed, rewrite), psi3
-
-
-@pytest.mark.parametrize("n,lam,t,ell", [(3, 3, 3, 1), (3, 2, 3, 1), (2, 2, 2, 2), (3, 3, 3, 2)])
-def test_pru1_sliced_matches_whole_state(monkeypatch, n, lam, t, ell):
-    split, original = [], experiments._split_by_prefix_xor
-
-    def recording(mixed, *args):
-        walked = original(mixed, *args)
-        split.append((mixed, walked))
-        return walked
-
-    monkeypatch.setattr(experiments, "_split_by_prefix_xor", recording)
-    cs = checks_by_name(run_experiment("exp_pru1", {"seed": 3, "n": n, "lam": lam, "t": t, "ell": ell, "trials": 2}))
-    td, mixed, walked, psi3 = whole_pru1(3, n, lam, t, ell)
-    ((mixed_sliced, walked_sliced),) = split
-    assert dict_max_diff(mixed_sliced, mixed) <= 1e-12
-    assert dict_max_diff(walked_sliced, walked) <= 1e-12
-    assert abs(cs["td_hybrid2_vs_hybrid3"][0]["value"] - td) <= 1e-12
-    assert abs(cs["isometry_state_match"][0]["value"] - dict_max_diff(walked, psi3)) <= 1e-12
-
-
 @pytest.mark.parametrize("h", [0, 1])
 def test_prefix_xor_split_needs_a_unique_subset(h):
     # both outputs have prefix 0: two subsets give h = 0, none gives h = 1
     rel = Rel([(0, 0), (1, 1)])
     with pytest.raises(ValueError, match="not unique"):
-        old_unique_subset(rel, 1, h, 2, 1)
-    with pytest.raises(ValueError, match="not unique"):
-        experiments._split_by_prefix_xor(relstate.PurifiedState(2, {(rel, h): {0: 1.0}}), 1, 2, 1)
+        experiments._split_by_prefix_xor(PurifiedState(2, {(rel, h): {0: 1.0}}), 1, 2, 1)
 
 
-def whole_split_augment(seed, n):
-    """(fidelity, split TD, augment TD, td_sides) of exp_split_augment on the whole keyed psi2."""
+def test_pru1_unkeyed_hybrid2_runs_once(monkeypatch):
+    inits = []
+
+    def recording(program, bindings, init_label):
+        inits.append(init_label)
+        return run_pr(program, bindings, init_label)
+
+    monkeypatch.setattr(harness, "run_pr", recording)
+    monkeypatch.setattr(experiments, "run_pr", recording)
+    cs = checks_by_name(run_experiment("exp_pru1", {"seed": 3, "ell": 0, "trials": 2}))
+    # with ell = 0, G is never queried: hybrid 2 runs once, with a plain key
+    assert inits == [(Rel(), 0), (Rel(), Rel())]
+    assert cs["td_hybrid2_vs_hybrid3"][0]["passed"]
+    assert "isometry_state_match" not in cs
+
+
+# The split surgery and the augmented side of exp_split_augment were a chain
+# of per-label Python rewrites (partition, pair matching, injection). That
+# chain lives on here as their differential oracle, on the whole keyed state.
+
+
+def old_split_augment(seed, n):
+    """exp_split_augment by the per-label chain on the whole keyed psi2.
+
+    (fidelity, split TD, augment TD, td_sides, psi2p by key, psi3p by key);
+    the per-key states are at the scale of one key slice.
+    """
     N, lam, t, ell = 2**n, n, 1, 1
     rng = trial_rng(seed, 50_000 + n)
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("G")))
@@ -439,47 +377,111 @@ def whole_split_augment(seed, n):
     psi2 = run_pr(prog, {"G": desc_g}, (Rel(), KeyInit(lam)))
     rho2 = reduce_view(psi2).reduced
     good = project_good(psi2, predicate_mask(psi2, old_corx_good(ell)))
-    psi2p = experiments._split_surgery(good)
+    psi2p = {}
+    for (rel, k), vec in good.terms.items():
+        (p,) = [p for p in rel if any(p[1] ^ q[0] == k for q in rel)]
+        (q,) = [q for q in rel if q != p and q[0] ^ p[1] == k]
+        psi2p[(Rel([(p[0], q[1])]), p[1], k)] = vec
     psi3 = run_pr(prog, {"G": haar_slot(n, slot=0)}, (Rel(),))
     rho3 = reduce_view(psi3).reduced
-    aug = {}
-    for lab, vec in psi3.terms.items():
-        rel = lab[0]
+    psi3p = {}
+    for (rel,), vec in psi3.terms.items():
         (x, y) = rel.pairs[0]
         for z in range(N):
             if z in rel.image:
                 continue
-            goodk = []
-            for k in range(2**lam):
-                try:
-                    assembled = Rel([(x, z), (z ^ k, y)])
-                except ValueError:
-                    continue
-                if len(corx(assembled, k)) == ell:
-                    goodk.append(k)
-            amp = 1.0 / math.sqrt((N - t) * len(goodk))
+            goodk = [k for k in range(2**lam) if len(corx(Rel([(x, z), (z ^ k, y)]), k)) == ell]
             for k in goodk:
-                bucket = aug.setdefault((MSet([(x, y)]), MSet([z]), k), {})
-                for i, a in vec.items():
-                    bucket[i] = bucket.get(i, 0) + a * amp
-    psi3p = relstate.PurifiedState(psi3.n_qubits, aug)
+                psi3p[(Rel([(x, y)]), z, k)] = {i: a / math.sqrt((N - t) * len(goodk)) for i, a in vec.items()}
+    whole2p, whole3p = PurifiedState(n, psi2p), PurifiedState(n, psi3p)
+
+    def by_key(terms, scale):
+        return {
+            k: PurifiedState(n, {lab: {i: a * scale for i, a in vec.items()} for lab, vec in terms.items() if lab[2] == k})
+            for k in range(2**lam)
+        }
+
     return (
-        abs(psi2p.inner(psi3p)),
-        trace_distance(reduce_view(psi2p).reduced, reduce_view(good).reduced),
-        trace_distance(reduce_view(psi3p).reduced, rho3),
+        abs(whole2p.inner(whole3p)),
+        trace_distance(reduce_view(whole2p).reduced, reduce_view(good).reduced),
+        trace_distance(reduce_view(whole3p).reduced, rho3),
         trace_distance(rho2, rho3),
+        by_key(psi2p, 2.0 ** (lam / 2.0)),
+        by_key(psi3p, 1.0),
     )
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_split_augment_sliced_matches_whole_state(n):
+def test_split_augment_sliced_matches_whole_state(monkeypatch, n):
+    parts = {"psi2p": [], "psi3p": []}
+    surgery, augmented_part = experiments._split_surgery, experiments._augmented_part
+
+    def recording_surgery(good):
+        out = surgery(good)
+        parts["psi2p"].append(out)
+        return out
+
+    def recording_augmented_part(*args):
+        part = augmented_part(*args)
+
+        def recording_part(k):
+            out = part(k)
+            parts["psi3p"].append(out)
+            return out
+
+        return recording_part
+
+    monkeypatch.setattr(experiments, "_split_surgery", recording_surgery)
+    monkeypatch.setattr(experiments, "_augmented_part", recording_augmented_part)
     rep = run_experiment("exp_split_augment", {"seed": 9, "n": n})
     cs = checks_by_name(rep)
-    fid, split, augment, td_sides = whole_split_augment(9, n)
+    fid, split, augment, td_sides, psi2p, psi3p = old_split_augment(9, n)
     assert abs(cs["fidelity"][0]["value"] - fid) <= 1e-12
     assert abs(cs["reduced_view_invariance_split"][0]["value"] - split) <= 1e-12
     assert abs(cs["reduced_view_invariance_augment"][0]["value"] - augment) <= 1e-12
     assert abs(rep.grid[0]["point"]["td_sides"] - td_sides) <= 1e-12
+    # one surgery and one augmented part per key slice, in key order
+    assert len(parts["psi2p"]) == len(parts["psi3p"]) == 2**n
+    for k in range(2**n):
+        assert psi2p[k].label_count() > 0 and psi3p[k].label_count() > 0
+        assert dict_max_diff(parts["psi2p"][k], psi2p[k]) <= 1e-12
+        assert dict_max_diff(parts["psi3p"][k], psi3p[k]) <= 1e-12
+
+
+def two_pair_state(rel, k):
+    return PurifiedState(1, {(Rel(rel), k): {0: 1.0}, (Rel([(0, 3), (3 ^ 5, 6)]), 5): {1: 1.0}})
+
+
+@pytest.mark.parametrize(
+    "rel,k,match",
+    [
+        ([(0, 1)], 1, "exactly two pairs"),
+        ([(0, 1), (2, 3), (4, 5)], 1, "exactly two pairs"),
+        ([(0, 3), (5, 6)], 3, "matches itself"),
+        ([(0, 1), (2, 3)], 7, "not exactly one"),
+        ([(0, 1), (2, 3)], 3, "not exactly one"),
+    ],
+)
+def test_split_surgery_needs_one_matching_pair(rel, k, match):
+    with pytest.raises(ValueError, match=match):
+        experiments._split_surgery(two_pair_state(rel, k))
+
+
+def test_split_surgery_moves_z_out_of_the_relation():
+    # p = (x, z) and q = (z ^ k, y), with p first and then second in the Rel
+    st0 = PurifiedState(1, {(Rel([(0, 3), (6, 6)]), 5): {0: 0.6}, (Rel([(5, 2), (3, 7)]), 1): {1: 0.8}})
+    out = experiments._split_surgery(st0)
+    assert dict(out.terms) == {(Rel([(0, 6)]), 3, 5): {0: 0.6}, (Rel([(5, 7)]), 2, 1): {1: 0.8}}
+
+
+def test_split_augment_never_decodes_labels(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a label was decoded")
+
+    reference = run_experiment("exp_split_augment", {"seed": 9, "n": 3}).to_json()
+    monkeypatch.setattr(relstate, "_decode", refuse)
+    monkeypatch.setattr(relstate, "_slot_values", refuse)
+    assert run_experiment("exp_split_augment", {"seed": 9, "n": 3}).to_json() == reference
 
 
 @pytest.mark.parametrize(

@@ -141,7 +141,9 @@ def test_label_rewrite_invisible_in_view():
     )
     psi = run_pr(prog, {"U": haar_slot(n)}, (Rel(),))
     before = reduce_view(psi).reduced
-    moved = label_rewrite(psi, lambda lab: (lab[0], "tag"))
+    # every label gains an integer slot holding 7
+    moved = label_rewrite(psi, psi.schema + (("int",),), np.hstack([psi.rows, np.full((psi.label_count(), 1), 7)]))
+    assert moved.label_count() == psi.label_count()
     after = reduce_view(moved).reduced
     assert np.max(np.abs(before.entries - after.entries)) <= 1e-12
 

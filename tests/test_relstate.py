@@ -1,7 +1,6 @@
 """Relation-label formalism: canonical labels, recording maps, cf machinery."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -13,22 +12,17 @@ from qhrolab import relstate
 from qhrolab.relstate import (
     CFParams,
     KeyHadamard,
-    MSet,
     PurifiedState,
     Rel,
-    apply_injection,
     cf_count,
     cf_set,
     corx,
     corx_count,
     gather_pairs,
-    good_keys,
     is_collision_free,
     key_column,
     label_rewrite,
-    merge_partition,
-    pair_multisets,
-    partition_by_key,
+    pair_codes,
     pcfpr_apply,
     pr_apply,
     project_good,
@@ -46,7 +40,6 @@ def test_rel_canonical_form():
     assert a.pairs == ((0, 3), (1, 2))
     assert a.image == frozenset({2, 3})
     assert a.domain == frozenset({0, 1})
-    assert len(a.add(2, 0)) == 3
     with pytest.raises(ValueError):
         Rel([(0, 1), (2, 1)])
     with pytest.raises(AttributeError):
@@ -57,13 +50,6 @@ def test_rel_allows_repeated_inputs():
     r = Rel([(0, 1), (0, 2)])
     assert len(r) == 2
 
-
-def test_mset_canonical_form():
-    a = MSet([3, 1, 1])
-    assert a == MSet([1, 3, 1])
-    assert a.elements == (1, 1, 3)
-    assert len(a.add(0)) == 4
-    assert hash(a) != hash(MSet([1, 3]))
 
 
 # --------------------------------------------------------- relation states
@@ -256,7 +242,6 @@ def test_corx_single_pair():
     r = Rel([(1, 3)])
     assert corx(r, 2) == {((1, 3), (1, 3))}
     assert corx(r, 0) == set()
-    assert good_keys(r, 1, 4) == {2}
 
 
 def test_corx_chain_pair():
@@ -299,10 +284,30 @@ def test_project_good_splits_mass():
 
 def test_label_rewrite_injective_only():
     st0 = two_label_state()
-    moved = label_rewrite(st0, lambda lab: (lab[1], lab[0]))
-    assert set(moved.terms) == {(0, Rel([(0, 0)])), (1, Rel([(1, 1)]))}
+    # (Rel, k) -> (k, Rel): the two slots trade columns
+    moved = label_rewrite(st0, (("int",), ("rel", 1)), st0.rows[:, ::-1].copy())
+    assert dict(moved.terms) == {(0, Rel([(0, 0)])): {0: 0.6, 1: 0.3j}, (1, Rel([(1, 1)])): {1: 0.74161984870957}}
+    with pytest.raises(ValueError, match="not injective"):
+        label_rewrite(st0, (("int",),), np.zeros((2, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match="one row per label"):
+        label_rewrite(st0, (("int",),), np.zeros((1, 1), dtype=np.int64))
+
+
+def test_from_table_merges_equal_rows():
+    rows = np.array([[5], [3], [5]], dtype=np.int64)
+    amps = np.array([0.5, 0.25, 0.5, 1.0], dtype=complex)
+    st0 = PurifiedState.from_table(1, (("int",),), rows, np.array([0, 1, 2, 2]), np.array([0, 1, 0, 1]), amps)
+    assert dict(st0.terms) == {(3,): {1: 0.25}, (5,): {0: 1.0, 1: 1.0}}
+
+
+def test_pair_codes_write_what_pair_columns_read():
+    codes = pair_codes([0, 7], [3, 2**31 - 1]).reshape(-1, 1)
+    st0 = PurifiedState.from_table(1, (("rel", 1),), codes, np.arange(2), np.zeros(2, dtype=np.int64), np.ones(2, dtype=complex))
+    assert set(st0.terms) == {(Rel([(0, 3)]),), (Rel([(7, 2**31 - 1)]),)}
+    x, y, on = relstate.pair_columns(st0, 0)
+    assert x[:, 0].tolist() == [0, 7] and y[:, 0].tolist() == [3, 2**31 - 1] and on.all()
     with pytest.raises(ValueError):
-        label_rewrite(st0, lambda lab: ("same",))
+        pair_codes([2**31], [0])
 
 
 def key_slot_hadamard(state, key_slot, lam):
@@ -337,31 +342,6 @@ def test_gather_pairs_regroups_a_relation():
     }
     with pytest.raises(ValueError, match="not injective"):
         gather_pairs(st0, 0, [[[0], [0]]])
-
-
-def test_partition_merge_roundtrip():
-    st0 = PurifiedState.initial(1, (Rel([(0, 0), (1, 1), (2, 3)]), 7))
-    part = partition_by_key(st0, 0, lambda pair, lab: pair[1] == lab[-1] ^ 6)
-    (lab,) = part.terms
-    assert lab[0] == Rel([(0, 0), (2, 3)]) and lab[1] == Rel([(1, 1)])
-    merged = merge_partition(part, 0, 1)
-    assert merged.max_diff(st0) <= 1e-12
-
-
-def test_apply_injection_with_key():
-    st0 = PurifiedState.initial(1, (MSet([(1, 2)]), 5))
-    out = apply_injection(st0, 0, lambda e, k: (e[0] ^ k, e[1]), key_slot=1)
-    assert set(out.terms) == {(MSet([(4, 2)]), 5)}
-
-
-def test_pair_multisets_matching():
-    st0 = PurifiedState.initial(1, (MSet([(0, 1)]), MSet([(3, 2)]), 2))
-    out = pair_multisets(st0, 0, 1, 2, lambda ea, eb, k: ea[1] ^ k == eb[0])
-    (lab,) = out.terms
-    assert lab[0] == MSet([(0, 1, 3, 2)])
-    bad = PurifiedState.initial(1, (MSet([(0, 1)]), MSet([(0, 2)]), 2))
-    with pytest.raises(ValueError):
-        pair_multisets(bad, 0, 1, 2, lambda ea, eb, k: ea[1] ^ k == eb[0])
 
 
 # -------------------------------------------------------------------- pcfpr
@@ -445,8 +425,8 @@ def dict_inner_and_diff(a, b):
     [
         # Rel widths 2 and 1, object tables in another order, one int slot
         (
-            [(Rel([(0, 1)]), MSet([1]), 3), (Rel([(0, 1), (1, 2)]), "x", 4), (Rel(), "y", 4)],
-            [(Rel([(0, 1)]), MSet([1]), 3), (Rel(), "y", 4), (Rel([(1, 2)]), "x", 4)],
+            [(Rel([(0, 1)]), frozenset({1}), 3), (Rel([(0, 1), (1, 2)]), "x", 4), (Rel(), "y", 4)],
+            [(Rel([(0, 1)]), frozenset({1}), 3), (Rel(), "y", 4), (Rel([(1, 2)]), "x", 4)],
         ),
         # an int slot against an object slot holding the same ints
         ([(Rel([(0, 1)]), 3), (Rel([(2, 1)]), 5)], [(Rel([(0, 1)]), 3), (Rel([(0, 1)]), "z")]),
@@ -469,17 +449,3 @@ def test_inner_and_diff_match_labels_across_layouts(labels_a, labels_b):
         inner, diff = dict_inner_and_diff(x, y)
         assert abs(x.inner(y) - inner) <= 1e-12
         assert abs(x.max_diff(y) - diff) <= 1e-12
-
-
-def test_purified_to_json_golden():
-    st0 = PurifiedState(
-        1, {(Rel([(1, 0)]), MSet([2]), 3): {1: 0.5 - 0.25j}}
-    )
-    expected = (
-        '{"n_qubits": 1, "terms": [{"amplitudes": [[1, [0.5, -0.25]]], '
-        '"label": [{"rel": [[1, 0]]}, {"mset": [2]}, 3]}]}'
-    )
-    assert st0.to_json() == expected
-    # round-trips as JSON
-    obj = json.loads(st0.to_json())
-    assert obj["n_qubits"] == 1
