@@ -16,7 +16,6 @@ __all__ = [
     "NonAdaptiveCircuit",
     "AttackReport",
     "choi_from_copies",
-    "haar_choi_overlap_tail",
     "swap_or_attack",
     "sym_dim",
     "rank_ratio",
@@ -74,31 +73,6 @@ def choi_from_copies(circuit: NonAdaptiveCircuit, copies) -> StateVector:
     vec = apply_gate(vec, circuit.b.entries, right, total)
     tens = np.moveaxis(vec.reshape((2,) * total), left + right, range(total))
     return StateVector(tens.reshape(-1), total)
-
-
-def haar_choi_overlap_tail(n, samples, rng, u0: UnitaryMatrix | None = None, threshold=0.5):
-    """Empirical Pr[|<Phi_U|Phi_U0>|^2 >= threshold] over Haar U.
-
-    The concentration bound 2 exp(-2^n/96) is vacuous at small n, so the
-    tail is reported, not asserted.
-    """
-    if samples < 1000:
-        raise ValueError("need at least 1e3 samples")
-    if u0 is None:
-        u0 = UnitaryMatrix.from_array(np.eye(2**n))
-    ref = choi_state(u0).amplitudes
-    hits = 0
-    overlaps = np.empty(samples)
-    for i in range(samples):
-        u = haar_unitary(2**n, rng)
-        ov = abs(np.vdot(ref, choi_state(u).amplitudes)) ** 2
-        overlaps[i] = ov
-        hits += ov >= threshold
-    return {
-        "tail": hits / samples,
-        "mean_overlap": float(overlaps.mean()),
-        "levy_bound": 2.0 * math.exp(-(2**n) / 96.0),
-    }
 
 
 def swap_or_attack(oracle_choi: StateVector, candidates: dict, copies_per_key: int, rng) -> AttackReport:

@@ -53,22 +53,6 @@ class OracleDescriptor:
     def record_slots(self):
         return tuple(s[1] for s in self.steps if s[0] in ("pr", "cfpr"))
 
-    def to_json_dict(self):
-        enc = []
-        for s in self.steps:
-            if s[0] == "cfpr":
-                enc.append(["cfpr", s[1], [s[2].fold, s[2].prefix, s[2].n]])
-            else:
-                enc.append(list(s))
-        return {
-            "n": self.n,
-            "lam": self.lam,
-            "steps": enc,
-            "key_slot": self.key_slot,
-            "shared_slots": list(self.shared_slots) if self.shared_slots else None,
-            "label": self.label,
-        }
-
 
 def pru_two_query(n: int, lam: int, slot: int = 0, shared_slots=None) -> OracleDescriptor:
     """U (X^k tensor I) U: two queries to the common oracle per call."""
@@ -162,14 +146,6 @@ class SpruLayout:
         if self.lam_small > self.n_block:
             raise ValueError("inner key longer than a block")
         object.__setattr__(self, "total_qubits", total)
-
-    @property
-    def ab_qubits(self):
-        return list(range(self.n_block))
-
-    @property
-    def bc_qubits(self):
-        return list(range(self.n_block - self.overlap, self.total_qubits))
 
 
 def spru(n_block: int, overlap: int, lam_small: int) -> SpruLayout:

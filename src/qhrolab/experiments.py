@@ -791,7 +791,7 @@ def exp_cf_bound(p: CfBoundParams) -> ExperimentReport:
 
 @dataclass(frozen=True)
 class SplitAugmentParams(Params):
-    n: int = _param(3, lo=1)
+    n: int = _param(3, lo=2)  # at N = 2 no key has exactly one chained pair
     t: int = _param(1, lo=0)
     ell: int | None = _param(None, lo=0, rule="min(t, 1)")
 

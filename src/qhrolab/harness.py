@@ -9,7 +9,7 @@ function-state oracles, producing the adversary's view as a density matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,13 +106,6 @@ class AdversaryProgram:
     def reg_qubits(self):
         return self.n + self.m_anc
 
-    def query_counts(self):
-        counts = {}
-        for s in self.steps:
-            if isinstance(s, (QuantumQuery, ClassicalQuery)):
-                counts[s.oracle_id] = counts.get(s.oracle_id, 0) + 1
-        return counts
-
 
 @dataclass(frozen=True)
 class KeyInit:
@@ -126,10 +119,8 @@ class ClassicalPROracle:
     """Recording semantics for a classical query.
 
     input_of(k, w) builds the recorded oracle input. avoid selects output
-    distinctness: 'slot' (this relation only), 'global' (union over
-    avoid_slots), or 'per_w' (the slot holds a tuple of per-w relations and
-    only component w is avoided; 'per_w_global' avoids the whole family
-    plus avoid_slots).
+    distinctness: 'slot' (the outputs of this relation) or 'per_w' (the slot
+    holds a tuple of per-w relations and only component w is avoided).
     """
 
     n: int
@@ -137,8 +128,10 @@ class ClassicalPROracle:
     input_of: object
     key_slot: int | None = None
     avoid: str = "slot"
-    avoid_slots: tuple = ()
-    transcript_slot: int | None = None
+
+    def __post_init__(self):
+        if self.avoid not in ("slot", "per_w"):
+            raise ValueError(f"avoid must be 'slot' or 'per_w', not {self.avoid!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,6 @@ class ClassicalConcreteOracle:
 
     n: int
     answer: object
-    transcript: bool = True
 
 
 @dataclass
@@ -286,9 +278,9 @@ def _key_slot(init_label):
 
 
 def _written_slots(oracle):
-    """Label slots an oracle records into, avoids or transcribes."""
+    """Label slots an oracle records into or avoids."""
     if isinstance(oracle, ClassicalPROracle):
-        return {oracle.rel_slot, *oracle.avoid_slots, oracle.transcript_slot} - {None}
+        return {oracle.rel_slot}
     if isinstance(oracle, OracleDescriptor):
         return {*oracle.record_slots(), *(oracle.shared_slots or ())}
     return set()
@@ -301,8 +293,8 @@ def key_slices(program: AdversaryProgram, bindings: dict, init_label):
     purified state of init_label is 2^(-lam/2) times the direct sum of these
     orthogonal per-key branches. Each slice is run when it is asked for, so
     a consumer that drops a slice before asking for the next never holds
-    two. ValueError, before any slice runs, if an oracle records into,
-    avoids or transcribes the key slot.
+    two. ValueError, before any slice runs, if an oracle records into or
+    avoids the key slot.
     """
     slot, lam = _key_slot(init_label)
     width = len(init_label)

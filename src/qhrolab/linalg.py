@@ -31,13 +31,9 @@ __all__ = [
     "pauli_string",
     "epr_state",
     "choi_state",
-    "swap_test_prob",
-    "partial_trace",
     "trace_distance",
-    "mean_density",
     "apply_gate",
     "apply_unitary",
-    "tensor",
 ]
 
 
@@ -116,10 +112,6 @@ class UnitaryMatrix:
         n = int(round(math.log2(d)))
         return cls(mat, n if 2**n == d else None)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -136,9 +128,6 @@ class DensityMatrix:
             raise ValueError("dimension must be 2^qubit_count")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
             raise ValueError("density matrix must be Hermitian")
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
 
 
 def basis_state(n: int, x: int) -> StateVector:
@@ -204,52 +193,12 @@ def choi_state(u: UnitaryMatrix) -> StateVector:
     return StateVector((u.entries @ omega.T).T.reshape(-1), 2 * n)
 
 
-def swap_test_prob(psi: StateVector, phi: StateVector) -> float:
-    """SWAP-test acceptance probability (1 + |<psi|phi>|^2)/2."""
-    if psi.qubit_count != phi.qubit_count:
-        raise ValueError("dimension mismatch")
-    return 0.5 * (1.0 + abs(psi.overlap(phi)) ** 2)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every qubit not in `keep`; order of kept qubits preserved."""
-    q = rho.qubit_count
-    keep = list(keep)
-    if any(not 0 <= i < q for i in keep) or len(set(keep)) != len(keep):
-        raise ValueError("invalid qubit indices")
-    drop = [i for i in range(q) if i not in keep]
-    tens = rho.entries.reshape((2,) * (2 * q))
-    for off, i in enumerate(sorted(drop)):
-        ax = i - off
-        tens = np.trace(tens, axis1=ax, axis2=ax + (q - off))
-    # remaining axes follow the original relative order of kept qubits
-    order = np.argsort(np.argsort(keep))
-    kq = len(keep)
-    tens = np.moveaxis(tens, list(range(kq)), list(order))
-    tens = np.moveaxis(tens, list(range(kq, 2 * kq)), [kq + o for o in order])
-    return DensityMatrix(tens.reshape(2**kq, 2**kq), kq)
-
-
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """TD(rho, sigma) = half the trace norm of the difference."""
     if rho.qubit_count != sigma.qubit_count:
         raise ValueError("dimension mismatch")
     eig = np.linalg.eigvalsh(rho.entries - sigma.entries)
     return float(0.5 * np.sum(np.abs(eig)))
-
-
-def mean_density(samples) -> DensityMatrix:
-    """(1/M) sum |psi_i><psi_i| over a non-empty equal-dimension sample."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    q = samples[0].qubit_count
-    acc = np.zeros((2**q, 2**q), dtype=complex)
-    for s in samples:
-        if s.qubit_count != q:
-            raise ValueError("dimension mismatch")
-        acc += np.outer(s.amplitudes, s.amplitudes.conj())
-    return DensityMatrix(acc / len(samples), q)
 
 
 def apply_gate(vec, gate, targets, n):
@@ -288,7 +237,3 @@ def apply_unitary(state: StateVector, u: UnitaryMatrix, targets=None) -> StateVe
         raise ValueError("gate size does not match target count")
     out = apply_gate(state.amplitudes, u.entries, targets, n)
     return StateVector(out, n)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.qubit_count + b.qubit_count)

@@ -86,14 +86,6 @@ class Rel:
     def __iter__(self):
         return iter(self.pairs)
 
-    @property
-    def image(self):
-        return frozenset(p[1] for p in self.pairs)
-
-    @property
-    def domain(self):
-        return frozenset(p[0] for p in self.pairs)
-
     @classmethod
     def _canonical(cls, pairs):
         """Wrap pairs that are already sorted with distinct outputs."""
@@ -123,9 +115,8 @@ class CFParams:
 # one spec per slot:
 #   ("int",)         one column holding the integer;
 #   ("rel", w)       w columns of sorted pair codes x << 32 | y, padded with PAD;
-#   ("fam", (w, ..)) a tuple of Rel (a per-w family): one "rel" block each;
-#   ("obj",)         one column holding an id into the state's object table
-#                    (transcripts, strings and any other value).
+#   ("fam", (w, ..)) a non-empty tuple of Rel (a per-w family): one "rel" block each.
+# A slot holds one of these kinds in every label of the state.
 
 PAD = np.iinfo(np.int64).max  # unused pair position; sorts after every code
 _Y_BITS = 32
@@ -158,8 +149,8 @@ def _rel_block(rels):
     return block
 
 
-def _slot_block(values):
-    """(spec, block) storing one slot's values across all labels."""
+def _slot_block(slot, values):
+    """(spec, block) storing the values of label slot `slot` across all labels."""
     block = _rel_block(values)
     if block is not None:
         return ("rel", block.shape[1]), block
@@ -169,7 +160,11 @@ def _slot_block(values):
         comps = [_rel_block([v[c] for v in values]) for c in range(len(values[0]))]
         if all(c is not None for c in comps):
             return ("fam", tuple(c.shape[1] for c in comps)), np.hstack(comps)
-    return ("obj",), None
+    odd = next((v for v in values if type(v) is not type(values[0])), values[0])
+    raise ValueError(
+        f"label slot {slot} cannot hold a {type(odd).__name__}: a slot holds a Rel (pairs in [0, 2^31)), "
+        "an int in (-2^62, 2^62) or a non-empty tuple of Rel, of one kind in every label"
+    )
 
 
 def _width(spec):
@@ -217,38 +212,24 @@ def _rels(block):
     return [Rel._canonical(tuple(map(pair, row[:k]))) for row, k in zip(inv.reshape(block.shape).tolist(), lengths)]
 
 
-def _intern_obj(objs, index, value):
-    i = index.get(value)
-    if i is None:
-        i = index[value] = len(objs)
-        objs.append(value)
-    return i
-
-
 def _encode(labels):
-    """(schema, rows, object table) for a list of label tuples."""
-    objs, index = [], {}
+    """(schema, rows) for a list of label tuples."""
     if not labels:
-        return (), np.zeros((0, 0), dtype=np.int64), objs
+        return (), np.zeros((0, 0), dtype=np.int64)
     if len({len(lab) for lab in labels}) != 1:
         raise ValueError("all labels of a state must have the same number of slots")
     schema, blocks = [], [np.zeros((len(labels), 0), dtype=np.int64)]
     for s in range(len(labels[0])):
-        values = [lab[s] for lab in labels]
-        spec, block = _slot_block(values)
-        if block is None:
-            block = np.array([_intern_obj(objs, index, v) for v in values], dtype=np.int64).reshape(-1, 1)
+        spec, block = _slot_block(s, [lab[s] for lab in labels])
         blocks.append(block)
         schema.append(spec)
-    return tuple(schema), np.hstack(blocks), objs
+    return tuple(schema), np.hstack(blocks)
 
 
-def _slot_values(spec, block, objs):
+def _slot_values(spec, block):
     """Decode one slot's columns into Python values, one per row."""
     if spec[0] == "int":
         return block[:, 0].tolist()
-    if spec[0] == "obj":
-        return [objs[i] for i in block[:, 0].tolist()]
     if spec[0] == "rel":
         return _rels(block)
     comps, start = [], 0
@@ -258,15 +239,15 @@ def _slot_values(spec, block, objs):
     return list(zip(*comps))
 
 
-def _decode(schema, rows, objs):
+def _decode(schema, rows):
     cols = []
     for s, spec in enumerate(schema):
         a, b = _slot_span(schema, s)
-        cols.append(_slot_values(spec, rows[:, a:b], objs))
+        cols.append(_slot_values(spec, rows[:, a:b]))
     return list(zip(*cols)) if cols else [()] * len(rows)
 
 
-_Table = namedtuple("_Table", "schema rows objs")  # a label table without entries
+_Table = namedtuple("_Table", "schema rows")  # a label table without entries
 
 
 def _rel_widths(spec):
@@ -285,43 +266,31 @@ def _widen(spec, block, widths):
 
 
 def _joint_rows(a, b):
-    """(schema, rows of a, rows of b, objs): two label tables in one layout.
+    """(schema, rows of a, rows of b): two label tables in one layout, with
+    relation blocks padded to the wider table.
 
-    Relation blocks are padded to the wider table, and object ids index one
-    object table (a's ids are kept; b's are remapped once per distinct
-    object). A slot laid out differently otherwise holds object ids on both
-    sides. None if the labels differ in slot count.
+    None if the labels differ in slot count or in the kind of a slot (an
+    int, a Rel, or a family of so many Rel): such labels are never equal.
     """
     if len(a.schema) != len(b.schema):
         return None
-    objs = list(a.objs)
-    index = {o: i for i, o in enumerate(objs)}
-    remap = np.array([_intern_obj(objs, index, o) for o in b.objs], dtype=np.int64)
-
-    def obj_ids(spec, block, own_objs, remap=None):
-        if spec[0] == "obj":
-            return block if remap is None else remap[block]
-        values = _slot_values(spec, block, own_objs)
-        return np.array([_intern_obj(objs, index, v) for v in values], dtype=np.int64).reshape(-1, 1)
-
     schema = []
     cols_a, cols_b = [np.zeros((len(a.rows), 0), dtype=np.int64)], [np.zeros((len(b.rows), 0), dtype=np.int64)]
     for s, (sa, sb) in enumerate(zip(a.schema, b.schema)):
         ba = a.rows[:, slice(*_slot_span(a.schema, s))]
         bb = b.rows[:, slice(*_slot_span(b.schema, s))]
-        if sa[0] == sb[0] in ("rel", "fam") and len(_rel_widths(sa)) == len(_rel_widths(sb)):
+        if sa[0] != sb[0] or (sa[0] == "fam" and len(sa[1]) != len(sb[1])):
+            return None
+        if sa[0] == "int":
+            spec = sa
+        else:
             widths = tuple(map(max, _rel_widths(sa), _rel_widths(sb)))
             spec = ("rel", widths[0]) if sa[0] == "rel" else ("fam", widths)
             ba, bb = _widen(sa, ba, widths), _widen(sb, bb, widths)
-        elif sa == sb == ("int",):
-            spec = sa
-        else:
-            spec = ("obj",)
-            ba, bb = obj_ids(sa, ba, a.objs), obj_ids(sb, bb, b.objs, remap)
         schema.append(spec)
         cols_a.append(ba)
         cols_b.append(bb)
-    return tuple(schema), np.hstack(cols_a), np.hstack(cols_b), objs
+    return tuple(schema), np.hstack(cols_a), np.hstack(cols_b)
 
 
 def _digits(col, digit):
@@ -439,8 +408,8 @@ class PurifiedState:
     """Superposition over purification labels with sparse register vectors.
 
     Built from {label: {basis index: amplitude}}: a label is a tuple of
-    slots holding Rel, int keys, tuples of Rel, or any other hashable value
-    (or from a label table and entry arrays, `from_table`), and `n_qubits`
+    slots, each holding a Rel, an int key or a non-empty tuple of Rel (or
+    from a label table and entry arrays, `from_table`), and `n_qubits`
     is the size of the adversary register the basis indices live on.
     Internally the labels are the distinct rows of the int64
     table `rows` (layout in `schema`, see the label table notes above), and
@@ -452,47 +421,46 @@ class PurifiedState:
 
     def __init__(self, n_qubits, terms=None, entry_cap=ENTRY_CAP):
         terms = {} if terms is None else terms
-        schema, rows, objs = _encode(list(terms))
+        schema, rows = _encode(list(terms))
         sizes = [len(vec) for vec in terms.values()]
         count = sum(sizes)
         lab = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
         idx = np.fromiter((i for vec in terms.values() for i in vec), dtype=np.int64, count=count)
         amp = np.fromiter((a for vec in terms.values() for a in vec.values()), dtype=complex, count=count)
-        self._gather(n_qubits, schema, rows, objs, lab, idx, amp, entry_cap)
+        self._gather(n_qubits, schema, rows, lab, idx, amp, entry_cap)
 
     @classmethod
     def from_table(cls, n_qubits, schema, rows, label_ids, indices, amplitudes, entry_cap=ENTRY_CAP):
         """The state whose entry i is amplitudes[i] at basis index indices[i] of
-        the label in row label_ids[i] of the label table (schema, rows), which
-        has no object slots. Equal rows are one label, and entries that meet
-        are summed. Consumes `rows` and `amplitudes`.
+        the label in row label_ids[i] of the label table (schema, rows). Equal
+        rows are one label, and entries that meet are summed. Consumes `rows`
+        and `amplitudes`.
         """
         st = object.__new__(cls)
-        st._gather(n_qubits, schema, rows, (), label_ids, indices, amplitudes, entry_cap)
+        st._gather(n_qubits, schema, rows, label_ids, indices, amplitudes, entry_cap)
         return st
 
-    def _gather(self, n_qubits, schema, rows, objs, lab, idx, amp, entry_cap):
+    def _gather(self, n_qubits, schema, rows, lab, idx, amp, entry_cap):
         table, inv = _intern(rows)
-        self._set(n_qubits, schema, table, objs, *_merge(n_qubits, _key(n_qubits, inv[lab], idx), amp), entry_cap)
+        self._set(n_qubits, schema, table, *_merge(n_qubits, _key(n_qubits, inv[lab], idx), amp), entry_cap)
 
-    def _set(self, n_qubits, schema, rows, objs, lab, idx, amp, entry_cap):
+    def _set(self, n_qubits, schema, rows, lab, idx, amp, entry_cap):
         self.n_qubits = n_qubits
         self.entry_cap = entry_cap
         self.schema = schema
-        self.objs = tuple(objs)
         for arr in (rows, lab, idx, amp):
             arr.flags.writeable = False
         self.rows, self.label_ids, self.indices, self.amplitudes = rows, lab, idx, amp
         self._terms = None
 
-    def _make(self, schema, rows, objs, lab, idx, amp, n_qubits=None):
+    def _make(self, schema, rows, lab, idx, amp, n_qubits=None):
         st = object.__new__(PurifiedState)
         n = self.n_qubits if n_qubits is None else n_qubits
-        st._set(n, schema, rows, objs, lab, idx, amp, self.entry_cap)
+        st._set(n, schema, rows, lab, idx, amp, self.entry_cap)
         return st
 
     def _with_entries(self, lab, idx, amp):
-        return self._make(self.schema, self.rows, self.objs, lab, idx, amp)
+        return self._make(self.schema, self.rows, lab, idx, amp)
 
     @classmethod
     def initial(cls, n_qubits, label, index=0, amp=1.0, entry_cap=ENTRY_CAP):
@@ -503,7 +471,7 @@ class PurifiedState:
 
     def labels(self, start=0, stop=None):
         """Decoded label tuples for table rows start..stop."""
-        return _decode(self.schema, self.rows[start:stop], self.objs)
+        return _decode(self.schema, self.rows[start:stop])
 
     def label_chunks(self):
         """(start, decoded labels) in bounded batches over the label table."""
@@ -553,7 +521,7 @@ class PurifiedState:
         (and on the entries where `on` holds, if given)."""
         on = keep[self.label_ids] if on is None else on
         lab = (np.cumsum(keep) - 1)[self.label_ids[on]]
-        return self._make(self.schema, self.rows[keep], self.objs, lab, self.indices[on], self.amplitudes[on])
+        return self._make(self.schema, self.rows[keep], lab, self.indices[on], self.amplitudes[on])
 
     def prune(self, tol=0.0):
         """Drop zero (or sub-tolerance) amplitudes and empty labels."""
@@ -615,7 +583,7 @@ class PurifiedState:
         joint = _joint_rows(self, other) if na and nb else None
         if joint is None:
             return np.arange(na), np.arange(na, na + nb)
-        _, a, b, _ = joint
+        _, a, b = joint
         _, inv = _intern(np.vstack([a, b]))
         return inv[:na], inv[na:]
 
@@ -706,7 +674,7 @@ def _open_slot(schema, rows, slot, comp=None):
     return schema[:slot] + (spec,) + schema[slot + 1 :], rows, (a, b + 1)
 
 
-def _append_pair(state, schema, rows, objs, span, free, x, per_label, place, n_qubits):
+def _append_pair(state, schema, rows, span, free, x, per_label, place, n_qubits):
     """The one recording step behind every recording map.
 
     Each entry (label l, index i, amplitude a) goes to a / sqrt(#free(l))
@@ -765,7 +733,7 @@ def _append_pair(state, schema, rows, objs, span, free, x, per_label, place, n_q
         out[start:stop] = scaled[e]
         start = stop
     del t_lab, scaled, per_entry, ent_src, free_y, free_start, s_start, e, y
-    return state._make(schema, table, objs, *_merge(n_qubits, key, out), n_qubits=n_qubits)
+    return state._make(schema, table, *_merge(n_qubits, key, out), n_qubits=n_qubits)
 
 
 def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None):
@@ -799,9 +767,7 @@ def _record_query(state, slot, input_qubits, free):
     qubits = list(input_qubits)
     schema, rows, span = _open_slot(state.schema, state.rows, slot)
     x = extract_bits(state.indices, n, qubits)
-    return _append_pair(
-        state, schema, rows, state.objs, span, free, x, False, lambda i, y: _deposit_bits(i, n, qubits, y), n
-    )
+    return _append_pair(state, schema, rows, span, free, x, False, lambda i, y: _deposit_bits(i, n, qubits, y), n)
 
 
 def _prefix(y, params: CFParams):
@@ -930,47 +896,25 @@ def classical_record(state, oracle, w):
 
     Per label, the recorded input is oracle.input_of(k, w), with k the key
     slot value (0 without a key slot), and the answer y runs over the outputs
-    left free by the avoid mode: 'slot' avoids the target relation, 'global'
-    also the avoid_slots, 'per_w' only component w of a per-w family slot,
-    and 'per_w_global' the whole family plus the avoid_slots. The transcript
-    slot, when set, gains w. `oracle` is a harness ClassicalPROracle.
+    left free by the avoid mode: 'slot' avoids the target relation, 'per_w'
+    only component w of a per-w family slot. `oracle` is a harness
+    ClassicalPROracle.
     """
     n = oracle.n
     n_new = state.n_qubits + n
-    schema, rows, objs = state.schema, state.rows, state.objs
+    schema, rows = state.schema, state.rows
     if not len(rows):
-        return state._make(schema, rows, objs, state.label_ids, state.indices, state.amplitudes, n_new)
-    per_w = oracle.avoid.startswith("per_w")
-    spans = [_rel_span(schema, oracle.rel_slot, w if per_w else None)]
-    if oracle.avoid in ("global", "per_w_global"):
-        if oracle.avoid == "per_w_global":
-            spans.append(_slot_span(schema, oracle.rel_slot))
-        spans += [_rel_span(schema, s) for s in oracle.avoid_slots]
-    free = _free_outputs(rows, spans, 2**n)
+        return state._make(schema, rows, state.label_ids, state.indices, state.amplitudes, n_new)
+    comp = w if oracle.avoid == "per_w" else None
+    free = _free_outputs(rows, [_rel_span(schema, oracle.rel_slot, comp)], 2**n)
     if oracle.key_slot is None:
         keys = np.zeros(len(rows), dtype=np.int64)
     else:
         keys = _int_column(schema, rows, oracle.key_slot)
     uk, kinv = np.unique(keys, return_inverse=True)
     x = np.array([oracle.input_of(k, w) for k in uk.tolist()], dtype=np.int64)[kinv]
-    if oracle.transcript_slot is not None:
-        rows, objs = _extend_objects(schema, rows, objs, oracle.transcript_slot, lambda t: t + (w,))
-    schema, rows, span = _open_slot(schema, rows, oracle.rel_slot, w if per_w else None)
-    return _append_pair(state, schema, rows, objs, span, free, x, True, lambda i, y: (i << n) | y, n_new)
-
-
-def _extend_objects(schema, rows, objs, slot, fn):
-    """Map the values of an object slot through an injective fn."""
-    a, _ = _slot_span(schema, slot)
-    if schema[slot][0] != "obj":
-        raise ValueError(f"label slot {slot} does not hold objects")
-    ids, inv = np.unique(rows[:, a], return_inverse=True)
-    objs = list(objs)
-    index = {o: i for i, o in enumerate(objs)}
-    new_ids = np.array([_intern_obj(objs, index, fn(objs[i])) for i in ids.tolist()], dtype=np.int64)
-    rows = rows.copy()
-    rows[:, a] = new_ids[inv]
-    return rows, objs
+    schema, rows, span = _open_slot(schema, rows, oracle.rel_slot, comp)
+    return _append_pair(state, schema, rows, span, free, x, True, lambda i, y: (i << n) | y, n_new)
 
 
 def key_pauli(state, kind, lam, key_slot, input_qubits):
@@ -994,7 +938,7 @@ def corx(rel, k: int):
     return {(p, q) for p in pairs for q in pairs if p[1] ^ q[0] == k}
 
 
-# Column tests read a label table (`schema`, `rows` and `objs`): a whole
+# Column tests read a label table (`schema` and `rows`): a whole
 # state, or one bounded run of its labels as label_mask hands it out.
 
 
@@ -1003,7 +947,7 @@ def label_mask(state, test):
     so that the column temporaries stay small."""
     keep = np.empty(state.label_count(), dtype=bool)
     for lo in range(0, len(keep), _MASK_LABELS):
-        keep[lo : lo + _MASK_LABELS] = test(_Table(state.schema, state.rows[lo : lo + _MASK_LABELS], state.objs))
+        keep[lo : lo + _MASK_LABELS] = test(_Table(state.schema, state.rows[lo : lo + _MASK_LABELS]))
     return keep
 
 
@@ -1050,8 +994,7 @@ def good_mass(state, keep):
 
 
 def label_rewrite(state, schema, rows):
-    """The state with label i moved to row i of the label table (schema, rows),
-    which has no object slots.
+    """The state with label i moved to row i of the label table (schema, rows).
 
     Amplitude vectors are untouched. Consumes `rows`. Raises if two labels
     meet, which would make the rewrite non-isometric.
@@ -1103,19 +1046,19 @@ class KeyHadamard:
             raise ValueError(f"key slice {k} holds labels of another key")
         slot = range(len(state.schema))[self.key_slot]
         a, _ = _slot_span(state.schema, slot)
-        rest = _Table(state.schema[:slot] + state.schema[slot + 1 :], np.delete(state.rows, a, axis=1), state.objs)
+        rest = _Table(state.schema[:slot] + state.schema[slot + 1 :], np.delete(state.rows, a, axis=1))
         if self.table is None:
             self.n, self.slot, self.entry_cap = n, slot, state.entry_cap
-            joint = rest.schema, rest.rows[:0], rest.rows, list(rest.objs)
+            joint = rest.schema, rest.rows[:0], rest.rows
         elif n != self.n or slot != self.slot:
             raise ValueError("key slices differ in register or key slot")
         else:
             joint = _joint_rows(self.table, rest)
             if joint is None:
                 raise ValueError("key slices differ in label slots")
-        schema, old_rows, new_rows, objs = joint
+        schema, old_rows, new_rows = joint
         rows, inv = _intern(np.vstack([old_rows, new_rows]))
-        self.table = _Table(schema, rows, objs)
+        self.table = _Table(schema, rows)
         old = len(old_rows)
         new_groups = _key(n, inv[old:][state.label_ids], state.indices)
         if self.groups is None:
@@ -1155,5 +1098,5 @@ class KeyHadamard:
         schema = self.table.schema[: self.slot] + (("int",),) + self.table.schema[self.slot :]
         entries = _merge(n, _key(n, lab, self.groups[g] & ((1 << n) - 1)), amp)
         out = object.__new__(PurifiedState)
-        out._set(n, schema, rows, tuple(self.table.objs), *entries, self.entry_cap)
+        out._set(n, schema, rows, *entries, self.entry_cap)
         return out

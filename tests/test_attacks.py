@@ -9,7 +9,6 @@ import pytest
 from qhrolab.attacks import (
     NonAdaptiveCircuit,
     choi_from_copies,
-    haar_choi_overlap_tail,
     rank_projector,
     rank_projector_attack,
     rank_ratio,
@@ -73,17 +72,6 @@ def test_swap_or_attack_extremes():
     other = choi_state(pauli_string("X", 3, 2, 2))
     miss = swap_or_attack(other, {0: phi}, 16, rng)
     assert miss.fidelities[0] < 0.5
-
-
-def test_haar_choi_overlap_tail():
-    rng = trial_rng(53)
-    with pytest.raises(ValueError):
-        haar_choi_overlap_tail(1, 100, rng)
-    out = haar_choi_overlap_tail(1, 1000, rng)
-    assert 0.0 <= out["tail"] <= 1.0
-    assert out["levy_bound"] > 0
-    # mean Choi overlap with a fixed unitary is 1/N^2 = 1/4 at n=1
-    assert abs(out["mean_overlap"] - 0.25) < 0.05
 
 
 def test_sym_dim_values():

@@ -152,6 +152,11 @@ def test_run_invalid_params_exit_2(tmp_path):
     res = CliRunner().invoke(main, ["run", "exp_split_augment", "--trials", "5", "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert "unknown parameters: trials" in res.output
+    # at n = 1 the split/augment chain has nothing to check
+    cfg.write_text(json.dumps({"schema_version": 1, "seed": 9, "n": 1}))
+    res = CliRunner().invoke(main, ["run", "exp_split_augment", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "n must be an int >= 2" in res.output
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))

@@ -16,7 +16,7 @@ from qhrolab.constructions import (
     stretch_key_bits,
     stretch_output_qubits,
 )
-from qhrolab.linalg import UnitaryMatrix, basis_state, haar_unitary, pauli_string, trial_rng
+from qhrolab.linalg import haar_unitary, pauli_string, trial_rng
 from qhrolab.relstate import CFParams
 
 
@@ -60,9 +60,7 @@ def test_descriptor_metadata():
     cf = CFParams(1, 2, 2)
     desc = pru_one_query(2, 2, slot=1, cf=cf)
     assert desc.record_slots() == (1,)
-    d = desc.to_json_dict()
-    assert d["steps"][0] == ["cfpr", 1, [1, 2, 2]]
-    assert d["steps"][1] == ["pauli", "Z"]
+    assert desc.steps == (("cfpr", 1, cf), ("pauli", "Z"))
     assert pru_two_query(3, 2).record_slots() == (0, 0)
 
 
@@ -95,8 +93,6 @@ def test_prfs_output_column():
 def test_spru_layout():
     lay = spru(3, 1, 2)
     assert lay.total_qubits == 5
-    assert lay.ab_qubits == [0, 1, 2]
-    assert lay.bc_qubits == [2, 3, 4]
     with pytest.raises(ValueError):
         spru(3, 0, 1)
     with pytest.raises(ValueError):

@@ -10,19 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhrolab import experiments, harness, relstate
-from qhrolab.constructions import haar_slot, pru_two_query
 from qhrolab.experiments import EXPERIMENTS, SLACK, run_experiment
-from qhrolab.harness import (
-    AdversaryProgram,
-    ClassicalPROracle,
-    KeyInit,
-    QuantumQuery,
-    haar_interleave,
-    key_sliced_view,
-    reduce_view,
-    run_pr,
-)
-from qhrolab.linalg import trace_distance, trial_rng
+from qhrolab.harness import KeyInit, key_sliced_view, reduce_view, run_pr
 from qhrolab.relstate import PurifiedState, Rel, corx, label_mask, project_good
 
 
@@ -160,58 +149,17 @@ def test_asymptotic_checks_are_flagged():
     assert cs["moment_distance_vs_gluing_bound"][0]["kind"] == "ASYMPTOTIC"
 
 
-# ------------------------------------- keyless ideal hybrids of exp_prs / exp_prfs
-
-
-def oracle_game(kind, a, t):
-    """The folded game of exp_prs (`a` = s) or exp_prfs (`a` = m_in)."""
-    return experiments._prs_game(t, a) if kind == "prs" else experiments._prfs_game(a, t)
-
-
-def keyed_ideal_state(kind, n, lam, a, t):
-    """The ideal hybrid as built before it dropped its key.
-
-    The copy oracle ignores k, so the uniform key register is carried but
-    never read. `a` is s for exp_prs and m_in for exp_prfs.
-    """
-    prog = experiments._oracle_program(oracle_game(kind, a, t), n)
-    if kind == "prs":
-        copy = ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: 0, key_slot=2)
-        bindings = {"copy": copy, "U": haar_slot(n, slot=1)}
-        return run_pr(prog, bindings, (Rel(), Rel(), KeyInit(lam)))
-    shift = n - lam - a
-    oracle = ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: w << shift, key_slot=2, avoid="per_w")
-    bindings = {"O": oracle, "U": haar_slot(n, slot=1)}
-    rels = tuple(Rel() for _ in range(max(2**a, 1)))
-    return run_pr(prog, bindings, (rels, Rel(), KeyInit(lam)))
-
-
-@pytest.mark.parametrize(
-    "kind,n,lam,a,t",
-    [("prs", 3, 3, 3, 2), ("prs", 4, 2, 2, 2), ("prfs", 3, 2, 1, 2), ("prfs", 4, 2, 1, 2)],
-)
-def test_keyless_ideal_matches_keyed(monkeypatch, kind, n, lam, a, t):
-    entries = []
-
-    def counting_reduce_view(state, keep):
-        entries.append(state.entry_count())
-        return reduce_view(state, keep)
-
-    monkeypatch.setattr(experiments, "reduce_view", counting_reduce_view)
-    _, _, v_ideal, _, keep = experiments._oracle_views(oracle_game(kind, a, t), n, lam, want_mass=False)
-    keyed = keyed_ideal_state(kind, n, lam, a, t)
-    # the last reduce_view call of _oracle_views is on the keyless ideal side
-    assert keyed.entry_count() == 2**lam * entries[-1]
-    v_keyed = reduce_view(keyed, keep).reduced
-    assert np.max(np.abs(v_ideal.entries - v_keyed.entries)) <= 1e-12
-
-
 # ------------------------------------------- key-sliced real sides and column masks
 #
 # The real sides of exp_prs / exp_prfs and hybrid 2 of exp_pru2 run one key
 # at a time (harness.key_sliced_view). Here each is compared with run_pr on
 # the full KeyInit state, and the column masks with the per-label Python
 # predicates they replaced.
+
+
+def oracle_game(kind, a, t):
+    """The folded game of exp_prs (`a` = s) or exp_prfs (`a` = m_in)."""
+    return experiments._prs_game(t, a) if kind == "prs" else experiments._prfs_game(a, t)
 
 
 def old_prs_good(n, lam, t):
@@ -322,19 +270,6 @@ def test_record_point_reduces_no_full_keyed_state(monkeypatch):
 # ------------------------------------------------ isometry checks of exp_pru1 and exp_split_augment
 
 
-def dict_max_diff(a, b):
-    """max_diff over the decoded terms, label by label."""
-    ta, tb = a.terms, b.terms
-    return max(
-        (
-            abs(ta.get(lab, {}).get(i, 0) - tb.get(lab, {}).get(i, 0))
-            for lab in set(ta) | set(tb)
-            for i in set(ta.get(lab, {})) | set(tb.get(lab, {}))
-        ),
-        default=0.0,
-    )
-
-
 @pytest.mark.parametrize("h", [0, 1])
 def test_prefix_xor_split_needs_a_unique_subset(h):
     # both outputs have prefix 0: two subsets give h = 0, none gives h = 1
@@ -357,95 +292,6 @@ def test_pru1_unkeyed_hybrid2_runs_once(monkeypatch):
     assert inits == [(Rel(), 0), (Rel(), Rel())]
     assert cs["td_hybrid2_vs_hybrid3"][0]["passed"]
     assert "isometry_state_match" not in cs
-
-
-# The split surgery and the augmented side of exp_split_augment were a chain
-# of per-label Python rewrites (partition, pair matching, injection). That
-# chain lives on here as their differential oracle, on the whole keyed state.
-
-
-def old_split_augment(seed, n):
-    """exp_split_augment by the per-label chain on the whole keyed psi2.
-
-    (fidelity, split TD, augment TD, td_sides, psi2p by key, psi3p by key);
-    the per-key states are at the scale of one key slice.
-    """
-    N, lam, t, ell = 2**n, n, 1, 1
-    rng = trial_rng(seed, 50_000 + n)
-    prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("G")))
-    desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
-    psi2 = run_pr(prog, {"G": desc_g}, (Rel(), KeyInit(lam)))
-    rho2 = reduce_view(psi2).reduced
-    good = project_good(psi2, predicate_mask(psi2, old_corx_good(ell)))
-    psi2p = {}
-    for (rel, k), vec in good.terms.items():
-        (p,) = [p for p in rel if any(p[1] ^ q[0] == k for q in rel)]
-        (q,) = [q for q in rel if q != p and q[0] ^ p[1] == k]
-        psi2p[(Rel([(p[0], q[1])]), p[1], k)] = vec
-    psi3 = run_pr(prog, {"G": haar_slot(n, slot=0)}, (Rel(),))
-    rho3 = reduce_view(psi3).reduced
-    psi3p = {}
-    for (rel,), vec in psi3.terms.items():
-        (x, y) = rel.pairs[0]
-        for z in range(N):
-            if z in rel.image:
-                continue
-            goodk = [k for k in range(2**lam) if len(corx(Rel([(x, z), (z ^ k, y)]), k)) == ell]
-            for k in goodk:
-                psi3p[(Rel([(x, y)]), z, k)] = {i: a / math.sqrt((N - t) * len(goodk)) for i, a in vec.items()}
-    whole2p, whole3p = PurifiedState(n, psi2p), PurifiedState(n, psi3p)
-
-    def by_key(terms, scale):
-        return {
-            k: PurifiedState(n, {lab: {i: a * scale for i, a in vec.items()} for lab, vec in terms.items() if lab[2] == k})
-            for k in range(2**lam)
-        }
-
-    return (
-        abs(whole2p.inner(whole3p)),
-        trace_distance(reduce_view(whole2p).reduced, reduce_view(good).reduced),
-        trace_distance(reduce_view(whole3p).reduced, rho3),
-        trace_distance(rho2, rho3),
-        by_key(psi2p, 2.0 ** (lam / 2.0)),
-        by_key(psi3p, 1.0),
-    )
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_split_augment_sliced_matches_whole_state(monkeypatch, n):
-    parts = {"psi2p": [], "psi3p": []}
-    surgery, augmented_part = experiments._split_surgery, experiments._augmented_part
-
-    def recording_surgery(good):
-        out = surgery(good)
-        parts["psi2p"].append(out)
-        return out
-
-    def recording_augmented_part(*args):
-        part = augmented_part(*args)
-
-        def recording_part(k):
-            out = part(k)
-            parts["psi3p"].append(out)
-            return out
-
-        return recording_part
-
-    monkeypatch.setattr(experiments, "_split_surgery", recording_surgery)
-    monkeypatch.setattr(experiments, "_augmented_part", recording_augmented_part)
-    rep = run_experiment("exp_split_augment", {"seed": 9, "n": n})
-    cs = checks_by_name(rep)
-    fid, split, augment, td_sides, psi2p, psi3p = old_split_augment(9, n)
-    assert abs(cs["fidelity"][0]["value"] - fid) <= 1e-12
-    assert abs(cs["reduced_view_invariance_split"][0]["value"] - split) <= 1e-12
-    assert abs(cs["reduced_view_invariance_augment"][0]["value"] - augment) <= 1e-12
-    assert abs(rep.grid[0]["point"]["td_sides"] - td_sides) <= 1e-12
-    # one surgery and one augmented part per key slice, in key order
-    assert len(parts["psi2p"]) == len(parts["psi3p"]) == 2**n
-    for k in range(2**n):
-        assert psi2p[k].label_count() > 0 and psi3p[k].label_count() > 0
-        assert dict_max_diff(parts["psi2p"][k], psi2p[k]) <= 1e-12
-        assert dict_max_diff(parts["psi3p"][k], psi3p[k]) <= 1e-12
 
 
 def two_pair_state(rel, k):
@@ -564,11 +410,21 @@ def no_numerics(monkeypatch):
         ("exp_prfs", {"seed": 1, "n": 3, "lam": 2}),
         ("exp_split_augment", {"seed": 1, "trials": 5}),
         ("exp_spru", {"seed": 1, "probes": 0}),
+        ("exp_split_augment", {"seed": 9, "n": 1}),
     ],
 )
 def test_invalid_params_fail_before_numerics(no_numerics, name, params):
     with pytest.raises(ValueError):
         run_experiment(name, params)
+
+
+def test_split_augment_smallest_n_has_chained_pairs():
+    # at n = 1 (N = 2) no key has exactly one chained pair, so n starts at 2
+    with pytest.raises(ValueError, match="n must be an int >= 2"):
+        EXPERIMENTS["exp_split_augment"].schema.parse({"seed": 9, "n": 1})
+    rep = run_experiment("exp_split_augment", {"seed": 9, "n": 2})
+    assert all(c["passed"] for e in rep.grid for c in e["checks"])
+    assert rep.grid[0]["point"]["n"] == 2
 
 
 def typed_in_range(f, v):

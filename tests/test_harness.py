@@ -49,7 +49,6 @@ def test_program_validation():
         Interleave(u=UnitaryMatrix.from_array(np.eye(2)), sparse_map=lambda v: (v, 1.0))
     prog = AdversaryProgram(n=2, m_anc=1, steps=(identity_interleave(3), QuantumQuery("U"), QuantumQuery("U")))
     assert prog.reg_qubits == 3
-    assert prog.query_counts() == {"U": 2}
 
 
 def test_run_concrete_matches_matrix():
@@ -149,7 +148,7 @@ def test_label_rewrite_invisible_in_view():
 
 
 def test_reduce_view_diagnostics_and_cap():
-    psi = PurifiedState(13, {("a",): {0: 1.0}})
+    psi = PurifiedState(13, {(0,): {0: 1.0}})
     with pytest.raises(ValueError):
         reduce_view(psi)
     small = reduce_view(psi, keep=[0, 1])
@@ -158,7 +157,7 @@ def test_reduce_view_diagnostics_and_cap():
 
 
 def test_reduce_view_rejects_invalid_keep():
-    psi = PurifiedState(3, {("a",): {0b101: 1.0}})
+    psi = PurifiedState(3, {(0,): {0b101: 1.0}})
     for keep in ([0, 0], [-1], [3], [0, 1, 1]):
         with pytest.raises(ValueError):
             reduce_view(psi, keep=keep)
@@ -246,15 +245,24 @@ def test_classical_recording_per_w_slots():
 
 
 def test_classical_recording_keyed_and_global():
-    oracle = ClassicalPROracle(
-        n=1, rel_slot=0, input_of=lambda k, w: k ^ w, key_slot=1, avoid="global", avoid_slots=(2,)
-    )
+    oracle = ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: k ^ w, key_slot=1)
     prog = AdversaryProgram(n=1, steps=(identity_interleave(1), ClassicalQuery("O", 1)))
-    psi = run_pr(prog, {"O": oracle}, (Rel(), 1, Rel([(0, 0)])))
-    # key 1, w 1 -> recorded input 0; output must dodge the avoid slot image {0}
+    psi = run_pr(prog, {"O": oracle}, (Rel([(1, 0)]), 1))
+    # key 1, w 1 -> recorded input 0; output must dodge the slot's own image {0}
     ((lab, vec),) = psi.terms.items()
-    assert lab[0] == Rel([(0, 1)])
+    assert lab == (Rel([(0, 1), (1, 0)]), 1)
     assert abs(vec[0b01] - 1.0) < 1e-12
+    # outputs avoid one relation: there is no mode that avoids other slots too
+    for avoid in ("global", "per_w_global"):
+        with pytest.raises(ValueError, match="avoid must be"):
+            dataclasses.replace(oracle, avoid=avoid)
+
+
+def test_classical_oracle_rejects_an_unknown_avoid_mode():
+    for avoid in ("per-w", "Slot", "", None):
+        with pytest.raises(ValueError, match="avoid must be 'slot' or 'per_w'"):
+            ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: w, avoid=avoid)
+    assert ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: w, avoid="per_w").avoid == "per_w"
 
 
 def test_haar_view_mc_determinism():
@@ -311,9 +319,9 @@ def writes_key(**fields):
     "oracle",
     [
         writes_key(rel_slot=1),
-        writes_key(avoid="global", avoid_slots=(1,)),
-        writes_key(transcript_slot=1),
-        writes_key(transcript_slot=-2),
+        writes_key(rel_slot=-2),
+        writes_key(rel_slot=1, avoid="per_w"),
+        haar_slot(2, slot=-2),
         haar_slot(2, slot=1),
         haar_slot(2, slot=0, shared_slots=(0, 1)),
         haar_slot(2, slot=0, cf=CFParams(1, 1, 2), shared_slots=(1, 0)),
@@ -322,7 +330,7 @@ def writes_key(**fields):
 def test_key_slicing_refuses_oracles_that_write_the_key(oracle):
     prog, bindings = sliced_setup()
     with pytest.raises(ValueError, match="key slot"):
-        key_sliced_view(prog, {**bindings, "W": oracle}, (Rel(), KeyInit(2), ()))
+        key_sliced_view(prog, {**bindings, "W": oracle}, (Rel(), KeyInit(2), Rel()))
 
 
 def test_key_slices_refuse_before_running_a_slice(monkeypatch):
@@ -333,7 +341,7 @@ def test_key_slices_refuse_before_running_a_slice(monkeypatch):
 
     monkeypatch.setattr(harness, "run_pr", unreachable)
     with pytest.raises(ValueError, match="key slot"):
-        key_slices(prog, {**bindings, "W": writes_key(rel_slot=1)}, (Rel(), KeyInit(2), ()))
+        key_slices(prog, {**bindings, "W": writes_key(rel_slot=1)}, (Rel(), KeyInit(2), Rel()))
 
 
 @pytest.mark.parametrize("init", [(Rel(), 0), (Rel(), KeyInit(1), KeyInit(1)), ()])

@@ -38,8 +38,6 @@ def test_rel_canonical_form():
     b = Rel([(0, 3), (1, 2)])
     assert a == b and hash(a) == hash(b)
     assert a.pairs == ((0, 3), (1, 2))
-    assert a.image == frozenset({2, 3})
-    assert a.domain == frozenset({0, 1})
     with pytest.raises(ValueError):
         Rel([(0, 1), (2, 1)])
     with pytest.raises(AttributeError):
@@ -378,10 +376,29 @@ def test_purified_state_helpers():
     assert st0.label_count() == 2
     assert st0.entry_count() == 3
     assert abs(st0.norm_sq() - 1.0) < 1e-9
-    pruned = PurifiedState(1, {("a",): {0: 1e-15}, ("b",): {1: 1.0}}).prune(1e-12)
-    assert set(pruned.terms) == {("b",)}
+    pruned = PurifiedState(1, {(0,): {0: 1e-15}, (1,): {1: 1.0}}).prune(1e-12)
+    assert set(pruned.terms) == {(1,)}
     with pytest.raises(MemoryError):
-        PurifiedState(1, {("a",): {0: 1.0, 1: 1.0}}, entry_cap=1).check_cap()
+        PurifiedState(1, {(0,): {0: 1.0, 1: 1.0}}, entry_cap=1).check_cap()
+
+
+@pytest.mark.parametrize(
+    "labels,kind",
+    [
+        ([("x",)], "str"),
+        ([(Rel(), frozenset({1}))], "frozenset"),
+        ([(Rel(), 0), (Rel(), Rel())], "Rel"),
+        ([(Rel(),), (3,)], "int"),
+        ([((Rel(), Rel()),), ((Rel(), 1),)], "tuple"),
+        ([((),)], "tuple"),
+        ([(Rel([(0, 2**31)]),)], "Rel"),
+        ([(2**62,)], "int"),
+    ],
+)
+def test_label_slots_hold_rel_int_or_rel_family(labels, kind):
+    slot = len(labels[0]) - 1
+    with pytest.raises(ValueError, match=f"label slot {slot} cannot hold a {kind}:"):
+        PurifiedState(1, {lab: {0: 1.0} for lab in labels})
 
 
 @pytest.mark.parametrize("chunk", [1, 7, None])
@@ -390,7 +407,7 @@ def test_norm_sq_is_one_left_to_right_sum(monkeypatch, chunk):
     rng = np.random.default_rng(11)
     amps = (rng.normal(size=count) + 1j * rng.normal(size=count)) * 10.0 ** rng.integers(-6, 6, size=count)
     half = count // 2
-    state = PurifiedState(17, {("a",): dict(enumerate(amps[:half])), ("b",): dict(enumerate(amps[half:]))})
+    state = PurifiedState(17, {(0,): dict(enumerate(amps[:half])), (1,): dict(enumerate(amps[half:]))})
     if chunk is not None:
         monkeypatch.setattr(relstate, "_ENTRY_CHUNK", chunk)
     assert state.norm_sq() == float(np.cumsum(np.abs(state.amplitudes) ** 2)[-1])
@@ -398,14 +415,14 @@ def test_norm_sq_is_one_left_to_right_sum(monkeypatch, chunk):
 
 
 def test_purified_inner_and_diff():
-    a = PurifiedState(1, {("x",): {0: 1.0}})
-    b = PurifiedState(1, {("x",): {0: 0.5}, ("y",): {1: 0.5}})
+    a = PurifiedState(1, {(0,): {0: 1.0}})
+    b = PurifiedState(1, {(0,): {0: 0.5}, (1,): {1: 0.5}})
     assert abs(a.inner(b) - 0.5) < 1e-12
     assert abs(a.max_diff(b) - 0.5) < 1e-12
     with pytest.raises(ValueError):
         a.inner(PurifiedState(2, {}))
     with pytest.raises(ValueError, match="register mismatch"):
-        a.max_diff(PurifiedState(2, {("x",): {0: 1.0}}))
+        a.max_diff(PurifiedState(2, {(0,): {0: 1.0}}))
 
 
 def dict_inner_and_diff(a, b):
@@ -423,26 +440,28 @@ def dict_inner_and_diff(a, b):
 @pytest.mark.parametrize(
     "labels_a,labels_b",
     [
-        # Rel widths 2 and 1, object tables in another order, one int slot
+        # Rel widths 2 and 1, int slots, labels in another order
         (
-            [(Rel([(0, 1)]), frozenset({1}), 3), (Rel([(0, 1), (1, 2)]), "x", 4), (Rel(), "y", 4)],
-            [(Rel([(0, 1)]), frozenset({1}), 3), (Rel(), "y", 4), (Rel([(1, 2)]), "x", 4)],
+            [(Rel([(0, 1)]), 1, 3), (Rel([(0, 1), (1, 2)]), 7, 4), (Rel(), 8, 4)],
+            [(Rel([(0, 1)]), 1, 3), (Rel(), 8, 4), (Rel([(1, 2)]), 7, 4)],
         ),
-        # an int slot against an object slot holding the same ints
-        ([(Rel([(0, 1)]), 3), (Rel([(2, 1)]), 5)], [(Rel([(0, 1)]), 3), (Rel([(0, 1)]), "z")]),
+        # an int slot against a Rel slot
+        ([(Rel([(0, 1)]), 3), (Rel([(2, 1)]), 5)], [(Rel([(0, 1)]), Rel([(0, 3)])), (Rel([(0, 1)]), Rel())]),
         # per-w families of other widths, and a Rel slot against a family slot
         ([((Rel([(0, 1)]), Rel()), 0), ((Rel(), Rel([(1, 1), (2, 2)])), 0)], [((Rel([(0, 1)]), Rel()), 0)]),
         ([(Rel([(0, 1)]),)], [((Rel([(0, 1)]),),)]),
         # other slot counts, and an empty state
         ([(Rel([(0, 1)]), 1)], [(Rel([(0, 1)]),)]),
         ([(Rel([(0, 1)]), 1)], []),
+        # families of two and of one Rel
+        ([((Rel([(0, 1)]), Rel()),)], [((Rel([(0, 1)]),),)]),
     ],
 )
 def test_inner_and_diff_match_labels_across_layouts(labels_a, labels_b):
     rng = np.random.default_rng(5)
 
     def state(labels):
-        return PurifiedState(2, {lab: {int(i): complex(*rng.normal(size=2)) for i in rng.choice(4, 2)} for lab in labels})
+        return PurifiedState(2, {lab: {i: complex(*rng.normal(size=2)) for i in range(4)} for lab in labels})
 
     a, b = state(labels_a), state(labels_b)
     for x, y in ((a, b), (b, a)):

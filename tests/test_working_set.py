@@ -22,9 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_experiments import keyed_ideal_state
 
-from qhrolab import harness, relstate
+from qhrolab import experiments, harness, relstate
 from qhrolab.constructions import haar_slot, pru_one_query, pru_two_query
 from qhrolab.harness import (
     AdversaryProgram,
@@ -44,14 +43,12 @@ KEEP = list(range(6))  # exp_prs keeps the first 2n qubits
 
 # ------------------------------------------------------------ random programs
 
-# slots: 0 and 1 relations, 2 the key, 3 a per-w family, 4 a transcript
-INIT_SLOTS = (Rel(), Rel(), None, (Rel(), Rel()), ())
+# slots: 0 and 1 relations, 2 the key, 3 a per-w family
+INIT_SLOTS = (Rel(), Rel(), None, (Rel(), Rel()))
 
 CLASSICAL_MODES = {
     "slot": dict(rel_slot=0),
-    "global": dict(rel_slot=0, avoid="global", avoid_slots=(1,)),
     "per_w": dict(rel_slot=3, avoid="per_w"),
-    "per_w_global": dict(rel_slot=3, avoid="per_w_global", avoid_slots=(1,)),
 }
 
 
@@ -100,7 +97,6 @@ def programs(draw):
                 n=1,
                 input_of=lambda k, w, s=shift: (k + w + s) % 4,
                 key_slot=draw(st.sampled_from([2, None])),
-                transcript_slot=4,
                 **CLASSICAL_MODES[mode],
             )
             steps.append(ClassicalQuery(f"C{j}", w))
@@ -113,8 +109,15 @@ def programs(draw):
 
 
 def keyed_stress_state():
-    """The keyed ideal hybrid of exp_prs at n=3, lam=3, t=2, s=3."""
-    return keyed_ideal_state("prs", 3, 3, 3, 2)
+    """The keyed ideal hybrid of exp_prs at n=3, lam=3, t=2, s=3.
+
+    The copy oracle ignores k, so the uniform key register is carried but
+    never read; exp_prs builds this hybrid without it.
+    """
+    n, lam = 3, 3
+    prog = experiments._oracle_program(experiments._prs_game(2, 3), n)
+    copy = ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: 0, key_slot=2)
+    return run_pr(prog, {"copy": copy, "U": haar_slot(n, slot=1)}, (Rel(), Rel(), KeyInit(lam)))
 
 
 @pytest.fixture(scope="module")
