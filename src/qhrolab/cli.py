@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 import click
 
@@ -76,8 +77,10 @@ def cmd_run(name, config_path, seed, trials, outdir, fmt):
     """Run one experiment and write report files.
 
     Exits 0 when every check passes, 1 on a failed check, 2 on an unknown
-    experiment, an invalid config or invalid parameters, and 3 when a
-    resource limit is hit.
+    experiment, an invalid config or invalid parameters (all found before
+    any numerics run), 3 when a resource limit is hit, and 4 when the run
+    fails in any other way after its parameters were accepted. Exits 3 and
+    4 write no report.
     """
     params = {}
     try:
@@ -86,15 +89,21 @@ def cmd_run(name, config_path, seed, trials, outdir, fmt):
         params.setdefault("seed", seed)
         if trials is not None:
             params["trials"] = trials
-        started = time.time()
-        report = run_experiment(name, params)
-        elapsed = time.time() - started
+        EXPERIMENTS[name].schema.parse(params)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         click.echo(f"invalid run: {exc}", err=True)
         sys.exit(2)
+    try:
+        started = time.time()
+        report = run_experiment(name, params)
+        elapsed = time.time() - started
     except MemoryError as exc:
         click.echo(f"resource limit: {exc}", err=True)
         sys.exit(3)
+    except Exception as exc:
+        click.echo(traceback.format_exc(), err=True)
+        click.echo(f"run failed: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(4)
 
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
     rundir = os.path.join(outdir, name, f"{stamp}-{report.seed}")

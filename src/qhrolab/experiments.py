@@ -213,6 +213,11 @@ class Params:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "seed"}
 
 
+def _above_pow2(x, n):
+    """x > 2^n, without building 2^n for a large n."""
+    return x > 1 << min(n, x.bit_length())
+
+
 # --------------------------------------------------------------- exp_mh_bound
 
 
@@ -233,6 +238,10 @@ class MhBoundParams(Params):
     n_list: tuple[int, ...] = _param((2, 3, 4), lo=1)
     t: int = _param(2, lo=0)
     trials: int = _param(20000, lo=1)
+
+    def _derive(self):
+        if _above_pow2(self.t, min(self.n_list)):
+            raise ValueError("need t <= 2^n at every grid point: a relation holds at most 2^n pairs")
 
 
 def exp_mh_bound(p: MhBoundParams) -> ExperimentReport:
@@ -436,6 +445,23 @@ class Pru1Params(Params):
             raise ValueError("need lam <= n")
         if self.ell > self.t:
             raise ValueError("need ell <= t: ell of the t queries are keyed")
+        if self.mode == "secure":
+            stuck = _CF_STUCK.get(max(self.ell, 1))
+            if stuck is None:
+                raise ValueError("secure mode needs ell <= 3: cf_set takes folds up to 3")
+            most = stuck[self.lam - 1] if self.lam <= len(stuck) else 7
+            if self.t > most:
+                raise ValueError(f"secure mode at lam = {self.lam}, ell = {self.ell} answers at most t = {most} queries")
+
+
+# Secure mode records collision-free outputs of fold max(ell, 1) and prefix
+# length lam, so each query needs a free output, and cf_set takes at most 6
+# recorded ones: t is at most 7, and at most the size of the smallest
+# collision-free prefix set in {0,1}^lam that no prefix extends. By fold,
+# that size at lam = 1, 2, ... (2^lam at fold 1; exhaustive search at folds
+# 2 and 3); past the listed lam it is 7 or more, as the prefixes a set
+# forbids lie in its affine hull.
+_CF_STUCK = {1: (2, 4), 2: (2, 3, 4, 6), 3: (2, 3, 4, 5, 6)}
 
 
 def exp_pru1(p: Pru1Params) -> ExperimentReport:
@@ -559,6 +585,10 @@ class _OracleParams(Params):
         # the scaling points add one key bit at the same n
         if self.n < self.lam + getattr(self, "m_in", 0) + self.scaling:
             raise ValueError("need n >= lam + m_in, plus one when scaling")
+        # the real oracle records the t classical and s direct queries (s = t
+        # in exp_prfs) in one relation
+        if _above_pow2(self.t + getattr(self, "s", self.t), self.n):
+            raise ValueError("need t + s <= 2^n (2t <= 2^n in exp_prfs): a relation holds at most 2^n pairs")
 
 
 @dataclass(frozen=True)
@@ -643,10 +673,10 @@ def _oracle_views(game, n, lam, want_mass):
     v_real, mass = key_sliced_view(prog, real_bind, (Rel(), KeyInit(lam)), keep, mask)
 
     ideal_bind = {
-        game.oracle: ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: w << (n - lam - m), avoid="per_w"),
-        "U": haar_slot(n, slot=1),
+        game.oracle: ClassicalPROracle(n=n, rel_slot=tuple(range(2**m)), input_of=lambda k, w: w << (n - lam - m)),
+        "U": haar_slot(n, slot=2**m),
     }
-    ideal = run_pr(prog, ideal_bind, (tuple(Rel() for _ in range(2**m)), Rel()))
+    ideal = run_pr(prog, ideal_bind, (Rel(),) * 2**m + (Rel(),))
     v_ideal = reduce_view(ideal, keep).reduced
     del ideal
     return prog, v_real, v_ideal, mass, keep
@@ -904,6 +934,9 @@ class SpruParams(Params):
     lam_small: int = _param(1, lo=0)
     trials: int = _param(1500, lo=1)
     probes: int = _param(6, lo=1)
+
+    def _derive(self):
+        spru(self.n_block, self.overlap, self.lam_small)  # the layout's own checks
 
 
 def exp_spru(p: SpruParams) -> ExperimentReport:

@@ -118,20 +118,25 @@ class KeyInit:
 class ClassicalPROracle:
     """Recording semantics for a classical query.
 
-    input_of(k, w) builds the recorded oracle input. avoid selects output
-    distinctness: 'slot' (the outputs of this relation) or 'per_w' (the slot
-    holds a tuple of per-w relations and only component w is avoided).
+    input_of(k, w) builds the recorded oracle input. rel_slot is the Rel
+    label slot every query records into, or a tuple indexed by the classical
+    input w (one independent relation per w, as in an ideal world that
+    answers each w from its own oracle). A query's output avoids the outputs
+    of the slot it records into, and only those.
     """
 
     n: int
-    rel_slot: int
+    rel_slot: int | tuple
     input_of: object
     key_slot: int | None = None
-    avoid: str = "slot"
 
-    def __post_init__(self):
-        if self.avoid not in ("slot", "per_w"):
-            raise ValueError(f"avoid must be 'slot' or 'per_w', not {self.avoid!r}")
+    def slot_of(self, w):
+        """The label slot query w records into; ValueError if w has none."""
+        if not isinstance(self.rel_slot, tuple):
+            return self.rel_slot
+        if not 0 <= w < len(self.rel_slot):
+            raise ValueError(f"classical input {w} has no relation slot: rel_slot names {len(self.rel_slot)}")
+        return self.rel_slot[w]
 
 
 @dataclass(frozen=True)
@@ -280,7 +285,7 @@ def _key_slot(init_label):
 def _written_slots(oracle):
     """Label slots an oracle records into or avoids."""
     if isinstance(oracle, ClassicalPROracle):
-        return {oracle.rel_slot}
+        return set(oracle.rel_slot) if isinstance(oracle.rel_slot, tuple) else {oracle.rel_slot}
     if isinstance(oracle, OracleDescriptor):
         return {*oracle.record_slots(), *(oracle.shared_slots or ())}
     return set()

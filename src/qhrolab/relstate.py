@@ -113,9 +113,8 @@ class CFParams:
 #
 # A label is a tuple of slot values. The labels of one state share a schema,
 # one spec per slot:
-#   ("int",)         one column holding the integer;
-#   ("rel", w)       w columns of sorted pair codes x << 32 | y, padded with PAD;
-#   ("fam", (w, ..)) a non-empty tuple of Rel (a per-w family): one "rel" block each.
+#   ("int",)    one column holding the integer;
+#   ("rel", w)  w columns of sorted pair codes x << 32 | y, padded with PAD.
 # A slot holds one of these kinds in every label of the state.
 
 PAD = np.iinfo(np.int64).max  # unused pair position; sorts after every code
@@ -156,23 +155,15 @@ def _slot_block(slot, values):
         return ("rel", block.shape[1]), block
     if all(_is_int(v) and -_INT_LIMIT < v < _INT_LIMIT for v in values):
         return ("int",), np.array(values, dtype=np.int64).reshape(-1, 1)
-    if all(type(v) is tuple and v for v in values) and len({len(v) for v in values}) == 1:
-        comps = [_rel_block([v[c] for v in values]) for c in range(len(values[0]))]
-        if all(c is not None for c in comps):
-            return ("fam", tuple(c.shape[1] for c in comps)), np.hstack(comps)
     odd = next((v for v in values if type(v) is not type(values[0])), values[0])
     raise ValueError(
-        f"label slot {slot} cannot hold a {type(odd).__name__}: a slot holds a Rel (pairs in [0, 2^31)), "
-        "an int in (-2^62, 2^62) or a non-empty tuple of Rel, of one kind in every label"
+        f"label slot {slot} cannot hold a {type(odd).__name__}: a slot holds a Rel (pairs in [0, 2^31)) "
+        "or an int in (-2^62, 2^62), of one kind in every label"
     )
 
 
 def _width(spec):
-    if spec[0] == "rel":
-        return spec[1]
-    if spec[0] == "fam":
-        return sum(spec[1])
-    return 1
+    return spec[1] if spec[0] == "rel" else 1
 
 
 def _slot_span(schema, slot):
@@ -182,18 +173,11 @@ def _slot_span(schema, slot):
     return start, start + _width(schema[slot])
 
 
-def _rel_span(schema, slot, comp=None):
-    """Column range of a Rel slot, or of component `comp` of a family slot."""
-    start, stop = _slot_span(schema, slot)
-    spec = schema[slot]
-    if comp is None:
-        if spec[0] != "rel":
-            raise ValueError(f"label slot {slot} does not hold a relation")
-        return start, stop
-    if spec[0] != "fam" or not 0 <= comp < len(spec[1]):
-        raise ValueError(f"label slot {slot} has no relation component {comp}")
-    start += sum(spec[1][:comp])
-    return start, start + spec[1][comp]
+def _rel_span(schema, slot):
+    """Column range of a Rel slot."""
+    if schema[slot][0] != "rel":
+        raise ValueError(f"label slot {slot} does not hold a relation")
+    return _slot_span(schema, slot)
 
 
 def _int_column(schema, rows, slot):
@@ -226,43 +210,15 @@ def _encode(labels):
     return tuple(schema), np.hstack(blocks)
 
 
-def _slot_values(spec, block):
-    """Decode one slot's columns into Python values, one per row."""
-    if spec[0] == "int":
-        return block[:, 0].tolist()
-    if spec[0] == "rel":
-        return _rels(block)
-    comps, start = [], 0
-    for w in spec[1]:
-        comps.append(_rels(block[:, start : start + w]))
-        start += w
-    return list(zip(*comps))
-
-
 def _decode(schema, rows):
     cols = []
     for s, spec in enumerate(schema):
         a, b = _slot_span(schema, s)
-        cols.append(_slot_values(spec, rows[:, a:b]))
+        cols.append(rows[:, a].tolist() if spec[0] == "int" else _rels(rows[:, a:b]))
     return list(zip(*cols)) if cols else [()] * len(rows)
 
 
 _Table = namedtuple("_Table", "schema rows")  # a label table without entries
-
-
-def _rel_widths(spec):
-    return (spec[1],) if spec[0] == "rel" else spec[1]
-
-
-def _widen(spec, block, widths):
-    """A rel or fam block with each relation padded with PAD to `widths`."""
-    parts, start = [np.zeros((len(block), 0), dtype=np.int64)], 0
-    for w, want in zip(_rel_widths(spec), widths):
-        part = np.full((len(block), want), PAD, dtype=np.int64)
-        part[:, :w] = block[:, start : start + w]
-        parts.append(part)
-        start += w
-    return np.hstack(parts)
 
 
 def _joint_rows(a, b):
@@ -270,7 +226,7 @@ def _joint_rows(a, b):
     relation blocks padded to the wider table.
 
     None if the labels differ in slot count or in the kind of a slot (an
-    int, a Rel, or a family of so many Rel): such labels are never equal.
+    int or a Rel): such labels are never equal.
     """
     if len(a.schema) != len(b.schema):
         return None
@@ -279,15 +235,12 @@ def _joint_rows(a, b):
     for s, (sa, sb) in enumerate(zip(a.schema, b.schema)):
         ba = a.rows[:, slice(*_slot_span(a.schema, s))]
         bb = b.rows[:, slice(*_slot_span(b.schema, s))]
-        if sa[0] != sb[0] or (sa[0] == "fam" and len(sa[1]) != len(sb[1])):
+        if sa[0] != sb[0]:
             return None
-        if sa[0] == "int":
-            spec = sa
-        else:
-            widths = tuple(map(max, _rel_widths(sa), _rel_widths(sb)))
-            spec = ("rel", widths[0]) if sa[0] == "rel" else ("fam", widths)
-            ba, bb = _widen(sa, ba, widths), _widen(sb, bb, widths)
-        schema.append(spec)
+        if sa[0] == "rel":  # pad both Rel blocks to the wider one
+            sa = ("rel", max(sa[1], sb[1]))
+            ba, bb = (np.pad(x, ((0, 0), (0, sa[1] - x.shape[1])), constant_values=PAD) for x in (ba, bb))
+        schema.append(sa)
         cols_a.append(ba)
         cols_b.append(bb)
     return tuple(schema), np.hstack(cols_a), np.hstack(cols_b)
@@ -408,9 +361,9 @@ class PurifiedState:
     """Superposition over purification labels with sparse register vectors.
 
     Built from {label: {basis index: amplitude}}: a label is a tuple of
-    slots, each holding a Rel, an int key or a non-empty tuple of Rel (or
-    from a label table and entry arrays, `from_table`), and `n_qubits`
-    is the size of the adversary register the basis indices live on.
+    slots, each holding a Rel or an int key (or from a label table and
+    entry arrays, `from_table`), and `n_qubits` is the size of the
+    adversary register the basis indices live on.
     Internally the labels are the distinct rows of the int64
     table `rows` (layout in `schema`, see the label table notes above), and
     the amplitudes are three entry arrays, `label_ids`, `indices` and
@@ -659,19 +612,14 @@ def _free_outputs(rows, spans, N):
     return free
 
 
-def _open_slot(schema, rows, slot, comp=None):
+def _open_slot(schema, rows, slot):
     """Make sure the target Rel block ends in a PAD column (widen it if not)."""
-    a, b = _rel_span(schema, slot, comp)
+    a, b = _rel_span(schema, slot)
     if b > a and not np.any(rows[:, b - 1] != PAD):
         return schema, rows, (a, b)
     rows = np.insert(rows, b, PAD, axis=1)
     slot = range(len(schema))[slot]
-    spec = schema[slot]
-    if comp is None:
-        spec = ("rel", spec[1] + 1)
-    else:
-        spec = ("fam", tuple(w + (c == comp) for c, w in enumerate(spec[1])))
-    return schema[:slot] + (spec,) + schema[slot + 1 :], rows, (a, b + 1)
+    return schema[:slot] + (("rel", b - a + 1),) + schema[slot + 1 :], rows, (a, b + 1)
 
 
 def _append_pair(state, schema, rows, span, free, x, per_label, place, n_qubits):
@@ -895,25 +843,24 @@ def classical_record(state, oracle, w):
     """Classical query w: append an oracle.n-qubit answer register and record.
 
     Per label, the recorded input is oracle.input_of(k, w), with k the key
-    slot value (0 without a key slot), and the answer y runs over the outputs
-    left free by the avoid mode: 'slot' avoids the target relation, 'per_w'
-    only component w of a per-w family slot. `oracle` is a harness
-    ClassicalPROracle.
+    slot value (0 without a key slot), and the pair lands in the Rel slot
+    oracle.slot_of(w), whose outputs the answer y avoids. `oracle` is a
+    harness ClassicalPROracle.
     """
     n = oracle.n
     n_new = state.n_qubits + n
+    slot = oracle.slot_of(w)
     schema, rows = state.schema, state.rows
     if not len(rows):
         return state._make(schema, rows, state.label_ids, state.indices, state.amplitudes, n_new)
-    comp = w if oracle.avoid == "per_w" else None
-    free = _free_outputs(rows, [_rel_span(schema, oracle.rel_slot, comp)], 2**n)
+    free = _free_outputs(rows, [_rel_span(schema, slot)], 2**n)
     if oracle.key_slot is None:
         keys = np.zeros(len(rows), dtype=np.int64)
     else:
         keys = _int_column(schema, rows, oracle.key_slot)
     uk, kinv = np.unique(keys, return_inverse=True)
     x = np.array([oracle.input_of(k, w) for k in uk.tolist()], dtype=np.int64)[kinv]
-    schema, rows, span = _open_slot(schema, rows, oracle.rel_slot, comp)
+    schema, rows, span = _open_slot(schema, rows, slot)
     return _append_pair(state, schema, rows, span, free, x, True, lambda i, y: (i << n) | y, n_new)
 
 

@@ -184,3 +184,19 @@ def test_run_resource_limit_exits_3(tmp_path, monkeypatch):
     assert res.exit_code == 3
     assert "resource limit" in res.output
     assert not os.path.exists(os.path.join(tmp_path, "exp_split_augment"))
+
+
+def test_run_failure_after_parsing_exits_4(tmp_path, monkeypatch):
+    d = EXPERIMENTS["exp_split_augment"]
+
+    def failing(p):
+        raise ValueError("prefix-XOR subset is not unique; collision-freeness violated")
+
+    monkeypatch.setitem(EXPERIMENTS, "exp_split_augment", dataclasses.replace(d, fn=failing))
+    res = CliRunner().invoke(main, ["run", "exp_split_augment", "--out", str(tmp_path)])
+    assert res.exit_code == 4
+    assert "run failed: ValueError: prefix-XOR subset is not unique" in res.output
+    assert not os.path.exists(os.path.join(tmp_path, "exp_split_augment"))
+    # bad parameters are still refused before the body runs
+    res = CliRunner().invoke(main, ["run", "exp_split_augment", "--trials", "5", "--out", str(tmp_path)])
+    assert res.exit_code == 2 and "invalid run" in res.output

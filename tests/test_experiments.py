@@ -6,13 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhrolab import experiments, harness, relstate
 from qhrolab.experiments import EXPERIMENTS, SLACK, run_experiment
 from qhrolab.harness import KeyInit, key_sliced_view, reduce_view, run_pr
-from qhrolab.relstate import PurifiedState, Rel, corx, label_mask, project_good
+from qhrolab.relstate import CFParams, PurifiedState, Rel, cf_set, corx, label_mask, project_good
 
 
 def checks_by_name(report):
@@ -326,7 +326,7 @@ def test_split_augment_never_decodes_labels(monkeypatch):
 
     reference = run_experiment("exp_split_augment", {"seed": 9, "n": 3}).to_json()
     monkeypatch.setattr(relstate, "_decode", refuse)
-    monkeypatch.setattr(relstate, "_slot_values", refuse)
+    monkeypatch.setattr(relstate, "_rels", refuse)
     assert run_experiment("exp_split_augment", {"seed": 9, "n": 3}).to_json() == reference
 
 
@@ -452,13 +452,41 @@ VALUES = st.one_of(
 )
 
 
+@st.composite
+def named_params(draw):
+    """(experiment name, a dict of drawn values for its fields and for unknown keys)."""
+    name = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    fields = sorted(f.name for f in dataclasses.fields(EXPERIMENTS[name].schema))
+    keys = draw(st.lists(st.sampled_from(fields + ["nn", "lamda"]), unique=True))
+    return name, {k: draw(VALUES) for k in keys}
+
+
+# The domain limits at their boundary: `accepted` says whether the schema
+# takes these typed, in-range values. Each accepted case runs (see
+# test_domain_limits_at_the_boundary_run); no rejected one can: a recording
+# step would find no free output, or cf_set or the spru layout would refuse it.
 @settings(max_examples=400, deadline=None)
-@given(name=st.sampled_from(sorted(EXPERIMENTS)), data=st.data())
-def test_validator_accepts_only_typed_in_range_values(name, data):
+@given(case=named_params(), accepted=st.none())
+@example(case=("exp_mh_bound", {"seed": 1, "n_list": [1], "t": 2}), accepted=True)
+@example(case=("exp_mh_bound", {"seed": 1, "n_list": [3, 1], "t": 3}), accepted=False)
+@example(case=("exp_prs", {"seed": 1, "n": 2, "lam": 1, "t": 2, "s": 2}), accepted=True)
+@example(case=("exp_prs", {"seed": 1, "n": 2, "lam": 1, "t": 5, "s": 0}), accepted=False)
+@example(case=("exp_prfs", {"seed": 1, "n": 2, "lam": 1, "m_in": 0, "t": 2}), accepted=True)
+@example(case=("exp_prfs", {"seed": 1, "n": 3, "lam": 1, "m_in": 1, "t": 5}), accepted=False)
+@example(case=("exp_pru1", {"seed": 1, "n": 1, "t": 2}), accepted=True)
+@example(case=("exp_pru1", {"seed": 1, "n": 1, "t": 3}), accepted=False)
+@example(case=("exp_pru1", {"seed": 1, "n": 2, "lam": 1, "t": 3}), accepted=False)
+@example(case=("exp_pru1", {"seed": 1, "mode": "break", "n": 1, "t": 3}), accepted=True)
+@example(case=("exp_pru1", {"seed": 1, "n": 2, "ell": 2, "t": 3}), accepted=True)
+@example(case=("exp_pru1", {"seed": 1, "n": 2, "ell": 2, "t": 4}), accepted=False)
+@example(case=("exp_pru1", {"seed": 1, "n": 7, "ell": 4, "t": 4}), accepted=False)
+@example(case=("exp_spru", {"seed": 1, "n_block": 2, "overlap": 1, "lam_small": 2}), accepted=True)
+@example(case=("exp_spru", {"seed": 1, "n_block": 2, "overlap": 2}), accepted=False)
+@example(case=("exp_spru", {"seed": 1, "n_block": 2, "lam_small": 3}), accepted=False)
+def test_validator_accepts_only_typed_in_range_values(case, accepted):
+    name, params = case
     schema = EXPERIMENTS[name].schema
     fields = {f.name: f for f in dataclasses.fields(schema)}
-    keys = data.draw(st.lists(st.sampled_from(sorted(fields) + ["nn", "lamda"]), unique=True))
-    params = {k: data.draw(VALUES) for k in keys}
     bad = "seed" not in params or any(k not in fields or not typed_in_range(fields[k], v) for k, v in params.items())
     if bad:
         with pytest.raises(ValueError):
@@ -467,7 +495,60 @@ def test_validator_accepts_only_typed_in_range_values(name, data):
     try:
         p = schema.parse(params)
     except ValueError:
+        assert accepted is not True
         return  # a check of fields against each other
+    assert accepted is not False
     for k, v in params.items():
         if v is not None:
             assert getattr(p, k) == (tuple(v) if isinstance(v, list) else v)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("exp_mh_bound", {"seed": 1, "n_list": [1], "t": 2, "trials": 20}),
+        ("exp_prs", {"seed": 1, "n": 2, "lam": 1, "t": 2, "s": 2, "scaling": False, "trials": 20}),
+        ("exp_prfs", {"seed": 1, "n": 2, "lam": 1, "m_in": 0, "t": 2, "scaling": False, "trials": 20}),
+        ("exp_pru1", {"seed": 1, "n": 1, "t": 2, "trials": 20}),
+        ("exp_pru1", {"seed": 1, "n": 2, "ell": 2, "t": 3, "trials": 20}),
+        ("exp_spru", {"seed": 1, "n_block": 2, "overlap": 1, "lam_small": 2, "trials": 20}),
+    ],
+)
+def test_domain_limits_at_the_boundary_run(name, params):
+    # the largest accepted value runs to a report; one more is refused by the schema
+    assert run_experiment(name, params).grid
+
+
+def smallest_stuck_set(fold, lam):
+    """The size of the smallest collision-free prefix set in {0,1}^lam that
+    no further prefix extends (sets are searched from 0, as translation
+    preserves collision freeness), or None if every such set holds 7 or more."""
+    params = CFParams(fold, lam, lam)
+
+    def grow(s):
+        if len(s) >= 7:
+            return None
+        free = cf_set(s, params)
+        if not free:
+            return len(s)
+        sizes = [grow(s + [y]) for y in sorted(free) if y > s[-1]]
+        return min((k for k in sizes if k is not None), default=None)
+
+    return grow([0])
+
+
+def test_secure_query_limits_match_exhaustive_search():
+    for fold, stuck in experiments._CF_STUCK.items():
+        for lam in range(1, 5):
+            assert smallest_stuck_set(fold, lam) == (stuck[lam - 1] if lam <= len(stuck) else None)
+
+
+@pytest.mark.parametrize("kind,a", [("prs", 2), ("prfs", 1)])
+@pytest.mark.parametrize("n,lam", [(3, 1), (4, 2)])
+def test_ideal_side_is_maximally_mixed(monkeypatch, kind, a, n, lam):
+    # one independent relation per w and one for U: on the first 2n qubits
+    # the ideal view is I/4^n (largest deviation measured: 3.1e-17)
+    monkeypatch.setattr(experiments, "key_sliced_view", lambda *args: (None, None))
+    _, _, v_ideal, _, keep = experiments._oracle_views(oracle_game(kind, a, 2), n, lam, want_mass=False)
+    assert len(keep) == 2 * n
+    assert np.max(np.abs(v_ideal.entries - np.eye(4**n) / 4**n)) <= 1e-15

@@ -232,16 +232,31 @@ def test_cf_recording_matches_plain_at_full_prefix():
 
 
 def test_classical_recording_per_w_slots():
-    oracle = ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: w, avoid="per_w")
     prog = AdversaryProgram(
         n=1, steps=(identity_interleave(1), ClassicalQuery("O", 0), ClassicalQuery("O", 1))
     )
-    psi = run_pr(prog, {"O": oracle}, ((Rel(), Rel()),))
-    # each component records independently: both (x=w, y) pairs present
-    assert psi.n_qubits == 3
-    for (fam,), _ in psi.terms.items():
-        assert len(fam[0]) == 1 and len(fam[1]) == 1
-        assert fam[0].pairs[0][0] == 0 and fam[1].pairs[0][0] == 1
+    # query w records into slot rel_slot[w] and avoids only that slot's outputs
+    for slots in ((0, 1), (1, 0)):
+        oracle = ClassicalPROracle(n=1, rel_slot=slots, input_of=lambda k, w: w)
+        psi = run_pr(prog, {"O": oracle}, (Rel(), Rel()))
+        assert psi.n_qubits == 3
+        # each slot records independently: (x=w, y) for all four (y0, y1)
+        assert len(psi.terms) == 4
+        for lab, _ in psi.terms.items():
+            for w, slot in enumerate(slots):
+                assert len(lab[slot]) == 1 and lab[slot].pairs[0][0] == w
+
+
+def test_classical_query_without_a_slot_is_refused():
+    oracle = ClassicalPROracle(n=1, rel_slot=(0, 1), input_of=lambda k, w: w)
+    for w in (2, -1):
+        prog = AdversaryProgram(n=1, steps=(identity_interleave(1), ClassicalQuery("O", w)))
+        with pytest.raises(ValueError, match=f"classical input {w} has no relation slot"):
+            run_pr(prog, {"O": oracle}, (Rel(), Rel()))
+    # every slot of the tuple must hold a relation
+    prog = AdversaryProgram(n=1, steps=(identity_interleave(1), ClassicalQuery("O", 1)))
+    with pytest.raises(ValueError, match="does not hold a relation"):
+        run_pr(prog, {"O": oracle}, (Rel(), 3))
 
 
 def test_classical_recording_keyed_and_global():
@@ -253,16 +268,9 @@ def test_classical_recording_keyed_and_global():
     assert lab == (Rel([(0, 1), (1, 0)]), 1)
     assert abs(vec[0b01] - 1.0) < 1e-12
     # outputs avoid one relation: there is no mode that avoids other slots too
-    for avoid in ("global", "per_w_global"):
-        with pytest.raises(ValueError, match="avoid must be"):
+    for avoid in ("global", "per_w_global", "slot"):
+        with pytest.raises(TypeError, match="avoid"):
             dataclasses.replace(oracle, avoid=avoid)
-
-
-def test_classical_oracle_rejects_an_unknown_avoid_mode():
-    for avoid in ("per-w", "Slot", "", None):
-        with pytest.raises(ValueError, match="avoid must be 'slot' or 'per_w'"):
-            ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: w, avoid=avoid)
-    assert ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: w, avoid="per_w").avoid == "per_w"
 
 
 def test_haar_view_mc_determinism():
@@ -320,11 +328,12 @@ def writes_key(**fields):
     [
         writes_key(rel_slot=1),
         writes_key(rel_slot=-2),
-        writes_key(rel_slot=1, avoid="per_w"),
+        writes_key(rel_slot=(0, 1)),
         haar_slot(2, slot=-2),
         haar_slot(2, slot=1),
         haar_slot(2, slot=0, shared_slots=(0, 1)),
         haar_slot(2, slot=0, cf=CFParams(1, 1, 2), shared_slots=(1, 0)),
+        writes_key(rel_slot=(2, -2)),
     ],
 )
 def test_key_slicing_refuses_oracles_that_write_the_key(oracle):

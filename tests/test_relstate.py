@@ -393,6 +393,8 @@ def test_purified_state_helpers():
         ([((),)], "tuple"),
         ([(Rel([(0, 2**31)]),)], "Rel"),
         ([(2**62,)], "int"),
+        # a tuple of Rel is no slot kind: one relation per w is one Rel slot each
+        ([(Rel(), (Rel(), Rel())), (Rel(), (Rel([(0, 1)]), Rel()))], "tuple"),
     ],
 )
 def test_label_slots_hold_rel_int_or_rel_family(labels, kind):
@@ -447,14 +449,14 @@ def dict_inner_and_diff(a, b):
         ),
         # an int slot against a Rel slot
         ([(Rel([(0, 1)]), 3), (Rel([(2, 1)]), 5)], [(Rel([(0, 1)]), Rel([(0, 3)])), (Rel([(0, 1)]), Rel())]),
-        # per-w families of other widths, and a Rel slot against a family slot
-        ([((Rel([(0, 1)]), Rel()), 0), ((Rel(), Rel([(1, 1), (2, 2)])), 0)], [((Rel([(0, 1)]), Rel()), 0)]),
-        ([(Rel([(0, 1)]),)], [((Rel([(0, 1)]),),)]),
+        # two Rel slots of other widths (one relation per w), and one label both states hold
+        ([(Rel([(0, 1)]), Rel(), 0), (Rel(), Rel([(1, 1), (2, 2)]), 0)], [(Rel([(0, 1)]), Rel(), 0)]),
+        ([(Rel([(0, 1)]),)], [(Rel([(0, 1)]),)]),
         # other slot counts, and an empty state
         ([(Rel([(0, 1)]), 1)], [(Rel([(0, 1)]),)]),
         ([(Rel([(0, 1)]), 1)], []),
-        # families of two and of one Rel
-        ([((Rel([(0, 1)]), Rel()),)], [((Rel([(0, 1)]),),)]),
+        # two Rel slots against one
+        ([(Rel([(0, 1)]), Rel())], [(Rel([(0, 1)]),)]),
     ],
 )
 def test_inner_and_diff_match_labels_across_layouts(labels_a, labels_b):

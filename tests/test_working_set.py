@@ -43,12 +43,12 @@ KEEP = list(range(6))  # exp_prs keeps the first 2n qubits
 
 # ------------------------------------------------------------ random programs
 
-# slots: 0 and 1 relations, 2 the key, 3 a per-w family
-INIT_SLOTS = (Rel(), Rel(), None, (Rel(), Rel()))
+# slots: 0 and 1 relations, 2 the key, 3 and 4 one relation per classical input w
+INIT_SLOTS = (Rel(), Rel(), None, Rel(), Rel())
 
 CLASSICAL_MODES = {
     "slot": dict(rel_slot=0),
-    "per_w": dict(rel_slot=3, avoid="per_w"),
+    "per_w": dict(rel_slot=(3, 4)),
 }
 
 
