@@ -42,9 +42,7 @@ class NonAdaptiveCircuit:
 class AttackReport:
     params: dict
     fidelities: dict = field(default_factory=dict)
-    decisions: list = field(default_factory=list)
     success: float = 0.0
-    stderr: float = 0.0
 
 
 def choi_from_copies(circuit: NonAdaptiveCircuit, copies) -> StateVector:
@@ -93,7 +91,6 @@ def swap_or_attack(oracle_choi: StateVector, candidates: dict, copies_per_key: i
             accept = True
     rep = AttackReport(params={"copies_per_key": copies_per_key, "keys": len(candidates)})
     rep.fidelities = fids
-    rep.decisions = [accept]
     rep.success = 1.0 if accept else 0.0
     return rep
 

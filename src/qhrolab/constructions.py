@@ -22,7 +22,6 @@ __all__ = [
     "pru_one_query",
     "haar_slot",
     "concrete_oracle",
-    "prs_output",
     "prfs_output",
     "spru",
     "spru_concrete",
@@ -36,11 +35,11 @@ __all__ = [
 class OracleDescriptor:
     """A keyed oracle as a sequence of steps applied left to right.
 
-    Steps: ('pr', slot) one recording query; ('cfpr', slot, CFParams) a
-    collision-free recording query; ('pauli', 'X'|'Z') a key-controlled
-    Pauli layer on the lam-bit register prefix. `shared_slots` lists the
-    label slots whose joint image/collision-freeness every recording step
-    respects (defaults to each step's own slot).
+    Steps: ('pr', slot, cf) one recording query, collision-free when cf is
+    a CFParams and plain when it is None; ('pauli', 'X'|'Z') a
+    key-controlled Pauli layer on the lam-bit register prefix.
+    `shared_slots` lists the label slots whose joint image every recording
+    step respects (defaults to each step's own slot).
     """
 
     n: int
@@ -48,48 +47,28 @@ class OracleDescriptor:
     steps: tuple = ()
     key_slot: int | None = None
     shared_slots: tuple | None = None
-    label: str = ""
 
     def record_slots(self):
-        return tuple(s[1] for s in self.steps if s[0] in ("pr", "cfpr"))
+        return tuple(s[1] for s in self.steps if s[0] == "pr")
 
 
-def pru_two_query(n: int, lam: int, slot: int = 0, shared_slots=None) -> OracleDescriptor:
+def pru_two_query(n: int, lam: int, slot: int = 0) -> OracleDescriptor:
     """U (X^k tensor I) U: two queries to the common oracle per call."""
     if lam > n or lam < 1:
         raise ValueError("key length must satisfy 1 <= lam <= n")
-    return OracleDescriptor(
-        n=n,
-        lam=lam,
-        steps=(("pr", slot), ("pauli", "X"), ("pr", slot)),
-        shared_slots=tuple(shared_slots) if shared_slots else None,
-        label="two-query keyed oracle",
-    )
+    return OracleDescriptor(n=n, lam=lam, steps=(("pr", slot, None), ("pauli", "X"), ("pr", slot, None)))
 
 
-def pru_one_query(n: int, lam: int, slot: int = 0, cf: CFParams | None = None, shared_slots=None) -> OracleDescriptor:
+def pru_one_query(n: int, lam: int, slot: int = 0, cf: CFParams | None = None) -> OracleDescriptor:
     """(Z^k tensor I) U: a single query followed by a key phase."""
     if lam > n:
         raise ValueError("key length exceeds register size")
-    record = ("cfpr", slot, cf) if cf is not None else ("pr", slot)
-    return OracleDescriptor(
-        n=n,
-        lam=lam,
-        steps=(record, ("pauli", "Z")),
-        shared_slots=tuple(shared_slots) if shared_slots else None,
-        label="one-query keyed oracle",
-    )
+    return OracleDescriptor(n=n, lam=lam, steps=(("pr", slot, cf), ("pauli", "Z")))
 
 
 def haar_slot(n: int, slot: int = 0, cf: CFParams | None = None, shared_slots=None) -> OracleDescriptor:
     """The bare common oracle (one recording query, no key layers)."""
-    record = ("cfpr", slot, cf) if cf is not None else ("pr", slot)
-    return OracleDescriptor(
-        n=n,
-        steps=(record,),
-        shared_slots=tuple(shared_slots) if shared_slots else None,
-        label="bare oracle",
-    )
+    return OracleDescriptor(n=n, steps=(("pr", slot, cf),), shared_slots=tuple(shared_slots) if shared_slots else None)
 
 
 def concrete_oracle(desc: OracleDescriptor, u: UnitaryMatrix, k: int = 0) -> UnitaryMatrix:
@@ -98,7 +77,7 @@ def concrete_oracle(desc: OracleDescriptor, u: UnitaryMatrix, k: int = 0) -> Uni
         raise ValueError("oracle register mismatch")
     mat = np.eye(2**desc.n, dtype=complex)
     for step in desc.steps:
-        if step[0] in ("pr", "cfpr"):
+        if step[0] == "pr":
             mat = u.entries @ mat
         elif step[0] == "pauli":
             mat = pauli_string(step[1], k, desc.lam, desc.n).entries @ mat
@@ -107,17 +86,8 @@ def concrete_oracle(desc: OracleDescriptor, u: UnitaryMatrix, k: int = 0) -> Uni
     return UnitaryMatrix(mat, desc.n)
 
 
-def prs_output(u: UnitaryMatrix, k: int, n: int, lam: int) -> StateVector:
-    """U |k || 0^{n-lam}>."""
-    if lam > n:
-        raise ValueError("key length exceeds register size")
-    if not 0 <= k < 2**lam:
-        raise ValueError("key out of range")
-    return apply_unitary(basis_state(n, k << (n - lam)), u)
-
-
 def prfs_output(u: UnitaryMatrix, k: int, w: int, n: int, lam: int, m: int) -> StateVector:
-    """U |k || w || 0^{n-lam-m}>."""
+    """U |k || w || 0^{n-lam-m}>; at m = 0 (w = 0), the state generator's U |k || 0^{n-lam}>."""
     if n < lam + m:
         raise ValueError("need n >= lam + m")
     if not 0 <= w < 2**m:

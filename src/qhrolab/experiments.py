@@ -22,13 +22,13 @@ from .constructions import (
     concrete_oracle,
     haar_slot,
     prfs_output,
-    prs_output,
     pru_one_query,
     pru_two_query,
     spru,
     spru_concrete,
 )
 from .harness import (
+    VIEW_QUBIT_CAP,
     AdversaryProgram,
     ClassicalConcreteOracle,
     ClassicalPROracle,
@@ -47,6 +47,8 @@ from .harness import (
     run_pr,
 )
 from .linalg import (
+    QUBIT_CAP,
+    VEC_QUBIT_CAP,
     DensityMatrix,
     UnitaryMatrix,
     choi_state,
@@ -119,9 +121,13 @@ class ExperimentReport:
 
 
 def _check(entry, name, kind, value, bound, stderr=0.0, passed=None):
+    """Add a check to a grid entry; ValueError if a number of it is not finite,
+    which is a failed computation, not a falsified bound."""
     value = float(value)
     bound = float(bound)
     stderr = float(stderr)
+    if not all(map(math.isfinite, (value, bound, stderr))):
+        raise ValueError(f"check {name}: value {value}, bound {bound} or stderr {stderr} is not finite")
     if passed is None:
         passed = value <= bound + 3.0 * stderr
     c = {"name": name, "kind": kind, "value": value, "bound": bound, "stderr": stderr, "passed": bool(passed)}
@@ -218,6 +224,12 @@ def _above_pow2(x, n):
     return x > 1 << min(n, x.bit_length())
 
 
+def _within(qubits, cap, what):
+    """ValueError if a run would build `what` on more than `cap` qubits."""
+    if qubits > cap:
+        raise ValueError(f"{what} would span {qubits} qubits, over the {cap}-qubit cap")
+
+
 # --------------------------------------------------------------- exp_mh_bound
 
 
@@ -242,6 +254,7 @@ class MhBoundParams(Params):
     def _derive(self):
         if _above_pow2(self.t, min(self.n_list)):
             raise ValueError("need t <= 2^n at every grid point: a relation holds at most 2^n pairs")
+        _within(max(self.n_list), QUBIT_CAP, "a sampled Haar unitary")
 
 
 def exp_mh_bound(p: MhBoundParams) -> ExperimentReport:
@@ -311,6 +324,7 @@ class Pru2Params(Params):
     def _derive(self):
         if self.lam is not None and self.lam > min(self.n_list):
             raise ValueError("need lam <= n at every grid point")
+        _within(max(self.n_list), VIEW_QUBIT_CAP, "the full-register view")
 
 
 def exp_pru2(p: Pru2Params) -> ExperimentReport:
@@ -445,6 +459,10 @@ class Pru1Params(Params):
             raise ValueError("need lam <= n")
         if self.ell > self.t:
             raise ValueError("need ell <= t: ell of the t queries are keyed")
+        if self.mode == "break":
+            _within(2 * self.n, VEC_QUBIT_CAP, "a Choi state")
+        else:
+            _within(self.n, VIEW_QUBIT_CAP, "the full-register view")
         if self.mode == "secure":
             stuck = _CF_STUCK.get(max(self.ell, 1))
             if stuck is None:
@@ -499,11 +517,10 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
         _check(entry, "isometry_state_match", "EXACT", walked.max_diff(psi3), 1e-8)
 
     # end-to-end Monte Carlo against independent oracles
-    def real_sampler(rng):
+    def real_sampler(rng, desc=pru_one_query(n, lam)):
         u = haar_unitary(N, rng)
         k = int(rng.integers(0, 2**lam))
-        g = pauli_string("Z", k, lam, n).entries @ u.entries
-        return {"G": UnitaryMatrix(g, n), "U": u}
+        return {"G": concrete_oracle(desc, u, k), "U": u}
 
     def ideal_sampler(rng):
         return {"G": haar_unitary(N, rng), "U": haar_unitary(N, rng)}
@@ -589,6 +606,12 @@ class _OracleParams(Params):
         # in exp_prfs) in one relation
         if _above_pow2(self.t + getattr(self, "s", self.t), self.n):
             raise ValueError("need t + s <= 2^n (2t <= 2^n in exp_prfs): a relation holds at most 2^n pairs")
+        # the exact views keep the first 2n qubits (n + t*n with fewer), also
+        # at the scaling point n + 1; the Monte Carlo register at n holds the
+        # t classical answers
+        top = self.n + self.scaling
+        _within(min(2 * top, top + self.t * top), VIEW_QUBIT_CAP, "the reduced view")
+        _within(self.n * (1 + self.t), VEC_QUBIT_CAP, "the concrete register")
 
 
 @dataclass(frozen=True)
@@ -606,7 +629,6 @@ class PrfsParams(_OracleParams):
 #   m       function-input bits; classical query i asks w = i mod 2^m;
 #   t, s    classical queries, then direct queries to U;
 #   good    (n, lam) -> column test: every classical query is a good pair;
-#   output  (u, k, w, n, lam) -> the keyed oracle's reply state;
 #   bound   (n, lam) -> hybrid distance bound before the slack.
 
 
@@ -629,7 +651,6 @@ def _prs_game(t, s):
     return SimpleNamespace(
         oracle="copy", m=0, t=t, s=s,
         good=_good_pairs(t, lambda x, k, shift: x == k << shift),
-        output=lambda u, k, w, n, lam: prs_output(u, k, n, lam),
         bound=lambda n, lam: math.sqrt(s / 2**lam) + (t + s) ** 2 / 2 ** (n / 2.0),
     )
 
@@ -638,7 +659,6 @@ def _prfs_game(m, t):
     return SimpleNamespace(
         oracle="O", m=m, t=t, s=t,
         good=_good_pairs(t, lambda x, k, shift: x >> shift == k),
-        output=lambda u, k, w, n, lam: prfs_output(u, k, w, n, lam, m),
         bound=lambda n, lam: t * t / 2 ** (n - m) + t * t / 2 ** (n / 2.0) + math.sqrt(t / 2**lam),
     )
 
@@ -702,7 +722,7 @@ def _oracle_experiment(rep, game, p, point, mc_seed):
             def real_sampler(rng, nn=nn, ll=ll):
                 u = haar_unitary(2**nn, rng)
                 k = int(rng.integers(0, 2**ll))
-                reply = ClassicalConcreteOracle(nn, lambda w, u=u, k=k: game.output(u, k, w, nn, ll))
+                reply = ClassicalConcreteOracle(nn, lambda w, u=u, k=k: prfs_output(u, k, w, nn, ll, game.m))
                 return {game.oracle: reply, "U": u}
 
             mean, batches = haar_view_mc(prog, real_sampler, p.trials, mc_seed, keep=keep)
@@ -830,6 +850,7 @@ class SplitAugmentParams(Params):
             object.__setattr__(self, "ell", min(self.t, 1))
         if self.t != 0 and not self.t == self.ell == 1:
             raise ValueError("the desk-scale chain is implemented for t = ell = 1")
+        _within(self.n, VIEW_QUBIT_CAP, "the full-register view")
 
 
 def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:

@@ -31,7 +31,6 @@ from .relstate import (
     good_mass,
     key_pauli,
     label_mask,
-    pcfpr_apply,
     pr_apply,
 )
 
@@ -44,6 +43,7 @@ __all__ = [
     "ClassicalPROracle",
     "ClassicalConcreteOracle",
     "ViewResult",
+    "VIEW_QUBIT_CAP",
     "run_concrete",
     "run_pr",
     "key_slices",
@@ -227,11 +227,7 @@ def _apply_interleave(state: PurifiedState, step: Interleave) -> PurifiedState:
 def _quantum_query_pr(state, desc: OracleDescriptor, input_qubits):
     for s in desc.steps:
         if s[0] == "pr":
-            shared = desc.shared_slots if desc.shared_slots else None
-            state = pr_apply(state, s[1], list(input_qubits), 2**desc.n, shared_slots=shared)
-        elif s[0] == "cfpr":
-            others = [x for x in (desc.shared_slots or (s[1],)) if x != s[1]]
-            state = pcfpr_apply(state, s[1], others, list(input_qubits), s[2])
+            state = pr_apply(state, s[1], list(input_qubits), 2**desc.n, desc.shared_slots, s[2])
         elif s[0] == "pauli":
             if desc.key_slot is None:
                 raise ValueError("key-controlled Pauli needs a key slot")
@@ -334,6 +330,7 @@ def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=
     return DensityMatrix(acc, view.qubit_count), mass * 2.0**-lam if mask is not None else None
 
 
+VIEW_QUBIT_CAP = 12  # qubits kept by reduce_view: a 4096 x 4096 density
 _RUN_ENTRIES = 1 << 12  # entries per reduce_view run; a run holds whole labels
 _PAIR_CHUNK = 1 << 12  # (entry, entry) products per reduce_view batch
 
@@ -351,8 +348,8 @@ def reduce_view(purified: PurifiedState, keep=None) -> ViewResult:
     if any(not 0 <= q < n for q in keep) or len(set(keep)) != len(keep):
         raise ValueError("invalid qubit indices")
     kq = len(keep)
-    if kq > 12:
-        raise ValueError("reduced view exceeds the 12-qubit density cap")
+    if kq > VIEW_QUBIT_CAP:
+        raise ValueError(f"reduced view exceeds the {VIEW_QUBIT_CAP}-qubit density cap")
     dk = 2**kq
     labs, idxs = purified.label_ids, purified.indices
     mask = sum(1 << (n - 1 - q) for q in keep)

@@ -37,7 +37,6 @@ __all__ = [
     "cf_set",
     "cf_count",
     "is_collision_free",
-    "pcfpr_apply",
     "corx",
     "label_mask",
     "pair_columns",
@@ -684,36 +683,29 @@ def _append_pair(state, schema, rows, span, free, x, per_label, place, n_qubits)
     return state._make(schema, table, *_merge(n_qubits, key, out), n_qubits=n_qubits)
 
 
-def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None):
-    """One recording query: |x>|R> -> (N-|R|)^{-1/2} sum_{y not in Im} |y>|R+(x,y)>.
+def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
+    """One recording query: |x>|R> -> |F|^{-1/2} sum_{y in F} |y>|R+(x,y)>.
 
-    `shared_slots` lists the label slots whose joint image the fresh output
-    must avoid (defaults to the target slot alone). The input register spans
-    log2(N) qubits of the adversary register.
+    The free outputs F of a label depend on the joint image of its target
+    slot and the label slots in `shared_slots`: without `cf`, F holds the
+    y < N outside that image; with a CFParams `cf` (cf.n = log2 N), F is
+    the collision-free set cf_set of that image. The input register spans
+    log2(N) qubits of the adversary register. ValueError where F is empty.
     """
     nq = N.bit_length() - 1
     if 2**nq != N:
         raise ValueError("oracle dimension must be a power of two")
     if len(input_qubits) != nq:
         raise ValueError("input register must span log2(N) qubits")
-    slots = list(shared_slots) if shared_slots is not None else [relation_slot]
-    if relation_slot not in slots:
-        slots.append(relation_slot)
+    if cf is not None and cf.n != nq:
+        raise ValueError(f"collision-free strings of {cf.n} bits do not fit an oracle of dimension {N}")
+    slots = [relation_slot] + [s for s in shared_slots or () if s != relation_slot]
     if not state.label_count():
         return state
-    schema, rows = state.schema, state.rows
-    a, b = _rel_span(schema, relation_slot)
-    if np.any(np.count_nonzero(rows[:, a:b] != PAD, axis=1) >= N):
-        raise ValueError("relation is full: the recording map is undefined at |R| = N")
-    free = _free_outputs(rows, [_rel_span(schema, s) for s in slots], N)
-    return _record_query(state, relation_slot, input_qubits, free)
-
-
-def _record_query(state, slot, input_qubits, free):
-    """Quantum recording: x is read from, and y written to, the input qubits."""
-    n = state.n_qubits
-    qubits = list(input_qubits)
-    schema, rows, span = _open_slot(state.schema, state.rows, slot)
+    spans = [_rel_span(state.schema, s) for s in slots]
+    free = _free_outputs(state.rows, spans, N) if cf is None else _cf_outputs(state.rows, spans, cf)
+    n, qubits = state.n_qubits, list(input_qubits)
+    schema, rows, span = _open_slot(state.schema, state.rows, relation_slot)
     x = extract_bits(state.indices, n, qubits)
     return _append_pair(state, schema, rows, span, free, x, False, lambda i, y: _deposit_bits(i, n, qubits, y), n)
 
@@ -806,21 +798,14 @@ def cf_count(strings, params: CFParams) -> int:
 
 
 
-def pcfpr_apply(state, target_slot, other_slots, input_qubits, params: CFParams):
-    """Collision-free recording across two (or more) relation slots.
+def _cf_outputs(rows, spans, params: CFParams):
+    """(labels, 2^n) mask of the collision-free outputs of the joint image
+    of the given Rel spans.
 
-    |x>|R1>|R2> -> |CF(Im(R1 u R2))|^{-1/2} sum_{y in CF} |y>, with (x, y)
-    appended to the target slot. Preconditions (each slot's image, the joint
-    image, and disjointness) are checked once per distinct joint image, and
-    cf_set runs once per distinct joint image.
+    Preconditions (each slot's image, the joint image, and disjointness)
+    are checked once per distinct joint image, and cf_set runs once per
+    distinct joint image.
     """
-    if isinstance(other_slots, int):
-        other_slots = [other_slots]
-    slots = [target_slot] + [s for s in other_slots if s != target_slot]
-    if not state.label_count():
-        return state
-    spans = [_rel_span(state.schema, s) for s in slots]
-    rows = state.rows
     ys = np.hstack([np.where(rows[:, a:b] == PAD, PAD, rows[:, a:b] & _Y_MASK) for a, b in spans])
     joints, inv = _intern(np.sort(ys, axis=1))
     _, first = np.unique(inv, return_index=True)
@@ -836,7 +821,7 @@ def pcfpr_apply(state, target_slot, other_slots, input_qubits, params: CFParams)
         if not is_collision_free(joint, params):
             raise ValueError("the joint image is not collision-free")
         free_joint[d, sorted(cf_set(joint, params))] = True
-    return _record_query(state, target_slot, input_qubits, free_joint[inv])
+    return free_joint[inv]
 
 
 def classical_record(state, oracle, w):

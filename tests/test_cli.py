@@ -7,6 +7,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from qhrolab import experiments
 from qhrolab.cli import _load_config, main
 from qhrolab.experiments import EXPERIMENTS
 
@@ -200,3 +201,27 @@ def test_run_failure_after_parsing_exits_4(tmp_path, monkeypatch):
     # bad parameters are still refused before the body runs
     res = CliRunner().invoke(main, ["run", "exp_split_augment", "--trials", "5", "--out", str(tmp_path)])
     assert res.exit_code == 2 and "invalid run" in res.output
+
+
+def test_view_over_the_density_cap_exits_2(tmp_path):
+    # at n = 7 and t = 1 the exact views of exp_prs would keep 14 qubits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "n": 7, "lam": 1, "t": 1, "s": 0, "scaling": False}))
+    res = CliRunner().invoke(main, ["run", "exp_prs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "invalid run: the reduced view would span 14 qubits, over the 12-qubit cap" in res.output
+
+
+def test_non_finite_check_value_exits_4(tmp_path, monkeypatch):
+    d = EXPERIMENTS["exp_split_augment"]
+
+    def nan_check(p):
+        rep = experiments.ExperimentReport("exp_split_augment", p.seed, p.recorded())
+        experiments._check(rep.add_point({"n": p.n}), "fidelity", "EXACT", float("nan"), 1.0)
+        return rep
+
+    monkeypatch.setitem(EXPERIMENTS, "exp_split_augment", dataclasses.replace(d, fn=nan_check))
+    res = CliRunner().invoke(main, ["run", "exp_split_augment", "--out", str(tmp_path)])
+    assert res.exit_code == 4
+    assert "run failed: ValueError: check fidelity: value nan" in res.output
+    assert not os.path.exists(os.path.join(tmp_path, "exp_split_augment"))

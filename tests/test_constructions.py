@@ -8,7 +8,6 @@ from qhrolab.constructions import (
     gluing_bound,
     haar_slot,
     prfs_output,
-    prs_output,
     pru_one_query,
     pru_two_query,
     spru,
@@ -60,7 +59,7 @@ def test_descriptor_metadata():
     cf = CFParams(1, 2, 2)
     desc = pru_one_query(2, 2, slot=1, cf=cf)
     assert desc.record_slots() == (1,)
-    assert desc.steps == (("cfpr", 1, cf), ("pauli", "Z"))
+    assert desc.steps == (("pr", 1, cf), ("pauli", "Z"))
     assert pru_two_query(3, 2).record_slots() == (0, 0)
 
 
@@ -69,12 +68,12 @@ def test_prs_output_column():
     n, lam = 3, 2
     u = haar_unitary(2**n, rng)
     for k in range(4):
-        out = prs_output(u, k, n, lam)
+        out = prfs_output(u, k, 0, n, lam, 0)
         assert np.max(np.abs(out.amplitudes - u.entries[:, k << (n - lam)])) < 1e-12
     with pytest.raises(ValueError):
-        prs_output(u, 4, n, lam)
+        prfs_output(u, 4, 0, n, lam, 0)
     with pytest.raises(ValueError):
-        prs_output(u, 0, 2, 3)
+        prfs_output(u, 0, 0, 2, 3, 0)
 
 
 def test_prfs_output_column():

@@ -12,7 +12,24 @@ from hypothesis import strategies as st
 from qhrolab import experiments, harness, relstate
 from qhrolab.experiments import EXPERIMENTS, SLACK, run_experiment
 from qhrolab.harness import KeyInit, key_sliced_view, reduce_view, run_pr
-from qhrolab.relstate import CFParams, PurifiedState, Rel, cf_set, corx, label_mask, project_good
+from qhrolab.relstate import (
+    PAD,
+    CFParams,
+    PurifiedState,
+    Rel,
+    _append_pair,
+    _deposit_bits,
+    _intern,
+    _open_slot,
+    _rel_span,
+    _Y_MASK,
+    cf_set,
+    corx,
+    extract_bits,
+    is_collision_free,
+    label_mask,
+    project_good,
+)
 
 
 def checks_by_name(report):
@@ -294,6 +311,82 @@ def test_pru1_unkeyed_hybrid2_runs_once(monkeypatch):
     assert "isometry_state_match" not in cs
 
 
+# The collision-free recording query before it was folded into pr_apply,
+# kept as a differential oracle.
+
+
+def old_pcfpr_apply(state, target_slot, other_slots, input_qubits, params: CFParams):
+    """Collision-free recording across two (or more) relation slots.
+
+    |x>|R1>|R2> -> |CF(Im(R1 u R2))|^{-1/2} sum_{y in CF} |y>, with (x, y)
+    appended to the target slot. Preconditions (each slot's image, the joint
+    image, and disjointness) are checked once per distinct joint image, and
+    cf_set runs once per distinct joint image.
+    """
+    if isinstance(other_slots, int):
+        other_slots = [other_slots]
+    slots = [target_slot] + [s for s in other_slots if s != target_slot]
+    if not state.label_count():
+        return state
+    spans = [_rel_span(state.schema, s) for s in slots]
+    rows = state.rows
+    ys = np.hstack([np.where(rows[:, a:b] == PAD, PAD, rows[:, a:b] & _Y_MASK) for a, b in spans])
+    joints, inv = _intern(np.sort(ys, axis=1))
+    _, first = np.unique(inv, return_index=True)
+    free_joint = np.zeros((len(joints), 2**params.n), dtype=bool)
+    for d, row in enumerate(joints.tolist()):
+        joint = [y for y in row if y != PAD]
+        if len(set(joint)) != len(joint):
+            raise ValueError("relation slots are not disjoint")
+        for a, b in spans:
+            image = [c & _Y_MASK for c in rows[first[d], a:b].tolist() if c != PAD]
+            if not is_collision_free(sorted(image), params):
+                raise ValueError("a relation image is not collision-free")
+        if not is_collision_free(joint, params):
+            raise ValueError("the joint image is not collision-free")
+        free_joint[d, sorted(cf_set(joint, params))] = True
+    return _record_query(state, target_slot, input_qubits, free_joint[inv])
+
+
+def _record_query(state, slot, input_qubits, free):
+    """Quantum recording: x is read from, and y written to, the input qubits."""
+    n = state.n_qubits
+    qubits = list(input_qubits)
+    schema, rows, span = _open_slot(state.schema, state.rows, slot)
+    x = extract_bits(state.indices, n, qubits)
+    return _append_pair(state, schema, rows, span, free, x, False, lambda i, y: _deposit_bits(i, n, qubits, y), n)
+
+
+@pytest.mark.parametrize("n,lam,t,ell", [(3, 3, 3, 1), (3, 2, 3, 2)])
+def test_cf_recording_matches_old_pcfpr(monkeypatch, n, lam, t, ell):
+    # every recording of the hybrid-2 key slices and of hybrid 3 of exp_pru1
+    # is collision-free; each is checked against the old query, bitwise
+    inits = []
+
+    def both(state, slot, input_qubits, N, shared_slots=None, cf=None):
+        new = relstate.pr_apply(state, slot, input_qubits, N, shared_slots, cf)
+        others = [x for x in (shared_slots or (slot,)) if x != slot]
+        old = old_pcfpr_apply(state, slot, others, input_qubits, cf)
+        assert new.schema == old.schema and np.array_equal(new.rows, old.rows)
+        for a, b in ((new.label_ids, old.label_ids), (new.indices, old.indices), (new.amplitudes, old.amplitudes)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        inits.append(state.label_count())
+        return new
+
+    def recording(program, bindings, init_label):
+        inits.append(init_label)
+        return run_pr(program, bindings, init_label)
+
+    monkeypatch.setattr(harness, "pr_apply", both)
+    monkeypatch.setattr(harness, "run_pr", recording)
+    monkeypatch.setattr(experiments, "run_pr", recording)
+    run_experiment("exp_pru1", {"seed": 3, "n": n, "lam": lam, "t": t, "ell": ell, "trials": 2})
+    # 2^lam key slices, then hybrid 3, each followed by its t recordings
+    runs = [i for i, x in enumerate(inits) if isinstance(x, tuple)]
+    assert [inits[i][1] for i in runs] == [*range(2**lam), Rel()]
+    assert np.diff(runs + [len(inits)]).tolist() == [t + 1] * (2**lam + 1)
+
+
 def two_pair_state(rel, k):
     return PurifiedState(1, {(Rel(rel), k): {0: 1.0}, (Rel([(0, 3), (3 ^ 5, 6)]), 5): {1: 1.0}})
 
@@ -425,6 +518,33 @@ def test_split_augment_smallest_n_has_chained_pairs():
     rep = run_experiment("exp_split_augment", {"seed": 9, "n": 2})
     assert all(c["passed"] for e in rep.grid for c in e["checks"])
     assert rep.grid[0]["point"]["n"] == 2
+
+
+@pytest.mark.parametrize(
+    "name,at_cap,over_cap",
+    [
+        # a sampled Haar unitary: linalg.QUBIT_CAP
+        ("exp_mh_bound", {"n_list": [2, 14]}, {"n_list": [2, 15]}),
+        # full-register views: harness.VIEW_QUBIT_CAP
+        ("exp_pru2", {"n_list": [12]}, {"n_list": [3, 13]}),
+        ("exp_pru1", {"n": 12}, {"n": 13}),
+        ("exp_pru1", {"mode": "break", "n": 12}, {"mode": "break", "n": 13}),
+        ("exp_split_augment", {"n": 12}, {"n": 13}),
+        # views on the first 2n qubits (n + t*n with fewer), at n + 1 when scaling
+        ("exp_prs", {"n": 6, "lam": 1, "t": 1, "s": 0, "scaling": False}, {"n": 7, "lam": 1, "t": 1, "s": 0, "scaling": False}),
+        ("exp_prs", {"n": 5, "lam": 1, "t": 1, "s": 0}, {"n": 6, "lam": 1, "t": 1, "s": 0}),
+        ("exp_prs", {"n": 12, "lam": 1, "t": 0, "s": 1, "scaling": False}, {"n": 13, "lam": 1, "t": 0, "s": 1, "scaling": False}),
+        ("exp_prfs", {"n": 5, "lam": 1, "t": 2}, {"n": 6, "lam": 1, "t": 2}),
+        # the Monte Carlo register of n(1 + t) qubits: linalg.VEC_QUBIT_CAP
+        ("exp_prs", {"n": 6, "lam": 1, "t": 3, "s": 0, "scaling": False}, {"n": 6, "lam": 1, "t": 4, "s": 0, "scaling": False}),
+        ("exp_prfs", {"n": 6, "lam": 1, "t": 3, "scaling": False}, {"n": 6, "lam": 1, "t": 4, "scaling": False}),
+    ],
+)
+def test_size_caps_are_schema_checks(name, at_cap, over_cap):
+    schema = EXPERIMENTS[name].schema
+    schema.parse({"seed": 1, **at_cap})
+    with pytest.raises(ValueError, match="-qubit cap"):
+        schema.parse({"seed": 1, **over_cap})
 
 
 def typed_in_range(f, v):

@@ -23,7 +23,6 @@ from qhrolab.relstate import (
     key_column,
     label_rewrite,
     pair_codes,
-    pcfpr_apply,
     pr_apply,
     project_good,
     relation_state_vector,
@@ -342,13 +341,13 @@ def test_gather_pairs_regroups_a_relation():
         gather_pairs(st0, 0, [[[0], [0]]])
 
 
-# -------------------------------------------------------------------- pcfpr
+# ------------------------------------------------- collision-free recording
 
 
 def test_pcfpr_uniform_over_cf_set():
     p = CFParams(1, 2, 2)
     state = PurifiedState.initial(2, (Rel(), Rel([(0, 1)])))
-    out = pcfpr_apply(state, 0, [1], [0, 1], p)
+    out = pr_apply(state, 0, [0, 1], 4, shared_slots=(1,), cf=p)
     labs = set(out.terms)
     assert labs == {(Rel([(0, y)]), Rel([(0, 1)])) for y in (0, 2, 3)}
     for vec in out.terms.values():
@@ -360,12 +359,15 @@ def test_pcfpr_preconditions():
     p = CFParams(1, 2, 2)
     overlap = PurifiedState.initial(2, (Rel([(0, 1)]), Rel([(1, 1)])))
     with pytest.raises(ValueError):
-        pcfpr_apply(overlap, 0, [1], [0, 1], p)
+        pr_apply(overlap, 0, [0, 1], 4, shared_slots=(1,), cf=p)
     p2 = CFParams(2, 2, 2)
     # {0,1,2,3} breaks fold-2 collision freeness inside the slot
     bad = PurifiedState.initial(2, (Rel([(0, 0), (1, 1), (2, 2), (3, 3)]), Rel()))
     with pytest.raises(ValueError):
-        pcfpr_apply(bad, 0, [1], [0, 1], p2)
+        pr_apply(bad, 0, [0, 1], 4, shared_slots=(1,), cf=p2)
+    # the strings must be the oracle's inputs
+    with pytest.raises(ValueError, match="do not fit"):
+        pr_apply(PurifiedState.initial(2, (Rel(),)), 0, [0, 1], 4, cf=CFParams(1, 2, 3))
 
 
 # -------------------------------------------------------------- state class
