@@ -267,7 +267,7 @@ def exp_mh_bound(p: MhBoundParams) -> ExperimentReport:
         # the adversary outputs a fixed two-qubit register; the smaller view
         # keeps the estimator floor below the 1/N signal at every n
         keep = list(range(min(n, 2)))
-        pr_view = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)), keep).reduced
+        pr_view = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)), keep)
 
         def sampler(rng, n=n):
             return {"U": haar_unitary(2**n, rng)}
@@ -345,7 +345,7 @@ def exp_pru2(p: Pru2Params) -> ExperimentReport:
         rho2, mass = key_sliced_view(
             prog, keyed, (Rel(), KeyInit(lam)), mask=lambda labels: corx_count(labels, 0, 1) == ell
         )
-        rho3 = reduce_view(run_pr(prog, apart, (Rel(), Rel()))).reduced
+        rho3 = reduce_view(run_pr(prog, apart, (Rel(), Rel())))
         _check_ge(entry, "good_key_mass", "EXACT", mass, 1.0 - (t * t + t * ell) / N)
         td23 = trace_distance(rho2, rho3)
         bound23 = 2.0 * math.sqrt((t * t + t * ell) / N)
@@ -466,19 +466,19 @@ class Pru1Params(Params):
         if self.mode == "secure":
             stuck = _CF_STUCK.get(max(self.ell, 1))
             if stuck is None:
-                raise ValueError("secure mode needs ell <= 3: cf_set takes folds up to 3")
+                raise ValueError("secure mode needs ell <= 3: query limits are tabulated for folds up to 3")
             most = stuck[self.lam - 1] if self.lam <= len(stuck) else 7
             if self.t > most:
                 raise ValueError(f"secure mode at lam = {self.lam}, ell = {self.ell} answers at most t = {most} queries")
 
 
 # Secure mode records collision-free outputs of fold max(ell, 1) and prefix
-# length lam, so each query needs a free output, and cf_set takes at most 6
-# recorded ones: t is at most 7, and at most the size of the smallest
-# collision-free prefix set in {0,1}^lam that no prefix extends. By fold,
-# that size at lam = 1, 2, ... (2^lam at fold 1; exhaustive search at folds
-# 2 and 3); past the listed lam it is 7 or more, as the prefixes a set
-# forbids lie in its affine hull.
+# length lam, so each query needs a free output: t is at most the size of
+# the smallest collision-free prefix set in {0,1}^lam that no prefix
+# extends. By fold, that size at lam = 1, 2, ... (2^lam at fold 1;
+# exhaustive search at folds 2 and 3); past the listed lam the search
+# establishes only that it is 7 or more (the prefixes a set forbids lie in
+# its affine hull), so t is at most 7 there.
 _CF_STUCK = {1: (2, 4), 2: (2, 3, 4, 6), 3: (2, 3, 4, 5, 6)}
 
 
@@ -504,9 +504,9 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
     else:
         # G is unkeyed and never queried, so every key slice is the same run
         keyed, apart = _hybrid_bindings(n, haar_slot(n, slot=0, cf=cf), cf)
-        rho2 = reduce_view(run_pr(prog, keyed, (Rel(), 0))).reduced
+        rho2 = reduce_view(run_pr(prog, keyed, (Rel(), 0)))
     psi3 = run_pr(prog, apart, (Rel(), Rel()))
-    rho3 = reduce_view(psi3).reduced
+    rho3 = reduce_view(psi3)
     _check(entry, "td_hybrid2_vs_hybrid3", "EXACT", trace_distance(rho2, rho3), 1e-8)
 
     if ell > 0:
@@ -697,7 +697,7 @@ def _oracle_views(game, n, lam, want_mass):
         "U": haar_slot(n, slot=2**m),
     }
     ideal = run_pr(prog, ideal_bind, (Rel(),) * 2**m + (Rel(),))
-    v_ideal = reduce_view(ideal, keep).reduced
+    v_ideal = reduce_view(ideal, keep)
     del ideal
     return prog, v_real, v_ideal, mass, keep
 
@@ -869,7 +869,7 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("G")))
     desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
     psi3 = run_pr(prog, {"G": haar_slot(n, slot=0)}, (Rel(),))
-    rho3 = reduce_view(psi3).reduced
+    rho3 = reduce_view(psi3)
     augmented = _augmented_part(psi3, N, lam, t)
 
     # the keyed side runs one key at a time, since its surgery reads the key
@@ -881,7 +881,7 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
         psi2p, psi3p = _split_surgery(good), augmented(k)
         overlap += psi2p.inner(psi3p)
         for name, st in (("rho2", state), ("good", good), ("psi2p", psi2p), ("psi3p", psi3p)):
-            views[name] = views.get(name, 0) + reduce_view(st).reduced.entries
+            views[name] = views.get(name, 0) + reduce_view(st).entries
         del state, good, psi2p, psi3p
     rho2, v_good, v_psi2p = (DensityMatrix(views[name] * 2.0**-lam, n) for name in ("rho2", "good", "psi2p"))
     v_psi3p = DensityMatrix(views["psi3p"], n)

@@ -42,7 +42,6 @@ __all__ = [
     "KeyInit",
     "ClassicalPROracle",
     "ClassicalConcreteOracle",
-    "ViewResult",
     "VIEW_QUBIT_CAP",
     "run_concrete",
     "run_pr",
@@ -145,12 +144,6 @@ class ClassicalConcreteOracle:
 
     n: int
     answer: object
-
-
-@dataclass
-class ViewResult:
-    reduced: DensityMatrix
-    diagnostics: dict
 
 
 def _input_qubits(program, q):
@@ -316,7 +309,7 @@ def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=
     _, lam = _key_slot(init_label)
     acc, mass = None, 0.0
     for k, state in key_slices(program, bindings, init_label):
-        view = reduce_view(state, keep).reduced
+        view = reduce_view(state, keep)
         if acc is None:
             acc = view.entries
         else:
@@ -335,7 +328,7 @@ _RUN_ENTRIES = 1 << 12  # entries per reduce_view run; a run holds whole labels
 _PAIR_CHUNK = 1 << 12  # (entry, entry) products per reduce_view batch
 
 
-def reduce_view(purified: PurifiedState, keep=None) -> ViewResult:
+def reduce_view(purified: PurifiedState, keep=None) -> DensityMatrix:
     """Trace out the purification labels (and optionally register qubits).
 
     Entries are grouped by (label, traced-out register bits). Within a group
@@ -376,14 +369,7 @@ def reduce_view(purified: PurifiedState, keep=None) -> ViewResult:
             cols = np.repeat(starts[g0:g1], size)[rows - a] + np.arange(len(rows)) - np.repeat(np.cumsum(w) - w, w)
             np.add.at(acc, kept[rows] * dk + kept[cols], amp[rows] * amp[cols].conj())
             g0 = g1
-    mass = purified.norm_sq()
-    diag = {
-        "label_count": purified.label_count(),
-        "entry_count": purified.entry_count(),
-        "mass": mass,
-        "norm_deficit": 1.0 - mass,
-    }
-    return ViewResult(DensityMatrix(acc.reshape(dk, dk), kq), diag)
+    return DensityMatrix(acc.reshape(dk, dk), kq)
 
 
 # ---------------------------------------------------------------- Monte Carlo

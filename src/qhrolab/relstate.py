@@ -689,8 +689,9 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
     The free outputs F of a label depend on the joint image of its target
     slot and the label slots in `shared_slots`: without `cf`, F holds the
     y < N outside that image; with a CFParams `cf` (cf.n = log2 N), F is
-    the collision-free set cf_set of that image. The input register spans
-    log2(N) qubits of the adversary register. ValueError where F is empty.
+    the collision-free set of that image (the prefix rule, _free_prefixes).
+    The input register spans log2(N) qubits of the adversary register.
+    ValueError where F is empty.
     """
     nq = N.bit_length() - 1
     if 2**nq != N:
@@ -739,9 +740,8 @@ def is_collision_free(strings, params: CFParams) -> bool:
 def cf_set(strings, params: CFParams):
     """All y whose addition keeps the set collision-free (y not in S).
 
-    Exhaustive over {0,1}^n, incremental per candidate: new subset XORs must
-    avoid the existing same-size XORs (pairwise-new collisions would imply a
-    collision already present in S).
+    The brute-force reference of the prefix rule (_free_prefixes), kept for
+    cross-checks only: exhaustive over {0,1}^n, one candidate at a time.
     """
     s = set(strings)
     if not is_collision_free(s, params):
@@ -770,32 +770,29 @@ def cf_set(strings, params: CFParams):
     return out
 
 
-def cf_count(strings, params: CFParams) -> int:
-    """|cf_set(strings)| via a vectorized sweep (same semantics, no set built).
+def _free_prefixes(strings, params: CFParams):
+    """(2^lam,) mask of the prefixes p whose strings y keep the collision-free
+    S collision-free, lam = params.prefix.
 
-    Used by the exhaustive bound experiment; cross-checked against cf_set.
+    Adding y only makes new size-k subset XORs p ^ X, X a size-(k-1) XOR of
+    S; these stay distinct among themselves (XOR by p is a bijection), so y
+    is free iff no p ^ X is a size-k XOR of S, for k <= min(fold, |S|). A y
+    in S fails at k = 1, so membership depends on the prefix alone.
     """
-    s = list(strings)
-    n = params.n
-    ys = np.arange(2**n, dtype=np.int64)
-    ok = np.ones(2**n, dtype=bool)
-    if s:
-        ok[np.array(s, dtype=np.int64)] = False
-    yp = ys >> (n - params.prefix)
-    for size in range(1, params.fold + 1):
-        prev = np.array(_subset_xors(s, size - 1, params), dtype=np.int64)
-        cur = np.array(sorted(set(_subset_xors(s, size, params))), dtype=np.int64)
-        if prev.size == 0:
-            continue
-        mixed = yp[:, None] ^ prev[None, :]
-        if cur.size:
-            ok &= ~np.isin(mixed, cur).any(axis=1)
-        # pairwise-new collisions cannot occur when the base set is cf
-        dup = np.sort(mixed, axis=1)
-        if prev.size > 1:
-            ok &= ~(np.diff(dup, axis=1) == 0).any(axis=1)
-    return int(ok.sum())
+    free = np.ones(2**params.prefix, dtype=bool)
+    xors = [_subset_xors(strings, k, params) for k in range(min(params.fold, len(strings)) + 1)]
+    for prev, cur in zip(xors, xors[1:]):
+        free[np.bitwise_xor.outer(cur, prev).ravel()] = False
+    return free
 
+
+def cf_count(strings, params: CFParams) -> int:
+    """|cf_set(strings)| for a collision-free S, by the prefix rule.
+
+    Every y with a free prefix is free and none with another prefix is, so
+    the count is #free prefixes * 2^(n - lam). S is not checked.
+    """
+    return int(_free_prefixes(list(strings), params).sum()) << (params.n - params.prefix)
 
 
 def _cf_outputs(rows, spans, params: CFParams):
@@ -803,13 +800,13 @@ def _cf_outputs(rows, spans, params: CFParams):
     of the given Rel spans.
 
     Preconditions (each slot's image, the joint image, and disjointness)
-    are checked once per distinct joint image, and cf_set runs once per
-    distinct joint image.
+    are checked once per distinct joint image, and the prefix rule
+    (_free_prefixes) runs once per distinct joint image.
     """
     ys = np.hstack([np.where(rows[:, a:b] == PAD, PAD, rows[:, a:b] & _Y_MASK) for a, b in spans])
     joints, inv = _intern(np.sort(ys, axis=1))
     _, first = np.unique(inv, return_index=True)
-    free_joint = np.zeros((len(joints), 2**params.n), dtype=bool)
+    free_joint = np.zeros((len(joints), 2**params.prefix), dtype=bool)
     for d, row in enumerate(joints.tolist()):
         joint = [y for y in row if y != PAD]
         if len(set(joint)) != len(joint):
@@ -820,8 +817,8 @@ def _cf_outputs(rows, spans, params: CFParams):
                 raise ValueError("a relation image is not collision-free")
         if not is_collision_free(joint, params):
             raise ValueError("the joint image is not collision-free")
-        free_joint[d, sorted(cf_set(joint, params))] = True
-    return free_joint[inv]
+        free_joint[d] = _free_prefixes(joint, params)
+    return free_joint[:, np.arange(2**params.n) >> (params.n - params.prefix)][inv]
 
 
 def classical_record(state, oracle, w):

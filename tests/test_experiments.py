@@ -239,7 +239,7 @@ def test_key_sliced_view_matches_full_state(monkeypatch, kind, n, lam, a, t):
     keep_mask = label_mask(full, mask)
     assert np.array_equal(keep_mask, predicate_mask(full, old_good))
     assert 0 < keep_mask.sum() < full.label_count()
-    assert np.max(np.abs(view.entries - reduce_view(full, keep).reduced.entries)) <= 1e-12
+    assert np.max(np.abs(view.entries - reduce_view(full, keep).entries)) <= 1e-12
     # the full state's good mass, correctly rounded: its sequential norm_sq
     # over up to 0.9M entries is itself up to 2.2e-12 off at n = 4
     full_mass = math.fsum((np.abs(full.amplitudes[keep_mask[full.label_ids]]) ** 2).tolist())
@@ -312,7 +312,8 @@ def test_pru1_unkeyed_hybrid2_runs_once(monkeypatch):
 
 
 # The collision-free recording query before it was folded into pr_apply,
-# kept as a differential oracle.
+# whose free sets come from the brute-force cf_set: kept as the differential
+# oracle of the prefix rule (relstate._free_prefixes) that replaced them.
 
 
 def old_pcfpr_apply(state, target_slot, other_slots, input_qubits, params: CFParams):
@@ -357,10 +358,11 @@ def _record_query(state, slot, input_qubits, free):
     return _append_pair(state, schema, rows, span, free, x, False, lambda i, y: _deposit_bits(i, n, qubits, y), n)
 
 
-@pytest.mark.parametrize("n,lam,t,ell", [(3, 3, 3, 1), (3, 2, 3, 2)])
+@pytest.mark.parametrize("n,lam,t,ell", [(3, 3, 3, 1), (3, 2, 3, 2), (4, 4, 3, 3)])
 def test_cf_recording_matches_old_pcfpr(monkeypatch, n, lam, t, ell):
     # every recording of the hybrid-2 key slices and of hybrid 3 of exp_pru1
-    # is collision-free; each is checked against the old query, bitwise
+    # is collision-free, at folds 1, 2 and 3; each is checked against the
+    # old query, bitwise
     inits = []
 
     def both(state, slot, input_qubits, N, shared_slots=None, cf=None):
@@ -385,6 +387,20 @@ def test_cf_recording_matches_old_pcfpr(monkeypatch, n, lam, t, ell):
     runs = [i for i, x in enumerate(inits) if isinstance(x, tuple)]
     assert [inits[i][1] for i in runs] == [*range(2**lam), Rel()]
     assert np.diff(runs + [len(inits)]).tolist() == [t + 1] * (2**lam + 1)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_secure_pru1_never_builds_a_cf_set(monkeypatch, ell):
+    # the recording path takes its free sets from the prefix rule alone
+    params = {"seed": 3, "n": 3, "t": 3, "ell": ell, "trials": 2}
+    reference = run_experiment("exp_pru1", params).to_json()
+
+    def refuse(*args):
+        raise AssertionError("cf_set was called")
+
+    monkeypatch.setattr(relstate, "cf_set", refuse)
+    monkeypatch.setattr(experiments, "cf_set", refuse)
+    assert run_experiment("exp_pru1", params).to_json() == reference
 
 
 def two_pair_state(rel, k):
@@ -584,7 +600,7 @@ def named_params(draw):
 # The domain limits at their boundary: `accepted` says whether the schema
 # takes these typed, in-range values. Each accepted case runs (see
 # test_domain_limits_at_the_boundary_run); no rejected one can: a recording
-# step would find no free output, or cf_set or the spru layout would refuse it.
+# step would find no free output, or the spru layout would refuse it.
 @settings(max_examples=400, deadline=None)
 @given(case=named_params(), accepted=st.none())
 @example(case=("exp_mh_bound", {"seed": 1, "n_list": [1], "t": 2}), accepted=True)

@@ -103,7 +103,7 @@ def test_single_query_view_is_mixed():
     # one recording query from a basis state: the view is I/N exactly
     for n in (1, 2, 3):
         prog = AdversaryProgram(n=n, steps=(identity_interleave(n), QuantumQuery("U")))
-        view = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),))).reduced
+        view = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)))
         mixed = DensityMatrix(np.eye(2**n) / 2**n, n)
         assert trace_distance(view, mixed) <= 1e-10
 
@@ -128,7 +128,7 @@ def test_purified_full_hilbert_cross_check():
     from qhrolab.linalg import StateVector
 
     rho_full = view_of_state(StateVector.from_array(full), keep=[0, 1])
-    rho_lab = reduce_view(psi).reduced
+    rho_lab = reduce_view(psi)
     assert trace_distance(rho_full, rho_lab) <= 1e-9
 
 
@@ -139,11 +139,11 @@ def test_label_rewrite_invisible_in_view():
         n=n, steps=(haar_interleave(n, rng), QuantumQuery("U"), haar_interleave(n, rng), QuantumQuery("U"))
     )
     psi = run_pr(prog, {"U": haar_slot(n)}, (Rel(),))
-    before = reduce_view(psi).reduced
+    before = reduce_view(psi)
     # every label gains an integer slot holding 7
     moved = label_rewrite(psi, psi.schema + (("int",),), np.hstack([psi.rows, np.full((psi.label_count(), 1), 7)]))
     assert moved.label_count() == psi.label_count()
-    after = reduce_view(moved).reduced
+    after = reduce_view(moved)
     assert np.max(np.abs(before.entries - after.entries)) <= 1e-12
 
 
@@ -152,8 +152,8 @@ def test_reduce_view_diagnostics_and_cap():
     with pytest.raises(ValueError):
         reduce_view(psi)
     small = reduce_view(psi, keep=[0, 1])
-    assert abs(small.diagnostics["mass"] - 1.0) < 1e-12
-    assert small.diagnostics["label_count"] == 1
+    assert small.qubit_count == 2 and abs(small.entries[0, 0] - 1.0) < 1e-12
+    assert abs(psi.norm_sq() - 1.0) < 1e-12 and psi.label_count() == 1
 
 
 def test_reduce_view_rejects_invalid_keep():
@@ -161,7 +161,7 @@ def test_reduce_view_rejects_invalid_keep():
     for keep in ([0, 0], [-1], [3], [0, 1, 1]):
         with pytest.raises(ValueError):
             reduce_view(psi, keep=keep)
-    view = reduce_view(psi, keep=[2, 0]).reduced
+    view = reduce_view(psi, keep=[2, 0])
     assert view.qubit_count == 2 and abs(view.entries[0b11, 0b11] - 1.0) < 1e-12
 
 
@@ -182,7 +182,7 @@ def test_recording_bound_small_n():
     # TD(Haar MC mean, recording view) within 2t(t-1)/(N+1) + 3 stderr
     n, t, trials = 2, 2, 2000
     prog = AdversaryProgram(n=n, steps=tuple([identity_interleave(n)] + [QuantumQuery("U")] * t))
-    exact = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),))).reduced
+    exact = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)))
     mean, batches = haar_view_mc(prog, lambda rng: {"U": haar_unitary(2**n, rng)}, trials, 71)
     td = trace_distance(mean, exact)
     se = bootstrap_td_stderr(batches, exact, 71)
@@ -200,7 +200,7 @@ def test_two_oracle_recording_bound():
         "U": haar_slot(n, slot=0, shared_slots=(0, 1)),
         "V": haar_slot(n, slot=1, shared_slots=(0, 1)),
     }
-    exact = reduce_view(run_pr(prog, bindings, (Rel(), Rel()))).reduced
+    exact = reduce_view(run_pr(prog, bindings, (Rel(), Rel())))
 
     def sampler(rng):
         return {"U": haar_unitary(2**n, rng), "V": haar_unitary(2**n, rng)}
@@ -219,11 +219,11 @@ def test_cf_recording_matches_plain_at_full_prefix():
     for _ in range(2):
         steps += [QuantumQuery("U"), fourier_interleave((0, 1))]
     prog = AdversaryProgram(n=n, steps=tuple(steps))
-    plain = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),))).reduced
+    plain = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)))
     tds = []
     for lam in (2, 3, 4):
         cf = CFParams(1, lam, n)
-        v = reduce_view(run_pr(prog, {"U": haar_slot(n, cf=cf)}, (Rel(),))).reduced
+        v = reduce_view(run_pr(prog, {"U": haar_slot(n, cf=cf)}, (Rel(),)))
         td = trace_distance(plain, v)
         assert td <= 5.0 * 2 ** 2 / 2 ** (lam / 2.0)
         tds.append(td)
@@ -314,7 +314,7 @@ def test_key_sliced_view_is_the_key_average():
     init = (Rel(), KeyInit(2))
     full = run_pr(prog, bindings, init)
     view, mass = key_sliced_view(prog, bindings, init, mask=lambda labels: np.ones(len(labels.rows), dtype=bool))
-    assert np.max(np.abs(view.entries - reduce_view(full).reduced.entries)) <= 1e-12
+    assert np.max(np.abs(view.entries - reduce_view(full).entries)) <= 1e-12
     assert abs(mass - full.norm_sq()) <= 1e-12
     assert key_sliced_view(prog, bindings, init, keep=[0])[1] is None
 

@@ -206,11 +206,12 @@ def test_cf_set_rejects_bad_input():
     st.integers(1, 3),
     st.sets(st.integers(0, 31), max_size=4),
     st.integers(0, 31),
+    st.data(),
 )
-def test_cf_monotone_and_counter(n, fold, s, extra):
+def test_cf_monotone_and_counter(n, fold, s, extra, data):
     s = {y % 2**n for y in s}
     extra %= 2**n
-    p = CFParams(fold, n, n)
+    p = CFParams(fold, data.draw(st.integers(1, n), label="lam"), n)
     assume(is_collision_free(s, p))
     full = cf_set(s, p)
     assert cf_count(s, p) == len(full)
@@ -353,6 +354,21 @@ def test_pcfpr_uniform_over_cf_set():
     for vec in out.terms.values():
         (amp,) = vec.values()
         assert abs(amp - 1.0 / math.sqrt(3)) < 1e-12
+
+
+def test_cf_recording_past_six_recorded_outputs():
+    # 7 recorded outputs with distinct prefixes leave 9 free ones at fold 1,
+    # each written to the input register with amplitude 1/3; the brute-force
+    # cf_set refuses more than 6
+    rel = Rel([(x, 2 * x + 1) for x in range(7)])
+    state = PurifiedState.initial(4, (rel,), index=7)
+    out = pr_apply(state, 0, [0, 1, 2, 3], 16, cf=CFParams(1, 4, 4))
+    free = [y for y in range(16) if y % 2 == 0 or y > 13]
+    assert len(free) == 9
+    assert set(out.terms) == {(Rel([*rel.pairs, (7, y)]),) for y in free}
+    for (label,), vec in out.terms.items():
+        (y,) = vec
+        assert (7, y) in label.pairs and abs(vec[y] - 1.0 / 3.0) < 1e-12
 
 
 def test_pcfpr_preconditions():
