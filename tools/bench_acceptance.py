@@ -35,6 +35,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy
+
 # (criterion, experiment, params): the experiment runs of tests/test_acceptance.py
 RUNS = (
     ("02", "exp_mh_bound", {"seed": 11}),
@@ -84,8 +86,6 @@ def machine():
     if Path("/proc/cpuinfo").exists():
         found = re.search(r"^model name\s*:\s*(.+)$", Path("/proc/cpuinfo").read_text(), re.M)
         cpu = found.group(1) if found else None
-    import numpy
-
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
