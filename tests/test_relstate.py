@@ -346,29 +346,24 @@ def test_gather_pairs_regroups_a_relation():
 
 
 def test_pcfpr_uniform_over_cf_set():
-    p = CFParams(1, 2, 2)
-    state = PurifiedState.initial(2, (Rel(), Rel([(0, 1)])))
-    out = pr_apply(state, 0, [0, 1], 4, shared_slots=(1,), cf=p)
-    labs = set(out.terms)
-    assert labs == {(Rel([(0, y)]), Rel([(0, 1)])) for y in (0, 2, 3)}
-    for vec in out.terms.values():
-        (amp,) = vec.values()
-        assert abs(amp - 1.0 / math.sqrt(3)) < 1e-12
-
-
-def test_cf_recording_past_six_recorded_outputs():
-    # 7 recorded outputs with distinct prefixes leave 9 free ones at fold 1,
-    # each written to the input register with amplitude 1/3; the brute-force
-    # cf_set refuses more than 6
-    rel = Rel([(x, 2 * x + 1) for x in range(7)])
-    state = PurifiedState.initial(4, (rel,), index=7)
-    out = pr_apply(state, 0, [0, 1, 2, 3], 16, cf=CFParams(1, 4, 4))
-    free = [y for y in range(16) if y % 2 == 0 or y > 13]
-    assert len(free) == 9
-    assert set(out.terms) == {(Rel([*rel.pairs, (7, y)]),) for y in free}
-    for (label,), vec in out.terms.items():
-        (y,) = vec
-        assert (7, y) in label.pairs and abs(vec[y] - 1.0 / 3.0) < 1e-12
+    # (init label, index, cf, expected free outputs). The second case holds 7
+    # recorded outputs with distinct prefixes, which leave 9 free ones at
+    # fold 1; the brute-force cf_set refuses more than 6 recorded outputs.
+    rel7 = Rel([(x, 2 * x + 1) for x in range(7)])
+    cases = [
+        ((Rel(), Rel([(0, 1)])), 0, CFParams(1, 2, 2), [0, 2, 3]),
+        ((rel7,), 7, CFParams(1, 4, 4), [y for y in range(16) if y % 2 == 0 or y > 13]),
+    ]
+    for init, index, p, free in cases:
+        n = p.n
+        state = PurifiedState.initial(n, init, index=index)
+        out = pr_apply(state, 0, list(range(n)), 2**n, shared_slots=tuple(range(1, len(init))), cf=p)
+        rel = init[0]
+        assert set(out.terms) == {(Rel([*rel.pairs, (index, y)]), *init[1:]) for y in free}
+        for label, vec in out.terms.items():
+            (y,) = vec
+            assert (index, y) in label[0].pairs
+            assert abs(vec[y] - 1.0 / math.sqrt(len(free))) < 1e-12
 
 
 def test_pcfpr_preconditions():

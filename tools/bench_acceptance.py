@@ -7,7 +7,7 @@ Usage, from the repository root:
 
 Each LABEL=PATH names a source tree (a checkout of the repository). Every
 experiment run of tests/test_acceptance.py runs at that test's parameters
-in its own fresh interpreter, `--repeats` times per tree; then the tree's
+in its own fresh interpreter, REPEATS times per tree; then the tree's
 Tier-1 suite runs once per repeat. Within a repeat the trees alternate,
 and the first tree of each repeat rotates, so both sides of a comparison
 see the same machine load in one session. Per run it records the minimum
@@ -37,7 +37,10 @@ from pathlib import Path
 
 import numpy
 
-# (criterion, experiment, params): the experiment runs of tests/test_acceptance.py
+REPEATS = 3
+
+# (criterion, experiment, params): the experiment runs of tests/test_acceptance.py,
+# kept equal to its run_experiment calls by tests/test_bench_acceptance.py
 RUNS = (
     ("02", "exp_mh_bound", {"seed": 11}),
     ("03", "exp_pru2", {"seed": 7, "n_list": [3], "trials": 3000}),
@@ -96,9 +99,9 @@ def machine():
     }
 
 
-def bench(trees, repeats):
+def bench(trees):
     raw = {label: {} for label in trees}
-    for r in range(repeats):
+    for r in range(REPEATS):
         order = list(trees)[r % len(trees) :] + list(trees)[: r % len(trees)]
         for crit, name, params in RUNS + (("tier1", None, None),):
             for label in order:
@@ -131,7 +134,6 @@ def bench(trees, repeats):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("trees", nargs="+", metavar="LABEL=PATH", help="source trees to measure")
-    ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
     trees = {}
@@ -140,9 +142,7 @@ def main(argv=None):
         if not sep or not (Path(path) / "src" / "qhrolab").is_dir():
             ap.error(f"{spec!r} is not LABEL=PATH of a source tree")
         trees[label] = Path(path).resolve()
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-    result = {"machine": machine(), "repeats": args.repeats, "trees": bench(trees, args.repeats)}
+    result = {"machine": machine(), "repeats": REPEATS, "trees": bench(trees)}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
 
 
