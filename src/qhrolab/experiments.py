@@ -39,7 +39,6 @@ from .harness import (
     bootstrap_td_stderr,
     haar_interleave,
     haar_view_mc,
-    identity_interleave,
     key_sliced_view,
     key_slices,
     phased_permutation_interleave,
@@ -239,10 +238,7 @@ def _generic_program(n, t):
     Querying without basis rotation keeps the distinct-output signal of the
     recording oracle well above the Monte Carlo floor at 2e4 trials.
     """
-    steps = [identity_interleave(n)]
-    for _ in range(t):
-        steps.append(QuantumQuery("U"))
-    return AdversaryProgram(n=n, steps=tuple(steps))
+    return AdversaryProgram(n=n, steps=(QuantumQuery("U"),) * t)
 
 
 @dataclass(frozen=True)
@@ -279,11 +275,34 @@ def exp_mh_bound(p: MhBoundParams) -> ExperimentReport:
         entry = rep.add_point({"n": n, "N": 2**n})
         _check(entry, "td_haar_vs_recording", "MC", td, bound, se)
         results.append((n, td, se))
+    _scaling_checks(rep, results, "td_ratio_scaling")
+    return rep
+
+
+def _scaling_checks(rep, results, name):
+    """Check TD(n)/TD(n') >= 1.3 for consecutive (n, TD, stderr) results,
+    where both stderrs are below a fifth of their TD."""
     for (n1, td1, se1), (n2, td2, se2) in zip(results, results[1:]):
         if se1 < td1 / 5 and se2 < td2 / 5 and td2 > 0:
             entry = rep.add_point({"n_pair": f"{n1}->{n2}"})
-            _check_ge(entry, "td_ratio_scaling", "MC", td1 / td2, 1.3)
-    return rep
+            _check_ge(entry, name, "MC", td1 / td2, 1.3)
+
+
+def _keyed_samplers(desc):
+    """(real, ideal) Monte Carlo bindings of the keyed games: the real G is
+    the construction `desc` at a Haar U and a uniform key, beside U itself;
+    the ideal G and U are independent Haar unitaries."""
+    N = 2**desc.n
+
+    def real(rng):
+        u = haar_unitary(N, rng)
+        k = int(rng.integers(0, 2**desc.lam))
+        return {"G": concrete_oracle(desc, u, k), "U": u}
+
+    def ideal(rng):
+        return {"G": haar_unitary(N, rng), "U": haar_unitary(N, rng)}
+
+    return real, ideal
 
 
 # ----------------------------------------------------------------- exp_pru2
@@ -352,14 +371,7 @@ def exp_pru2(p: Pru2Params) -> ExperimentReport:
         _check(entry, "td_hybrid2_vs_hybrid3", "EXACT", td23, bound23)
 
         # Monte Carlo against the exact hybrids
-        def real_sampler(rng, n=n, lam=lam, desc=pru_two_query(n, lam)):
-            u = haar_unitary(2**n, rng)
-            k = int(rng.integers(0, 2**lam))
-            return {"G": concrete_oracle(desc, u, k), "U": u}
-
-        def ideal_sampler(rng, n=n):
-            return {"G": haar_unitary(2**n, rng), "U": haar_unitary(2**n, rng)}
-
+        real_sampler, ideal_sampler = _keyed_samplers(pru_two_query(n, lam))
         m_real, b_real = haar_view_mc(prog, real_sampler, trials, seed + 31 * i)
         m_ideal, b_ideal = haar_view_mc(prog, ideal_sampler, trials, seed + 31 * i + 1)
         b1 = 4.0 * (t + ell) * (t + ell - 1) / (N + 1)
@@ -374,15 +386,7 @@ def exp_pru2(p: Pru2Params) -> ExperimentReport:
         # end-to-end on a three-query adversary (two keyed calls, one direct)
         # measured on a fixed two-qubit output register, where the signal
         # clears the Monte Carlo floor at the default trial count
-        prog_end = AdversaryProgram(
-            n=n,
-            steps=(
-                identity_interleave(n),
-                QuantumQuery("G"),
-                QuantumQuery("U"),
-                QuantumQuery("G"),
-            ),
-        )
+        prog_end = AdversaryProgram(n=n, steps=(QuantumQuery("G"), QuantumQuery("U"), QuantumQuery("G")))
         keep = [0, 1]
         me_r, be_r = haar_view_mc(prog_end, real_sampler, trials, seed + 51 * i, keep=keep)
         me_i, be_i = haar_view_mc(prog_end, ideal_sampler, trials, seed + 53 * i, keep=keep)
@@ -392,10 +396,7 @@ def exp_pru2(p: Pru2Params) -> ExperimentReport:
         se_end = bootstrap_td_pair(be_r, be_i, seed + 47 * i)
         _check(entry, "td_end_to_end", "ASYMPTOTIC", td_end, end_bound, se_end)
         ends.append((n, td_end, se_end))
-    for (n1, td1, se1), (n2, td2, se2) in zip(ends, ends[1:]):
-        if se1 < td1 / 5 and se2 < td2 / 5 and td2 > 0:
-            entry = rep.add_point({"n_pair": f"{n1}->{n2}"})
-            _check_ge(entry, "end_to_end_scaling", "MC", td1 / td2, 1.3)
+    _scaling_checks(rep, ends, "end_to_end_scaling")
     return rep
 
 
@@ -517,14 +518,7 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
         _check(entry, "isometry_state_match", "EXACT", walked.max_diff(psi3), 1e-8)
 
     # end-to-end Monte Carlo against independent oracles
-    def real_sampler(rng, desc=pru_one_query(n, lam)):
-        u = haar_unitary(N, rng)
-        k = int(rng.integers(0, 2**lam))
-        return {"G": concrete_oracle(desc, u, k), "U": u}
-
-    def ideal_sampler(rng):
-        return {"G": haar_unitary(N, rng), "U": haar_unitary(N, rng)}
-
+    real_sampler, ideal_sampler = _keyed_samplers(pru_one_query(n, lam))
     m_real, b_real = haar_view_mc(prog, real_sampler, trials, seed + 5)
     m_ideal, b_ideal = haar_view_mc(prog, ideal_sampler, trials, seed + 6)
     td_end = trace_distance(m_real, m_ideal)
@@ -664,8 +658,7 @@ def _prfs_game(m, t):
 
 
 def _oracle_program(game, n):
-    steps = [identity_interleave(n)]
-    steps += [ClassicalQuery(game.oracle, i % 2**game.m) for i in range(game.t)]
+    steps = [ClassicalQuery(game.oracle, i % 2**game.m) for i in range(game.t)]
     steps += [QuantumQuery("U", tuple(range(n))) for _ in range(game.s)]
     return AdversaryProgram(n=n, steps=tuple(steps))
 

@@ -54,18 +54,17 @@ __all__ = [
     "bootstrap_td_pair",
     "haar_interleave",
     "phased_permutation_interleave",
-    "identity_interleave",
     "fourier_interleave",
 ]
 
 
 @dataclass(frozen=True)
 class Interleave:
-    """A fixed unitary layer; dense matrix or a sparse permutation/phase map.
+    """A fixed unitary layer; dense matrix or a phased permutation.
 
-    Exactly one of `u` and `sparse_map` is set. `sparse_map` maps the basis
-    value of `targets` to (new value, phase) and keeps purified vectors
-    sparse.
+    Exactly one of `u` and `sparse_map` is set. `sparse_map` is the pair
+    (perm, phases) of arrays over the 2^k basis values of `targets`: value v
+    goes to perm[v] times phases[v]. It keeps purified vectors sparse.
     """
 
     u: UnitaryMatrix | None = None
@@ -96,10 +95,6 @@ class AdversaryProgram:
     n: int
     m_anc: int = 0
     steps: tuple = ()
-
-    def __post_init__(self):
-        if self.steps and not isinstance(self.steps[0], Interleave):
-            raise ValueError("the first step must be an Interleave")
 
     @property
     def reg_qubits(self):
@@ -166,7 +161,7 @@ def view_of_state(state: StateVector, keep=None) -> DensityMatrix:
     return DensityMatrix(m @ m.conj().T, len(keep))
 
 
-def _concrete_sparse(state: StateVector, sp, targets) -> StateVector:
+def _concrete_sparse(state: StateVector, perm, phases, targets) -> StateVector:
     """Apply a phased permutation of the target-qubit basis to a dense state."""
     n = state.qubit_count
     k = len(targets)
@@ -174,9 +169,7 @@ def _concrete_sparse(state: StateVector, sp, targets) -> StateVector:
     tens = np.moveaxis(state.amplitudes.reshape((2,) * n), targets + rest, range(n))
     mat = tens.reshape(2**k, -1)
     out = np.zeros_like(mat)
-    for val in range(2**k):
-        nv, ph = sp(val)
-        out[nv] = ph * mat[val]
+    out[perm] = phases[:, None] * mat
     tens = np.moveaxis(out.reshape((2,) * n), range(n), targets + rest)
     return StateVector(tens.reshape(-1), n)
 
@@ -188,7 +181,7 @@ def run_concrete(program: AdversaryProgram, bindings: dict) -> StateVector:
         if isinstance(step, Interleave):
             targets = list(step.targets) if step.targets is not None else list(range(program.reg_qubits))
             if step.u is None:
-                state = _concrete_sparse(state, step.sparse_map, targets)
+                state = _concrete_sparse(state, *step.sparse_map, targets)
             else:
                 state = apply_unitary(state, step.u, targets)
         elif isinstance(step, QuantumQuery):
@@ -213,7 +206,7 @@ def run_concrete(program: AdversaryProgram, bindings: dict) -> StateVector:
 def _apply_interleave(state: PurifiedState, step: Interleave) -> PurifiedState:
     targets = list(step.targets) if step.targets is not None else list(range(state.n_qubits))
     if step.sparse_map is not None:
-        return state.apply_sparse_map(step.sparse_map, targets)
+        return state.apply_sparse_map(*step.sparse_map, targets)
     return state.apply_matrix(step.u.entries, targets)
 
 
@@ -375,15 +368,20 @@ def reduce_view(purified: PurifiedState, keep=None) -> DensityMatrix:
 # ---------------------------------------------------------------- Monte Carlo
 
 
-def haar_view_mc(program, sampler, trials, master_seed, keep=None, batches=20):
+_BATCHES = 20  # batch means per haar_view_mc run
+_RESAMPLES = 200  # resamples per bootstrap stderr
+
+
+def haar_view_mc(program, sampler, trials, master_seed, keep=None):
     """Mean adversary view over seeded trials, plus per-batch means.
 
     sampler(rng) returns the concrete bindings for one trial; trial t draws
-    from trial_rng(master_seed, t) and goes to batch t % batches.
+    from trial_rng(master_seed, t) and goes to batch t % batches, with
+    min(_BATCHES, trials) batches.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    batches = min(batches, trials)
+    batches = min(_BATCHES, trials)
     first = view_of_state(run_concrete(program, sampler(trial_rng(master_seed, 0))), keep)
     dim = first.entries.shape[0]
     sums = np.zeros((batches, dim, dim), dtype=complex)
@@ -416,7 +414,7 @@ def _resample_mean(ents, idx, out):
     return out
 
 
-def bootstrap_td_pair(batches_a, batches_b, master_seed, resamples=200):
+def bootstrap_td_pair(batches_a, batches_b, master_seed):
     """Bootstrap stderr of TD(mean A, mean B) over two batch-mean families."""
     ea = [b.entries for b in batches_a]
     eb = [b.entries for b in batches_b]
@@ -425,14 +423,14 @@ def bootstrap_td_pair(batches_a, batches_b, master_seed, resamples=200):
     rng = trial_rng(master_seed, 10**9 + 1)
     vals = []
     na, nb = len(batches_a), len(batches_b)
-    for _ in range(resamples):
+    for _ in range(_RESAMPLES):
         _resample_mean(ea, rng.integers(0, na, size=na), ma)
         _resample_mean(eb, rng.integers(0, nb, size=nb), mb)
         vals.append(trace_distance(DensityMatrix(ma, q), DensityMatrix(mb, q)))
     return float(np.std(vals))
 
 
-def bootstrap_td_stderr(batch_means, reference: DensityMatrix, master_seed, resamples=200):
+def bootstrap_td_stderr(batch_means, reference: DensityMatrix, master_seed):
     """Bootstrap stderr of TD(mean view, reference) over batch means."""
     ents = [b.entries for b in batch_means]
     mean = np.empty_like(ents[0])
@@ -440,7 +438,7 @@ def bootstrap_td_stderr(batch_means, reference: DensityMatrix, master_seed, resa
     rng = trial_rng(master_seed, 10**9)
     vals = []
     nb = len(batch_means)
-    for _ in range(resamples):
+    for _ in range(_RESAMPLES):
         _resample_mean(ents, rng.integers(0, nb, size=nb), mean)
         vals.append(trace_distance(DensityMatrix(mean, q), reference))
     return float(np.std(vals))
@@ -453,20 +451,12 @@ def haar_interleave(n_qubits, rng, targets=None):
     return Interleave(u=haar_unitary(2 ** (len(targets) if targets else n_qubits), rng), targets=tuple(targets) if targets else None)
 
 
-def identity_interleave(n_qubits):
-    return Interleave(u=UnitaryMatrix.from_array(np.eye(2**n_qubits)), targets=None)
-
-
 def phased_permutation_interleave(n_qubits, rng, targets=None):
     """Random basis permutation with random phases; sparsity-preserving."""
     k = len(targets) if targets is not None else n_qubits
     perm = rng.permutation(2**k)
     phases = np.exp(2j * np.pi * rng.random(2**k))
-
-    def sp(val, _perm=perm, _ph=phases):
-        return int(_perm[val]), complex(_ph[val])
-
-    return Interleave(sparse_map=sp, targets=tuple(targets) if targets is not None else tuple(range(n_qubits)))
+    return Interleave(sparse_map=(perm, phases), targets=tuple(targets) if targets is not None else tuple(range(n_qubits)))
 
 
 def fourier_interleave(targets):

@@ -328,6 +328,12 @@ def _group_batches(ginv, n_groups, width):
         yield g0, g1, order[bounds[g0] : bounds[g1]]
 
 
+def _check_entries(count):
+    """MemoryError if a state of `count` entries would pass ENTRY_CAP."""
+    if count > ENTRY_CAP:
+        raise MemoryError(f"purified state exceeds the {ENTRY_CAP}-entry cap")
+
+
 def _key(n_qubits, lab, idx):
     """Entry sort key label << n_qubits | index."""
     if len(lab) and int(lab.max()) >= 1 << (62 - n_qubits):
@@ -371,7 +377,7 @@ class PurifiedState:
     constructor's form.
     """
 
-    def __init__(self, n_qubits, terms=None, entry_cap=ENTRY_CAP):
+    def __init__(self, n_qubits, terms=None):
         terms = {} if terms is None else terms
         schema, rows = _encode(list(terms))
         sizes = [len(vec) for vec in terms.values()]
@@ -379,26 +385,25 @@ class PurifiedState:
         lab = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
         idx = np.fromiter((i for vec in terms.values() for i in vec), dtype=np.int64, count=count)
         amp = np.fromiter((a for vec in terms.values() for a in vec.values()), dtype=complex, count=count)
-        self._gather(n_qubits, schema, rows, lab, idx, amp, entry_cap)
+        self._gather(n_qubits, schema, rows, lab, idx, amp)
 
     @classmethod
-    def from_table(cls, n_qubits, schema, rows, label_ids, indices, amplitudes, entry_cap=ENTRY_CAP):
+    def from_table(cls, n_qubits, schema, rows, label_ids, indices, amplitudes):
         """The state whose entry i is amplitudes[i] at basis index indices[i] of
         the label in row label_ids[i] of the label table (schema, rows). Equal
         rows are one label, and entries that meet are summed. Consumes `rows`
         and `amplitudes`.
         """
         st = object.__new__(cls)
-        st._gather(n_qubits, schema, rows, label_ids, indices, amplitudes, entry_cap)
+        st._gather(n_qubits, schema, rows, label_ids, indices, amplitudes)
         return st
 
-    def _gather(self, n_qubits, schema, rows, lab, idx, amp, entry_cap):
+    def _gather(self, n_qubits, schema, rows, lab, idx, amp):
         table, inv = _intern(rows)
-        self._set(n_qubits, schema, table, *_merge(n_qubits, _key(n_qubits, inv[lab], idx), amp), entry_cap)
+        self._set(n_qubits, schema, table, *_merge(n_qubits, _key(n_qubits, inv[lab], idx), amp))
 
-    def _set(self, n_qubits, schema, rows, lab, idx, amp, entry_cap):
+    def _set(self, n_qubits, schema, rows, lab, idx, amp):
         self.n_qubits = n_qubits
-        self.entry_cap = entry_cap
         self.schema = schema
         for arr in (rows, lab, idx, amp):
             arr.flags.writeable = False
@@ -408,15 +413,15 @@ class PurifiedState:
     def _make(self, schema, rows, lab, idx, amp, n_qubits=None):
         st = object.__new__(PurifiedState)
         n = self.n_qubits if n_qubits is None else n_qubits
-        st._set(n, schema, rows, lab, idx, amp, self.entry_cap)
+        st._set(n, schema, rows, lab, idx, amp)
         return st
 
     def _with_entries(self, lab, idx, amp):
         return self._make(self.schema, self.rows, lab, idx, amp)
 
     @classmethod
-    def initial(cls, n_qubits, label, index=0, amp=1.0, entry_cap=ENTRY_CAP):
-        return cls(n_qubits, {tuple(label): {index: complex(amp)}}, entry_cap)
+    def initial(cls, n_qubits, label, index=0, amp=1.0):
+        return cls(n_qubits, {tuple(label): {index: complex(amp)}})
 
     def __repr__(self):
         return f"PurifiedState(n_qubits={self.n_qubits}, labels={self.label_count()}, entries={self.entry_count()})"
@@ -465,8 +470,7 @@ class PurifiedState:
         return len(self.rows)
 
     def check_cap(self):
-        if self.entry_count() > self.entry_cap:
-            raise MemoryError(f"purified state exceeds the {self.entry_cap}-entry cap")
+        _check_entries(self.entry_count())
 
     def select_labels(self, keep, on=None):
         """The sub-state on the labels where the boolean mask `keep` holds
@@ -514,20 +518,15 @@ class PurifiedState:
         st.check_cap()
         return st
 
-    def apply_sparse_map(self, fn, targets):
-        """Apply a basis-permutation-with-phase map on `targets`.
-
-        fn maps the register value on `targets` to (new value, phase); it is
-        called once per distinct value. Keeps sparse vectors sparse.
+    def apply_sparse_map(self, perm, phases, targets):
+        """Apply a phased permutation on `targets`: the register value v on
+        `targets` goes to perm[v], times phases[v]. Keeps sparse vectors sparse.
         """
         n = self.n_qubits
         targets = list(targets)
-        vals, inv = np.unique(extract_bits(self.indices, n, targets), return_inverse=True)
-        images = [fn(int(v)) for v in vals.tolist()]
-        new_val = np.array([int(nv) for nv, _ in images], dtype=np.int64).reshape(-1)
-        phase = np.array([complex(ph) for _, ph in images], dtype=complex).reshape(-1)
-        idx = _deposit_bits(self.indices, n, targets, new_val[inv])
-        return self._with_entries(*_merge(n, _key(n, self.label_ids, idx), self.amplitudes * phase[inv]))
+        val = extract_bits(self.indices, n, targets)
+        idx = _deposit_bits(self.indices, n, targets, perm[val])
+        return self._with_entries(*_merge(n, _key(n, self.label_ids, idx), self.amplitudes * phases[val]))
 
     def _common_ids(self, other):
         """Label ids of both states in one numbering: their stacked label rows, interned."""
@@ -641,8 +640,7 @@ def _append_pair(state, schema, rows, span, free, x, per_label, place, n_qubits)
         raise ValueError("recording map undefined: no available outputs")
     per_entry = nfree[lab]
     total = int(per_entry.sum())
-    if total > state.entry_cap:
-        raise MemoryError(f"purified state exceeds the {state.entry_cap}-entry cap")
+    _check_entries(total)
     if np.any((x < 0) | (x >= _PAIR_LIMIT)):
         raise ValueError("recorded inputs must lie in [0, 2^31)")
     free_y = np.flatnonzero(free) % free.shape[1]  # free outputs, label by label
@@ -930,9 +928,7 @@ def label_rewrite(state, schema, rows):
     """
     if len(rows) != state.label_count():
         raise ValueError("a label rewrite needs one row per label")
-    out = PurifiedState.from_table(
-        state.n_qubits, schema, rows, state.label_ids, state.indices, state.amplitudes.copy(), state.entry_cap
-    )
+    out = PurifiedState.from_table(state.n_qubits, schema, rows, state.label_ids, state.indices, state.amplitudes.copy())
     if out.label_count() < state.label_count():
         raise ValueError(f"label rewrite is not injective: {state.label_count()} labels meet in {out.label_count()}")
     return out
@@ -977,7 +973,7 @@ class KeyHadamard:
         a, _ = _slot_span(state.schema, slot)
         rest = _Table(state.schema[:slot] + state.schema[slot + 1 :], np.delete(state.rows, a, axis=1))
         if self.table is None:
-            self.n, self.slot, self.entry_cap = n, slot, state.entry_cap
+            self.n, self.slot = n, slot
             joint = rest.schema, rest.rows[:0], rest.rows
         elif n != self.n or slot != self.slot:
             raise ValueError("key slices differ in register or key slot")
@@ -1027,5 +1023,5 @@ class KeyHadamard:
         schema = self.table.schema[: self.slot] + (("int",),) + self.table.schema[self.slot :]
         entries = _merge(n, _key(n, lab, self.groups[g] & ((1 << n) - 1)), amp)
         out = object.__new__(PurifiedState)
-        out._set(n, schema, rows, *entries, self.entry_cap)
+        out._set(n, schema, rows, *entries)
         return out

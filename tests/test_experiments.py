@@ -12,24 +12,7 @@ from hypothesis import strategies as st
 from qhrolab import experiments, harness, relstate
 from qhrolab.experiments import EXPERIMENTS, SLACK, run_experiment
 from qhrolab.harness import KeyInit, key_sliced_view, reduce_view, run_pr
-from qhrolab.relstate import (
-    PAD,
-    CFParams,
-    PurifiedState,
-    Rel,
-    _append_pair,
-    _deposit_bits,
-    _intern,
-    _open_slot,
-    _rel_span,
-    _Y_MASK,
-    cf_set,
-    corx,
-    extract_bits,
-    is_collision_free,
-    label_mask,
-    project_good,
-)
+from qhrolab.relstate import CFParams, PurifiedState, Rel, cf_set, corx, label_mask, project_good
 
 
 def checks_by_name(report):
@@ -309,84 +292,6 @@ def test_pru1_unkeyed_hybrid2_runs_once(monkeypatch):
     assert inits == [(Rel(), 0), (Rel(), Rel())]
     assert cs["td_hybrid2_vs_hybrid3"][0]["passed"]
     assert "isometry_state_match" not in cs
-
-
-# The collision-free recording query before it was folded into pr_apply,
-# whose free sets come from the brute-force cf_set: kept as the differential
-# oracle of the prefix rule (relstate._free_prefixes) that replaced them.
-
-
-def old_pcfpr_apply(state, target_slot, other_slots, input_qubits, params: CFParams):
-    """Collision-free recording across two (or more) relation slots.
-
-    |x>|R1>|R2> -> |CF(Im(R1 u R2))|^{-1/2} sum_{y in CF} |y>, with (x, y)
-    appended to the target slot. Preconditions (each slot's image, the joint
-    image, and disjointness) are checked once per distinct joint image, and
-    cf_set runs once per distinct joint image.
-    """
-    if isinstance(other_slots, int):
-        other_slots = [other_slots]
-    slots = [target_slot] + [s for s in other_slots if s != target_slot]
-    if not state.label_count():
-        return state
-    spans = [_rel_span(state.schema, s) for s in slots]
-    rows = state.rows
-    ys = np.hstack([np.where(rows[:, a:b] == PAD, PAD, rows[:, a:b] & _Y_MASK) for a, b in spans])
-    joints, inv = _intern(np.sort(ys, axis=1))
-    _, first = np.unique(inv, return_index=True)
-    free_joint = np.zeros((len(joints), 2**params.n), dtype=bool)
-    for d, row in enumerate(joints.tolist()):
-        joint = [y for y in row if y != PAD]
-        if len(set(joint)) != len(joint):
-            raise ValueError("relation slots are not disjoint")
-        for a, b in spans:
-            image = [c & _Y_MASK for c in rows[first[d], a:b].tolist() if c != PAD]
-            if not is_collision_free(sorted(image), params):
-                raise ValueError("a relation image is not collision-free")
-        if not is_collision_free(joint, params):
-            raise ValueError("the joint image is not collision-free")
-        free_joint[d, sorted(cf_set(joint, params))] = True
-    return _record_query(state, target_slot, input_qubits, free_joint[inv])
-
-
-def _record_query(state, slot, input_qubits, free):
-    """Quantum recording: x is read from, and y written to, the input qubits."""
-    n = state.n_qubits
-    qubits = list(input_qubits)
-    schema, rows, span = _open_slot(state.schema, state.rows, slot)
-    x = extract_bits(state.indices, n, qubits)
-    return _append_pair(state, schema, rows, span, free, x, False, lambda i, y: _deposit_bits(i, n, qubits, y), n)
-
-
-@pytest.mark.parametrize("n,lam,t,ell", [(3, 3, 3, 1), (3, 2, 3, 2), (4, 4, 3, 3)])
-def test_cf_recording_matches_old_pcfpr(monkeypatch, n, lam, t, ell):
-    # every recording of the hybrid-2 key slices and of hybrid 3 of exp_pru1
-    # is collision-free, at folds 1, 2 and 3; each is checked against the
-    # old query, bitwise
-    inits = []
-
-    def both(state, slot, input_qubits, N, shared_slots=None, cf=None):
-        new = relstate.pr_apply(state, slot, input_qubits, N, shared_slots, cf)
-        others = [x for x in (shared_slots or (slot,)) if x != slot]
-        old = old_pcfpr_apply(state, slot, others, input_qubits, cf)
-        assert new.schema == old.schema and np.array_equal(new.rows, old.rows)
-        for a, b in ((new.label_ids, old.label_ids), (new.indices, old.indices), (new.amplitudes, old.amplitudes)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        inits.append(state.label_count())
-        return new
-
-    def recording(program, bindings, init_label):
-        inits.append(init_label)
-        return run_pr(program, bindings, init_label)
-
-    monkeypatch.setattr(harness, "pr_apply", both)
-    monkeypatch.setattr(harness, "run_pr", recording)
-    monkeypatch.setattr(experiments, "run_pr", recording)
-    run_experiment("exp_pru1", {"seed": 3, "n": n, "lam": lam, "t": t, "ell": ell, "trials": 2})
-    # 2^lam key slices, then hybrid 3, each followed by its t recordings
-    runs = [i for i, x in enumerate(inits) if isinstance(x, tuple)]
-    assert [inits[i][1] for i in runs] == [*range(2**lam), Rel()]
-    assert np.diff(runs + [len(inits)]).tolist() == [t + 1] * (2**lam + 1)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])

@@ -20,7 +20,6 @@ from qhrolab.harness import (
     fourier_interleave,
     haar_interleave,
     haar_view_mc,
-    identity_interleave,
     key_sliced_view,
     key_slices,
     phased_permutation_interleave,
@@ -31,23 +30,32 @@ from qhrolab.harness import (
 )
 from qhrolab.linalg import (
     DensityMatrix,
+    StateVector,
     UnitaryMatrix,
     basis_state,
     haar_unitary,
     trace_distance,
     trial_rng,
 )
-from qhrolab.relstate import CFParams, PurifiedState, Rel, label_rewrite, relation_state_vector
+from qhrolab.relstate import (
+    CFParams,
+    PurifiedState,
+    Rel,
+    _deposit_bits,
+    _key,
+    _merge,
+    extract_bits,
+    label_rewrite,
+    relation_state_vector,
+)
 
 
 def test_program_validation():
     with pytest.raises(ValueError):
-        AdversaryProgram(n=2, steps=(QuantumQuery("U"),))
-    with pytest.raises(ValueError):
         Interleave()
     with pytest.raises(ValueError):
-        Interleave(u=UnitaryMatrix.from_array(np.eye(2)), sparse_map=lambda v: (v, 1.0))
-    prog = AdversaryProgram(n=2, m_anc=1, steps=(identity_interleave(3), QuantumQuery("U"), QuantumQuery("U")))
+        Interleave(u=UnitaryMatrix.from_array(np.eye(2)), sparse_map=(np.arange(2), np.ones(2, dtype=complex)))
+    prog = AdversaryProgram(n=2, m_anc=1, steps=(QuantumQuery("U"), QuantumQuery("U")))
     assert prog.reg_qubits == 3
 
 
@@ -69,10 +77,9 @@ def test_run_concrete_sparse_interleave():
     rng = trial_rng(22)
     n = 3
     step = phased_permutation_interleave(n, rng, targets=[0, 2])
+    perm, phases = step.sparse_map
     dense = np.zeros((4, 4), dtype=complex)
-    for val in range(4):
-        nv, ph = step.sparse_map(val)
-        dense[nv, val] = ph
+    dense[perm, np.arange(4)] = phases
     prog_sparse = AdversaryProgram(n=n, steps=(haar_interleave(n, trial_rng(23)), step))
     prog_dense = AdversaryProgram(
         n=n,
@@ -83,16 +90,85 @@ def test_run_concrete_sparse_interleave():
     assert np.max(np.abs(va.amplitudes - vb.amplitudes)) < 1e-10
 
 
+# The phased-permutation kernels from before a sparse map was a (perm, phases)
+# pair of arrays: one callback per basis value. Kept as the one-PR
+# differential oracle of the array kernels.
+
+
+def old_callback(perm, phases):
+    def sp(val):
+        return int(perm[val]), complex(phases[val])
+
+    return sp
+
+
+def old_concrete_sparse(state, sp, targets):
+    n = state.qubit_count
+    k = len(targets)
+    rest = [q for q in range(n) if q not in targets]
+    tens = np.moveaxis(state.amplitudes.reshape((2,) * n), targets + rest, range(n))
+    mat = tens.reshape(2**k, -1)
+    out = np.zeros_like(mat)
+    for val in range(2**k):
+        nv, ph = sp(val)
+        out[nv] = ph * mat[val]
+    tens = np.moveaxis(out.reshape((2,) * n), range(n), targets + rest)
+    return StateVector(tens.reshape(-1), n)
+
+
+def old_apply_sparse_map(state, fn, targets):
+    n = state.n_qubits
+    vals, inv = np.unique(extract_bits(state.indices, n, targets), return_inverse=True)
+    images = [fn(int(v)) for v in vals.tolist()]
+    new_val = np.array([int(nv) for nv, _ in images], dtype=np.int64).reshape(-1)
+    phase = np.array([complex(ph) for _, ph in images], dtype=complex).reshape(-1)
+    idx = _deposit_bits(state.indices, n, targets, new_val[inv])
+    return state._with_entries(*_merge(n, _key(n, state.label_ids, idx), state.amplitudes * phase[inv]))
+
+
+@pytest.mark.parametrize("targets", [[0, 2], None])  # partial targets; the full register
+def test_sparse_kernels_are_bitwise_the_callback_loops(targets):
+    n = 3
+    rng = trial_rng(24)
+    step = phased_permutation_interleave(n, rng, targets=targets)
+    perm, phases = step.sparse_map
+    targets = list(step.targets)
+    sp = old_callback(perm, phases)
+    dense = run_concrete(AdversaryProgram(n=n, steps=(haar_interleave(n, rng),)), {})
+    new = harness._concrete_sparse(dense, perm, phases, targets)
+    assert new.amplitudes.tobytes() == old_concrete_sparse(dense, sp, targets).amplitudes.tobytes()
+    # a purified state over many labels: two recording queries after a dense layer
+    prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("U"), QuantumQuery("U")))
+    psi = run_pr(prog, {"U": haar_slot(n)}, (Rel(),))
+    assert psi.label_count() > 1
+    new, old = psi.apply_sparse_map(perm, phases, targets), old_apply_sparse_map(psi, sp, targets)
+    assert new.schema == old.schema and np.array_equal(new.rows, old.rows)
+    for a, b in ((new.label_ids, old.label_ids), (new.indices, old.indices), (new.amplitudes, old.amplitudes)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_program_may_open_with_a_query():
+    # an identity first step changes no bit of either executor's result
+    n = 2
+    steps = (QuantumQuery("U"), phased_permutation_interleave(n, trial_rng(25)), QuantumQuery("U"))
+    bare = AdversaryProgram(n=n, steps=steps)
+    behind = AdversaryProgram(n=n, steps=(Interleave(u=UnitaryMatrix.from_array(np.eye(2**n))), *steps))
+    u = haar_unitary(2**n, trial_rng(26))
+    assert run_concrete(bare, {"U": u}).amplitudes.tobytes() == run_concrete(behind, {"U": u}).amplitudes.tobytes()
+    views = [reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),))).entries for prog in (bare, behind)]
+    assert views[0].tobytes() == views[1].tobytes()
+
+
 def test_classical_concrete_appends_register():
     oracle = ClassicalConcreteOracle(n=2, answer=lambda w: basis_state(2, w))
-    prog = AdversaryProgram(n=1, steps=(identity_interleave(1), ClassicalQuery("O", 3)))
+    prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", 3),))
     out = run_concrete(prog, {"O": oracle})
     assert out.qubit_count == 3
     assert abs(out.amplitudes[0b011] - 1.0) < 1e-12
 
 
 def test_key_init_expansion():
-    prog = AdversaryProgram(n=1, steps=(identity_interleave(1),))
+    prog = AdversaryProgram(n=1, steps=())
     psi = run_pr(prog, {}, (Rel(), KeyInit(2)))
     assert psi.label_count() == 4
     for vec in psi.terms.values():
@@ -102,7 +178,7 @@ def test_key_init_expansion():
 def test_single_query_view_is_mixed():
     # one recording query from a basis state: the view is I/N exactly
     for n in (1, 2, 3):
-        prog = AdversaryProgram(n=n, steps=(identity_interleave(n), QuantumQuery("U")))
+        prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),))
         view = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)))
         mixed = DensityMatrix(np.eye(2**n) / 2**n, n)
         assert trace_distance(view, mixed) <= 1e-10
@@ -125,8 +201,6 @@ def test_purified_full_hilbert_cross_check():
         rv = relation_state_vector(rel, n).amplitudes
         for i, a in vec.items():
             full[i * dim_rel : (i + 1) * dim_rel] += a * rv
-    from qhrolab.linalg import StateVector
-
     rho_full = view_of_state(StateVector.from_array(full), keep=[0, 1])
     rho_lab = reduce_view(psi)
     assert trace_distance(rho_full, rho_lab) <= 1e-9
@@ -167,7 +241,7 @@ def test_reduce_view_rejects_invalid_keep():
 
 def test_haar_view_mc_samples_each_trial_once():
     n, trials = 1, 7
-    prog = AdversaryProgram(n=n, steps=(identity_interleave(n), QuantumQuery("U")))
+    prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),))
     seen = []
 
     def sampler(rng):
@@ -181,7 +255,7 @@ def test_haar_view_mc_samples_each_trial_once():
 def test_recording_bound_small_n():
     # TD(Haar MC mean, recording view) within 2t(t-1)/(N+1) + 3 stderr
     n, t, trials = 2, 2, 2000
-    prog = AdversaryProgram(n=n, steps=tuple([identity_interleave(n)] + [QuantumQuery("U")] * t))
+    prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),) * t)
     exact = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)))
     mean, batches = haar_view_mc(prog, lambda rng: {"U": haar_unitary(2**n, rng)}, trials, 71)
     td = trace_distance(mean, exact)
@@ -193,9 +267,7 @@ def test_two_oracle_recording_bound():
     # independent oracles share one output space: the two-slot recording
     # tracks a pair of Haar unitaries within 4q(q-1)/(N+1)
     n, trials = 2, 2000
-    prog = AdversaryProgram(
-        n=n, steps=(identity_interleave(n), QuantumQuery("U"), QuantumQuery("V"))
-    )
+    prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"), QuantumQuery("V")))
     bindings = {
         "U": haar_slot(n, slot=0, shared_slots=(0, 1)),
         "V": haar_slot(n, slot=1, shared_slots=(0, 1)),
@@ -215,7 +287,7 @@ def test_cf_recording_matches_plain_at_full_prefix():
     # fold-1 with a full-length prefix avoids exactly the image: identical views;
     # shorter prefixes move the view monotonically away
     n = 4
-    steps = [identity_interleave(n)]
+    steps = []
     for _ in range(2):
         steps += [QuantumQuery("U"), fourier_interleave((0, 1))]
     prog = AdversaryProgram(n=n, steps=tuple(steps))
@@ -232,9 +304,7 @@ def test_cf_recording_matches_plain_at_full_prefix():
 
 
 def test_classical_recording_per_w_slots():
-    prog = AdversaryProgram(
-        n=1, steps=(identity_interleave(1), ClassicalQuery("O", 0), ClassicalQuery("O", 1))
-    )
+    prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", 0), ClassicalQuery("O", 1)))
     # query w records into slot rel_slot[w] and avoids only that slot's outputs
     for slots in ((0, 1), (1, 0)):
         oracle = ClassicalPROracle(n=1, rel_slot=slots, input_of=lambda k, w: w)
@@ -250,18 +320,18 @@ def test_classical_recording_per_w_slots():
 def test_classical_query_without_a_slot_is_refused():
     oracle = ClassicalPROracle(n=1, rel_slot=(0, 1), input_of=lambda k, w: w)
     for w in (2, -1):
-        prog = AdversaryProgram(n=1, steps=(identity_interleave(1), ClassicalQuery("O", w)))
+        prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", w),))
         with pytest.raises(ValueError, match=f"classical input {w} has no relation slot"):
             run_pr(prog, {"O": oracle}, (Rel(), Rel()))
     # every slot of the tuple must hold a relation
-    prog = AdversaryProgram(n=1, steps=(identity_interleave(1), ClassicalQuery("O", 1)))
+    prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", 1),))
     with pytest.raises(ValueError, match="does not hold a relation"):
         run_pr(prog, {"O": oracle}, (Rel(), 3))
 
 
 def test_classical_recording_keyed_and_global():
     oracle = ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: k ^ w, key_slot=1)
-    prog = AdversaryProgram(n=1, steps=(identity_interleave(1), ClassicalQuery("O", 1)))
+    prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", 1),))
     psi = run_pr(prog, {"O": oracle}, (Rel([(1, 0)]), 1))
     # key 1, w 1 -> recorded input 0; output must dodge the slot's own image {0}
     ((lab, vec),) = psi.terms.items()
@@ -275,7 +345,7 @@ def test_classical_recording_keyed_and_global():
 
 def test_haar_view_mc_determinism():
     n, trials = 2, 40
-    prog = AdversaryProgram(n=n, steps=(identity_interleave(n), QuantumQuery("U")))
+    prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),))
 
     def sampler(rng):
         return {"U": haar_unitary(4, rng)}
@@ -294,7 +364,7 @@ def test_haar_view_mc_determinism():
 
 
 def test_keyed_descriptor_needs_key_slot():
-    prog = AdversaryProgram(n=2, steps=(identity_interleave(2), QuantumQuery("G")))
+    prog = AdversaryProgram(n=2, steps=(QuantumQuery("G"),))
     with pytest.raises(ValueError):
         run_pr(prog, {"G": pru_two_query(2, 2)}, (Rel(),))
 
@@ -410,7 +480,7 @@ def old_bootstrap_td_stderr(batch_means, reference, master_seed, resamples=200):
 @pytest.mark.parametrize("n", [2, 6])  # views of dimension 4 and 64
 @pytest.mark.parametrize("trials", [23, 7])  # not a multiple of the 20 batches; fewer than 20
 def test_mc_batches_and_bootstrap_are_bitwise_the_old_formulas(n, trials):
-    prog = AdversaryProgram(n=n, steps=(identity_interleave(n), QuantumQuery("U")))
+    prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),))
 
     def sampler(rng):
         return {"U": haar_unitary(2**n, rng)}

@@ -135,9 +135,10 @@ def test_pr_apply_shared_slots():
     assert set(out.terms) == {(Rel([(0, 1)]), Rel([(1, 0)]))}
 
 
-def test_pr_apply_entry_cap():
-    state = PurifiedState.initial(3, (Rel(),), entry_cap=4)
-    with pytest.raises(MemoryError):
+def test_pr_apply_entry_cap(monkeypatch):
+    monkeypatch.setattr(relstate, "ENTRY_CAP", 4)
+    state = PurifiedState.initial(3, (Rel(),))
+    with pytest.raises(MemoryError, match="4-entry cap"):
         pr_apply(state, 0, [0, 1, 2], 8)
 
 
@@ -349,11 +350,16 @@ def test_pcfpr_uniform_over_cf_set():
     # (init label, index, cf, expected free outputs). The second case holds 7
     # recorded outputs with distinct prefixes, which leave 9 free ones at
     # fold 1; the brute-force cf_set refuses more than 6 recorded outputs.
+    # The fold-2 and fold-3 cases take their free outputs from cf_set over
+    # the joint image of both slots; each drops outputs that fold 1 keeps.
     rel7 = Rel([(x, 2 * x + 1) for x in range(7)])
     cases = [
         ((Rel(), Rel([(0, 1)])), 0, CFParams(1, 2, 2), [0, 2, 3]),
         ((rel7,), 7, CFParams(1, 4, 4), [y for y in range(16) if y % 2 == 0 or y > 13]),
+        ((Rel([(0, 1), (2, 11)]), Rel([(5, 6)])), 3, CFParams(2, 3, 4), cf_set((1, 6, 11), CFParams(2, 3, 4))),
+        ((Rel([(1, 2), (4, 5)]), Rel([(7, 12)])), 9, CFParams(3, 4, 4), cf_set((2, 5, 12), CFParams(3, 4, 4))),
     ]
+    assert [len(free) for *_, free in cases] == [3, 9, 8, 12]
     for init, index, p, free in cases:
         n = p.n
         state = PurifiedState.initial(n, init, index=index)
@@ -384,15 +390,16 @@ def test_pcfpr_preconditions():
 # -------------------------------------------------------------- state class
 
 
-def test_purified_state_helpers():
+def test_purified_state_helpers(monkeypatch):
     st0 = two_label_state()
     assert st0.label_count() == 2
     assert st0.entry_count() == 3
     assert abs(st0.norm_sq() - 1.0) < 1e-9
     pruned = PurifiedState(1, {(0,): {0: 1e-15}, (1,): {1: 1.0}}).prune(1e-12)
     assert set(pruned.terms) == {(1,)}
-    with pytest.raises(MemoryError):
-        PurifiedState(1, {(0,): {0: 1.0, 1: 1.0}}, entry_cap=1).check_cap()
+    monkeypatch.setattr(relstate, "ENTRY_CAP", 1)
+    with pytest.raises(MemoryError, match="1-entry cap"):
+        PurifiedState(1, {(0,): {0: 1.0, 1: 1.0}}).check_cap()
 
 
 @pytest.mark.parametrize(
