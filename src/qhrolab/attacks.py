@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import StateVector, UnitaryMatrix, apply_gate, choi_state, haar_unitary, trial_rng
+from .linalg import StateVector, UnitaryMatrix, apply_gate, choi_state, haar_unitary, qubits_first, trial_rng
 
 __all__ = [
     "NonAdaptiveCircuit",
@@ -69,8 +69,8 @@ def choi_from_copies(circuit: NonAdaptiveCircuit, copies) -> StateVector:
     right = [2 * n * i + n + j for i in range(t) for j in range(n)]
     vec = apply_gate(vec, circuit.a.entries.T, left, total)
     vec = apply_gate(vec, circuit.b.entries, right, total)
-    tens = np.moveaxis(vec.reshape((2,) * total), left + right, range(total))
-    return StateVector(tens.reshape(-1), total)
+    mat, _ = qubits_first(vec, left + right, total)
+    return StateVector(mat.reshape(-1), total)
 
 
 def swap_or_attack(oracle_choi: StateVector, candidates: dict, copies_per_key: int, rng) -> AttackReport:
@@ -177,7 +177,7 @@ def rank_projector_attack(m, lam, ell, t, circuit_family, trials, master_seed) -
         v = haar_unitary(2**m, rng)
         k = int(rng.integers(0, 2**lam))
         a, b = mats[k]
-        g = UnitaryMatrix(b.entries @ u.entries @ a.entries, m)
+        g = UnitaryMatrix(b.entries @ u.entries @ a.entries)
         phi_u = choi_state(u).amplitudes
         phi_g = choi_state(g).amplitudes
         phi_v = choi_state(v).amplitudes

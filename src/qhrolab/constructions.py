@@ -83,7 +83,7 @@ def concrete_oracle(desc: OracleDescriptor, u: UnitaryMatrix, k: int = 0) -> Uni
             mat = pauli_string(step[1], k, desc.lam, desc.n).entries @ mat
         else:
             raise ValueError(f"unknown step {step!r}")
-    return UnitaryMatrix(mat, desc.n)
+    return UnitaryMatrix(mat)
 
 
 def prfs_output(u: UnitaryMatrix, k: int, w: int, n: int, lam: int, m: int) -> StateVector:
@@ -138,7 +138,7 @@ def spru_concrete(layout: SpruLayout, u: UnitaryMatrix, k: int, k1: int, k2: int
     rest = 2 ** (layout.total_qubits - nb)
     ab = np.kron(block @ x1 @ block, np.eye(rest))
     bc = np.kron(np.eye(rest), block @ x2 @ block)
-    return UnitaryMatrix(bc @ ab, layout.total_qubits)
+    return UnitaryMatrix(bc @ ab)
 
 
 def stretch_output_qubits(t: int, lam: int, rounds: int) -> int:

@@ -535,7 +535,7 @@ def _pru1_break(p: Pru1Params) -> ExperimentReport:
     rep.notes.append(
         "the two-query arm uses the best single-call preparation (pre X^k); the construction is not of that form"
     )
-    ident = UnitaryMatrix.from_array(np.eye(2**n))
+    ident = UnitaryMatrix(np.eye(2**n))
     acc = {("one", "real"): 0, ("one", "null"): 0, ("two", "real"): 0, ("two", "null"): 0}
     for tr in range(trials):
         rng = trial_rng(seed, tr)
@@ -552,10 +552,8 @@ def _pru1_break(p: Pru1Params) -> ExperimentReport:
             circ2 = attacks.NonAdaptiveCircuit(xk, ident, 1)
             cands_one[k] = attacks.choi_from_copies(circ1, [phi_u])
             cands_two[k] = attacks.choi_from_copies(circ2, [phi_u])
-        o_one = choi_state(UnitaryMatrix(pauli_string("Z", kstar, lam, n).entries @ u.entries, n))
-        o_two = choi_state(
-            UnitaryMatrix(u.entries @ pauli_string("X", kstar, lam, n).entries @ u.entries, n)
-        )
+        o_one = choi_state(UnitaryMatrix(pauli_string("Z", kstar, lam, n).entries @ u.entries))
+        o_two = choi_state(UnitaryMatrix(u.entries @ pauli_string("X", kstar, lam, n).entries @ u.entries))
         o_null = choi_state(v)
         for arm, cands, oracle in (
             ("one", cands_one, o_one),
@@ -876,8 +874,8 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
         for name, st in (("rho2", state), ("good", good), ("psi2p", psi2p), ("psi3p", psi3p)):
             views[name] = views.get(name, 0) + reduce_view(st).entries
         del state, good, psi2p, psi3p
-    rho2, v_good, v_psi2p = (DensityMatrix(views[name] * 2.0**-lam, n) for name in ("rho2", "good", "psi2p"))
-    v_psi3p = DensityMatrix(views["psi3p"], n)
+    rho2, v_good, v_psi2p = (DensityMatrix(views[name] * 2.0**-lam) for name in ("rho2", "good", "psi2p"))
+    v_psi3p = DensityMatrix(views["psi3p"])
 
     fid = 2.0 ** (-lam / 2.0) * abs(overlap)
     _check_ge(entry, "fidelity", "EXACT", fid, math.sqrt(1.0 - (t * t + t * ell) / N) - 1e-9)

@@ -18,10 +18,12 @@ from .linalg import (
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    _trace_distance,
     apply_unitary,
     basis_state,
     haar_unitary,
-    trace_distance,
+    qubits_first,
+    qubits_restore,
     trial_rng,
 )
 from .relstate import (
@@ -148,30 +150,18 @@ def _input_qubits(program, q):
 # ---------------------------------------------------------------- concrete
 
 
+def _pure_view(state: StateVector, keep) -> np.ndarray:
+    """The density array of a pure state, partial-traced to `keep` qubits if given."""
+    v = state.amplitudes
+    if keep is None:
+        return np.outer(v, v.conj())
+    m, _ = qubits_first(v, keep, state.qubit_count)
+    return m @ m.conj().T
+
+
 def view_of_state(state: StateVector, keep=None) -> DensityMatrix:
     """Density of a pure state, optionally partial-traced to `keep` qubits."""
-    n = state.qubit_count
-    if keep is None:
-        return state.density()
-    keep = list(keep)
-    drop = [i for i in range(n) if i not in keep]
-    tens = state.amplitudes.reshape((2,) * n)
-    tens = np.moveaxis(tens, keep + drop, list(range(n)))
-    m = tens.reshape(2 ** len(keep), -1)
-    return DensityMatrix(m @ m.conj().T, len(keep))
-
-
-def _concrete_sparse(state: StateVector, perm, phases, targets) -> StateVector:
-    """Apply a phased permutation of the target-qubit basis to a dense state."""
-    n = state.qubit_count
-    k = len(targets)
-    rest = [q for q in range(n) if q not in targets]
-    tens = np.moveaxis(state.amplitudes.reshape((2,) * n), targets + rest, range(n))
-    mat = tens.reshape(2**k, -1)
-    out = np.zeros_like(mat)
-    out[perm] = phases[:, None] * mat
-    tens = np.moveaxis(out.reshape((2,) * n), range(n), targets + rest)
-    return StateVector(tens.reshape(-1), n)
+    return DensityMatrix(_pure_view(state, keep))
 
 
 def run_concrete(program: AdversaryProgram, bindings: dict) -> StateVector:
@@ -181,7 +171,11 @@ def run_concrete(program: AdversaryProgram, bindings: dict) -> StateVector:
         if isinstance(step, Interleave):
             targets = list(step.targets) if step.targets is not None else list(range(program.reg_qubits))
             if step.u is None:
-                state = _concrete_sparse(state, *step.sparse_map, targets)
+                perm, phases = step.sparse_map
+                mat, order = qubits_first(state.amplitudes, targets, state.qubit_count)
+                out = np.zeros_like(mat)
+                out[perm] = phases[:, None] * mat
+                state = StateVector(qubits_restore(out, order), state.qubit_count)
             else:
                 state = apply_unitary(state, step.u, targets)
         elif isinstance(step, QuantumQuery):
@@ -313,7 +307,7 @@ def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=
             each(k, state)
         del state
     acc *= 2.0**-lam
-    return DensityMatrix(acc, view.qubit_count), mass * 2.0**-lam if mask is not None else None
+    return DensityMatrix(acc), mass * 2.0**-lam if mask is not None else None
 
 
 VIEW_QUBIT_CAP = 12  # qubits kept by reduce_view: a 4096 x 4096 density
@@ -362,7 +356,7 @@ def reduce_view(purified: PurifiedState, keep=None) -> DensityMatrix:
             cols = np.repeat(starts[g0:g1], size)[rows - a] + np.arange(len(rows)) - np.repeat(np.cumsum(w) - w, w)
             np.add.at(acc, kept[rows] * dk + kept[cols], amp[rows] * amp[cols].conj())
             g0 = g1
-    return DensityMatrix(acc.reshape(dk, dk), kq)
+    return DensityMatrix(acc.reshape(dk, dk))
 
 
 # ---------------------------------------------------------------- Monte Carlo
@@ -382,23 +376,16 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None):
     if trials < 1:
         raise ValueError("need at least one trial")
     batches = min(_BATCHES, trials)
-    first = view_of_state(run_concrete(program, sampler(trial_rng(master_seed, 0))), keep)
-    dim = first.entries.shape[0]
-    sums = np.zeros((batches, dim, dim), dtype=complex)
-    counts = np.zeros(batches, dtype=np.int64)
-
-    # trial 0 is the view computed above to learn the dimension
-    sums[0] += first.entries
-    counts[0] += 1
-    for t in range(1, trials):
-        b = sampler(trial_rng(master_seed, t))
-        sums[t % batches] += view_of_state(run_concrete(program, b), keep).entries
-        counts[t % batches] += 1
+    # 0.0 + the first view of a batch is bitwise a zero array plus it
+    sums = [0.0] * batches
+    for t in range(trials):
+        state = run_concrete(program, sampler(trial_rng(master_seed, t)))
+        sums[t % batches] += _pure_view(state, keep)
+    sums = np.array(sums)
     total = sums.sum(axis=0) / trials
     # every batch holds a trial; the batch means are views into `sums`
-    sums /= counts[:, None, None]
-    batch_means = [DensityMatrix(sums[b], first.qubit_count) for b in range(batches)]
-    return DensityMatrix(total, first.qubit_count), batch_means
+    sums /= np.bincount(np.arange(trials) % batches)[:, None, None]
+    return DensityMatrix(total), [DensityMatrix(m) for m in sums]
 
 
 def _resample_mean(ents, idx, out):
@@ -419,14 +406,13 @@ def bootstrap_td_pair(batches_a, batches_b, master_seed):
     ea = [b.entries for b in batches_a]
     eb = [b.entries for b in batches_b]
     ma, mb = np.empty_like(ea[0]), np.empty_like(eb[0])
-    q = batches_a[0].qubit_count
     rng = trial_rng(master_seed, 10**9 + 1)
     vals = []
     na, nb = len(batches_a), len(batches_b)
     for _ in range(_RESAMPLES):
         _resample_mean(ea, rng.integers(0, na, size=na), ma)
         _resample_mean(eb, rng.integers(0, nb, size=nb), mb)
-        vals.append(trace_distance(DensityMatrix(ma, q), DensityMatrix(mb, q)))
+        vals.append(_trace_distance(ma, mb))
     return float(np.std(vals))
 
 
@@ -434,13 +420,12 @@ def bootstrap_td_stderr(batch_means, reference: DensityMatrix, master_seed):
     """Bootstrap stderr of TD(mean view, reference) over batch means."""
     ents = [b.entries for b in batch_means]
     mean = np.empty_like(ents[0])
-    q = reference.qubit_count
     rng = trial_rng(master_seed, 10**9)
     vals = []
     nb = len(batch_means)
     for _ in range(_RESAMPLES):
         _resample_mean(ents, rng.integers(0, nb, size=nb), mean)
-        vals.append(trace_distance(DensityMatrix(mean, q), reference))
+        vals.append(_trace_distance(mean, reference.entries))
     return float(np.std(vals))
 
 
@@ -465,4 +450,4 @@ def fourier_interleave(targets):
     gate = np.array([[1.0]], dtype=complex)
     for _ in targets:
         gate = np.kron(gate, h)
-    return Interleave(u=UnitaryMatrix.from_array(gate), targets=tuple(targets))
+    return Interleave(u=UnitaryMatrix(gate), targets=tuple(targets))

@@ -11,8 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +32,8 @@ __all__ = [
     "choi_state",
     "trace_distance",
     "apply_gate",
+    "qubits_first",
+    "qubits_restore",
     "apply_unitary",
 ]
 
@@ -45,6 +46,11 @@ def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
 def _check_cap(qubits: int) -> None:
     if qubits > QUBIT_CAP:
         raise ValueError(f"register of {qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
+
+
+def _qubits_of(side: int) -> int | None:
+    """log2 of a matrix side, or None if the side is not a power of two."""
+    return side.bit_length() - 1 if side > 0 and side & (side - 1) == 0 else None
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,8 @@ class StateVector:
     @classmethod
     def from_array(cls, amps) -> "StateVector":
         amps = np.asarray(amps, dtype=complex)
-        n = int(round(math.log2(amps.size)))
-        if 2**n != amps.size:
+        n = _qubits_of(amps.size)
+        if n is None:
             raise ValueError("length is not a power of two")
         return cls(amps, n)
 
@@ -77,7 +83,7 @@ class StateVector:
 
     def density(self) -> "DensityMatrix":
         v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()), self.qubit_count)
+        return DensityMatrix(np.outer(v, v.conj()))
 
     def overlap(self, other: "StateVector") -> complex:
         if other.qubit_count != self.qubit_count:
@@ -90,27 +96,20 @@ class UnitaryMatrix:
     """A dense unitary; qubit_count is None for non-power-of-two dimensions."""
 
     entries: np.ndarray
-    qubit_count: int | None
+    qubit_count: int | None = field(init=False)
 
     def __post_init__(self):
         mat = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("unitary must be square")
-        if self.qubit_count is not None:
-            _check_cap(self.qubit_count)
-            if mat.shape[0] != 2**self.qubit_count:
-                raise ValueError("dimension must be 2^qubit_count")
+        n = _qubits_of(mat.shape[0])
+        object.__setattr__(self, "qubit_count", n)
+        if n is not None:
+            _check_cap(n)
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
         if dev > 1e-9:
             raise ValueError(f"matrix is not unitary (deviation {dev:.2e})")
-
-    @classmethod
-    def from_array(cls, mat) -> "UnitaryMatrix":
-        mat = np.asarray(mat, dtype=complex)
-        d = mat.shape[0]
-        n = int(round(math.log2(d)))
-        return cls(mat, n if 2**n == d else None)
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,16 @@ class DensityMatrix:
     """Hermitian PSD matrix; trace 1 or a declared subnormalization."""
 
     entries: np.ndarray
-    qubit_count: int
+    qubit_count: int = field(init=False)
 
     def __post_init__(self):
         mat = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", mat)
-        _check_cap(self.qubit_count)
-        if mat.shape != (2**self.qubit_count, 2**self.qubit_count):
-            raise ValueError("dimension must be 2^qubit_count")
+        n = _qubits_of(mat.shape[0]) if mat.ndim == 2 and mat.shape[0] == mat.shape[1] else None
+        if n is None:
+            raise ValueError("density matrix must be square with a power-of-two side")
+        _check_cap(n)
+        object.__setattr__(self, "qubit_count", n)
         if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
             raise ValueError("density matrix must be Hermitian")
 
@@ -151,7 +152,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
     q, r = np.linalg.qr(a)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    return UnitaryMatrix.from_array(q)
+    return UnitaryMatrix(q)
 
 
 def pauli_string(kind: str, k: int, lam: int, n: int) -> UnitaryMatrix:
@@ -166,11 +167,11 @@ def pauli_string(kind: str, k: int, lam: int, n: int) -> UnitaryMatrix:
         mat = np.zeros((dim, dim), dtype=complex)
         idx = np.arange(dim)
         mat[idx ^ mask, idx] = 1.0
-        return UnitaryMatrix(mat, n)
+        return UnitaryMatrix(mat)
     if kind == "Z":
         idx = np.arange(dim)
         phases = (-1.0) ** np.array([bin(mask & y).count("1") for y in idx])
-        return UnitaryMatrix(np.diag(phases.astype(complex)), n)
+        return UnitaryMatrix(np.diag(phases.astype(complex)))
     raise ValueError(f"unknown Pauli kind {kind!r}")
 
 
@@ -193,38 +194,42 @@ def choi_state(u: UnitaryMatrix) -> StateVector:
     return StateVector((u.entries @ omega.T).T.reshape(-1), 2 * n)
 
 
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the trace norm of a - b, for Hermitian arrays of one shape."""
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """TD(rho, sigma) = half the trace norm of the difference."""
     if rho.qubit_count != sigma.qubit_count:
         raise ValueError("dimension mismatch")
-    eig = np.linalg.eigvalsh(rho.entries - sigma.entries)
-    return float(0.5 * np.sum(np.abs(eig)))
+    return _trace_distance(rho.entries, sigma.entries)
 
 
-def apply_gate(vec, gate, targets, n):
-    """Apply a 2^k x 2^k gate to the `targets` qubits of an n-qubit vector.
-
-    Args:
-        vec: complex amplitude vector of length 2^n
-        gate: (2^k, 2^k) complex matrix; local index bit 0 (MSB) is targets[0]
-        targets: list of distinct qubit indices in [0, n) (big-endian)
-        n: total qubit count
-
-    Returns:
-        New vector of length 2^n.
-    """
-    seen = set()
-    for q in targets:
+def qubits_first(vec, targets, n):
+    """(matrix, axis order) of an n-qubit vector: row index the `targets` bits
+    (targets[0] most significant), column index the other qubits in order.
+    ValueError unless the targets are distinct and in [0, n)."""
+    order, seen = list(targets), set()
+    for q in order:
         if not 0 <= q < n or q in seen:
             raise ValueError(f"target qubit {q} must be distinct and in [0, {n})")
         seen.add(q)
-    k = len(targets)
-    tens = np.asarray(vec, dtype=complex).reshape((2,) * n)
-    tens = np.moveaxis(tens, targets, range(k))
-    shape = tens.shape
-    out = (np.asarray(gate, dtype=complex) @ tens.reshape(2**k, -1)).reshape(shape)
-    out = np.moveaxis(out, range(k), targets)
-    return out.reshape(2**n).copy()
+    order += [q for q in range(n) if q not in seen]
+    mat = np.asarray(vec, dtype=complex).reshape((2,) * n).transpose(order).reshape(2 ** len(seen), -1)
+    return mat, order
+
+
+def qubits_restore(mat, order):
+    """Undo qubits_first: the flat vector of a matrix laid out by `order`."""
+    return mat.reshape((2,) * len(order)).transpose(np.argsort(order)).reshape(-1)
+
+
+def apply_gate(vec, gate, targets, n):
+    """A new vector: a 2^k x 2^k gate, whose index MSB is targets[0], applied
+    to the k distinct `targets` qubits of an n-qubit vector."""
+    mat, order = qubits_first(vec, targets, n)
+    return qubits_restore(np.asarray(gate, dtype=complex) @ mat, order)
 
 
 def apply_unitary(state: StateVector, u: UnitaryMatrix, targets=None) -> StateVector:

@@ -119,7 +119,7 @@ def test_criterion_06_choi_preparation_fidelity():
         ut = u.entries
         for _ in range(t - 1):
             ut = np.kron(ut, u.entries)
-        direct = choi_state(UnitaryMatrix(b.entries @ ut @ a.entries, t))
+        direct = choi_state(UnitaryMatrix(b.entries @ ut @ a.entries))
         f = abs(np.vdot(made.amplitudes, direct.amplitudes)) ** 2
         assert f >= 1.0 - 1e-9, f"instance {i}: fidelity {f}"
     assert time.monotonic() - start < 10.0

@@ -33,7 +33,7 @@ def test_choi_from_copies_single_call():
     b = haar_unitary(2**n, rng)
     circ = NonAdaptiveCircuit(a, b, 1)
     made = choi_from_copies(circ, [choi_state(u)])
-    direct = choi_state(UnitaryMatrix(b.entries @ u.entries @ a.entries, n))
+    direct = choi_state(UnitaryMatrix(b.entries @ u.entries @ a.entries))
     f = abs(np.vdot(made.amplitudes, direct.amplitudes)) ** 2
     assert f >= 1.0 - 1e-9
 
@@ -46,7 +46,7 @@ def test_choi_from_copies_two_calls():
     b = haar_unitary(4, rng)
     circ = NonAdaptiveCircuit(a, b, 2)
     made = choi_from_copies(circ, [choi_state(u)] * 2)
-    direct = choi_state(UnitaryMatrix(b.entries @ np.kron(u.entries, u.entries) @ a.entries, 2))
+    direct = choi_state(UnitaryMatrix(b.entries @ np.kron(u.entries, u.entries) @ a.entries))
     assert abs(np.vdot(made.amplitudes, direct.amplitudes)) ** 2 >= 1.0 - 1e-9
 
 

@@ -32,6 +32,7 @@ from qhrolab.linalg import (
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    apply_gate,
     basis_state,
     haar_unitary,
     trace_distance,
@@ -41,10 +42,6 @@ from qhrolab.relstate import (
     CFParams,
     PurifiedState,
     Rel,
-    _deposit_bits,
-    _key,
-    _merge,
-    extract_bits,
     label_rewrite,
     relation_state_vector,
 )
@@ -54,7 +51,7 @@ def test_program_validation():
     with pytest.raises(ValueError):
         Interleave()
     with pytest.raises(ValueError):
-        Interleave(u=UnitaryMatrix.from_array(np.eye(2)), sparse_map=(np.arange(2), np.ones(2, dtype=complex)))
+        Interleave(u=UnitaryMatrix(np.eye(2)), sparse_map=(np.arange(2), np.ones(2, dtype=complex)))
     prog = AdversaryProgram(n=2, m_anc=1, steps=(QuantumQuery("U"), QuantumQuery("U")))
     assert prog.reg_qubits == 3
 
@@ -83,68 +80,27 @@ def test_run_concrete_sparse_interleave():
     prog_sparse = AdversaryProgram(n=n, steps=(haar_interleave(n, trial_rng(23)), step))
     prog_dense = AdversaryProgram(
         n=n,
-        steps=(haar_interleave(n, trial_rng(23)), Interleave(u=UnitaryMatrix.from_array(dense), targets=(0, 2))),
+        steps=(haar_interleave(n, trial_rng(23)), Interleave(u=UnitaryMatrix(dense), targets=(0, 2))),
     )
     va = run_concrete(prog_sparse, {})
     vb = run_concrete(prog_dense, {})
     assert np.max(np.abs(va.amplitudes - vb.amplitudes)) < 1e-10
 
 
-# The phased-permutation kernels from before a sparse map was a (perm, phases)
-# pair of arrays: one callback per basis value. Kept as the one-PR
-# differential oracle of the array kernels.
-
-
-def old_callback(perm, phases):
-    def sp(val):
-        return int(perm[val]), complex(phases[val])
-
-    return sp
-
-
-def old_concrete_sparse(state, sp, targets):
-    n = state.qubit_count
-    k = len(targets)
-    rest = [q for q in range(n) if q not in targets]
-    tens = np.moveaxis(state.amplitudes.reshape((2,) * n), targets + rest, range(n))
-    mat = tens.reshape(2**k, -1)
-    out = np.zeros_like(mat)
-    for val in range(2**k):
-        nv, ph = sp(val)
-        out[nv] = ph * mat[val]
-    tens = np.moveaxis(out.reshape((2,) * n), range(n), targets + rest)
-    return StateVector(tens.reshape(-1), n)
-
-
-def old_apply_sparse_map(state, fn, targets):
-    n = state.n_qubits
-    vals, inv = np.unique(extract_bits(state.indices, n, targets), return_inverse=True)
-    images = [fn(int(v)) for v in vals.tolist()]
-    new_val = np.array([int(nv) for nv, _ in images], dtype=np.int64).reshape(-1)
-    phase = np.array([complex(ph) for _, ph in images], dtype=complex).reshape(-1)
-    idx = _deposit_bits(state.indices, n, targets, new_val[inv])
-    return state._with_entries(*_merge(n, _key(n, state.label_ids, idx), state.amplitudes * phase[inv]))
-
-
 @pytest.mark.parametrize("targets", [[0, 2], None])  # partial targets; the full register
-def test_sparse_kernels_are_bitwise_the_callback_loops(targets):
+def test_apply_sparse_map_is_the_dense_matrix(targets):
     n = 3
     rng = trial_rng(24)
     step = phased_permutation_interleave(n, rng, targets=targets)
     perm, phases = step.sparse_map
     targets = list(step.targets)
-    sp = old_callback(perm, phases)
-    dense = run_concrete(AdversaryProgram(n=n, steps=(haar_interleave(n, rng),)), {})
-    new = harness._concrete_sparse(dense, perm, phases, targets)
-    assert new.amplitudes.tobytes() == old_concrete_sparse(dense, sp, targets).amplitudes.tobytes()
+    dense = np.zeros((len(perm), len(perm)), dtype=complex)
+    dense[perm, np.arange(len(perm))] = phases
     # a purified state over many labels: two recording queries after a dense layer
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("U"), QuantumQuery("U")))
     psi = run_pr(prog, {"U": haar_slot(n)}, (Rel(),))
     assert psi.label_count() > 1
-    new, old = psi.apply_sparse_map(perm, phases, targets), old_apply_sparse_map(psi, sp, targets)
-    assert new.schema == old.schema and np.array_equal(new.rows, old.rows)
-    for a, b in ((new.label_ids, old.label_ids), (new.indices, old.indices), (new.amplitudes, old.amplitudes)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert psi.apply_sparse_map(perm, phases, targets).max_diff(psi.apply_matrix(dense, targets)) <= 1e-12
 
 
 def test_a_program_may_open_with_a_query():
@@ -152,7 +108,7 @@ def test_a_program_may_open_with_a_query():
     n = 2
     steps = (QuantumQuery("U"), phased_permutation_interleave(n, trial_rng(25)), QuantumQuery("U"))
     bare = AdversaryProgram(n=n, steps=steps)
-    behind = AdversaryProgram(n=n, steps=(Interleave(u=UnitaryMatrix.from_array(np.eye(2**n))), *steps))
+    behind = AdversaryProgram(n=n, steps=(Interleave(u=UnitaryMatrix(np.eye(2**n))), *steps))
     u = haar_unitary(2**n, trial_rng(26))
     assert run_concrete(bare, {"U": u}).amplitudes.tobytes() == run_concrete(behind, {"U": u}).amplitudes.tobytes()
     views = [reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),))).entries for prog in (bare, behind)]
@@ -180,7 +136,7 @@ def test_single_query_view_is_mixed():
     for n in (1, 2, 3):
         prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),))
         view = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)))
-        mixed = DensityMatrix(np.eye(2**n) / 2**n, n)
+        mixed = DensityMatrix(np.eye(2**n) / 2**n)
         assert trace_distance(view, mixed) <= 1e-10
 
 
@@ -358,7 +314,7 @@ def test_haar_view_mc_determinism():
     with pytest.raises(ValueError):
         haar_view_mc(prog, sampler, 0, 5)
     # bootstrap statistics are seeded too
-    ref = DensityMatrix(np.eye(4) / 4, 2)
+    ref = DensityMatrix(np.eye(4) / 4)
     assert bootstrap_td_stderr(b1, ref, 9) == bootstrap_td_stderr(b1, ref, 9)
     assert bootstrap_td_pair(b1, b1, 9) == bootstrap_td_pair(b1, b1, 9)
 
@@ -446,34 +402,32 @@ def old_haar_view_mc(program, sampler, trials, master_seed, keep=None, batches=2
         sums[t % batches] += view_of_state(run_concrete(program, b), keep).entries
         counts[t % batches] += 1
     total = sums.sum(axis=0) / trials
-    batch_means = [DensityMatrix(sums[b] / counts[b], first.qubit_count) for b in range(batches) if counts[b]]
-    return DensityMatrix(total, first.qubit_count), batch_means
+    batch_means = [DensityMatrix(sums[b] / counts[b]) for b in range(batches) if counts[b]]
+    return DensityMatrix(total), batch_means
 
 
 def old_bootstrap_td_pair(batches_a, batches_b, master_seed, resamples=200):
     ea = np.array([b.entries for b in batches_a])
     eb = np.array([b.entries for b in batches_b])
-    q = batches_a[0].qubit_count
     rng = trial_rng(master_seed, 10**9 + 1)
     vals = []
     na, nb = len(batches_a), len(batches_b)
     for _ in range(resamples):
         ma = ea[rng.integers(0, na, size=na)].mean(axis=0)
         mb = eb[rng.integers(0, nb, size=nb)].mean(axis=0)
-        vals.append(trace_distance(DensityMatrix(ma, q), DensityMatrix(mb, q)))
+        vals.append(trace_distance(DensityMatrix(ma), DensityMatrix(mb)))
     return float(np.std(vals))
 
 
 def old_bootstrap_td_stderr(batch_means, reference, master_seed, resamples=200):
     ents = np.array([b.entries for b in batch_means])
-    q = reference.qubit_count
     rng = trial_rng(master_seed, 10**9)
     vals = []
     nb = len(batch_means)
     for _ in range(resamples):
         idx = rng.integers(0, nb, size=nb)
         mean = ents[idx].mean(axis=0)
-        vals.append(trace_distance(DensityMatrix(mean, q), reference))
+        vals.append(trace_distance(DensityMatrix(mean), reference))
     return float(np.std(vals))
 
 
@@ -491,6 +445,111 @@ def test_mc_batches_and_bootstrap_are_bitwise_the_old_formulas(n, trials):
     assert len(batches) == len(old_batches) == min(trials, 20)
     assert all(np.array_equal(b.entries, o.entries) for b, o in zip(batches, old_batches))
     _, other = haar_view_mc(prog, sampler, trials + 5, 14)
-    ref = DensityMatrix(np.eye(2**n) / 2**n, n)
+    ref = DensityMatrix(np.eye(2**n) / 2**n)
     assert bootstrap_td_stderr(batches, ref, 3) == old_bootstrap_td_stderr(old_batches, ref, 3)
     assert bootstrap_td_pair(batches, other, 3) == old_bootstrap_td_pair(old_batches, other, 3)
+
+
+# ---------------------------------------- dense kernels, bitwise to the moveaxis formulas
+# The dense kernels from before every qubit reordering went through
+# linalg.qubits_first. Kept as the one-PR differential oracle of the new kernels.
+
+
+def old_apply_gate(vec, gate, targets, n):
+    k = len(targets)
+    tens = np.asarray(vec, dtype=complex).reshape((2,) * n)
+    tens = np.moveaxis(tens, targets, range(k))
+    shape = tens.shape
+    out = (np.asarray(gate, dtype=complex) @ tens.reshape(2**k, -1)).reshape(shape)
+    out = np.moveaxis(out, range(k), targets)
+    return out.reshape(2**n).copy()
+
+
+def old_concrete_sparse(vec, perm, phases, targets, n):
+    k = len(targets)
+    rest = [q for q in range(n) if q not in targets]
+    tens = np.moveaxis(vec.reshape((2,) * n), targets + rest, range(n))
+    mat = tens.reshape(2**k, -1)
+    out = np.zeros_like(mat)
+    out[perm] = phases[:, None] * mat
+    tens = np.moveaxis(out.reshape((2,) * n), range(n), targets + rest)
+    return tens.reshape(-1)
+
+
+def old_view_of_state(state, keep=None):
+    n = state.qubit_count
+    if keep is None:
+        return state.density().entries
+    keep = list(keep)
+    drop = [i for i in range(n) if i not in keep]
+    tens = state.amplitudes.reshape((2,) * n)
+    tens = np.moveaxis(tens, keep + drop, list(range(n)))
+    m = tens.reshape(2 ** len(keep), -1)
+    return m @ m.conj().T
+
+
+def old_run_concrete(program, bindings):
+    """run_concrete through the old kernels, for the step kinds of the tests below."""
+    n = program.reg_qubits
+    vec = basis_state(n, 0).amplitudes
+    for step in program.steps:
+        if isinstance(step, ClassicalQuery):
+            ans = bindings[step.oracle_id].answer(step.w)
+            vec, n = np.kron(vec, ans.amplitudes), n + ans.qubit_count
+        elif isinstance(step, QuantumQuery):
+            vec = old_apply_gate(vec, bindings[step.oracle_id].entries, list(range(program.n)), n)
+        else:
+            targets = list(step.targets) if step.targets is not None else list(range(program.reg_qubits))
+            if step.u is None:
+                vec = old_concrete_sparse(vec, *step.sparse_map, targets, n)
+            else:
+                vec = old_apply_gate(vec, step.u.entries, targets, n)
+    return vec
+
+
+KERNEL_TARGETS = [[0, 1, 2, 3], [0, 2], [3, 0, 2], [1]]  # full, partial, unsorted, one qubit
+
+
+@pytest.mark.parametrize("targets", KERNEL_TARGETS)
+def test_dense_kernels_are_bitwise_the_moveaxis_formulas(targets):
+    n = 4
+    rng = trial_rng(27)
+    vec = haar_unitary(2**n, rng).entries[:, 0]
+    gate = haar_unitary(2 ** len(targets), rng).entries
+    assert apply_gate(vec, gate, targets, n).tobytes() == old_apply_gate(vec, gate, targets, n).tobytes()
+    prog = AdversaryProgram(
+        n=n,
+        steps=(
+            haar_interleave(n, rng),
+            phased_permutation_interleave(n, rng, targets=targets),
+            haar_interleave(n, rng, targets=targets),
+            QuantumQuery("U"),
+        ),
+    )
+    bindings = {"U": haar_unitary(2**n, rng)}
+    state = run_concrete(prog, bindings)
+    assert state.amplitudes.tobytes() == old_run_concrete(prog, bindings).tobytes()
+    for keep in (None, targets):
+        assert view_of_state(state, keep).entries.tobytes() == old_view_of_state(state, keep).tobytes()
+
+
+def test_dense_kernels_on_a_grown_register_are_bitwise_the_moveaxis_formulas():
+    # a classical answer appends two qubits; later layers act across the join
+    n = 2
+    rng = trial_rng(28)
+    reply = StateVector.from_array(haar_unitary(4, rng).entries[:, 1])
+    oracle = ClassicalConcreteOracle(n=2, answer=lambda w: reply)
+    prog = AdversaryProgram(
+        n=n,
+        steps=(
+            haar_interleave(n, rng),
+            ClassicalQuery("O", 1),
+            haar_interleave(4, rng, targets=[3, 0]),
+            phased_permutation_interleave(4, rng, targets=[2, 1, 3]),
+        ),
+    )
+    state = run_concrete(prog, {"O": oracle})
+    assert state.qubit_count == 4
+    assert state.amplitudes.tobytes() == old_run_concrete(prog, {"O": oracle}).tobytes()
+    for keep in (None, [3, 1], [2]):
+        assert view_of_state(state, keep).entries.tobytes() == old_view_of_state(state, keep).tobytes()

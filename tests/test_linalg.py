@@ -33,13 +33,13 @@ def rand_density(n, rng, rank=2):
     for _ in range(rank):
         v = rand_state(2**n, rng).amplitudes
         acc += np.outer(v, v.conj())
-    return DensityMatrix(acc / rank, n)
+    return DensityMatrix(acc / rank)
 
 
 def test_basis_state_big_endian():
     # qubit 0 is the most significant bit
     assert basis_state(2, 1).amplitudes[1] == 1.0
-    x = UnitaryMatrix.from_array(np.array([[0, 1], [1, 0]], dtype=complex))
+    x = UnitaryMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
     flipped = apply_unitary(basis_state(2, 0), x, [0])
     assert abs(flipped.amplitudes[2] - 1.0) < 1e-12
     with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ def test_apply_gate_matches_full_matrix():
 
 def test_apply_gate_rejects_invalid_targets():
     # numpy would read -1 as the last axis; the kernel must refuse it
-    x = UnitaryMatrix.from_array(np.array([[0, 1], [1, 0]], dtype=complex))
+    x = UnitaryMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
     psi = basis_state(3, 0)
     for bad in (-1, 3):
         with pytest.raises(ValueError, match=f"target qubit {bad} "):
@@ -87,7 +87,7 @@ def test_haar_unitary_is_unitary(seed, dim):
 
 def test_unitary_rejects_non_unitary():
     with pytest.raises(ValueError):
-        UnitaryMatrix.from_array(np.array([[1, 0], [0, 2]], dtype=complex))
+        UnitaryMatrix(np.array([[1, 0], [0, 2]], dtype=complex))
 
 
 class Unconvertible:
@@ -101,9 +101,21 @@ def test_caps():
     with pytest.raises(ValueError):
         # an oversized register is refused before its amplitudes are copied
         StateVector(Unconvertible(), 25)
-    with pytest.raises(ValueError):
-        # the cap check fires before shape validation
-        DensityMatrix(np.eye(2), QUBIT_CAP + 1)
+    with pytest.raises(ValueError, match="cap"):
+        # the cap check fires before the Hermitian check; a zero-strided
+        # view stands in for the oversized array
+        DensityMatrix(np.broadcast_to(np.zeros(1, dtype=complex), (2 ** (QUBIT_CAP + 1),) * 2))
+
+
+def test_sizes_come_from_the_array():
+    assert UnitaryMatrix(np.eye(8)).qubit_count == 3
+    assert UnitaryMatrix(np.eye(3)).qubit_count is None
+    assert DensityMatrix(np.eye(4) / 4).qubit_count == 2
+    for bad in (np.eye(3) / 3, np.zeros((2, 4)), np.zeros(4), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="power-of-two side"):
+            DensityMatrix(bad)
+    with pytest.raises(TypeError):
+        UnitaryMatrix(np.eye(2), 1)
 
 
 def test_pauli_string_action():
@@ -137,7 +149,7 @@ def test_epr_and_choi():
     om = epr_state(2)
     assert abs(om.norm() - 1.0) < 1e-12
     assert abs(om.amplitudes[0b0101] - 0.5) < 1e-12
-    ident = UnitaryMatrix.from_array(np.eye(4))
+    ident = UnitaryMatrix(np.eye(4))
     assert np.max(np.abs(choi_state(ident).amplitudes - om.amplitudes)) < 1e-12
     # choi_state(u) applies u to the right half only
     rng = trial_rng(7)
@@ -152,7 +164,7 @@ def test_ricochet_identity():
     for i in range(100):
         n = 1 + i % 4
         a = haar_unitary(2**n, rng)
-        at = UnitaryMatrix.from_array(a.entries.T)
+        at = UnitaryMatrix(a.entries.T)
         om = epr_state(n)
         lhs = apply_unitary(om, at, list(range(n)))
         rhs = apply_unitary(om, a, list(range(n, 2 * n)))
@@ -227,8 +239,8 @@ def test_mean_density_one_design():
     # 1e4 Haar dim-4 states average to the maximally mixed state
     rng = trial_rng(17)
     samples = np.array([apply_unitary(basis_state(2, 0), haar_unitary(4, rng)).amplitudes for _ in range(10_000)])
-    mean = DensityMatrix(samples.T @ samples.conj() / len(samples), 2)
-    mixed = DensityMatrix(np.eye(4) / 4.0, 2)
+    mean = DensityMatrix(samples.T @ samples.conj() / len(samples))
+    mixed = DensityMatrix(np.eye(4) / 4.0)
     assert trace_distance(mean, mixed) <= 0.05
 
 
