@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import StateVector, UnitaryMatrix, apply_unitary, basis_state, pauli_string
+from .linalg import UnitaryMatrix, _check_unitary, pauli_string
 from .relstate import CFParams
 
 __all__ = [
@@ -71,31 +71,38 @@ def haar_slot(n: int, slot: int = 0, cf: CFParams | None = None, shared_slots=No
     return OracleDescriptor(n=n, steps=(("pr", slot, cf),), shared_slots=tuple(shared_slots) if shared_slots else None)
 
 
-def concrete_oracle(desc: OracleDescriptor, u: UnitaryMatrix, k: int = 0) -> UnitaryMatrix:
-    """Instantiate a descriptor as a matrix: recording steps become U."""
-    if u.qubit_count != desc.n:
+def concrete_oracle(desc: OracleDescriptor, u, k=0) -> np.ndarray:
+    """Instantiate a descriptor as a matrix: recording steps become u and key
+    layers use key k; or as a stack, from a stack u and one key per matrix."""
+    if u.shape[-1] != 2**desc.n:
         raise ValueError("oracle register mismatch")
+    if np.any((np.asarray(k) < 0) | (np.asarray(k) >= 2**desc.lam)):
+        raise ValueError("key out of range")
     mat = np.eye(2**desc.n, dtype=complex)
     for step in desc.steps:
         if step[0] == "pr":
-            mat = u.entries @ mat
+            mat = u @ mat
         elif step[0] == "pauli":
-            mat = pauli_string(step[1], k, desc.lam, desc.n).entries @ mat
+            paulis = np.array([pauli_string(step[1], j, desc.lam, desc.n).entries for j in range(2**desc.lam)])
+            mat = paulis[k] @ mat
         else:
             raise ValueError(f"unknown step {step!r}")
-    return UnitaryMatrix(mat)
+    _check_unitary(mat)
+    return mat
 
 
-def prfs_output(u: UnitaryMatrix, k: int, w: int, n: int, lam: int, m: int) -> StateVector:
-    """U |k || w || 0^{n-lam-m}>; at m = 0 (w = 0), the state generator's U |k || 0^{n-lam}>."""
+def prfs_output(u, k, w: int, n: int, lam: int, m: int) -> np.ndarray:
+    """U |k || w || 0^{n-lam-m}>; at m = 0 (w = 0), the state generator's U |k || 0^{n-lam}>.
+    A stack u with one key per matrix gives the stack of states."""
     if n < lam + m:
         raise ValueError("need n >= lam + m")
     if not 0 <= w < 2**m:
         raise ValueError("function input out of range")
-    if not 0 <= k < 2**lam:
+    k = np.asarray(k)
+    if np.any((k < 0) | (k >= 2**lam)):
         raise ValueError("key out of range")
     x = (k << m | w) << (n - lam - m)
-    return apply_unitary(basis_state(n, x), u)
+    return np.take_along_axis(u, x[..., None, None], axis=-1)[..., 0]
 
 
 @dataclass(frozen=True)

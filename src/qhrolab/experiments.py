@@ -30,7 +30,6 @@ from .constructions import (
 from .harness import (
     VIEW_QUBIT_CAP,
     AdversaryProgram,
-    ClassicalConcreteOracle,
     ClassicalPROracle,
     ClassicalQuery,
     KeyInit,
@@ -51,6 +50,7 @@ from .linalg import (
     DensityMatrix,
     UnitaryMatrix,
     choi_state,
+    haar_unitaries,
     haar_unitary,
     pauli_string,
     trace_distance,
@@ -265,8 +265,8 @@ def exp_mh_bound(p: MhBoundParams) -> ExperimentReport:
         keep = list(range(min(n, 2)))
         pr_view = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)), keep)
 
-        def sampler(rng, n=n):
-            return {"U": haar_unitary(2**n, rng)}
+        def sampler(rngs, n=n):
+            return {"U": haar_unitaries(2**n, rngs)}
 
         mean, batches = haar_view_mc(prog, sampler, trials, seed + i, keep=keep)
         td = trace_distance(mean, pr_view)
@@ -294,13 +294,13 @@ def _keyed_samplers(desc):
     the ideal G and U are independent Haar unitaries."""
     N = 2**desc.n
 
-    def real(rng):
-        u = haar_unitary(N, rng)
-        k = int(rng.integers(0, 2**desc.lam))
+    def real(rngs):
+        u = haar_unitaries(N, rngs)
+        k = [rng.integers(0, 2**desc.lam) for rng in rngs]
         return {"G": concrete_oracle(desc, u, k), "U": u}
 
-    def ideal(rng):
-        return {"G": haar_unitary(N, rng), "U": haar_unitary(N, rng)}
+    def ideal(rngs):
+        return {"G": haar_unitaries(N, rngs), "U": haar_unitaries(N, rngs)}
 
     return real, ideal
 
@@ -710,11 +710,10 @@ def _oracle_experiment(rep, game, p, point, mc_seed):
             _check_ge(entry, "good_pair_mass", "EXACT", mass, 1.0 - game.s / 2**ll)
 
             # Monte Carlo cross-check against concrete sampling
-            def real_sampler(rng, nn=nn, ll=ll):
-                u = haar_unitary(2**nn, rng)
-                k = int(rng.integers(0, 2**ll))
-                reply = ClassicalConcreteOracle(nn, lambda w, u=u, k=k: prfs_output(u, k, w, nn, ll, game.m))
-                return {game.oracle: reply, "U": u}
+            def real_sampler(rngs, nn=nn, ll=ll):
+                u = haar_unitaries(2**nn, rngs)
+                k = [rng.integers(0, 2**ll) for rng in rngs]
+                return {game.oracle: lambda w: prfs_output(u, k, w, nn, ll, game.m), "U": u}
 
             mean, batches = haar_view_mc(prog, real_sampler, p.trials, mc_seed, keep=keep)
             td_mc = trace_distance(mean, v_real)

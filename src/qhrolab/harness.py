@@ -18,9 +18,9 @@ from .linalg import (
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    _qubits_of,
     _trace_distance,
-    apply_unitary,
-    basis_state,
+    apply_gate,
     haar_unitary,
     qubits_first,
     qubits_restore,
@@ -43,7 +43,6 @@ __all__ = [
     "AdversaryProgram",
     "KeyInit",
     "ClassicalPROracle",
-    "ClassicalConcreteOracle",
     "VIEW_QUBIT_CAP",
     "run_concrete",
     "run_pr",
@@ -135,14 +134,6 @@ class ClassicalPROracle:
         return self.rel_slot[w]
 
 
-@dataclass(frozen=True)
-class ClassicalConcreteOracle:
-    """Concrete classical oracle: answer(w) returns the n-qubit reply state."""
-
-    n: int
-    answer: object
-
-
 def _input_qubits(program, q):
     return tuple(q.input_qubits) if q.input_qubits is not None else tuple(range(program.n))
 
@@ -150,45 +141,55 @@ def _input_qubits(program, q):
 # ---------------------------------------------------------------- concrete
 
 
-def _pure_view(state: StateVector, keep) -> np.ndarray:
-    """The density array of a pure state, partial-traced to `keep` qubits if given."""
-    v = state.amplitudes
+def _pure_views(states, keep) -> np.ndarray:
+    """The density arrays of a (T, 2^q) stack of pure states, partial-traced to `keep` qubits if given."""
     if keep is None:
-        return np.outer(v, v.conj())
-    m, _ = qubits_first(v, keep, state.qubit_count)
-    return m @ m.conj().T
+        return states[:, :, None] * states.conj()[:, None, :]
+    m, _ = qubits_first(states, keep, _qubits_of(states.shape[-1]))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def view_of_state(state: StateVector, keep=None) -> DensityMatrix:
     """Density of a pure state, optionally partial-traced to `keep` qubits."""
-    return DensityMatrix(_pure_view(state, keep))
+    return DensityMatrix(_pure_views(state.amplitudes[None], keep)[0])
 
 
-def run_concrete(program: AdversaryProgram, bindings: dict) -> StateVector:
-    """Execute against concrete unitaries; classical answers grow the register."""
-    state = basis_state(program.reg_qubits, 0)
+def _stack(name, arr, count, shape=None):
+    """arr if it is a stack of `count` arrays of `shape`, by default one axis
+    of 2^a amplitudes (any count while count is 1); else ValueError."""
+    side = np.shape(arr)[-1] if np.ndim(arr) else 0
+    ok = isinstance(arr, np.ndarray) and arr.shape[1:] == (shape or (side,)) and _qubits_of(side) is not None
+    if not ok or count > 1 and len(arr) != count:
+        raise ValueError(f"oracle {name!r} is not a stack of {count if count > 1 else 'T'} arrays of shape {shape or '(2^a,)'}")
+    return arr
+
+
+def run_concrete(program: AdversaryProgram, bindings: dict) -> np.ndarray:
+    """Execute a stack of T trials: a (T, 2^q) array. A quantum binding is a
+    (T, 2^n, 2^n) stack of unitaries, a classical one a function w -> (T, 2^a)
+    stack of replies; the state is a stack of one until a binding sets T."""
+    q = program.reg_qubits
+    state = np.eye(1, 2**q, dtype=complex)
     for step in program.steps:
         if isinstance(step, Interleave):
             targets = list(step.targets) if step.targets is not None else list(range(program.reg_qubits))
             if step.u is None:
                 perm, phases = step.sparse_map
-                mat, order = qubits_first(state.amplitudes, targets, state.qubit_count)
+                mat, order = qubits_first(state, targets, q)
                 out = np.zeros_like(mat)
-                out[perm] = phases[:, None] * mat
-                state = StateVector(qubits_restore(out, order), state.qubit_count)
+                out[:, perm] = phases[:, None] * mat
+                state = qubits_restore(out, order)
             else:
-                state = apply_unitary(state, step.u, targets)
+                state = apply_gate(state, step.u.entries, targets, q)
         elif isinstance(step, QuantumQuery):
-            u = bindings[step.oracle_id]
-            if not isinstance(u, UnitaryMatrix):
-                raise ValueError(f"oracle {step.oracle_id!r} is not a unitary")
-            state = apply_unitary(state, u, list(_input_qubits(program, step)))
+            targets = list(_input_qubits(program, step))
+            u = _stack(step.oracle_id, bindings[step.oracle_id], len(state), (2 ** len(targets),) * 2)
+            state = apply_gate(state, u, targets, q)
         elif isinstance(step, ClassicalQuery):
             oracle = bindings[step.oracle_id]
-            if not isinstance(oracle, ClassicalConcreteOracle):
-                raise ValueError(f"oracle {step.oracle_id!r} is not classical")
-            ans = oracle.answer(step.w)
-            state = StateVector(np.kron(state.amplitudes, ans.amplitudes), state.qubit_count + ans.qubit_count)
+            ans = _stack(step.oracle_id, oracle(step.w) if callable(oracle) else None, len(state))
+            q += _qubits_of(ans.shape[1])
+            state = (state[:, :, None] * ans[:, None, :]).reshape(len(ans), -1)
         else:
             raise ValueError(f"unknown step {step!r}")
     return state
@@ -364,23 +365,34 @@ def reduce_view(purified: PurifiedState, keep=None) -> DensityMatrix:
 
 _BATCHES = 20  # batch means per haar_view_mc run
 _RESAMPLES = 200  # resamples per bootstrap stderr
+_STACK_BYTES = 1 << 17  # the most bytes a stack's states, its views or one bound unitary stack may take
 
 
 def haar_view_mc(program, sampler, trials, master_seed, keep=None):
     """Mean adversary view over seeded trials, plus per-batch means.
 
-    sampler(rng) returns the concrete bindings for one trial; trial t draws
-    from trial_rng(master_seed, t) and goes to batch t % batches, with
-    min(_BATCHES, trials) batches.
+    sampler(rngs) returns the run_concrete bindings of a stack of trials,
+    one per generator; trial t draws from trial_rng(master_seed, t) and goes
+    to batch t % batches, with min(_BATCHES, trials) batches. The first
+    stack holds one trial; its arrays size the later stacks to _STACK_BYTES.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     batches = min(_BATCHES, trials)
     # 0.0 + the first view of a batch is bitwise a zero array plus it
     sums = [0.0] * batches
-    for t in range(trials):
-        state = run_concrete(program, sampler(trial_rng(master_seed, t)))
-        sums[t % batches] += _pure_view(state, keep)
+    hi, size = 0, 1
+    while hi < trials:
+        lo, hi = hi, min(trials, hi + size)
+        bindings = sampler([trial_rng(master_seed, t) for t in range(lo, hi)])
+        states = run_concrete(program, bindings)
+        views = _pure_views(states, keep)
+        # a program without queries leaves one state for the whole stack
+        views = np.broadcast_to(views, (hi - lo, *views.shape[1:]))
+        for t, view in zip(range(lo, hi), views):
+            sums[t % batches] += view
+        arrays = [states, views, *(b for b in bindings.values() if isinstance(b, np.ndarray))]
+        size = max(1, _STACK_BYTES // max(a[0].nbytes for a in arrays))
     sums = np.array(sums)
     total = sums.sum(axis=0) / trials
     # every batch holds a trial; the batch means are views into `sums`

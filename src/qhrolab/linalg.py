@@ -27,6 +27,7 @@ __all__ = [
     "trial_rng",
     "basis_state",
     "haar_unitary",
+    "haar_unitaries",
     "pauli_string",
     "epr_state",
     "choi_state",
@@ -46,6 +47,13 @@ def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
 def _check_cap(qubits: int) -> None:
     if qubits > QUBIT_CAP:
         raise ValueError(f"register of {qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
+
+
+def _check_unitary(mat) -> None:
+    """ValueError unless every matrix of a (..., d, d) stack is unitary to 1e-9."""
+    dev = np.max(np.abs(mat.conj().swapaxes(-1, -2) @ mat - np.eye(mat.shape[-1])))
+    if dev > 1e-9:
+        raise ValueError(f"matrix is not unitary (deviation {dev:.2e})")
 
 
 def _qubits_of(side: int) -> int | None:
@@ -107,9 +115,7 @@ class UnitaryMatrix:
         object.__setattr__(self, "qubit_count", n)
         if n is not None:
             _check_cap(n)
-        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if dev > 1e-9:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.2e})")
+        _check_unitary(mat)
 
 
 @dataclass(frozen=True)
@@ -140,19 +146,26 @@ def basis_state(n: int, x: int) -> StateVector:
     return StateVector(amps, n)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """Haar sample via Ginibre + QR with diagonal phase correction.
+def haar_unitaries(dim: int, rngs) -> np.ndarray:
+    """A (len(rngs), dim, dim) stack of Haar samples, one drawn from each
+    generator in turn, via Ginibre + QR with diagonal phase correction.
 
     Plain QR is biased; multiplying Q by diag(r_ii/|r_ii|) makes the
     distribution exactly Haar.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = np.array([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for rng in rngs])
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return UnitaryMatrix(q)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[:, None, :]
+    _check_unitary(q)
+    return q
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
+    """One Haar sample: the stack of one that haar_unitaries draws from rng."""
+    return UnitaryMatrix(haar_unitaries(dim, [rng])[0])
 
 
 def pauli_string(kind: str, k: int, lam: int, n: int) -> UnitaryMatrix:
@@ -209,6 +222,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def qubits_first(vec, targets, n):
     """(matrix, axis order) of an n-qubit vector: row index the `targets` bits
     (targets[0] most significant), column index the other qubits in order.
+    Leading axes of `vec` (a stack of vectors) lead the matrix too.
     ValueError unless the targets are distinct and in [0, n)."""
     order, seen = list(targets), set()
     for q in order:
@@ -216,18 +230,23 @@ def qubits_first(vec, targets, n):
             raise ValueError(f"target qubit {q} must be distinct and in [0, {n})")
         seen.add(q)
     order += [q for q in range(n) if q not in seen]
-    mat = np.asarray(vec, dtype=complex).reshape((2,) * n).transpose(order).reshape(2 ** len(seen), -1)
-    return mat, order
+    vec = np.asarray(vec, dtype=complex)
+    lead = vec.shape[:-1]
+    axes = [*range(len(lead)), *(len(lead) + q for q in order)]
+    return vec.reshape(lead + (2,) * n).transpose(axes).reshape(lead + (2 ** len(seen), -1)), order
 
 
 def qubits_restore(mat, order):
-    """Undo qubits_first: the flat vector of a matrix laid out by `order`."""
-    return mat.reshape((2,) * len(order)).transpose(np.argsort(order)).reshape(-1)
+    """Undo qubits_first: the flat vector, or stack of vectors, of a matrix laid out by `order`."""
+    lead = mat.shape[:-2]
+    axes = [*range(len(lead)), *(len(lead) + q for q in np.argsort(order).tolist())]
+    return mat.reshape(lead + (2,) * len(order)).transpose(axes).reshape(lead + (-1,))
 
 
 def apply_gate(vec, gate, targets, n):
     """A new vector: a 2^k x 2^k gate, whose index MSB is targets[0], applied
-    to the k distinct `targets` qubits of an n-qubit vector."""
+    to the k distinct `targets` qubits of an n-qubit vector. A stack of
+    vectors takes one gate, or a stack of as many gates."""
     mat, order = qubits_first(vec, targets, n)
     return qubits_restore(np.asarray(gate, dtype=complex) @ mat, order)
 

@@ -5,11 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qhrolab import harness
-from qhrolab.constructions import haar_slot, pru_two_query
+from qhrolab import experiments, harness
+from qhrolab.constructions import haar_slot, pru_one_query, pru_two_query
 from qhrolab.harness import (
     AdversaryProgram,
-    ClassicalConcreteOracle,
     ClassicalPROracle,
     ClassicalQuery,
     Interleave,
@@ -32,9 +31,13 @@ from qhrolab.linalg import (
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
-    apply_gate,
+    apply_unitary,
     basis_state,
+    haar_unitaries,
     haar_unitary,
+    pauli_string,
+    qubits_first,
+    qubits_restore,
     trace_distance,
     trial_rng,
 )
@@ -62,9 +65,10 @@ def test_run_concrete_matches_matrix():
     a = haar_unitary(4, rng)
     u = haar_unitary(4, rng)
     prog = AdversaryProgram(n=n, steps=(Interleave(u=a), QuantumQuery("U")))
-    out = run_concrete(prog, {"U": u})
+    out = run_concrete(prog, {"U": u.entries[None]})
     expect = u.entries @ a.entries[:, 0]
-    assert np.max(np.abs(out.amplitudes - expect)) < 1e-10
+    assert out.shape == (1, 4)
+    assert np.max(np.abs(out[0] - expect)) < 1e-10
     with pytest.raises(ValueError):
         run_concrete(prog, {"U": "nope"})
 
@@ -84,7 +88,7 @@ def test_run_concrete_sparse_interleave():
     )
     va = run_concrete(prog_sparse, {})
     vb = run_concrete(prog_dense, {})
-    assert np.max(np.abs(va.amplitudes - vb.amplitudes)) < 1e-10
+    assert np.max(np.abs(va - vb)) < 1e-10
 
 
 @pytest.mark.parametrize("targets", [[0, 2], None])  # partial targets; the full register
@@ -109,18 +113,17 @@ def test_a_program_may_open_with_a_query():
     steps = (QuantumQuery("U"), phased_permutation_interleave(n, trial_rng(25)), QuantumQuery("U"))
     bare = AdversaryProgram(n=n, steps=steps)
     behind = AdversaryProgram(n=n, steps=(Interleave(u=UnitaryMatrix(np.eye(2**n))), *steps))
-    u = haar_unitary(2**n, trial_rng(26))
-    assert run_concrete(bare, {"U": u}).amplitudes.tobytes() == run_concrete(behind, {"U": u}).amplitudes.tobytes()
+    u = haar_unitary(2**n, trial_rng(26)).entries[None]
+    assert run_concrete(bare, {"U": u}).tobytes() == run_concrete(behind, {"U": u}).tobytes()
     views = [reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),))).entries for prog in (bare, behind)]
     assert views[0].tobytes() == views[1].tobytes()
 
 
 def test_classical_concrete_appends_register():
-    oracle = ClassicalConcreteOracle(n=2, answer=lambda w: basis_state(2, w))
     prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", 3),))
-    out = run_concrete(prog, {"O": oracle})
-    assert out.qubit_count == 3
-    assert abs(out.amplitudes[0b011] - 1.0) < 1e-12
+    out = run_concrete(prog, {"O": lambda w: basis_state(2, w).amplitudes[None]})
+    assert out.shape == (1, 2**3)
+    assert abs(out[0, 0b011] - 1.0) < 1e-12
 
 
 def test_key_init_expansion():
@@ -200,9 +203,9 @@ def test_haar_view_mc_samples_each_trial_once():
     prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),))
     seen = []
 
-    def sampler(rng):
-        seen.append(1)
-        return {"U": haar_unitary(2, rng)}
+    def sampler(rngs):
+        seen.extend(rngs)
+        return {"U": haar_unitaries(2, rngs)}
 
     haar_view_mc(prog, sampler, trials, 3)
     assert len(seen) == trials
@@ -213,7 +216,7 @@ def test_recording_bound_small_n():
     n, t, trials = 2, 2, 2000
     prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),) * t)
     exact = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)))
-    mean, batches = haar_view_mc(prog, lambda rng: {"U": haar_unitary(2**n, rng)}, trials, 71)
+    mean, batches = haar_view_mc(prog, lambda rngs: {"U": haar_unitaries(2**n, rngs)}, trials, 71)
     td = trace_distance(mean, exact)
     se = bootstrap_td_stderr(batches, exact, 71)
     assert td <= 2.0 * t * (t - 1) / (2**n + 1) + 3.0 * se
@@ -230,8 +233,8 @@ def test_two_oracle_recording_bound():
     }
     exact = reduce_view(run_pr(prog, bindings, (Rel(), Rel())))
 
-    def sampler(rng):
-        return {"U": haar_unitary(2**n, rng), "V": haar_unitary(2**n, rng)}
+    def sampler(rngs):
+        return {"U": haar_unitaries(2**n, rngs), "V": haar_unitaries(2**n, rngs)}
 
     mean, batches = haar_view_mc(prog, sampler, trials, 73)
     td = trace_distance(mean, exact)
@@ -303,8 +306,8 @@ def test_haar_view_mc_determinism():
     n, trials = 2, 40
     prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),))
 
-    def sampler(rng):
-        return {"U": haar_unitary(4, rng)}
+    def sampler(rngs):
+        return {"U": haar_unitaries(4, rngs)}
 
     m1, b1 = haar_view_mc(prog, sampler, trials, 5)
     m2, _ = haar_view_mc(prog, sampler, trials, 5)
@@ -386,170 +389,214 @@ def test_key_slicing_needs_one_key_init_slot(init):
         key_sliced_view(prog, bindings, init)
 
 
-# ---------------------------------------- Monte Carlo batches, bitwise to the old formulas
 
 
-def old_haar_view_mc(program, sampler, trials, master_seed, keep=None, batches=20):
-    batches = min(batches, trials)
-    first = view_of_state(run_concrete(program, sampler(trial_rng(master_seed, 0))), keep)
-    dim = first.entries.shape[0]
-    sums = np.zeros((batches, dim, dim), dtype=complex)
-    counts = np.zeros(batches, dtype=np.int64)
-    sums[0] += first.entries
-    counts[0] += 1
-    for t in range(1, trials):
-        b = sampler(trial_rng(master_seed, t))
-        sums[t % batches] += view_of_state(run_concrete(program, b), keep).entries
-        counts[t % batches] += 1
-    total = sums.sum(axis=0) / trials
-    batch_means = [DensityMatrix(sums[b] / counts[b]) for b in range(batches) if counts[b]]
-    return DensityMatrix(total), batch_means
+# ---------------------------------------- stacked Monte Carlo, bitwise to the per-trial path
+# The per-trial concrete path that trial stacks replaced: run_concrete and
+# haar_view_mc with their per-trial helpers, and the per-trial samplers of
+# each experiment kind, as they were before. Kept as the one-change
+# differential oracle of the stacked path.
 
 
-def old_bootstrap_td_pair(batches_a, batches_b, master_seed, resamples=200):
-    ea = np.array([b.entries for b in batches_a])
-    eb = np.array([b.entries for b in batches_b])
-    rng = trial_rng(master_seed, 10**9 + 1)
-    vals = []
-    na, nb = len(batches_a), len(batches_b)
-    for _ in range(resamples):
-        ma = ea[rng.integers(0, na, size=na)].mean(axis=0)
-        mb = eb[rng.integers(0, nb, size=nb)].mean(axis=0)
-        vals.append(trace_distance(DensityMatrix(ma), DensityMatrix(mb)))
-    return float(np.std(vals))
+@dataclasses.dataclass(frozen=True)
+class ClassicalConcreteOracle:
+    """Concrete classical oracle: answer(w) returns the n-qubit reply state."""
+
+    n: int
+    answer: object
 
 
-def old_bootstrap_td_stderr(batch_means, reference, master_seed, resamples=200):
-    ents = np.array([b.entries for b in batch_means])
-    rng = trial_rng(master_seed, 10**9)
-    vals = []
-    nb = len(batch_means)
-    for _ in range(resamples):
-        idx = rng.integers(0, nb, size=nb)
-        mean = ents[idx].mean(axis=0)
-        vals.append(trace_distance(DensityMatrix(mean), reference))
-    return float(np.std(vals))
+def old_haar_unitary(dim, rng):
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    return UnitaryMatrix(q)
 
 
-@pytest.mark.parametrize("n", [2, 6])  # views of dimension 4 and 64
-@pytest.mark.parametrize("trials", [23, 7])  # not a multiple of the 20 batches; fewer than 20
-def test_mc_batches_and_bootstrap_are_bitwise_the_old_formulas(n, trials):
-    prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),))
-
-    def sampler(rng):
-        return {"U": haar_unitary(2**n, rng)}
-
-    mean, batches = haar_view_mc(prog, sampler, trials, 13)
-    old_mean, old_batches = old_haar_view_mc(prog, sampler, trials, 13)
-    assert np.array_equal(mean.entries, old_mean.entries)
-    assert len(batches) == len(old_batches) == min(trials, 20)
-    assert all(np.array_equal(b.entries, o.entries) for b, o in zip(batches, old_batches))
-    _, other = haar_view_mc(prog, sampler, trials + 5, 14)
-    ref = DensityMatrix(np.eye(2**n) / 2**n)
-    assert bootstrap_td_stderr(batches, ref, 3) == old_bootstrap_td_stderr(old_batches, ref, 3)
-    assert bootstrap_td_pair(batches, other, 3) == old_bootstrap_td_pair(old_batches, other, 3)
+def old_concrete_oracle(desc, u, k=0):
+    if u.qubit_count != desc.n:
+        raise ValueError("oracle register mismatch")
+    mat = np.eye(2**desc.n, dtype=complex)
+    for step in desc.steps:
+        if step[0] == "pr":
+            mat = u.entries @ mat
+        elif step[0] == "pauli":
+            mat = pauli_string(step[1], k, desc.lam, desc.n).entries @ mat
+        else:
+            raise ValueError(f"unknown step {step!r}")
+    return UnitaryMatrix(mat)
 
 
-# ---------------------------------------- dense kernels, bitwise to the moveaxis formulas
-# The dense kernels from before every qubit reordering went through
-# linalg.qubits_first. Kept as the one-PR differential oracle of the new kernels.
+def old_prfs_output(u, k, w, n, lam, m):
+    if n < lam + m:
+        raise ValueError("need n >= lam + m")
+    if not 0 <= w < 2**m:
+        raise ValueError("function input out of range")
+    if not 0 <= k < 2**lam:
+        raise ValueError("key out of range")
+    x = (k << m | w) << (n - lam - m)
+    return apply_unitary(basis_state(n, x), u)
 
 
-def old_apply_gate(vec, gate, targets, n):
-    k = len(targets)
-    tens = np.asarray(vec, dtype=complex).reshape((2,) * n)
-    tens = np.moveaxis(tens, targets, range(k))
-    shape = tens.shape
-    out = (np.asarray(gate, dtype=complex) @ tens.reshape(2**k, -1)).reshape(shape)
-    out = np.moveaxis(out, range(k), targets)
-    return out.reshape(2**n).copy()
-
-
-def old_concrete_sparse(vec, perm, phases, targets, n):
-    k = len(targets)
-    rest = [q for q in range(n) if q not in targets]
-    tens = np.moveaxis(vec.reshape((2,) * n), targets + rest, range(n))
-    mat = tens.reshape(2**k, -1)
-    out = np.zeros_like(mat)
-    out[perm] = phases[:, None] * mat
-    tens = np.moveaxis(out.reshape((2,) * n), range(n), targets + rest)
-    return tens.reshape(-1)
-
-
-def old_view_of_state(state, keep=None):
-    n = state.qubit_count
+def old_pure_view(state, keep):
+    v = state.amplitudes
     if keep is None:
-        return state.density().entries
-    keep = list(keep)
-    drop = [i for i in range(n) if i not in keep]
-    tens = state.amplitudes.reshape((2,) * n)
-    tens = np.moveaxis(tens, keep + drop, list(range(n)))
-    m = tens.reshape(2 ** len(keep), -1)
+        return np.outer(v, v.conj())
+    m, _ = qubits_first(v, keep, state.qubit_count)
     return m @ m.conj().T
 
 
 def old_run_concrete(program, bindings):
-    """run_concrete through the old kernels, for the step kinds of the tests below."""
-    n = program.reg_qubits
-    vec = basis_state(n, 0).amplitudes
+    state = basis_state(program.reg_qubits, 0)
     for step in program.steps:
-        if isinstance(step, ClassicalQuery):
-            ans = bindings[step.oracle_id].answer(step.w)
-            vec, n = np.kron(vec, ans.amplitudes), n + ans.qubit_count
-        elif isinstance(step, QuantumQuery):
-            vec = old_apply_gate(vec, bindings[step.oracle_id].entries, list(range(program.n)), n)
-        else:
+        if isinstance(step, Interleave):
             targets = list(step.targets) if step.targets is not None else list(range(program.reg_qubits))
             if step.u is None:
-                vec = old_concrete_sparse(vec, *step.sparse_map, targets, n)
+                perm, phases = step.sparse_map
+                mat, order = qubits_first(state.amplitudes, targets, state.qubit_count)
+                out = np.zeros_like(mat)
+                out[perm] = phases[:, None] * mat
+                state = StateVector(qubits_restore(out, order), state.qubit_count)
             else:
-                vec = old_apply_gate(vec, step.u.entries, targets, n)
-    return vec
+                state = apply_unitary(state, step.u, targets)
+        elif isinstance(step, QuantumQuery):
+            u = bindings[step.oracle_id]
+            if not isinstance(u, UnitaryMatrix):
+                raise ValueError(f"oracle {step.oracle_id!r} is not a unitary")
+            state = apply_unitary(state, u, list(harness._input_qubits(program, step)))
+        elif isinstance(step, ClassicalQuery):
+            oracle = bindings[step.oracle_id]
+            if not isinstance(oracle, ClassicalConcreteOracle):
+                raise ValueError(f"oracle {step.oracle_id!r} is not classical")
+            ans = oracle.answer(step.w)
+            state = StateVector(np.kron(state.amplitudes, ans.amplitudes), state.qubit_count + ans.qubit_count)
+        else:
+            raise ValueError(f"unknown step {step!r}")
+    return state
 
 
-KERNEL_TARGETS = [[0, 1, 2, 3], [0, 2], [3, 0, 2], [1]]  # full, partial, unsorted, one qubit
+def old_haar_view_mc(program, sampler, trials, master_seed, keep=None):
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    batches = min(harness._BATCHES, trials)
+    # 0.0 + the first view of a batch is bitwise a zero array plus it
+    sums = [0.0] * batches
+    for t in range(trials):
+        state = old_run_concrete(program, sampler(trial_rng(master_seed, t)))
+        sums[t % batches] += old_pure_view(state, keep)
+    sums = np.array(sums)
+    total = sums.sum(axis=0) / trials
+    # every batch holds a trial; the batch means are views into `sums`
+    sums /= np.bincount(np.arange(trials) % batches)[:, None, None]
+    return DensityMatrix(total), [DensityMatrix(m) for m in sums]
 
 
-@pytest.mark.parametrize("targets", KERNEL_TARGETS)
-def test_dense_kernels_are_bitwise_the_moveaxis_formulas(targets):
-    n = 4
-    rng = trial_rng(27)
-    vec = haar_unitary(2**n, rng).entries[:, 0]
-    gate = haar_unitary(2 ** len(targets), rng).entries
-    assert apply_gate(vec, gate, targets, n).tobytes() == old_apply_gate(vec, gate, targets, n).tobytes()
-    prog = AdversaryProgram(
-        n=n,
-        steps=(
-            haar_interleave(n, rng),
-            phased_permutation_interleave(n, rng, targets=targets),
-            haar_interleave(n, rng, targets=targets),
-            QuantumQuery("U"),
-        ),
-    )
-    bindings = {"U": haar_unitary(2**n, rng)}
-    state = run_concrete(prog, bindings)
-    assert state.amplitudes.tobytes() == old_run_concrete(prog, bindings).tobytes()
-    for keep in (None, targets):
-        assert view_of_state(state, keep).entries.tobytes() == old_view_of_state(state, keep).tobytes()
+def old_haar_sampler(n):
+    def sampler(rng):
+        return {"U": old_haar_unitary(2**n, rng)}
+
+    return sampler
 
 
-def test_dense_kernels_on_a_grown_register_are_bitwise_the_moveaxis_formulas():
-    # a classical answer appends two qubits; later layers act across the join
+def old_keyed_samplers(desc):
+    N = 2**desc.n
+
+    def real(rng):
+        u = old_haar_unitary(N, rng)
+        k = int(rng.integers(0, 2**desc.lam))
+        return {"G": old_concrete_oracle(desc, u, k), "U": u}
+
+    def ideal(rng):
+        return {"G": old_haar_unitary(N, rng), "U": old_haar_unitary(N, rng)}
+
+    return real, ideal
+
+
+def old_oracle_sampler(oracle, nn, ll, m):
+    def real_sampler(rng):
+        u = old_haar_unitary(2**nn, rng)
+        k = int(rng.integers(0, 2**ll))
+        reply = ClassicalConcreteOracle(nn, lambda w, u=u, k=k: old_prfs_output(u, k, w, nn, ll, m))
+        return {oracle: reply, "U": u}
+
+    return real_sampler
+
+
+# (experiment, params, the per-trial sampler of each of its haar_view_mc calls, in call order)
+MC_KINDS = {
+    "haar": ("exp_mh_bound", {"n_list": [3, 4]}, [old_haar_sampler(3), old_haar_sampler(4)]),
+    "pru2": ("exp_pru2", {"n_list": [3]}, [*old_keyed_samplers(pru_two_query(3, 3))] * 2),
+    "pru1": ("exp_pru1", {"n": 3, "lam": 2, "t": 2}, [*old_keyed_samplers(pru_one_query(3, 2))]),
+    "prs": ("exp_prs", {"n": 2, "lam": 1, "t": 2, "s": 1, "scaling": False}, [old_oracle_sampler("copy", 2, 1, 0)]),
+    "prfs": ("exp_prfs", {"n": 2, "lam": 1, "t": 2, "scaling": False}, [old_oracle_sampler("O", 2, 1, 1)]),
+}
+
+
+@pytest.fixture(scope="module")
+def mc_calls():
+    """kind -> [(program, stacked sampler, per-trial sampler)] of each
+    haar_view_mc call an experiment run of that kind makes."""
+    calls = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for kind, (name, params, old_samplers) in MC_KINDS.items():
+            seen = []
+
+            def record(program, sampler, trials, master_seed, keep=None, seen=seen):
+                seen.append((program, sampler))
+                return haar_view_mc(program, sampler, trials, master_seed, keep)
+
+            mp.setattr(experiments, "haar_view_mc", record)
+            experiments.run_experiment(name, {**params, "seed": 1, "trials": 1})
+            assert len(seen) == len(old_samplers)
+            calls[kind] = [(prog, new, old) for (prog, new), old in zip(seen, old_samplers)]
+    return calls
+
+
+@pytest.mark.parametrize("trials", [7, 23, 45])  # fewer than the 20 batches; not a multiple of them
+@pytest.mark.parametrize("kind", MC_KINDS)
+def test_stacked_mc_is_bitwise_the_per_trial_path(mc_calls, kind, trials, monkeypatch):
+    for i, (prog, sampler, old_sampler) in enumerate(mc_calls[kind]):
+        stacks = []
+
+        def spy(rngs):
+            stacks.append(len(rngs))
+            return sampler(rngs)
+
+        for keep in (None, [prog.reg_qubits - 1, 0]):
+            old_mean, old_batches = old_haar_view_mc(prog, old_sampler, trials, 40 + i, keep)
+            for stack_bytes in (harness._STACK_BYTES, 1):  # the module's bound; one trial per stack
+                stacks.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(harness, "_STACK_BYTES", stack_bytes)
+                    mean, batches = haar_view_mc(prog, spy, trials, 40 + i, keep)
+                assert sum(stacks) == trials and stacks[0] == 1
+                assert max(stacks) > 1 if stack_bytes > 1 else set(stacks) == {1}
+                assert mean.entries.tobytes() == old_mean.entries.tobytes()
+                assert len(batches) == len(old_batches) == min(trials, 20)
+                assert all(b.entries.tobytes() == o.entries.tobytes() for b, o in zip(batches, old_batches))
+
+
+def test_run_concrete_names_an_oracle_that_is_not_a_stack():
     n = 2
-    rng = trial_rng(28)
-    reply = StateVector.from_array(haar_unitary(4, rng).entries[:, 1])
-    oracle = ClassicalConcreteOracle(n=2, answer=lambda w: reply)
-    prog = AdversaryProgram(
-        n=n,
-        steps=(
-            haar_interleave(n, rng),
-            ClassicalQuery("O", 1),
-            haar_interleave(4, rng, targets=[3, 0]),
-            phased_permutation_interleave(4, rng, targets=[2, 1, 3]),
-        ),
-    )
-    state = run_concrete(prog, {"O": oracle})
-    assert state.qubit_count == 4
-    assert state.amplitudes.tobytes() == old_run_concrete(prog, {"O": oracle}).tobytes()
-    for keep in (None, [3, 1], [2]):
-        assert view_of_state(state, keep).entries.tobytes() == old_view_of_state(state, keep).tobytes()
+    prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"), ClassicalQuery("O", 1), QuantumQuery("V")))
+    us = haar_unitaries(2**n, [trial_rng(29, t) for t in range(3)])
+
+    def answer(w):
+        return us[:, :, w]
+
+    assert run_concrete(prog, {"U": us, "O": answer, "V": us}).shape == (3, 2 ** (2 * n))
+    bad = [
+        ({"U": us[0]}, "'U'"),  # one matrix, not a stack
+        ({"U": us[:, :2, :2]}, "'U'"),  # a stack of 1-qubit unitaries on a 2-qubit input
+        ({"U": UnitaryMatrix(us[0])}, "'U'"),
+        ({"U": us, "O": us}, "'O'"),  # a quantum stack bound to a classical query
+        ({"U": us, "O": lambda w: us[:2, :, w]}, "'O'"),  # two answers for three trials
+        ({"U": us, "O": lambda w: us[:, :3, w]}, "'O'"),  # three amplitudes: no qubit register
+        ({"U": us, "O": answer, "V": us[:2]}, "'V'"),  # two unitaries for three trials
+    ]
+    for bindings, name in bad:
+        with pytest.raises(ValueError, match=name):
+            run_concrete(prog, bindings)

@@ -16,6 +16,7 @@ from qhrolab.linalg import (
     basis_state,
     choi_state,
     epr_state,
+    haar_unitaries,
     haar_unitary,
     pauli_string,
     trace_distance,
@@ -83,6 +84,26 @@ def test_apply_gate_rejects_invalid_targets():
 def test_haar_unitary_is_unitary(seed, dim):
     u = haar_unitary(dim, trial_rng(seed)).entries
     assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_stacked_haar_draw_is_bitwise_single_draws(dim):
+    def single(rng):
+        # one Ginibre + QR + phase-fix draw, as a trial drew it before draws were stacked
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(a)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    stacked = [trial_rng(31, t) for t in range(5)]
+    singles = [trial_rng(31, t) for t in range(5)]
+    stack = haar_unitaries(dim, stacked)
+    assert stack.shape == (5, dim, dim)
+    for t, rng in enumerate(singles):
+        assert stack[t].tobytes() == single(rng).tobytes()
+        assert haar_unitary(dim, trial_rng(31, t)).entries.tobytes() == stack[t].tobytes()
+    # each generator is left where a single draw leaves it
+    assert [r.integers(0, 2**62) for r in stacked] == [r.integers(0, 2**62) for r in singles]
 
 
 def test_unitary_rejects_non_unitary():
