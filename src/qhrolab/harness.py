@@ -379,8 +379,7 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None):
     if trials < 1:
         raise ValueError("need at least one trial")
     batches = min(_BATCHES, trials)
-    # 0.0 + the first view of a batch is bitwise a zero array plus it
-    sums = [0.0] * batches
+    sums = None  # the (batches, d, d) batch sums, allocated once the first stack gives d
     hi, size = 0, 1
     while hi < trials:
         lo, hi = hi, min(trials, hi + size)
@@ -389,11 +388,12 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None):
         views = _pure_views(states, keep)
         # a program without queries leaves one state for the whole stack
         views = np.broadcast_to(views, (hi - lo, *views.shape[1:]))
+        if sums is None:
+            sums = np.zeros((batches, *views.shape[1:]), dtype=views.dtype)
         for t, view in zip(range(lo, hi), views):
             sums[t % batches] += view
         arrays = [states, views, *(b for b in bindings.values() if isinstance(b, np.ndarray))]
         size = max(1, _STACK_BYTES // max(a[0].nbytes for a in arrays))
-    sums = np.array(sums)
     total = sums.sum(axis=0) / trials
     # every batch holds a trial; the batch means are views into `sums`
     sums /= np.bincount(np.arange(trials) % batches)[:, None, None]

@@ -146,6 +146,20 @@ def basis_state(n: int, x: int) -> StateVector:
     return StateVector(amps, n)
 
 
+def _haar_stack(dim: int, rngs) -> np.ndarray:
+    """haar_unitaries without its unitarity check: the one Haar draw."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    a = np.empty((len(rngs), dim, dim), dtype=complex)
+    for g, rng in zip(a, rngs):
+        g.real = rng.standard_normal((dim, dim))
+        g.imag = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[:, None, :]
+    return q
+
+
 def haar_unitaries(dim: int, rngs) -> np.ndarray:
     """A (len(rngs), dim, dim) stack of Haar samples, one drawn from each
     generator in turn, via Ginibre + QR with diagonal phase correction.
@@ -153,19 +167,15 @@ def haar_unitaries(dim: int, rngs) -> np.ndarray:
     Plain QR is biased; multiplying Q by diag(r_ii/|r_ii|) makes the
     distribution exactly Haar.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    a = np.array([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for rng in rngs])
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[:, None, :]
+    q = _haar_stack(dim, rngs)
     _check_unitary(q)
     return q
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """One Haar sample: the stack of one that haar_unitaries draws from rng."""
-    return UnitaryMatrix(haar_unitaries(dim, [rng])[0])
+    """One Haar sample: the stack of one that haar_unitaries draws from rng,
+    checked once, by UnitaryMatrix."""
+    return UnitaryMatrix(_haar_stack(dim, [rng])[0])
 
 
 def pauli_string(kind: str, k: int, lam: int, n: int) -> UnitaryMatrix:

@@ -1,6 +1,7 @@
 """Adversary harness: concrete vs purified execution, views, Monte Carlo."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,28 @@ def test_haar_view_mc_samples_each_trial_once():
 
     haar_view_mc(prog, sampler, trials, 3)
     assert len(seen) == trials
+
+
+def test_haar_view_mc_holds_its_batch_sums_once():
+    n, trials = 7, 40  # 128 x 128 views: one trial per stack, every batch filled twice
+    prog = AdversaryProgram(n=n, steps=(QuantumQuery("U"),))
+
+    def sampler(rngs):
+        return {"U": haar_unitaries(2**n, rngs)}
+
+    haar_view_mc(prog, sampler, 1, 1)  # first use of QR and matmul outside the trace
+    tracemalloc.start()
+    try:
+        _, batches = haar_view_mc(prog, sampler, trials, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sum_bytes = harness._BATCHES * 4**n * 16
+    # one (batches, d, d) accumulator, a stack's transients and the mean; a
+    # second copy of the sums would read above 2x
+    assert peak < 1.75 * sum_bytes
+    base = batches[0].entries.base
+    assert base is not None and all(b.entries.base is base for b in batches)
 
 
 def test_recording_bound_small_n():
