@@ -375,69 +375,104 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None):
     one per generator; trial t draws from trial_rng(master_seed, t) and goes
     to batch t % batches, with min(_BATCHES, trials) batches. The first
     stack holds one trial; its arrays size the later stacks to _STACK_BYTES.
+
+    Only lower triangles are summed: the batch means come back as one
+    (batches, d(d+1)/2) array of packed rows in _lower(d) order, and the
+    mean as the Hermitian completion of its packed row. Both are read
+    through eigvalsh, which reads only the lower triangle.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     batches = min(_BATCHES, trials)
-    sums = None  # the (batches, d, d) batch sums, allocated once the first stack gives d
+    sums = low = None  # the (batches, d(d+1)/2) batch sums, allocated once the first stack gives d
     hi, size = 0, 1
     while hi < trials:
         lo, hi = hi, min(trials, hi + size)
         bindings = sampler([trial_rng(master_seed, t) for t in range(lo, hi)])
         states = run_concrete(program, bindings)
         views = _pure_views(states, keep)
-        # a program without queries leaves one state for the whole stack
-        views = np.broadcast_to(views, (hi - lo, *views.shape[1:]))
         if sums is None:
-            sums = np.zeros((batches, *views.shape[1:]), dtype=views.dtype)
-        for t, view in zip(range(lo, hi), views):
-            sums[t % batches] += view
+            d = views.shape[-1]
+            low = _lower(d)
+            sums = np.zeros((batches, len(low)), dtype=views.dtype)
+        # a program without queries leaves one view for the whole stack
+        packed = np.broadcast_to(views.reshape(len(views), -1).take(low, axis=1), (hi - lo, len(low)))
+        for t, row in zip(range(lo, hi), packed):
+            sums[t % batches] += row
         arrays = [states, views, *(b for b in bindings.values() if isinstance(b, np.ndarray))]
         size = max(1, _STACK_BYTES // max(a[0].nbytes for a in arrays))
     total = sums.sum(axis=0) / trials
-    # every batch holds a trial; the batch means are views into `sums`
-    sums /= np.bincount(np.arange(trials) % batches)[:, None, None]
-    return DensityMatrix(total), [DensityMatrix(m) for m in sums]
+    # every batch holds a trial
+    sums /= np.bincount(np.arange(trials) % batches)[:, None]
+    rows, cols = np.divmod(low, d)
+    mean = np.empty((d, d), dtype=sums.dtype)
+    mean[cols, rows] = total.conj()  # the mirror first: the diagonal is then total's own
+    mean[rows, cols] = total
+    return DensityMatrix(mean), sums
 
 
-def _resample_mean(ents, idx, out):
-    """ents[idx].mean(axis=0), bitwise, formed in `out` from a list of rows.
+def _lower(d):
+    """Flat indices of the lower triangle, diagonal included, of a C-ordered
+    d x d matrix, row by row: the np.tril_indices(d) order."""
+    return np.flatnonzero(np.tri(d, dtype=bool))
+
+
+def _packed(batch_means):
+    """(rows, side d) of batch means: haar_view_mc's packed rows as they
+    are, or the lower triangles of a list of d x d DensityMatrix."""
+    if isinstance(batch_means, np.ndarray):
+        return batch_means, (math.isqrt(8 * batch_means.shape[1] + 1) - 1) // 2
+    d = len(batch_means[0].entries)
+    low = _lower(d)
+    return np.array([b.entries.take(low) for b in batch_means]), d
+
+
+def _resample_mean(rows, idx, out):
+    """rows[idx].mean(axis=0), bitwise, formed in `out`.
 
     Row idx[0] is copied and the other rows are added in resample order, as
     the stacked mean does, without stacking the rows or copying the resample.
     """
-    np.copyto(out, ents[idx[0]])
+    np.copyto(out, rows[idx[0]])
     for i in idx[1:].tolist():
-        out += ents[i]
+        out += rows[i]
     out /= len(idx)
     return out
 
 
 def bootstrap_td_pair(batches_a, batches_b, master_seed):
-    """Bootstrap stderr of TD(mean A, mean B) over two batch-mean families."""
-    ea = [b.entries for b in batches_a]
-    eb = [b.entries for b in batches_b]
-    ma, mb = np.empty_like(ea[0]), np.empty_like(eb[0])
+    """Bootstrap stderr of TD(mean A, mean B) over two batch-mean families.
+
+    Each resample mean fills the lower triangle of a reused matrix, all
+    that _trace_distance's eigvalsh reads."""
+    ra, d = _packed(batches_a)
+    rb, _ = _packed(batches_b)
+    low = _lower(d)
+    ma, mb = np.empty_like(ra[0]), np.empty_like(rb[0])
+    fa, fb = np.zeros((2, d * d), dtype=ra.dtype)
     rng = trial_rng(master_seed, 10**9 + 1)
     vals = []
-    na, nb = len(batches_a), len(batches_b)
+    na, nb = len(ra), len(rb)
     for _ in range(_RESAMPLES):
-        _resample_mean(ea, rng.integers(0, na, size=na), ma)
-        _resample_mean(eb, rng.integers(0, nb, size=nb), mb)
-        vals.append(_trace_distance(ma, mb))
+        fa[low] = _resample_mean(ra, rng.integers(0, na, size=na), ma)
+        fb[low] = _resample_mean(rb, rng.integers(0, nb, size=nb), mb)
+        vals.append(_trace_distance(fa.reshape(d, d), fb.reshape(d, d)))
     return float(np.std(vals))
 
 
 def bootstrap_td_stderr(batch_means, reference: DensityMatrix, master_seed):
-    """Bootstrap stderr of TD(mean view, reference) over batch means."""
-    ents = [b.entries for b in batch_means]
-    mean = np.empty_like(ents[0])
+    """Bootstrap stderr of TD(mean view, reference) over batch means, filled
+    into the lower triangle of a reused matrix as in bootstrap_td_pair."""
+    rows, d = _packed(batch_means)
+    low = _lower(d)
+    mean = np.empty_like(rows[0])
+    full = np.zeros(d * d, dtype=rows.dtype)
     rng = trial_rng(master_seed, 10**9)
     vals = []
-    nb = len(batch_means)
+    nb = len(rows)
     for _ in range(_RESAMPLES):
-        _resample_mean(ents, rng.integers(0, nb, size=nb), mean)
-        vals.append(_trace_distance(mean, reference.entries))
+        full[low] = _resample_mean(rows, rng.integers(0, nb, size=nb), mean)
+        vals.append(_trace_distance(full.reshape(d, d), reference.entries))
     return float(np.std(vals))
 
 

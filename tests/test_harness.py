@@ -226,12 +226,12 @@ def test_haar_view_mc_holds_its_batch_sums_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    sum_bytes = harness._BATCHES * 4**n * 16
-    # one (batches, d, d) accumulator, a stack's transients and the mean; a
-    # second copy of the sums would read above 2x
-    assert peak < 1.75 * sum_bytes
-    base = batches[0].entries.base
-    assert base is not None and all(b.entries.base is base for b in batches)
+    d = 2**n
+    full_bytes = harness._BATCHES * d * d * 16
+    # one packed (batches, d(d+1)/2) accumulator, a stack's transients and
+    # the mean; a full (batches, d, d) accumulator alone would read 1x
+    assert peak < 1.0 * full_bytes
+    assert isinstance(batches, np.ndarray) and batches.shape == (harness._BATCHES, d * (d + 1) // 2)
 
 
 def test_recording_bound_small_n():
@@ -416,9 +416,9 @@ def test_key_slicing_needs_one_key_init_slot(init):
 
 # ---------------------------------------- stacked Monte Carlo, bitwise to the per-trial path
 # The per-trial concrete path that trial stacks replaced: run_concrete and
-# haar_view_mc with their per-trial helpers, and the per-trial samplers of
-# each experiment kind, as they were before. Kept as the one-change
-# differential oracle of the stacked path.
+# haar_view_mc with their per-trial helpers, the per-trial samplers of each
+# experiment kind, and the full-matrix bootstraps, as they were before. Kept
+# as the differential oracle of the stacked, lower-triangle-packed path.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -517,6 +517,40 @@ def old_haar_view_mc(program, sampler, trials, master_seed, keep=None):
     return DensityMatrix(total), [DensityMatrix(m) for m in sums]
 
 
+def old_resample_mean(ents, idx, out):
+    np.copyto(out, ents[idx[0]])
+    for i in idx[1:].tolist():
+        out += ents[i]
+    out /= len(idx)
+    return out
+
+
+def old_bootstrap_td_pair(batches_a, batches_b, master_seed):
+    ea = [b.entries for b in batches_a]
+    eb = [b.entries for b in batches_b]
+    ma, mb = np.empty_like(ea[0]), np.empty_like(eb[0])
+    rng = trial_rng(master_seed, 10**9 + 1)
+    vals = []
+    na, nb = len(batches_a), len(batches_b)
+    for _ in range(harness._RESAMPLES):
+        old_resample_mean(ea, rng.integers(0, na, size=na), ma)
+        old_resample_mean(eb, rng.integers(0, nb, size=nb), mb)
+        vals.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
+    return float(np.std(vals))
+
+
+def old_bootstrap_td_stderr(batch_means, reference, master_seed):
+    ents = [b.entries for b in batch_means]
+    mean = np.empty_like(ents[0])
+    rng = trial_rng(master_seed, 10**9)
+    vals = []
+    nb = len(batch_means)
+    for _ in range(harness._RESAMPLES):
+        old_resample_mean(ents, rng.integers(0, nb, size=nb), mean)
+        vals.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(mean - reference.entries))))
+    return float(np.std(vals))
+
+
 def old_haar_sampler(n):
     def sampler(rng):
         return {"U": old_haar_unitary(2**n, rng)}
@@ -597,9 +631,15 @@ def test_stacked_mc_is_bitwise_the_per_trial_path(mc_calls, kind, trials, monkey
                     mean, batches = haar_view_mc(prog, spy, trials, 40 + i, keep)
                 assert sum(stacks) == trials and stacks[0] == 1
                 assert max(stacks) > 1 if stack_bytes > 1 else set(stacks) == {1}
-                assert mean.entries.tobytes() == old_mean.entries.tobytes()
+                # packed lower triangles, bitwise; the mean is their exact Hermitian completion
+                low, upper = np.tril_indices(len(old_mean.entries)), np.triu_indices(len(old_mean.entries), 1)
+                assert mean.entries[low].tobytes() == old_mean.entries[low].tobytes()
+                assert mean.entries[upper].tobytes() == mean.entries.T[upper].conj().tobytes()
                 assert len(batches) == len(old_batches) == min(trials, 20)
-                assert all(b.entries.tobytes() == o.entries.tobytes() for b, o in zip(batches, old_batches))
+                assert all(b.tobytes() == o.entries[low].tobytes() for b, o in zip(batches, old_batches))
+            # the bootstraps on packed rows give the full-matrix bootstraps' bits
+            assert bootstrap_td_stderr(batches, old_mean, i) == old_bootstrap_td_stderr(old_batches, old_mean, i)
+            assert bootstrap_td_pair(batches, batches[::-1], i) == old_bootstrap_td_pair(old_batches, old_batches[::-1], i)
 
 
 def test_run_concrete_names_an_oracle_that_is_not_a_stack():

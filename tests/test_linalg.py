@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qhrolab.harness import view_of_state
 from qhrolab.linalg import (
     QUBIT_CAP,
+    _trace_distance,
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
@@ -238,6 +239,24 @@ def test_trace_distance_pure_states():
         b = rand_state(4, rng)
         td = trace_distance(a.density(), b.density())
         assert abs(td - np.sqrt(1.0 - abs(a.overlap(b)) ** 2)) < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 4, 16, 64, 256])
+def test_trace_distance_reads_only_the_lower_triangle(d):
+    # the Monte Carlo path stores lower triangles only: eigvalsh (UPLO='L')
+    # must give the same bits whatever the strict upper triangle holds
+    rng = trial_rng(17, d)
+    a, b = (rand_density(d.bit_length() - 1, rng).entries for _ in range(2))
+    upper = np.triu_indices(d, 1)
+
+    def garble(m):
+        m = m.copy()
+        m[upper] = 1e3 * (rng.standard_normal(len(upper[0])) + 1j * rng.standard_normal(len(upper[0])))
+        return m
+
+    want = np.float64(_trace_distance(a, b)).tobytes()
+    for ga, gb in ((garble(a), b), (a, garble(b)), (garble(a), garble(b))):
+        assert np.float64(_trace_distance(ga, gb)).tobytes() == want
 
 
 def test_gentle_projection():

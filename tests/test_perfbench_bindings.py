@@ -47,3 +47,27 @@ def test_sweep_positional_calls_bind():
     assert (state.qubit_count, pur.n_qubits) == (2, 2)
     views = [state.density()] * 3
     assert harness.bootstrap_td_stderr(views, views[0], 0) == 0.0
+
+
+def test_sweep_bootstrap_on_a_list_is_the_full_matrix_formula():
+    # the sweep passes 20 distinct pure-state views and one reference; its
+    # stderr is bitwise the full-matrix bootstrap: copy row idx[0], add the
+    # rest in order, divide, then eigvalsh(mean - ref)
+    rng = linalg.trial_rng(5)
+    views = []
+    for _ in range(20):
+        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        views.append(linalg.StateVector(v / np.linalg.norm(v), 4).density())
+    ref, seed = views[0], 3
+    draw = linalg.trial_rng(seed, 10**9)
+    vals = []
+    for _ in range(harness._RESAMPLES):
+        idx = draw.integers(0, len(views), size=len(views))
+        mean = views[idx[0]].entries.copy()
+        for i in idx[1:]:
+            mean += views[i].entries
+        mean /= len(idx)
+        vals.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(mean - ref.entries))))
+    want = float(np.std(vals))
+    assert want > 0.0
+    assert harness.bootstrap_td_stderr(views, ref, seed) == want
