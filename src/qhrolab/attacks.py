@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import StateVector, UnitaryMatrix, apply_gate, choi_state, haar_unitary, qubits_first, trial_rng
+from .harness import trial_stacks
+from .linalg import StateVector, UnitaryMatrix, _qubits_of, apply_gate, choi_state, haar_unitaries, qubits_first
 
 __all__ = [
     "NonAdaptiveCircuit",
@@ -45,53 +46,68 @@ class AttackReport:
     success: float = 0.0
 
 
-def choi_from_copies(circuit: NonAdaptiveCircuit, copies) -> StateVector:
+def _kron_stack(vecs):
+    """The Kronecker product of each trial's vectors in turn, over (T, D_i) stacks."""
+    out = np.ones((len(vecs[0]), 1), dtype=complex)
+    for v in vecs:
+        out = (out[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+    return out
+
+
+def _abs2(z):
+    """abs(z) ** 2 of every entry, rounded as the scalar hypot and pow round it;
+    an array's abs and ** 2 may round the last bit otherwise."""
+    return np.array([abs(v) ** 2 for v in np.ravel(z).tolist()]).reshape(np.shape(z))
+
+
+def choi_from_copies(circuit: NonAdaptiveCircuit, copies):
     """Turn t copies of |Phi_U> into |Phi_{B U^t A}> via the ricochet move.
 
     Copy i occupies qubits [2ni, 2ni+n) (input half) and [2ni+n, 2ni+2n)
     (output half); the result is re-ordered to the standard Choi layout
-    (all input halves first).
+    (all input halves first). t (T, 4^n) stacks of copies, one Choi vector
+    per trial, give the (T, 4^(nt)) stack.
     """
     copies = list(copies)
     if len(copies) != circuit.t:
         raise ValueError("copy count does not match the circuit")
-    n = copies[0].qubit_count // 2
+    single = isinstance(copies[0], StateVector)
+    stacks = [c.amplitudes[None] if single else c for c in copies]
+    n = _qubits_of(stacks[0].shape[-1]) // 2
     t = circuit.t
     if circuit.a.entries.shape[0] != 2 ** (n * t):
         raise ValueError("circuit register does not match t*n qubits")
-    vec = np.array([1.0], dtype=complex)
-    for c in copies:
-        if c.qubit_count != 2 * n:
-            raise ValueError("copies must share one dimension")
-        vec = np.kron(vec, c.amplitudes)
+    if any(c.shape[-1] != 4**n for c in stacks):
+        raise ValueError("copies must share one dimension")
+    vec = _kron_stack(stacks)
     total = 2 * n * t
     left = [2 * n * i + j for i in range(t) for j in range(n)]
     right = [2 * n * i + n + j for i in range(t) for j in range(n)]
     vec = apply_gate(vec, circuit.a.entries.T, left, total)
     vec = apply_gate(vec, circuit.b.entries, right, total)
     mat, _ = qubits_first(vec, left + right, total)
-    return StateVector(mat.reshape(-1), total)
+    vecs = mat.reshape(len(mat), -1)
+    return StateVector(vecs[0], total) if single else vecs
 
 
-def swap_or_attack(oracle_choi: StateVector, candidates: dict, copies_per_key: int, rng) -> AttackReport:
-    """Accept if some key passes all its simulated SWAP tests.
+def swap_or_attack(oracle_choi, candidates: dict, copies_per_key: int, rngs) -> AttackReport:
+    """Accept a trial if some key passes all its simulated SWAP tests.
 
-    candidates maps key -> |Phi_{G_k}> prepared from copies. Each test is a
-    Bernoulli draw at the exact acceptance probability (1 + F_k)/2.
+    Over a stack of T trials: oracle_choi is a (T, D) array of Choi vectors,
+    candidates maps key -> the (T, D) stack of |Phi_{G_k}> prepared from
+    copies, and trial t draws from rngs[t], key by key. Each test is a
+    Bernoulli draw at the exact acceptance probability (1 + F_k)/2. The
+    fidelities and the success are (T,) arrays.
     """
-    if not candidates:
-        return AttackReport(params={"copies_per_key": copies_per_key}, success=0.0)
-    fids = {}
-    accept = False
-    for k, cand in candidates.items():
-        f = abs(np.vdot(cand.amplitudes, oracle_choi.amplitudes)) ** 2
-        fids[k] = float(f)
-        p = 0.5 * (1.0 + f)
-        if np.all(rng.random(copies_per_key) < p):
-            accept = True
-    rep = AttackReport(params={"copies_per_key": copies_per_key, "keys": len(candidates)})
-    rep.fidelities = fids
-    rep.success = 1.0 if accept else 0.0
+    rep = AttackReport(params={"copies_per_key": copies_per_key}, success=np.zeros(len(oracle_choi)))
+    if candidates:
+        # one conjugated dot per trial and key, as np.vdot forms it
+        fids = {k: _abs2(np.matmul(c.conj()[:, None, :], oracle_choi[:, :, None])[:, 0, 0]) for k, c in candidates.items()}
+        draws = np.array([g.random((len(candidates), copies_per_key)) for g in rngs])
+        passed = draws < 0.5 * (1.0 + np.stack(list(fids.values()), axis=1))[:, :, None]
+        rep.params["keys"] = len(candidates)
+        rep.fidelities = fids
+        rep.success = passed.all(axis=2).any(axis=1).astype(float)
     return rep
 
 
@@ -160,37 +176,24 @@ def rank_projector_attack(m, lam, ell, t, circuit_family, trials, master_seed) -
         raise ValueError("total register exceeds the 12-qubit cap")
     if 2**lam > 16:
         raise ValueError("key space too large for the desk-scale projector")
-    d = 4**m
-    rotations = []
-    mats = {}
-    for k in range(2**lam):
-        a, b = circuit_family(k)
-        mats[k] = (a, b)
-        rotations.append(np.kron(a.entries.T, b.entries))
-    pi = rank_projector(m, t, ell, rotations)
-
-    acc_keyed = []
-    acc_null = []
-    for tr in range(trials):
-        rng = trial_rng(master_seed, tr)
-        u = haar_unitary(2**m, rng)
-        v = haar_unitary(2**m, rng)
-        k = int(rng.integers(0, 2**lam))
-        a, b = mats[k]
-        g = UnitaryMatrix(b.entries @ u.entries @ a.entries)
-        phi_u = choi_state(u).amplitudes
-        phi_g = choi_state(g).amplitudes
-        phi_v = choi_state(v).amplitudes
-        keyed = np.array([1.0], dtype=complex)
-        null = np.array([1.0], dtype=complex)
-        for _ in range(t):
-            keyed = np.kron(keyed, phi_u)
-            null = np.kron(null, phi_u)
-        for _ in range(ell):
-            keyed = np.kron(keyed, phi_g)
-            null = np.kron(null, phi_v)
-        acc_keyed.append(float(np.linalg.norm(pi @ keyed) ** 2))
-        acc_null.append(float(np.linalg.norm(pi @ null) ** 2))
+    pairs = [circuit_family(k) for k in range(2**lam)]
+    pi = rank_projector(m, t, ell, [np.kron(a.entries.T, b.entries) for a, b in pairs])
+    a_k = np.array([a.entries for a, _ in pairs])
+    b_k = np.array([b.entries for _, b in pairs])
+    acc_keyed, acc_null = [], []
+    for _, rngs, held in trial_stacks(trials, master_seed):
+        u = haar_unitaries(2**m, rngs)
+        v = haar_unitaries(2**m, rngs)
+        k = np.array([rng.integers(0, 2**lam) for rng in rngs])
+        phi_u, phi_g, phi_v = (choi_state(x) for x in (u, b_k[k] @ u @ a_k[k], v))
+        keyed = _kron_stack([phi_u] * t + [phi_g] * ell)
+        null = _kron_stack([phi_u] * t + [phi_v] * ell)
+        for acc, vecs in ((acc_keyed, keyed), (acc_null, null)):
+            # ||Pi psi|| ** 2 by one matrix-vector product and the norm's two dots per trial
+            proj = (pi @ vecs[:, :, None])[:, :, 0]
+            sq = sum(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in (proj.real, proj.imag))
+            acc.extend(_abs2(np.sqrt(sq)).tolist())
+        held += [keyed, null]
     rep = AttackReport(params={"m": m, "lam": lam, "ell": ell, "t": t, "trials": trials})
     rep.fidelities = {
         "keyed_acceptance": float(np.mean(acc_keyed)),

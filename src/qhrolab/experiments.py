@@ -43,6 +43,7 @@ from .harness import (
     phased_permutation_interleave,
     reduce_view,
     run_pr,
+    trial_stacks,
 )
 from .linalg import (
     QUBIT_CAP,
@@ -536,37 +537,27 @@ def _pru1_break(p: Pru1Params) -> ExperimentReport:
         "the two-query arm uses the best single-call preparation (pre X^k); the construction is not of that form"
     )
     ident = UnitaryMatrix(np.eye(2**n))
-    acc = {("one", "real"): 0, ("one", "null"): 0, ("two", "real"): 0, ("two", "null"): 0}
-    for tr in range(trials):
-        rng = trial_rng(seed, tr)
-        u = haar_unitary(2**n, rng)
-        v = haar_unitary(2**n, rng)
-        kstar = int(rng.integers(0, 2**lam))
+    paulis = {kind: [pauli_string(kind, k, lam, n) for k in range(2**lam)] for kind in "ZX"}
+    # the one-query arm prepares Z^k U, the two-query arm U X^k, for every key k
+    circuit = attacks.NonAdaptiveCircuit
+    arms = ([circuit(ident, z, 1) for z in paulis["Z"]], [circuit(x, ident, 1) for x in paulis["X"]])
+    z_k, x_k = (np.array([q.entries for q in paulis[kind]]) for kind in "ZX")
+    wins = np.zeros((2, 2))  # successes per (arm, real / null oracle)
+    for _, rngs, held in trial_stacks(trials, seed):
+        u = haar_unitaries(2**n, rngs)
+        v = haar_unitaries(2**n, rngs)
+        kstar = np.array([rng.integers(0, 2**lam) for rng in rngs])
         phi_u = choi_state(u)
-        cands_one = {}
-        cands_two = {}
-        for k in range(2**lam):
-            zk = pauli_string("Z", k, lam, n)
-            xk = pauli_string("X", k, lam, n)
-            circ1 = attacks.NonAdaptiveCircuit(ident, zk, 1)
-            circ2 = attacks.NonAdaptiveCircuit(xk, ident, 1)
-            cands_one[k] = attacks.choi_from_copies(circ1, [phi_u])
-            cands_two[k] = attacks.choi_from_copies(circ2, [phi_u])
-        o_one = choi_state(UnitaryMatrix(pauli_string("Z", kstar, lam, n).entries @ u.entries))
-        o_two = choi_state(UnitaryMatrix(u.entries @ pauli_string("X", kstar, lam, n).entries @ u.entries))
+        # candidates by (arm, key, trial, amplitude)
+        cands = np.array([[attacks.choi_from_copies(c, [phi_u]) for c in arm] for arm in arms])
         o_null = choi_state(v)
-        for arm, cands, oracle in (
-            ("one", cands_one, o_one),
-            ("one", cands_one, o_null),
-            ("two", cands_two, o_two),
-            ("two", cands_two, o_null),
-        ):
-            which = "real" if oracle is not o_null else "null"
-            r = attacks.swap_or_attack(oracle, cands, copies_per_key, rng)
-            acc[(arm, which)] += r.success
+        for arm, oracle in enumerate((choi_state(z_k[kstar] @ u), choi_state(u @ x_k[kstar] @ u))):
+            for which, o in enumerate((oracle, o_null)):
+                r = attacks.swap_or_attack(o, dict(enumerate(cands[arm])), copies_per_key, rngs)
+                wins[arm, which] += r.success.sum()
+        held.append(cands.transpose(2, 0, 1, 3))
     # both arms saw o_null once per trial
-    adv_one = (acc[("one", "real")] - acc[("one", "null")]) / trials
-    adv_two = (acc[("two", "real")] - acc[("two", "null")]) / trials
+    adv_one, adv_two = (wins[:, 0] - wins[:, 1]) / trials
     entry = rep.add_point({"n": n, "lam": lam, "copies_per_key": copies_per_key})
     _check_ge(entry, "advantage_one_query_arm", "MC", adv_one, 0.9)
     _check(entry, "advantage_two_query_arm", "MC", adv_two, 0.2)
@@ -975,33 +966,25 @@ def exp_spru(p: SpruParams) -> ExperimentReport:
         h = (a + a.conj().T) / 2
         probe_ops.append(h / np.linalg.norm(h))
 
-    def haar_twirl(x):
-        swap = np.zeros((d * d, d * d))
-        for i in range(d):
-            for j in range(d):
-                swap[i * d + j, j * d + i] = 1.0
-        eye = np.eye(d * d)
-        psym = (eye + swap) / 2
-        panti = (eye - swap) / 2
-        out = np.zeros_like(x, dtype=complex)
-        for p in (psym, panti):
-            dp = np.trace(p).real
-            out += np.trace(p @ x) / dp * p
-        return out
-
     acc = [np.zeros((d * d, d * d), dtype=complex) for _ in probe_ops]
-    for tr in range(trials):
-        trng = trial_rng(seed, 70_000 + tr)
-        ua = haar_unitary(2**n_block, trng)
-        ub = haar_unitary(2**n_block, trng)
-        w = np.kron(np.eye(rest), ub.entries) @ np.kron(ua.entries, np.eye(rest))
-        w2 = np.kron(w, w)
-        for i, x in enumerate(probe_ops):
-            acc[i] += w2 @ x @ w2.conj().T
+    eye = np.eye(rest)[None]
+    for _, rngs, held in trial_stacks(trials, seed, first=70_000):
+        ua = haar_unitaries(2**n_block, rngs)
+        ub = haar_unitaries(2**n_block, rngs)
+        w = np.kron(eye, ub) @ np.kron(ua, eye)
+        w2 = (w[:, :, None, :, None] * w[:, None, :, None, :]).reshape(len(w), d * d, d * d)  # w tensor w per trial
+        w2h = w2.conj().swapaxes(-1, -2)
+        for total, x in zip(acc, probe_ops):
+            for term in w2 @ x @ w2h:  # one trial at a time: a sum over the stack rounds differently
+                total += term
+        held.append(w2)
+    # the Haar twirl projects onto the symmetric and antisymmetric subspaces
+    swap = np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]
+    projectors = [(q, np.trace(q).real) for q in ((np.eye(d * d) + swap) / 2, (np.eye(d * d) - swap) / 2)]
     dist = 0.0
-    for i, x in enumerate(probe_ops):
-        diff = acc[i] / trials - haar_twirl(x)
-        dist = max(dist, float(np.linalg.norm(diff, 2)))
+    for total, x in zip(acc, probe_ops):
+        twirl = sum(np.trace(q @ x) / dq * q for q, dq in projectors)
+        dist = max(dist, float(np.linalg.norm(total / trials - twirl, 2)))
     entry = rep.add_point({"check": "second_moment"})
     bound = constructions.gluing_bound(2, overlap)
     _check(entry, "moment_distance_vs_gluing_bound", "ASYMPTOTIC", dist, bound)

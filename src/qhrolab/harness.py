@@ -50,6 +50,7 @@ __all__ = [
     "key_sliced_view",
     "reduce_view",
     "view_of_state",
+    "trial_stacks",
     "haar_view_mc",
     "bootstrap_td_stderr",
     "bootstrap_td_pair",
@@ -365,16 +366,29 @@ def reduce_view(purified: PurifiedState, keep=None) -> DensityMatrix:
 
 _BATCHES = 20  # batch means per haar_view_mc run
 _RESAMPLES = 200  # resamples per bootstrap stderr
-_STACK_BYTES = 1 << 17  # the most bytes a stack's states, its views or one bound unitary stack may take
+_STACK_BYTES = 1 << 17  # the most bytes one array that a stack of trials holds may take
+
+
+def trial_stacks(trials, master_seed, first=0):
+    """(lo, rngs, held) of each byte-bounded stack of seeded trials, in trial
+    order: trials lo, lo + 1, ... draw from rngs, trial t from
+    trial_rng(master_seed, first + t). The loop body puts the arrays it made,
+    each with a leading trial axis, in `held`. The first stack holds one
+    trial; the largest per-trial array held sizes the later stacks to _STACK_BYTES."""
+    hi, size = 0, 1
+    while hi < trials:
+        lo, hi = hi, min(trials, hi + size)
+        held = []
+        yield lo, [trial_rng(master_seed, first + t) for t in range(lo, hi)], held
+        size = max(1, _STACK_BYTES // max(a[0].nbytes for a in held))
 
 
 def haar_view_mc(program, sampler, trials, master_seed, keep=None):
     """Mean adversary view over seeded trials, plus per-batch means.
 
     sampler(rngs) returns the run_concrete bindings of a stack of trials,
-    one per generator; trial t draws from trial_rng(master_seed, t) and goes
-    to batch t % batches, with min(_BATCHES, trials) batches. The first
-    stack holds one trial; its arrays size the later stacks to _STACK_BYTES.
+    one per generator, as trial_stacks cuts them; trial t goes to batch
+    t % batches, with min(_BATCHES, trials) batches.
 
     Only lower triangles are summed: the batch means come back as one
     (batches, d(d+1)/2) array of packed rows in _lower(d) order, and the
@@ -384,11 +398,9 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None):
     if trials < 1:
         raise ValueError("need at least one trial")
     batches = min(_BATCHES, trials)
-    sums = low = None  # the (batches, d(d+1)/2) batch sums, allocated once the first stack gives d
-    hi, size = 0, 1
-    while hi < trials:
-        lo, hi = hi, min(trials, hi + size)
-        bindings = sampler([trial_rng(master_seed, t) for t in range(lo, hi)])
+    sums = None  # the (batches, d(d+1)/2) batch sums, allocated once the first stack gives d
+    for lo, rngs, held in trial_stacks(trials, master_seed):
+        bindings = sampler(rngs)
         states = run_concrete(program, bindings)
         views = _pure_views(states, keep)
         if sums is None:
@@ -396,11 +408,10 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None):
             low = _lower(d)
             sums = np.zeros((batches, len(low)), dtype=views.dtype)
         # a program without queries leaves one view for the whole stack
-        packed = np.broadcast_to(views.reshape(len(views), -1).take(low, axis=1), (hi - lo, len(low)))
-        for t, row in zip(range(lo, hi), packed):
+        packed = np.broadcast_to(views.reshape(len(views), -1).take(low, axis=1), (len(rngs), len(low)))
+        for t, row in enumerate(packed, lo):
             sums[t % batches] += row
-        arrays = [states, views, *(b for b in bindings.values() if isinstance(b, np.ndarray))]
-        size = max(1, _STACK_BYTES // max(a[0].nbytes for a in arrays))
+        held += [states, views, *(b for b in bindings.values() if isinstance(b, np.ndarray))]
     total = sums.sum(axis=0) / trials
     # every batch holds a trial
     sums /= np.bincount(np.arange(trials) % batches)[:, None]

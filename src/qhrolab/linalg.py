@@ -208,13 +208,15 @@ def epr_state(n: int) -> StateVector:
     return StateVector(amps, 2 * n)
 
 
-def choi_state(u: UnitaryMatrix) -> StateVector:
-    """|Phi_U> = (I tensor U)|Omega>; the left half stays untouched."""
-    n = u.qubit_count
+def choi_state(u):
+    """|Phi_U> = (I tensor U)|Omega>, whose amplitude at (x, y) is 2^(-n/2) U[y, x].
+    A (T, d, d) stack of unitaries gives the (T, d^2) stack of Choi vectors."""
+    mat = u.entries if isinstance(u, UnitaryMatrix) else u
+    n = _qubits_of(mat.shape[-1])
     if n is None:
         raise ValueError("Choi state needs a qubit-register unitary")
-    omega = epr_state(n).amplitudes.reshape(2**n, 2**n)
-    return StateVector((u.entries @ omega.T).T.reshape(-1), 2 * n)
+    vecs = (np.swapaxes(mat, -1, -2) * (2**n) ** -0.5).reshape(mat.shape[:-2] + (-1,))
+    return StateVector(vecs, 2 * n) if isinstance(u, UnitaryMatrix) else vecs
 
 
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:

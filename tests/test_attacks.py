@@ -63,15 +63,15 @@ def test_choi_from_copies_validation():
 def test_swap_or_attack_extremes():
     rng = trial_rng(47)
     u = haar_unitary(4, rng)
-    phi = choi_state(u)
-    hit = swap_or_attack(phi, {0: phi}, 8, rng)
-    assert hit.success == 1.0 and abs(hit.fidelities[0] - 1.0) < 1e-12
-    empty = swap_or_attack(phi, {}, 8, rng)
-    assert empty.success == 0.0
+    phi = choi_state(u.entries[None])  # a stack of one trial
+    hit = swap_or_attack(phi, {0: phi}, 8, [rng])
+    assert hit.success[0] == 1.0 and abs(hit.fidelities[0][0] - 1.0) < 1e-12
+    empty = swap_or_attack(phi, {}, 8, [rng])
+    assert empty.success[0] == 0.0
     # an orthogonal candidate rarely survives 16 tests
-    other = choi_state(pauli_string("X", 3, 2, 2))
-    miss = swap_or_attack(other, {0: phi}, 16, rng)
-    assert miss.fidelities[0] < 0.5
+    other = choi_state(pauli_string("X", 3, 2, 2).entries[None])
+    miss = swap_or_attack(other, {0: phi}, 16, [rng])
+    assert miss.fidelities[0][0] < 0.5
 
 
 def test_sym_dim_values():

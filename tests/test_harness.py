@@ -415,190 +415,26 @@ def test_key_slicing_needs_one_key_init_slot(init):
 
 
 # ---------------------------------------- stacked Monte Carlo, bitwise to the per-trial path
-# The per-trial concrete path that trial stacks replaced: run_concrete and
-# haar_view_mc with their per-trial helpers, the per-trial samplers of each
-# experiment kind, and the full-matrix bootstraps, as they were before. Kept
-# as the differential oracle of the stacked, lower-triangle-packed path.
+# Every haar_view_mc call of each experiment kind, run at the module's stack
+# bound and with one trial per stack: run_trial_stacks may cut the seeded
+# trials anywhere without moving a bit.
 
-
-@dataclasses.dataclass(frozen=True)
-class ClassicalConcreteOracle:
-    """Concrete classical oracle: answer(w) returns the n-qubit reply state."""
-
-    n: int
-    answer: object
-
-
-def old_haar_unitary(dim, rng):
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return UnitaryMatrix(q)
-
-
-def old_concrete_oracle(desc, u, k=0):
-    if u.qubit_count != desc.n:
-        raise ValueError("oracle register mismatch")
-    mat = np.eye(2**desc.n, dtype=complex)
-    for step in desc.steps:
-        if step[0] == "pr":
-            mat = u.entries @ mat
-        elif step[0] == "pauli":
-            mat = pauli_string(step[1], k, desc.lam, desc.n).entries @ mat
-        else:
-            raise ValueError(f"unknown step {step!r}")
-    return UnitaryMatrix(mat)
-
-
-def old_prfs_output(u, k, w, n, lam, m):
-    if n < lam + m:
-        raise ValueError("need n >= lam + m")
-    if not 0 <= w < 2**m:
-        raise ValueError("function input out of range")
-    if not 0 <= k < 2**lam:
-        raise ValueError("key out of range")
-    x = (k << m | w) << (n - lam - m)
-    return apply_unitary(basis_state(n, x), u)
-
-
-def old_pure_view(state, keep):
-    v = state.amplitudes
-    if keep is None:
-        return np.outer(v, v.conj())
-    m, _ = qubits_first(v, keep, state.qubit_count)
-    return m @ m.conj().T
-
-
-def old_run_concrete(program, bindings):
-    state = basis_state(program.reg_qubits, 0)
-    for step in program.steps:
-        if isinstance(step, Interleave):
-            targets = list(step.targets) if step.targets is not None else list(range(program.reg_qubits))
-            if step.u is None:
-                perm, phases = step.sparse_map
-                mat, order = qubits_first(state.amplitudes, targets, state.qubit_count)
-                out = np.zeros_like(mat)
-                out[perm] = phases[:, None] * mat
-                state = StateVector(qubits_restore(out, order), state.qubit_count)
-            else:
-                state = apply_unitary(state, step.u, targets)
-        elif isinstance(step, QuantumQuery):
-            u = bindings[step.oracle_id]
-            if not isinstance(u, UnitaryMatrix):
-                raise ValueError(f"oracle {step.oracle_id!r} is not a unitary")
-            state = apply_unitary(state, u, list(harness._input_qubits(program, step)))
-        elif isinstance(step, ClassicalQuery):
-            oracle = bindings[step.oracle_id]
-            if not isinstance(oracle, ClassicalConcreteOracle):
-                raise ValueError(f"oracle {step.oracle_id!r} is not classical")
-            ans = oracle.answer(step.w)
-            state = StateVector(np.kron(state.amplitudes, ans.amplitudes), state.qubit_count + ans.qubit_count)
-        else:
-            raise ValueError(f"unknown step {step!r}")
-    return state
-
-
-def old_haar_view_mc(program, sampler, trials, master_seed, keep=None):
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    batches = min(harness._BATCHES, trials)
-    # 0.0 + the first view of a batch is bitwise a zero array plus it
-    sums = [0.0] * batches
-    for t in range(trials):
-        state = old_run_concrete(program, sampler(trial_rng(master_seed, t)))
-        sums[t % batches] += old_pure_view(state, keep)
-    sums = np.array(sums)
-    total = sums.sum(axis=0) / trials
-    # every batch holds a trial; the batch means are views into `sums`
-    sums /= np.bincount(np.arange(trials) % batches)[:, None, None]
-    return DensityMatrix(total), [DensityMatrix(m) for m in sums]
-
-
-def old_resample_mean(ents, idx, out):
-    np.copyto(out, ents[idx[0]])
-    for i in idx[1:].tolist():
-        out += ents[i]
-    out /= len(idx)
-    return out
-
-
-def old_bootstrap_td_pair(batches_a, batches_b, master_seed):
-    ea = [b.entries for b in batches_a]
-    eb = [b.entries for b in batches_b]
-    ma, mb = np.empty_like(ea[0]), np.empty_like(eb[0])
-    rng = trial_rng(master_seed, 10**9 + 1)
-    vals = []
-    na, nb = len(batches_a), len(batches_b)
-    for _ in range(harness._RESAMPLES):
-        old_resample_mean(ea, rng.integers(0, na, size=na), ma)
-        old_resample_mean(eb, rng.integers(0, nb, size=nb), mb)
-        vals.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
-    return float(np.std(vals))
-
-
-def old_bootstrap_td_stderr(batch_means, reference, master_seed):
-    ents = [b.entries for b in batch_means]
-    mean = np.empty_like(ents[0])
-    rng = trial_rng(master_seed, 10**9)
-    vals = []
-    nb = len(batch_means)
-    for _ in range(harness._RESAMPLES):
-        old_resample_mean(ents, rng.integers(0, nb, size=nb), mean)
-        vals.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(mean - reference.entries))))
-    return float(np.std(vals))
-
-
-def old_haar_sampler(n):
-    def sampler(rng):
-        return {"U": old_haar_unitary(2**n, rng)}
-
-    return sampler
-
-
-def old_keyed_samplers(desc):
-    N = 2**desc.n
-
-    def real(rng):
-        u = old_haar_unitary(N, rng)
-        k = int(rng.integers(0, 2**desc.lam))
-        return {"G": old_concrete_oracle(desc, u, k), "U": u}
-
-    def ideal(rng):
-        return {"G": old_haar_unitary(N, rng), "U": old_haar_unitary(N, rng)}
-
-    return real, ideal
-
-
-def old_oracle_sampler(oracle, nn, ll, m):
-    def real_sampler(rng):
-        u = old_haar_unitary(2**nn, rng)
-        k = int(rng.integers(0, 2**ll))
-        reply = ClassicalConcreteOracle(nn, lambda w, u=u, k=k: old_prfs_output(u, k, w, nn, ll, m))
-        return {oracle: reply, "U": u}
-
-    return real_sampler
-
-
-# (experiment, params, the per-trial sampler of each of its haar_view_mc calls, in call order)
+# (experiment, params, number of its haar_view_mc calls)
 MC_KINDS = {
-    "haar": ("exp_mh_bound", {"n_list": [3, 4]}, [old_haar_sampler(3), old_haar_sampler(4)]),
-    "pru2": ("exp_pru2", {"n_list": [3]}, [*old_keyed_samplers(pru_two_query(3, 3))] * 2),
-    "pru1": ("exp_pru1", {"n": 3, "lam": 2, "t": 2}, [*old_keyed_samplers(pru_one_query(3, 2))]),
-    "prs": ("exp_prs", {"n": 2, "lam": 1, "t": 2, "s": 1, "scaling": False}, [old_oracle_sampler("copy", 2, 1, 0)]),
-    "prfs": ("exp_prfs", {"n": 2, "lam": 1, "t": 2, "scaling": False}, [old_oracle_sampler("O", 2, 1, 1)]),
+    "haar": ("exp_mh_bound", {"n_list": [3, 4]}, 2),
+    "pru2": ("exp_pru2", {"n_list": [3]}, 4),
+    "pru1": ("exp_pru1", {"n": 3, "lam": 2, "t": 2}, 2),
+    "prs": ("exp_prs", {"n": 2, "lam": 1, "t": 2, "s": 1, "scaling": False}, 1),
+    "prfs": ("exp_prfs", {"n": 2, "lam": 1, "t": 2, "scaling": False}, 1),
 }
 
 
 @pytest.fixture(scope="module")
 def mc_calls():
-    """kind -> [(program, stacked sampler, per-trial sampler)] of each
-    haar_view_mc call an experiment run of that kind makes."""
+    """kind -> [(program, sampler)] of each haar_view_mc call an experiment run of that kind makes."""
     calls = {}
     with pytest.MonkeyPatch.context() as mp:
-        for kind, (name, params, old_samplers) in MC_KINDS.items():
+        for kind, (name, params, count) in MC_KINDS.items():
             seen = []
 
             def record(program, sampler, trials, master_seed, keep=None, seen=seen):
@@ -607,15 +443,15 @@ def mc_calls():
 
             mp.setattr(experiments, "haar_view_mc", record)
             experiments.run_experiment(name, {**params, "seed": 1, "trials": 1})
-            assert len(seen) == len(old_samplers)
-            calls[kind] = [(prog, new, old) for (prog, new), old in zip(seen, old_samplers)]
+            assert len(seen) == count
+            calls[kind] = seen
     return calls
 
 
 @pytest.mark.parametrize("trials", [7, 23, 45])  # fewer than the 20 batches; not a multiple of them
 @pytest.mark.parametrize("kind", MC_KINDS)
 def test_stacked_mc_is_bitwise_the_per_trial_path(mc_calls, kind, trials, monkeypatch):
-    for i, (prog, sampler, old_sampler) in enumerate(mc_calls[kind]):
+    for i, (prog, sampler) in enumerate(mc_calls[kind]):
         stacks = []
 
         def spy(rngs):
@@ -623,23 +459,20 @@ def test_stacked_mc_is_bitwise_the_per_trial_path(mc_calls, kind, trials, monkey
             return sampler(rngs)
 
         for keep in (None, [prog.reg_qubits - 1, 0]):
-            old_mean, old_batches = old_haar_view_mc(prog, old_sampler, trials, 40 + i, keep)
+            runs = []
             for stack_bytes in (harness._STACK_BYTES, 1):  # the module's bound; one trial per stack
                 stacks.clear()
                 with monkeypatch.context() as mp:
                     mp.setattr(harness, "_STACK_BYTES", stack_bytes)
-                    mean, batches = haar_view_mc(prog, spy, trials, 40 + i, keep)
+                    runs.append(haar_view_mc(prog, spy, trials, 40 + i, keep))
                 assert sum(stacks) == trials and stacks[0] == 1
                 assert max(stacks) > 1 if stack_bytes > 1 else set(stacks) == {1}
-                # packed lower triangles, bitwise; the mean is their exact Hermitian completion
-                low, upper = np.tril_indices(len(old_mean.entries)), np.triu_indices(len(old_mean.entries), 1)
-                assert mean.entries[low].tobytes() == old_mean.entries[low].tobytes()
-                assert mean.entries[upper].tobytes() == mean.entries.T[upper].conj().tobytes()
-                assert len(batches) == len(old_batches) == min(trials, 20)
-                assert all(b.tobytes() == o.entries[low].tobytes() for b, o in zip(batches, old_batches))
-            # the bootstraps on packed rows give the full-matrix bootstraps' bits
-            assert bootstrap_td_stderr(batches, old_mean, i) == old_bootstrap_td_stderr(old_batches, old_mean, i)
-            assert bootstrap_td_pair(batches, batches[::-1], i) == old_bootstrap_td_pair(old_batches, old_batches[::-1], i)
+            (mean, batches), (one_mean, one_batches) = runs
+            assert mean.entries.tobytes() == one_mean.entries.tobytes()
+            assert batches.tobytes() == one_batches.tobytes() and len(batches) == min(trials, 20)
+            # the mean is the exact Hermitian completion of its lower triangle
+            upper = np.triu_indices(len(mean.entries), 1)
+            assert mean.entries[upper].tobytes() == mean.entries.T[upper].conj().tobytes()
 
 
 def test_run_concrete_names_an_oracle_that_is_not_a_stack():
