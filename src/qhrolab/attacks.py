@@ -5,17 +5,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .harness import trial_stacks
-from .linalg import StateVector, UnitaryMatrix, _qubits_of, apply_gate, choi_state, haar_unitaries, qubits_first
+from .linalg import _check_unitary, _qubits_of, apply_gate, choi_state, haar_unitaries, qubits_first
 
 __all__ = [
-    "NonAdaptiveCircuit",
-    "AttackReport",
     "choi_from_copies",
     "swap_or_attack",
     "sym_dim",
@@ -24,26 +21,6 @@ __all__ = [
     "rank_projector",
     "rank_projector_attack",
 ]
-
-
-@dataclass(frozen=True)
-class NonAdaptiveCircuit:
-    """B (U^{tensor t}) A on t parallel n-qubit oracle calls."""
-
-    a: UnitaryMatrix
-    b: UnitaryMatrix
-    t: int
-
-    def __post_init__(self):
-        if self.a.entries.shape != self.b.entries.shape:
-            raise ValueError("pre/post registers differ")
-
-
-@dataclass
-class AttackReport:
-    params: dict
-    fidelities: dict = field(default_factory=dict)
-    success: float = 0.0
 
 
 def _kron_stack(vecs):
@@ -60,55 +37,47 @@ def _abs2(z):
     return np.array([abs(v) ** 2 for v in np.ravel(z).tolist()]).reshape(np.shape(z))
 
 
-def choi_from_copies(circuit: NonAdaptiveCircuit, copies):
+def choi_from_copies(a, b, copies):
     """Turn t copies of |Phi_U> into |Phi_{B U^t A}> via the ricochet move.
 
-    Copy i occupies qubits [2ni, 2ni+n) (input half) and [2ni+n, 2ni+2n)
-    (output half); the result is re-ordered to the standard Choi layout
-    (all input halves first). t (T, 4^n) stacks of copies, one Choi vector
-    per trial, give the (T, 4^(nt)) stack.
+    a and b are the circuit's 2^(nt)-square pre- and post-unitaries, and t is
+    len(copies), each a (T, 4^n) stack of Choi vectors, one per trial. Copy i
+    occupies qubits [2ni, 2ni+n) (input half) and [2ni+n, 2ni+2n) (output
+    half); the (T, 4^(nt)) result is re-ordered to the standard Choi layout
+    (all input halves first).
     """
-    copies = list(copies)
-    if len(copies) != circuit.t:
-        raise ValueError("copy count does not match the circuit")
-    single = isinstance(copies[0], StateVector)
-    stacks = [c.amplitudes[None] if single else c for c in copies]
-    n = _qubits_of(stacks[0].shape[-1]) // 2
-    t = circuit.t
-    if circuit.a.entries.shape[0] != 2 ** (n * t):
+    t = len(copies)
+    n = _qubits_of(copies[0].shape[-1]) // 2
+    if a.shape != b.shape:
+        raise ValueError("pre/post registers differ")
+    if a.shape != (2 ** (n * t),) * 2:
         raise ValueError("circuit register does not match t*n qubits")
-    if any(c.shape[-1] != 4**n for c in stacks):
+    if any(c.shape[-1] != 4**n for c in copies):
         raise ValueError("copies must share one dimension")
-    vec = _kron_stack(stacks)
+    vec = _kron_stack(copies)
     total = 2 * n * t
     left = [2 * n * i + j for i in range(t) for j in range(n)]
     right = [2 * n * i + n + j for i in range(t) for j in range(n)]
-    vec = apply_gate(vec, circuit.a.entries.T, left, total)
-    vec = apply_gate(vec, circuit.b.entries, right, total)
+    vec = apply_gate(vec, a.T, left, total)
+    vec = apply_gate(vec, b, right, total)
     mat, _ = qubits_first(vec, left + right, total)
-    vecs = mat.reshape(len(mat), -1)
-    return StateVector(vecs[0], total) if single else vecs
+    return mat.reshape(len(mat), -1)
 
 
-def swap_or_attack(oracle_choi, candidates: dict, copies_per_key: int, rngs) -> AttackReport:
+def swap_or_attack(oracle_choi, candidates, copies_per_key: int, rngs):
     """Accept a trial if some key passes all its simulated SWAP tests.
 
     Over a stack of T trials: oracle_choi is a (T, D) array of Choi vectors,
-    candidates maps key -> the (T, D) stack of |Phi_{G_k}> prepared from
-    copies, and trial t draws from rngs[t], key by key. Each test is a
-    Bernoulli draw at the exact acceptance probability (1 + F_k)/2. The
-    fidelities and the success are (T,) arrays.
+    candidates the (K, T, D) array of |Phi_{G_k}> prepared from copies, key
+    by key, and trial t draws from rngs[t], one row per key. Each test is a
+    Bernoulli draw at the exact acceptance probability (1 + F_k)/2. Returns
+    the (K, T) fidelities F_k and the (T,) successes.
     """
-    rep = AttackReport(params={"copies_per_key": copies_per_key}, success=np.zeros(len(oracle_choi)))
-    if candidates:
-        # one conjugated dot per trial and key, as np.vdot forms it
-        fids = {k: _abs2(np.matmul(c.conj()[:, None, :], oracle_choi[:, :, None])[:, 0, 0]) for k, c in candidates.items()}
-        draws = np.array([g.random((len(candidates), copies_per_key)) for g in rngs])
-        passed = draws < 0.5 * (1.0 + np.stack(list(fids.values()), axis=1))[:, :, None]
-        rep.params["keys"] = len(candidates)
-        rep.fidelities = fids
-        rep.success = passed.all(axis=2).any(axis=1).astype(float)
-    return rep
+    # one conjugated dot per key and trial, as np.vdot forms it
+    fids = _abs2(np.matmul(candidates.conj()[:, :, None, :], oracle_choi[:, :, None])[:, :, 0, 0])
+    draws = np.array([g.random((len(candidates), copies_per_key)) for g in rngs])
+    passed = draws < 0.5 * (1.0 + fids.T)[:, :, None]
+    return fids, passed.all(axis=2).any(axis=1).astype(float)
 
 
 def sym_dim(d: int, t: int) -> int:
@@ -165,21 +134,26 @@ def rank_projector(m: int, t: int, ell: int, rotations) -> np.ndarray:
     return q @ q.conj().T
 
 
-def rank_projector_attack(m, lam, ell, t, circuit_family, trials, master_seed) -> AttackReport:
+def rank_projector_attack(m, lam, ell, t, a_k, b_k, trials, master_seed) -> dict:
     """Measure {Pi, 1-Pi} on keyed vs independent Choi copies.
 
-    circuit_family(k) returns (A_k, B_k) on m qubits. Keyed samples are
-    Phi_U^{t} tensor Phi_{B_k U A_k}^{ell}; the null is an independent Haar V
-    in place of the keyed calls.
+    a_k and b_k are the (2^lam, 2^m, 2^m) stacks of each key's pre- and
+    post-unitaries. Keyed samples are Phi_U^{t} tensor Phi_{B_k U A_k}^{ell};
+    the null is an independent Haar V in place of the keyed calls. Returns
+    the mean acceptances, the null's stderr, the rank bound, the projector's
+    idempotency deviation and the advantage (keyed minus null acceptance).
     """
     if 2 * m * (t + ell) > 12:
         raise ValueError("total register exceeds the 12-qubit cap")
     if 2**lam > 16:
         raise ValueError("key space too large for the desk-scale projector")
-    pairs = [circuit_family(k) for k in range(2**lam)]
-    pi = rank_projector(m, t, ell, [np.kron(a.entries.T, b.entries) for a, b in pairs])
-    a_k = np.array([a.entries for a, _ in pairs])
-    b_k = np.array([b.entries for _, b in pairs])
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    if a_k.shape != (2**lam, 2**m, 2**m) or b_k.shape != a_k.shape:
+        raise ValueError("need one 2^m-square pre- and post-unitary per key")
+    _check_unitary(a_k)
+    _check_unitary(b_k)
+    pi = rank_projector(m, t, ell, [np.kron(a.T, b) for a, b in zip(a_k, b_k)])
     acc_keyed, acc_null = [], []
     for _, rngs, held in trial_stacks(trials, master_seed):
         u = haar_unitaries(2**m, rngs)
@@ -194,13 +168,12 @@ def rank_projector_attack(m, lam, ell, t, circuit_family, trials, master_seed) -
             sq = sum(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in (proj.real, proj.imag))
             acc.extend(_abs2(np.sqrt(sq)).tolist())
         held += [keyed, null]
-    rep = AttackReport(params={"m": m, "lam": lam, "ell": ell, "t": t, "trials": trials})
-    rep.fidelities = {
-        "keyed_acceptance": float(np.mean(acc_keyed)),
-        "null_acceptance": float(np.mean(acc_null)),
-        "null_stderr": float(np.std(acc_null) / math.sqrt(max(trials, 1))),
+    keyed_acceptance, null_acceptance = float(np.mean(acc_keyed)), float(np.mean(acc_null))
+    return {
+        "keyed_acceptance": keyed_acceptance,
+        "null_acceptance": null_acceptance,
+        "null_stderr": float(np.std(acc_null) / math.sqrt(trials)),
         "rank_bound": float(rank_ratio(lam, m, ell, t)),
         "projector_idempotency": float(np.max(np.abs(pi @ pi - pi))),
+        "advantage": keyed_acceptance - null_acceptance,
     }
-    rep.success = float(np.mean(acc_keyed)) - float(np.mean(acc_null))
-    return rep

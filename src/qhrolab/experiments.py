@@ -49,7 +49,6 @@ from .linalg import (
     QUBIT_CAP,
     VEC_QUBIT_CAP,
     DensityMatrix,
-    UnitaryMatrix,
     choi_state,
     haar_unitaries,
     haar_unitary,
@@ -536,25 +535,27 @@ def _pru1_break(p: Pru1Params) -> ExperimentReport:
     rep.notes.append(
         "the two-query arm uses the best single-call preparation (pre X^k); the construction is not of that form"
     )
-    ident = UnitaryMatrix(np.eye(2**n))
-    paulis = {kind: [pauli_string(kind, k, lam, n) for k in range(2**lam)] for kind in "ZX"}
-    # the one-query arm prepares Z^k U, the two-query arm U X^k, for every key k
-    circuit = attacks.NonAdaptiveCircuit
-    arms = ([circuit(ident, z, 1) for z in paulis["Z"]], [circuit(x, ident, 1) for x in paulis["X"]])
-    z_k, x_k = (np.array([q.entries for q in paulis[kind]]) for kind in "ZX")
+    ident = np.eye(2**n)
+    z_k, x_k = (np.array([pauli_string(kind, k, lam, n).entries for k in range(2**lam)]) for kind in "ZX")
     wins = np.zeros((2, 2))  # successes per (arm, real / null oracle)
     for _, rngs, held in trial_stacks(trials, seed):
         u = haar_unitaries(2**n, rngs)
         v = haar_unitaries(2**n, rngs)
         kstar = np.array([rng.integers(0, 2**lam) for rng in rngs])
         phi_u = choi_state(u)
-        # candidates by (arm, key, trial, amplitude)
-        cands = np.array([[attacks.choi_from_copies(c, [phi_u]) for c in arm] for arm in arms])
+        # candidates by (arm, key, trial, amplitude): the one-query arm
+        # prepares Z^k U, the two-query arm U X^k, for every key k
+        cands = np.array(
+            [
+                [attacks.choi_from_copies(ident, z, [phi_u]) for z in z_k],
+                [attacks.choi_from_copies(x, ident, [phi_u]) for x in x_k],
+            ]
+        )
         o_null = choi_state(v)
         for arm, oracle in enumerate((choi_state(z_k[kstar] @ u), choi_state(u @ x_k[kstar] @ u))):
             for which, o in enumerate((oracle, o_null)):
-                r = attacks.swap_or_attack(o, dict(enumerate(cands[arm])), copies_per_key, rngs)
-                wins[arm, which] += r.success.sum()
+                _, won = attacks.swap_or_attack(o, cands[arm], copies_per_key, rngs)
+                wins[arm, which] += won.sum()
         held.append(cands.transpose(2, 0, 1, 3))
     # both arms saw o_null once per trial
     adv_one, adv_two = (wins[:, 0] - wins[:, 1]) / trials

@@ -210,13 +210,11 @@ def epr_state(n: int) -> StateVector:
 
 def choi_state(u):
     """|Phi_U> = (I tensor U)|Omega>, whose amplitude at (x, y) is 2^(-n/2) U[y, x].
-    A (T, d, d) stack of unitaries gives the (T, d^2) stack of Choi vectors."""
-    mat = u.entries if isinstance(u, UnitaryMatrix) else u
-    n = _qubits_of(mat.shape[-1])
+    A (..., d, d) stack of unitaries gives the (..., d^2) stack of Choi vectors."""
+    n = _qubits_of(u.shape[-1])
     if n is None:
         raise ValueError("Choi state needs a qubit-register unitary")
-    vecs = (np.swapaxes(mat, -1, -2) * (2**n) ** -0.5).reshape(mat.shape[:-2] + (-1,))
-    return StateVector(vecs, 2 * n) if isinstance(u, UnitaryMatrix) else vecs
+    return (np.swapaxes(u, -1, -2) * (2**n) ** -0.5).reshape(u.shape[:-2] + (-1,))
 
 
 def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,9 +10,9 @@ import time
 
 import numpy as np
 
-from qhrolab.attacks import NonAdaptiveCircuit, choi_from_copies, rank_ratio
+from qhrolab.attacks import choi_from_copies, rank_ratio
 from qhrolab.experiments import run_experiment
-from qhrolab.linalg import UnitaryMatrix, choi_state, haar_unitary, trial_rng
+from qhrolab.linalg import choi_state, haar_unitary, trial_rng
 from qhrolab.relstate import PurifiedState, Rel, corx, pr_apply
 
 
@@ -112,15 +112,15 @@ def test_criterion_06_choi_preparation_fidelity():
     rng = trial_rng(61)
     for i in range(100):
         t = 1 + i % 2
-        u = haar_unitary(2, rng)
-        a = haar_unitary(2**t, rng)
-        b = haar_unitary(2**t, rng)
-        made = choi_from_copies(NonAdaptiveCircuit(a, b, t), [choi_state(u)] * t)
-        ut = u.entries
+        u = haar_unitary(2, rng).entries
+        a = haar_unitary(2**t, rng).entries
+        b = haar_unitary(2**t, rng).entries
+        made = choi_from_copies(a, b, [choi_state(u[None])] * t)[0]
+        ut = u
         for _ in range(t - 1):
-            ut = np.kron(ut, u.entries)
-        direct = choi_state(UnitaryMatrix(b.entries @ ut @ a.entries))
-        f = abs(np.vdot(made.amplitudes, direct.amplitudes)) ** 2
+            ut = np.kron(ut, u)
+        direct = choi_state(b @ ut @ a)
+        f = abs(np.vdot(made, direct)) ** 2
         assert f >= 1.0 - 1e-9, f"instance {i}: fidelity {f}"
     assert time.monotonic() - start < 10.0
 

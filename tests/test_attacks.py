@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qhrolab.attacks import (
-    NonAdaptiveCircuit,
     choi_from_copies,
     rank_projector,
     rank_projector_attack,
@@ -17,7 +16,6 @@ from qhrolab.attacks import (
     sym_dim,
 )
 from qhrolab.linalg import (
-    UnitaryMatrix,
     choi_state,
     haar_unitary,
     pauli_string,
@@ -28,50 +26,47 @@ from qhrolab.linalg import (
 def test_choi_from_copies_single_call():
     rng = trial_rng(41)
     n = 2
-    u = haar_unitary(2**n, rng)
-    a = haar_unitary(2**n, rng)
-    b = haar_unitary(2**n, rng)
-    circ = NonAdaptiveCircuit(a, b, 1)
-    made = choi_from_copies(circ, [choi_state(u)])
-    direct = choi_state(UnitaryMatrix(b.entries @ u.entries @ a.entries))
-    f = abs(np.vdot(made.amplitudes, direct.amplitudes)) ** 2
+    u, a, b = (haar_unitary(2**n, rng).entries for _ in range(3))
+    made = choi_from_copies(a, b, [choi_state(u[None])])
+    direct = choi_state(b @ u @ a)
+    f = abs(np.vdot(made[0], direct)) ** 2
     assert f >= 1.0 - 1e-9
 
 
 def test_choi_from_copies_two_calls():
     rng = trial_rng(43)
-    n = 1
-    u = haar_unitary(2, rng)
-    a = haar_unitary(4, rng)
-    b = haar_unitary(4, rng)
-    circ = NonAdaptiveCircuit(a, b, 2)
-    made = choi_from_copies(circ, [choi_state(u)] * 2)
-    direct = choi_state(UnitaryMatrix(b.entries @ np.kron(u.entries, u.entries) @ a.entries))
-    assert abs(np.vdot(made.amplitudes, direct.amplitudes)) ** 2 >= 1.0 - 1e-9
+    u = haar_unitary(2, rng).entries
+    a, b = (haar_unitary(4, rng).entries for _ in range(2))
+    made = choi_from_copies(a, b, [choi_state(u[None])] * 2)
+    direct = choi_state(b @ np.kron(u, u) @ a)
+    assert abs(np.vdot(made[0], direct)) ** 2 >= 1.0 - 1e-9
 
 
 def test_choi_from_copies_validation():
     rng = trial_rng(44)
-    u = haar_unitary(2, rng)
-    circ = NonAdaptiveCircuit(u, u, 2)
-    with pytest.raises(ValueError):
-        choi_from_copies(circ, [choi_state(u)])
-    with pytest.raises(ValueError):
-        NonAdaptiveCircuit(u, haar_unitary(4, rng), 1)
+    u = haar_unitary(2, rng).entries
+    u4 = haar_unitary(4, rng).entries
+    phi = choi_state(u[None])
+    with pytest.raises(ValueError, match="t\\*n"):
+        choi_from_copies(u4, u4, [phi])
+    with pytest.raises(ValueError, match="pre/post"):
+        choi_from_copies(u, u4, [phi])
+    with pytest.raises(ValueError, match="one dimension"):
+        choi_from_copies(u4, u4, [phi, choi_state(u4[None])])
 
 
 def test_swap_or_attack_extremes():
     rng = trial_rng(47)
-    u = haar_unitary(4, rng)
-    phi = choi_state(u.entries[None])  # a stack of one trial
-    hit = swap_or_attack(phi, {0: phi}, 8, [rng])
-    assert hit.success[0] == 1.0 and abs(hit.fidelities[0][0] - 1.0) < 1e-12
-    empty = swap_or_attack(phi, {}, 8, [rng])
-    assert empty.success[0] == 0.0
+    phi = choi_state(haar_unitary(4, rng).entries[None])  # a stack of one trial
+    fids, won = swap_or_attack(phi, phi[None], 8, [rng])
+    assert fids.shape == (1, 1) and won.shape == (1,)
+    assert won[0] == 1.0 and abs(fids[0, 0] - 1.0) < 1e-12
+    _, won = swap_or_attack(phi, phi[None][:0], 8, [rng])  # no keys
+    assert won[0] == 0.0
     # an orthogonal candidate rarely survives 16 tests
     other = choi_state(pauli_string("X", 3, 2, 2).entries[None])
-    miss = swap_or_attack(other, {0: phi}, 16, [rng])
-    assert miss.fidelities[0][0] < 0.5
+    fids, _ = swap_or_attack(other, phi[None], 16, [rng])
+    assert fids[0, 0] < 0.5
 
 
 def test_sym_dim_values():
@@ -110,24 +105,29 @@ def test_rank_projector_identity_rotation():
     assert np.max(np.abs(pi @ pi - pi)) <= 1e-8
 
 
-def test_rank_projector_attack_separates():
-    def fam(k):
-        return (pauli_string("X", k, 1, 1), pauli_string("Z", k, 1, 1))
+def xz_family(m=1, lam=1):
+    """The (A_k, B_k) = (X^k, Z^k) stacks over every key."""
+    return tuple(np.array([pauli_string(kind, k, lam, m).entries for k in range(2**lam)]) for kind in "XZ")
 
-    rep = rank_projector_attack(1, 1, 1, 3, fam, 30, 123)
-    f = rep.fidelities
+
+def test_rank_projector_attack_separates():
+    f = rank_projector_attack(1, 1, 1, 3, *xz_family(), 30, 123)
     assert f["projector_idempotency"] <= 1e-8
     # keyed copies lie inside the measured support exactly
     assert f["keyed_acceptance"] >= 1.0 - 1e-9
     assert f["null_acceptance"] <= f["rank_bound"] + 3.0 * f["null_stderr"]
-    assert rep.success > 0.1
+    assert f["advantage"] > 0.1
 
 
 def test_rank_projector_attack_caps():
-    def fam(k):
-        return (pauli_string("X", k, 1, 1), pauli_string("Z", k, 1, 1))
-
-    with pytest.raises(ValueError):
-        rank_projector_attack(2, 1, 2, 2, fam, 1, 0)
-    with pytest.raises(ValueError):
-        rank_projector_attack(1, 5, 1, 1, fam, 1, 0)
+    a_k, b_k = xz_family()
+    with pytest.raises(ValueError, match="12-qubit"):
+        rank_projector_attack(2, 1, 2, 2, *xz_family(2), 1, 0)
+    with pytest.raises(ValueError, match="key space"):
+        rank_projector_attack(1, 5, 1, 1, *xz_family(1, 1), 1, 0)
+    with pytest.raises(ValueError, match="trials"):
+        rank_projector_attack(1, 1, 1, 3, a_k, b_k, 0, 0)
+    with pytest.raises(ValueError, match="per key"):
+        rank_projector_attack(1, 1, 1, 3, a_k[:1], b_k[:1], 1, 0)
+    with pytest.raises(ValueError, match="not unitary"):
+        rank_projector_attack(1, 1, 1, 3, a_k, 2 * b_k, 1, 0)

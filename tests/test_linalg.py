@@ -171,13 +171,12 @@ def test_epr_and_choi():
     om = epr_state(2)
     assert abs(om.norm() - 1.0) < 1e-12
     assert abs(om.amplitudes[0b0101] - 0.5) < 1e-12
-    ident = UnitaryMatrix(np.eye(4))
-    assert np.max(np.abs(choi_state(ident).amplitudes - om.amplitudes)) < 1e-12
+    assert np.max(np.abs(choi_state(np.eye(4)) - om.amplitudes)) < 1e-12
     # choi_state(u) applies u to the right half only
     rng = trial_rng(7)
     u = haar_unitary(4, rng)
     direct = apply_unitary(epr_state(2), u, [2, 3])
-    assert np.max(np.abs(choi_state(u).amplitudes - direct.amplitudes)) < 1e-12
+    assert np.max(np.abs(choi_state(u.entries) - direct.amplitudes)) < 1e-12
 
 
 def test_ricochet_identity():
