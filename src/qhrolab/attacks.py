@@ -46,14 +46,15 @@ def choi_from_copies(a, b, copies):
     half); the (T, 4^(nt)) result is re-ordered to the standard Choi layout
     (all input halves first).
     """
-    t = len(copies)
-    n = _qubits_of(copies[0].shape[-1]) // 2
+    if len(copies) == 0:
+        raise ValueError("need at least one copy")
+    t, n = len(copies), (_qubits_of(copies[0].shape[-1]) or 0) // 2
+    if any(c.shape[-1] != 4**n for c in copies):
+        raise ValueError("copies must share one dimension 4^n")
     if a.shape != b.shape:
         raise ValueError("pre/post registers differ")
     if a.shape != (2 ** (n * t),) * 2:
         raise ValueError("circuit register does not match t*n qubits")
-    if any(c.shape[-1] != 4**n for c in copies):
-        raise ValueError("copies must share one dimension")
     vec = _kron_stack(copies)
     total = 2 * n * t
     left = [2 * n * i + j for i in range(t) for j in range(n)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import UnitaryMatrix, _check_unitary, pauli_string
+from .linalg import _check_unitary, pauli_string
 from .relstate import CFParams
 
 __all__ = [
@@ -83,12 +83,11 @@ def concrete_oracle(desc: OracleDescriptor, u, k=0) -> np.ndarray:
         if step[0] == "pr":
             mat = u @ mat
         elif step[0] == "pauli":
-            paulis = np.array([pauli_string(step[1], j, desc.lam, desc.n).entries for j in range(2**desc.lam)])
+            paulis = np.array([pauli_string(step[1], j, desc.lam, desc.n) for j in range(2**desc.lam)])
             mat = paulis[k] @ mat
         else:
             raise ValueError(f"unknown step {step!r}")
-    _check_unitary(mat)
-    return mat
+    return _check_unitary(mat)
 
 
 def prfs_output(u, k, w: int, n: int, lam: int, m: int) -> np.ndarray:
@@ -129,23 +128,24 @@ def spru(n_block: int, overlap: int, lam_small: int) -> SpruLayout:
     return SpruLayout(n_block, overlap, lam_small)
 
 
-def spru_concrete(layout: SpruLayout, u: UnitaryMatrix, k: int, k1: int, k2: int) -> UnitaryMatrix:
+def spru_concrete(layout: SpruLayout, u: np.ndarray, k: int, k1: int, k2: int) -> np.ndarray:
     """Two keyed two-query blocks glued on the overlap register.
 
     Applies the AB block, an X^{k1} layer on AB, the AB block again, then the
-    same staircase on BC with k2.
+    same staircase on BC with k2. u is the 2^n_block-square block unitary;
+    ValueError unless the result is unitary.
     """
     nb = layout.n_block
-    if u.qubit_count != nb:
+    if np.shape(u) != (2**nb, 2**nb):
         raise ValueError("block unitary register mismatch")
     lam = max(layout.lam_small, 1)
-    block = (u.entries @ pauli_string("X", k, lam, nb).entries @ u.entries)
-    x1 = pauli_string("X", k1, lam, nb).entries
-    x2 = pauli_string("X", k2, lam, nb).entries
+    block = u @ pauli_string("X", k, lam, nb) @ u
+    x1 = pauli_string("X", k1, lam, nb)
+    x2 = pauli_string("X", k2, lam, nb)
     rest = 2 ** (layout.total_qubits - nb)
     ab = np.kron(block @ x1 @ block, np.eye(rest))
     bc = np.kron(np.eye(rest), block @ x2 @ block)
-    return UnitaryMatrix(bc @ ab)
+    return _check_unitary(bc @ ab)
 
 
 def stretch_output_qubits(t: int, lam: int, rounds: int) -> int:

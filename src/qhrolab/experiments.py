@@ -51,7 +51,6 @@ from .linalg import (
     DensityMatrix,
     choi_state,
     haar_unitaries,
-    haar_unitary,
     pauli_string,
     trace_distance,
     trial_rng,
@@ -536,7 +535,7 @@ def _pru1_break(p: Pru1Params) -> ExperimentReport:
         "the two-query arm uses the best single-call preparation (pre X^k); the construction is not of that form"
     )
     ident = np.eye(2**n)
-    z_k, x_k = (np.array([pauli_string(kind, k, lam, n).entries for k in range(2**lam)]) for kind in "ZX")
+    z_k, x_k = (np.array([pauli_string(kind, k, lam, n) for k in range(2**lam)]) for kind in "ZX")
     wins = np.zeros((2, 2))  # successes per (arm, real / null oracle)
     for _, rngs, held in trial_stacks(trials, seed):
         u = haar_unitaries(2**n, rngs)
@@ -950,14 +949,14 @@ def exp_spru(p: SpruParams) -> ExperimentReport:
     rep.notes.append("gluing second-moment check; the bound 5k^2/2^|B| is vacuous at desk scale and labeled so")
 
     rng = trial_rng(seed, 60_000)
-    u = haar_unitary(2**n_block, rng)
+    u = haar_unitaries(2**n_block, [rng])[0]
     m0 = spru_concrete(layout, u, 0, 0, 0)
     rest = 2 ** (layout.total_qubits - n_block)
     # with every key zero each arm collapses to four plain oracle calls
-    p4 = np.linalg.matrix_power(u.entries, 4)
+    p4 = np.linalg.matrix_power(u, 4)
     direct = np.kron(np.eye(rest), p4) @ np.kron(p4, np.eye(rest))
     entry = rep.add_point({"check": "zero_keys"})
-    _check(entry, "zero_key_composition", "EXACT", float(np.max(np.abs(m0.entries - direct))), 1e-9)
+    _check(entry, "zero_key_composition", "EXACT", float(np.max(np.abs(m0 - direct))), 1e-9)
 
     # probe operators for the two-fold moment comparison
     probe_ops = []

@@ -16,12 +16,12 @@ import numpy as np
 from .constructions import OracleDescriptor
 from .linalg import (
     DensityMatrix,
-    StateVector,
-    UnitaryMatrix,
+    _check_cap,
+    _check_unitary,
+    _haar_stack,
     _qubits_of,
     _trace_distance,
     apply_gate,
-    haar_unitary,
     qubits_first,
     qubits_restore,
     trial_rng,
@@ -64,18 +64,26 @@ __all__ = [
 class Interleave:
     """A fixed unitary layer; dense matrix or a phased permutation.
 
-    Exactly one of `u` and `sparse_map` is set. `sparse_map` is the pair
-    (perm, phases) of arrays over the 2^k basis values of `targets`: value v
-    goes to perm[v] times phases[v]. It keeps purified vectors sparse.
+    Exactly one of `u` and `sparse_map` is set. `u` is a 2^k x 2^k unitary
+    array, checked once here. `sparse_map` is the pair (perm, phases) of
+    arrays over the 2^k basis values of `targets`: value v goes to perm[v]
+    times phases[v]. It keeps purified vectors sparse.
     """
 
-    u: UnitaryMatrix | None = None
+    u: np.ndarray | None = None
     targets: tuple | None = None
     sparse_map: object = None
 
     def __post_init__(self):
         if (self.u is None) == (self.sparse_map is None):
             raise ValueError("exactly one of u / sparse_map must be given")
+        if self.u is not None:
+            u = np.asarray(self.u, dtype=complex)
+            if u.ndim != 2 or u.shape[0] != u.shape[1] or _qubits_of(len(u)) is None:
+                raise ValueError("interleave unitary must be square with a power-of-two side")
+            _check_cap(_qubits_of(len(u)))
+            _check_unitary(u)
+            object.__setattr__(self, "u", u)
 
 
 @dataclass(frozen=True)
@@ -150,9 +158,12 @@ def _pure_views(states, keep) -> np.ndarray:
     return m @ m.conj().swapaxes(-1, -2)
 
 
-def view_of_state(state: StateVector, keep=None) -> DensityMatrix:
-    """Density of a pure state, optionally partial-traced to `keep` qubits."""
-    return DensityMatrix(_pure_views(state.amplitudes[None], keep)[0])
+def view_of_state(amps, keep=None) -> DensityMatrix:
+    """Density of a pure state's 2^q amplitudes, optionally partial-traced to `keep` qubits."""
+    amps = np.asarray(amps, dtype=complex)
+    if amps.ndim != 1 or _qubits_of(amps.size) is None:
+        raise ValueError("a pure state is a vector of 2^q amplitudes")
+    return DensityMatrix(_pure_views(amps[None], keep)[0])
 
 
 def _stack(name, arr, count, shape=None):
@@ -181,7 +192,7 @@ def run_concrete(program: AdversaryProgram, bindings: dict) -> np.ndarray:
                 out[:, perm] = phases[:, None] * mat
                 state = qubits_restore(out, order)
             else:
-                state = apply_gate(state, step.u.entries, targets, q)
+                state = apply_gate(state, step.u, targets, q)
         elif isinstance(step, QuantumQuery):
             targets = list(_input_qubits(program, step))
             u = _stack(step.oracle_id, bindings[step.oracle_id], len(state), (2 ** len(targets),) * 2)
@@ -203,7 +214,7 @@ def _apply_interleave(state: PurifiedState, step: Interleave) -> PurifiedState:
     targets = list(step.targets) if step.targets is not None else list(range(state.n_qubits))
     if step.sparse_map is not None:
         return state.apply_sparse_map(*step.sparse_map, targets)
-    return state.apply_matrix(step.u.entries, targets)
+    return state.apply_matrix(step.u, targets)
 
 
 def _quantum_query_pr(state, desc: OracleDescriptor, input_qubits):
@@ -451,47 +462,44 @@ def _resample_mean(rows, idx, out):
     return out
 
 
-def bootstrap_td_pair(batches_a, batches_b, master_seed):
-    """Bootstrap stderr of TD(mean A, mean B) over two batch-mean families.
+def _bootstrap_td(families, reference, master_seed, stream):
+    """Bootstrap stderr of the TD between the means of two batch-mean
+    families, or of one family's mean and a reference array.
 
-    Each resample mean fills the lower triangle of a reused matrix, all
+    Each resample draws from trial_rng(master_seed, stream), family by
+    family, and fills the lower triangle of a reused matrix per family: all
     that _trace_distance's eigvalsh reads."""
-    ra, d = _packed(batches_a)
-    rb, _ = _packed(batches_b)
+    packed = [_packed(f) for f in families]
+    d = packed[0][1]
     low = _lower(d)
-    ma, mb = np.empty_like(ra[0]), np.empty_like(rb[0])
-    fa, fb = np.zeros((2, d * d), dtype=ra.dtype)
-    rng = trial_rng(master_seed, 10**9 + 1)
+    means = [np.empty_like(rows[0]) for rows, _ in packed]
+    full = np.zeros((len(packed), d * d), dtype=packed[0][0].dtype)
+    mats = full.reshape(-1, d, d)
+    rng = trial_rng(master_seed, stream)
     vals = []
-    na, nb = len(ra), len(rb)
     for _ in range(_RESAMPLES):
-        fa[low] = _resample_mean(ra, rng.integers(0, na, size=na), ma)
-        fb[low] = _resample_mean(rb, rng.integers(0, nb, size=nb), mb)
-        vals.append(_trace_distance(fa.reshape(d, d), fb.reshape(d, d)))
+        for (rows, _), mean, row in zip(packed, means, full):
+            row[low] = _resample_mean(rows, rng.integers(0, len(rows), size=len(rows)), mean)
+        vals.append(_trace_distance(mats[0], mats[1] if reference is None else reference))
     return float(np.std(vals))
+
+
+def bootstrap_td_pair(batches_a, batches_b, master_seed):
+    """Bootstrap stderr of TD(mean A, mean B) over two batch-mean families."""
+    return _bootstrap_td([batches_a, batches_b], None, master_seed, 10**9 + 1)
 
 
 def bootstrap_td_stderr(batch_means, reference: DensityMatrix, master_seed):
-    """Bootstrap stderr of TD(mean view, reference) over batch means, filled
-    into the lower triangle of a reused matrix as in bootstrap_td_pair."""
-    rows, d = _packed(batch_means)
-    low = _lower(d)
-    mean = np.empty_like(rows[0])
-    full = np.zeros(d * d, dtype=rows.dtype)
-    rng = trial_rng(master_seed, 10**9)
-    vals = []
-    nb = len(rows)
-    for _ in range(_RESAMPLES):
-        full[low] = _resample_mean(rows, rng.integers(0, nb, size=nb), mean)
-        vals.append(_trace_distance(full.reshape(d, d), reference.entries))
-    return float(np.std(vals))
+    """Bootstrap stderr of TD(mean view, reference) over batch means."""
+    return _bootstrap_td([batch_means], reference.entries, master_seed, 10**9)
 
 
 # ---------------------------------------------------------------- programs
 
 
 def haar_interleave(n_qubits, rng, targets=None):
-    return Interleave(u=haar_unitary(2 ** (len(targets) if targets else n_qubits), rng), targets=tuple(targets) if targets else None)
+    """A Haar-random dense layer: haar_unitaries' draw from rng, whose one unitarity check is Interleave's."""
+    return Interleave(u=_haar_stack(2 ** (len(targets) if targets else n_qubits), [rng])[0], targets=tuple(targets) if targets else None)
 
 
 def phased_permutation_interleave(n_qubits, rng, targets=None):
@@ -508,4 +516,4 @@ def fourier_interleave(targets):
     gate = np.array([[1.0]], dtype=complex)
     for _ in targets:
         gate = np.kron(gate, h)
-    return Interleave(u=UnitaryMatrix(gate), targets=tuple(targets))
+    return Interleave(u=gate, targets=tuple(targets))

@@ -49,11 +49,12 @@ def _check_cap(qubits: int) -> None:
         raise ValueError(f"register of {qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
 
 
-def _check_unitary(mat) -> None:
-    """ValueError unless every matrix of a (..., d, d) stack is unitary to 1e-9."""
+def _check_unitary(mat):
+    """Return mat; ValueError unless every matrix of the (..., d, d) stack is unitary to 1e-9."""
     dev = np.max(np.abs(mat.conj().swapaxes(-1, -2) @ mat - np.eye(mat.shape[-1])))
     if dev > 1e-9:
         raise ValueError(f"matrix is not unitary (deviation {dev:.2e})")
+    return mat
 
 
 def _qubits_of(side: int) -> int | None:
@@ -167,9 +168,7 @@ def haar_unitaries(dim: int, rngs) -> np.ndarray:
     Plain QR is biased; multiplying Q by diag(r_ii/|r_ii|) makes the
     distribution exactly Haar.
     """
-    q = _haar_stack(dim, rngs)
-    _check_unitary(q)
-    return q
+    return _check_unitary(_haar_stack(dim, rngs))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
@@ -178,23 +177,20 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
     return UnitaryMatrix(_haar_stack(dim, [rng])[0])
 
 
-def pauli_string(kind: str, k: int, lam: int, n: int) -> UnitaryMatrix:
+def pauli_string(kind: str, k: int, lam: int, n: int) -> np.ndarray:
     """X^k tensor I or Z^k tensor I on n qubits, key k on the lam-bit prefix."""
+    _check_cap(n)
     if lam > n:
         raise ValueError("key length exceeds register size")
     if not 0 <= k < 2**lam:
         raise ValueError("key out of range")
-    dim = 2**n
+    idx = np.arange(2**n)
     mask = k << (n - lam)
     if kind == "X":
-        mat = np.zeros((dim, dim), dtype=complex)
-        idx = np.arange(dim)
-        mat[idx ^ mask, idx] = 1.0
-        return UnitaryMatrix(mat)
+        return np.eye(2**n, dtype=complex)[idx ^ mask]  # column y holds a 1 in row y ^ mask
     if kind == "Z":
-        idx = np.arange(dim)
         phases = (-1.0) ** np.array([bin(mask & y).count("1") for y in idx])
-        return UnitaryMatrix(np.diag(phases.astype(complex)))
+        return np.diag(phases.astype(complex))
     raise ValueError(f"unknown Pauli kind {kind!r}")
 
 

@@ -20,8 +20,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import StateVector
-
 ENTRY_CAP = 2**24  # total stored amplitude entries across all labels
 
 __all__ = [
@@ -564,10 +562,10 @@ class PurifiedState:
         return float(np.max(np.hypot(re, im)))
 
 
-def relation_state_vector(rel, n: int) -> StateVector:
+def relation_state_vector(rel, n: int) -> np.ndarray:
     """Symmetrized register encoding of a relation (or pair multiset).
 
-    Returns the unit vector proportional to
+    Returns the 2^(2nt) amplitudes of the unit vector proportional to
     sum over permutations pi of |x_pi(1)..x_pi(t)> |y_pi(1)..y_pi(t)>,
     normalized by 1/sqrt(t! * prod_a m_a!) (m_a = pair multiplicities).
     """
@@ -579,11 +577,7 @@ def relation_state_vector(rel, n: int) -> StateVector:
     for p in pairs:
         mult[p] = mult.get(p, 0) + 1
     alpha = 1.0 / math.sqrt(math.factorial(t) * math.prod(math.factorial(m) for m in mult.values()))
-    dim = 2 ** (2 * n * t) if t else 1
-    amps = np.zeros(dim, dtype=complex)
-    if t == 0:
-        amps[0] = 1.0
-        return StateVector(amps, 0)
+    amps = np.zeros(2 ** (2 * n * t), dtype=complex)
     for perm in itertools.permutations(pairs):
         xs = 0
         ys = 0
@@ -591,7 +585,7 @@ def relation_state_vector(rel, n: int) -> StateVector:
             xs = (xs << n) | x
             ys = (ys << n) | y
         amps[(xs << (n * t)) | ys] += alpha
-    return StateVector(amps, 2 * n * t)
+    return amps
 
 
 

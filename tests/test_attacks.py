@@ -55,6 +55,20 @@ def test_choi_from_copies_validation():
         choi_from_copies(u4, u4, [phi, choi_state(u4[None])])
 
 
+def test_choi_from_copies_rejects_no_copies():
+    with pytest.raises(ValueError, match="at least one copy"):
+        choi_from_copies(np.eye(1), np.eye(1), [])
+
+
+@pytest.mark.parametrize("length", [2, 3, 8, 12])
+def test_choi_from_copies_rejects_a_length_not_4_to_the_n(length):
+    # 3 and 12 are not powers of two; 2 and 8 are, on an odd qubit count
+    copy = np.full((1, length), length**-0.5, dtype=complex)
+    for a in (np.eye(2), np.eye(length)):
+        with pytest.raises(ValueError, match="4\\^n"):
+            choi_from_copies(a, a, [copy])
+
+
 def test_swap_or_attack_extremes():
     rng = trial_rng(47)
     phi = choi_state(haar_unitary(4, rng).entries[None])  # a stack of one trial
@@ -64,7 +78,7 @@ def test_swap_or_attack_extremes():
     _, won = swap_or_attack(phi, phi[None][:0], 8, [rng])  # no keys
     assert won[0] == 0.0
     # an orthogonal candidate rarely survives 16 tests
-    other = choi_state(pauli_string("X", 3, 2, 2).entries[None])
+    other = choi_state(pauli_string("X", 3, 2, 2)[None])
     fids, _ = swap_or_attack(other, phi[None], 16, [rng])
     assert fids[0, 0] < 0.5
 
@@ -107,7 +121,7 @@ def test_rank_projector_identity_rotation():
 
 def xz_family(m=1, lam=1):
     """The (A_k, B_k) = (X^k, Z^k) stacks over every key."""
-    return tuple(np.array([pauli_string(kind, k, lam, m).entries for k in range(2**lam)]) for kind in "XZ")
+    return tuple(np.array([pauli_string(kind, k, lam, m) for k in range(2**lam)]) for kind in "XZ")
 
 
 def test_rank_projector_attack_separates():

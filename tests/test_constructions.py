@@ -15,18 +15,18 @@ from qhrolab.constructions import (
     stretch_key_bits,
     stretch_output_qubits,
 )
-from qhrolab.linalg import haar_unitary, pauli_string, trial_rng
+from qhrolab.linalg import haar_unitaries, pauli_string, trial_rng
 from qhrolab.relstate import CFParams
 
 
 def test_two_query_concrete_matrix():
     rng = trial_rng(1)
     n, lam = 3, 2
-    u = haar_unitary(2**n, rng)
+    u = haar_unitaries(2**n, [rng])[0]
     desc = pru_two_query(n, lam)
     for k in (0, 3):
-        g = concrete_oracle(desc, u.entries, k)
-        expect = u.entries @ pauli_string("X", k, lam, n).entries @ u.entries
+        g = concrete_oracle(desc, u, k)
+        expect = u @ pauli_string("X", k, lam, n) @ u
         assert np.max(np.abs(g - expect)) < 1e-10
     with pytest.raises(ValueError):
         pru_two_query(2, 3)
@@ -37,10 +37,10 @@ def test_two_query_concrete_matrix():
 def test_one_query_concrete_matrix():
     rng = trial_rng(2)
     n, lam = 2, 2
-    u = haar_unitary(2**n, rng)
+    u = haar_unitaries(2**n, [rng])[0]
     desc = pru_one_query(n, lam)
-    g = concrete_oracle(desc, u.entries, 1)
-    expect = pauli_string("Z", 1, lam, n).entries @ u.entries
+    g = concrete_oracle(desc, u, 1)
+    expect = pauli_string("Z", 1, lam, n) @ u
     assert np.max(np.abs(g - expect)) < 1e-10
     with pytest.raises(ValueError):
         pru_one_query(2, 3)
@@ -48,11 +48,11 @@ def test_one_query_concrete_matrix():
 
 def test_haar_slot_concrete_is_u():
     rng = trial_rng(3)
-    u = haar_unitary(4, rng)
-    g = concrete_oracle(haar_slot(2), u.entries)
-    assert np.max(np.abs(g - u.entries)) < 1e-12
+    u = haar_unitaries(4, [rng])[0]
+    g = concrete_oracle(haar_slot(2), u)
+    assert np.max(np.abs(g - u)) < 1e-12
     with pytest.raises(ValueError):
-        concrete_oracle(haar_slot(3), u.entries)
+        concrete_oracle(haar_slot(3), u)
 
 
 def test_descriptor_metadata():
@@ -66,27 +66,27 @@ def test_descriptor_metadata():
 def test_prs_output_column():
     rng = trial_rng(4)
     n, lam = 3, 2
-    u = haar_unitary(2**n, rng)
+    u = haar_unitaries(2**n, [rng])[0]
     for k in range(4):
-        out = prfs_output(u.entries, k, 0, n, lam, 0)
-        assert np.max(np.abs(out - u.entries[:, k << (n - lam)])) < 1e-12
+        out = prfs_output(u, k, 0, n, lam, 0)
+        assert np.max(np.abs(out - u[:, k << (n - lam)])) < 1e-12
     with pytest.raises(ValueError):
-        prfs_output(u.entries, 4, 0, n, lam, 0)
+        prfs_output(u, 4, 0, n, lam, 0)
     with pytest.raises(ValueError):
-        prfs_output(u.entries, 0, 0, 2, 3, 0)
+        prfs_output(u, 0, 0, 2, 3, 0)
 
 
 def test_prfs_output_column():
     rng = trial_rng(5)
     n, lam, m = 4, 2, 1
-    u = haar_unitary(2**n, rng)
-    out = prfs_output(u.entries, 2, 1, n, lam, m)
+    u = haar_unitaries(2**n, [rng])[0]
+    out = prfs_output(u, 2, 1, n, lam, m)
     x = (2 << m | 1) << (n - lam - m)
-    assert np.max(np.abs(out - u.entries[:, x])) < 1e-12
+    assert np.max(np.abs(out - u[:, x])) < 1e-12
     with pytest.raises(ValueError):
-        prfs_output(u.entries, 0, 0, 2, 1, 2)
+        prfs_output(u, 0, 0, 2, 1, 2)
     with pytest.raises(ValueError):
-        prfs_output(u.entries, 0, 2, n, lam, m)
+        prfs_output(u, 0, 2, n, lam, m)
 
 
 def test_spru_layout():
@@ -106,26 +106,28 @@ def test_spru_concrete_zero_keys():
     # with all keys zero each arm collapses to u^4 on its block
     rng = trial_rng(6)
     lay = spru(2, 1, 1)
-    u = haar_unitary(4, rng)
+    u = haar_unitaries(4, [rng])[0]
     w = spru_concrete(lay, u, 0, 0, 0)
-    p4 = np.linalg.matrix_power(u.entries, 4)
+    p4 = np.linalg.matrix_power(u, 4)
     expect = np.kron(np.eye(2), p4) @ np.kron(p4, np.eye(2))
-    assert np.max(np.abs(w.entries - expect)) < 1e-9
+    assert np.max(np.abs(w - expect)) < 1e-9
     with pytest.raises(ValueError):
-        spru_concrete(lay, haar_unitary(8, rng), 0, 0, 0)
+        spru_concrete(lay, haar_unitaries(8, [rng])[0], 0, 0, 0)
+    with pytest.raises(ValueError, match="not unitary"):
+        spru_concrete(lay, 2 * np.eye(4), 0, 0, 0)
 
 
 def test_spru_concrete_keyed_arm():
     rng = trial_rng(7)
     lay = spru(2, 1, 1)
-    u = haar_unitary(4, rng)
+    u = haar_unitaries(4, [rng])[0]
     w = spru_concrete(lay, u, 1, 1, 0)
-    block = u.entries @ pauli_string("X", 1, 1, 2).entries @ u.entries
-    x1 = pauli_string("X", 1, 1, 2).entries
+    block = u @ pauli_string("X", 1, 1, 2) @ u
+    x1 = pauli_string("X", 1, 1, 2)
     arm_ab = block @ x1 @ block
     arm_bc = block @ block
     expect = np.kron(np.eye(2), arm_bc) @ np.kron(arm_ab, np.eye(2))
-    assert np.max(np.abs(w.entries - expect)) < 1e-9
+    assert np.max(np.abs(w - expect)) < 1e-9
 
 
 def test_stretch_arithmetic():

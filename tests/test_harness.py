@@ -1,6 +1,8 @@
 """Adversary harness: concrete vs purified execution, views, Monte Carlo."""
 
 import dataclasses
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,8 +31,8 @@ from qhrolab.harness import (
     view_of_state,
 )
 from qhrolab.linalg import (
+    QUBIT_CAP,
     DensityMatrix,
-    StateVector,
     UnitaryMatrix,
     apply_unitary,
     basis_state,
@@ -55,7 +57,17 @@ def test_program_validation():
     with pytest.raises(ValueError):
         Interleave()
     with pytest.raises(ValueError):
-        Interleave(u=UnitaryMatrix(np.eye(2)), sparse_map=(np.arange(2), np.ones(2, dtype=complex)))
+        Interleave(u=np.eye(2), sparse_map=(np.arange(2), np.ones(2, dtype=complex)))
+    # a dense layer is checked once, as it is built
+    for bad in (np.eye(3), np.zeros((2, 4)), np.ones(2), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="power-of-two side"):
+            Interleave(u=bad)
+    with pytest.raises(ValueError, match="not unitary"):
+        Interleave(u=2 * np.eye(2))
+    with pytest.raises(ValueError, match="cap"):
+        # a zero-strided view stands in for the oversized array
+        Interleave(u=np.broadcast_to(np.zeros(1, dtype=complex), (2 ** (QUBIT_CAP + 1),) * 2))
+    assert Interleave(u=np.eye(2, dtype=int)).u.dtype == complex
     prog = AdversaryProgram(n=2, m_anc=1, steps=(QuantumQuery("U"), QuantumQuery("U")))
     assert prog.reg_qubits == 3
 
@@ -63,11 +75,10 @@ def test_program_validation():
 def test_run_concrete_matches_matrix():
     rng = trial_rng(21)
     n = 2
-    a = haar_unitary(4, rng)
-    u = haar_unitary(4, rng)
+    a, u = haar_unitaries(4, [rng, rng])
     prog = AdversaryProgram(n=n, steps=(Interleave(u=a), QuantumQuery("U")))
-    out = run_concrete(prog, {"U": u.entries[None]})
-    expect = u.entries @ a.entries[:, 0]
+    out = run_concrete(prog, {"U": u[None]})
+    expect = u @ a[:, 0]
     assert out.shape == (1, 4)
     assert np.max(np.abs(out[0] - expect)) < 1e-10
     with pytest.raises(ValueError):
@@ -85,7 +96,7 @@ def test_run_concrete_sparse_interleave():
     prog_sparse = AdversaryProgram(n=n, steps=(haar_interleave(n, trial_rng(23)), step))
     prog_dense = AdversaryProgram(
         n=n,
-        steps=(haar_interleave(n, trial_rng(23)), Interleave(u=UnitaryMatrix(dense), targets=(0, 2))),
+        steps=(haar_interleave(n, trial_rng(23)), Interleave(u=dense, targets=(0, 2))),
     )
     va = run_concrete(prog_sparse, {})
     vb = run_concrete(prog_dense, {})
@@ -113,7 +124,7 @@ def test_a_program_may_open_with_a_query():
     n = 2
     steps = (QuantumQuery("U"), phased_permutation_interleave(n, trial_rng(25)), QuantumQuery("U"))
     bare = AdversaryProgram(n=n, steps=steps)
-    behind = AdversaryProgram(n=n, steps=(Interleave(u=UnitaryMatrix(np.eye(2**n))), *steps))
+    behind = AdversaryProgram(n=n, steps=(Interleave(u=np.eye(2**n)), *steps))
     u = haar_unitary(2**n, trial_rng(26)).entries[None]
     assert run_concrete(bare, {"U": u}).tobytes() == run_concrete(behind, {"U": u}).tobytes()
     views = [reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),))).entries for prog in (bare, behind)]
@@ -144,6 +155,43 @@ def test_single_query_view_is_mixed():
         assert trace_distance(view, mixed) <= 1e-10
 
 
+@pytest.mark.parametrize("n,t", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_one_query_per_register_records_the_collision_free_symmetric_state(n, t):
+    """t single U queries on t disjoint n-qubit registers, each from |0^n>.
+
+    The recording oracle maps |x>|R> to (N - |R|)^{-1/2} sum_{y not in
+    Im R} |y>|R + (x, y)>. Every query has x = 0, so after t of them the
+    label is the set S = {y_1, ..., y_t} of t distinct outputs, and the
+    registers hold every ordering of S, each with amplitude
+    prod_{i<t} (N - i)^{-1/2} = ((N - t)! / N!)^{1/2}. Per S that is
+    (t! (N-t)! / N!)^{1/2} = C(N, t)^{-1/2} times the unit symmetrised state
+    |sym_S>, so tracing out the label leaves
+        sum_S |sym_S><sym_S| / C(N, t) = P_cf / C(N, t),
+    where P_cf = P_sym D is the collision-free part of the symmetric
+    projector: D keeps the basis strings with t distinct entries and
+    commutes with every register permutation.
+
+    The Haar view is E[(U|0>)^{(x)t} (..)^dag] = P_sym / C(N+t-1, t). P_cf
+    lies under P_sym, so the difference has eigenvalue
+    1/C(N+t-1,t) - 1/C(N,t) on the C(N, t) dimensions of P_cf and
+    1/C(N+t-1,t) on the other C(N+t-1,t) - C(N,t) dimensions of Sym^t:
+        TD = 1 - C(N, t) / C(N+t-1, t).
+    """
+    N = 2**n
+    steps = tuple(QuantumQuery("U", input_qubits=tuple(range(i * n, (i + 1) * n))) for i in range(t))
+    prog = AdversaryProgram(n=n, m_anc=(t - 1) * n, steps=steps)
+    view = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)))
+
+    cells = np.arange(N**t).reshape((N,) * t)
+    eye = np.eye(N**t)
+    p_sym = sum(eye[cells.transpose(perm).reshape(-1)] for perm in itertools.permutations(range(t))) / math.factorial(t)
+    distinct = np.array([len(set(y)) == t for y in itertools.product(range(N), repeat=t)])
+    p_cf = p_sym * distinct
+    assert np.max(np.abs(view.entries - p_cf / math.comb(N, t))) <= 1e-15
+    td = trace_distance(DensityMatrix(p_sym / math.comb(N + t - 1, t)), view)
+    assert abs(td - (1 - math.comb(N, t) / math.comb(N + t - 1, t))) <= 1e-12
+
+
 def test_purified_full_hilbert_cross_check():
     # embed each relation label as its symmetric register state and compare
     # the label-traced view against a genuine partial trace
@@ -158,10 +206,10 @@ def test_purified_full_hilbert_cross_check():
     full = np.zeros(2**n * dim_rel, dtype=complex)
     for (rel,), vec in psi.terms.items():
         assert len(rel) == t
-        rv = relation_state_vector(rel, n).amplitudes
+        rv = relation_state_vector(rel, n)
         for i, a in vec.items():
             full[i * dim_rel : (i + 1) * dim_rel] += a * rv
-    rho_full = view_of_state(StateVector.from_array(full), keep=[0, 1])
+    rho_full = view_of_state(full, keep=[0, 1])
     rho_lab = reduce_view(psi)
     assert trace_distance(rho_full, rho_lab) <= 1e-9
 

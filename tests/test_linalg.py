@@ -143,10 +143,10 @@ def test_sizes_come_from_the_array():
 def test_pauli_string_action():
     n, lam = 3, 2
     for k in range(4):
-        xk = pauli_string("X", k, lam, n)
+        xk = UnitaryMatrix(pauli_string("X", k, lam, n))
         out = apply_unitary(basis_state(n, 0), xk)
         assert abs(out.amplitudes[k << (n - lam)] - 1.0) < 1e-12
-        zk = pauli_string("Z", k, lam, n).entries
+        zk = pauli_string("Z", k, lam, n)
         assert np.allclose(np.abs(np.diagonal(zk)), 1.0)
         # Z^k is diagonal with signs, trivial on the suffix
         assert zk[1, 1] == zk[0, 0]
@@ -156,13 +156,15 @@ def test_pauli_string_action():
         pauli_string("X", 4, 2, 3)
     with pytest.raises(ValueError):
         pauli_string("X", 0, 3, 2)
+    with pytest.raises(ValueError, match="cap"):
+        pauli_string("X", 0, 1, QUBIT_CAP + 1)
 
 
 def test_pauli_xz_algebra():
     # Z^k X^k = (-1)^{|k|} X^k Z^k on the key prefix
     n, lam, k = 2, 2, 3
-    x = pauli_string("X", k, lam, n).entries
-    z = pauli_string("Z", k, lam, n).entries
+    x = pauli_string("X", k, lam, n)
+    z = pauli_string("Z", k, lam, n)
     sign = (-1.0) ** bin(k).count("1")
     assert np.allclose(z @ x, sign * x @ z)
 
@@ -201,8 +203,8 @@ def test_partial_trace_product_state():
     a = rand_state(4, rng)
     b = rand_state(2, rng)
     ab = StateVector(np.kron(a.amplitudes, b.amplitudes), 3)
-    left = view_of_state(ab, [0, 1])
-    right = view_of_state(ab, [2])
+    left = view_of_state(ab.amplitudes, [0, 1])
+    right = view_of_state(ab.amplitudes, [2])
     assert np.max(np.abs(left.entries - a.density().entries)) < 1e-10
     assert np.max(np.abs(right.entries - b.density().entries)) < 1e-10
     assert abs(np.trace(left.entries) - 1.0) < 1e-10
@@ -211,13 +213,16 @@ def test_partial_trace_product_state():
 def test_partial_trace_keep_order():
     rng = trial_rng(6)
     psi = rand_state(8, rng)
-    swapped = view_of_state(psi, [2, 0])
-    straight = view_of_state(psi, [0, 2]).entries.reshape(2, 2, 2, 2)
+    swapped = view_of_state(psi.amplitudes, [2, 0])
+    straight = view_of_state(psi.amplitudes, [0, 2]).entries.reshape(2, 2, 2, 2)
     # keep=[2,0] permutes the two kept qubits
     expected = np.transpose(straight, (1, 0, 3, 2)).reshape(4, 4)
     assert np.max(np.abs(swapped.entries - expected)) < 1e-10
     with pytest.raises(ValueError):
-        view_of_state(psi, [0, 0])
+        view_of_state(psi.amplitudes, [0, 0])
+    for bad in (np.ones(6), np.ones((2, 4))):
+        with pytest.raises(ValueError, match="2\\^q amplitudes"):
+            view_of_state(bad, [0])
 
 
 def test_trace_distance_metric():

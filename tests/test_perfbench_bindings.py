@@ -41,12 +41,44 @@ def test_tracer_layers_bind():
 
 
 def test_sweep_positional_calls_bind():
-    # the calls of perfbench/sweep.py, with its argument order
+    # every call of perfbench/sweep.py's run(), with its argument order
     state = linalg.StateVector(np.full(4, 0.5, dtype=complex), 2)
-    pur = relstate.PurifiedState(2, {(relstate.Rel(),): {0: 1.0 + 0j}})
-    assert (state.qubit_count, pur.n_qubits) == (2, 2)
     views = [state.density()] * 3
     assert harness.bootstrap_td_stderr(views, views[0], 0) == 0.0
+    seed = 0
+    rng = linalg.trial_rng(seed, 0)
+    for q in (2, 4):
+        dim = 2**q
+        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        state = linalg.StateVector(amps / np.linalg.norm(amps), q)
+        u_full = linalg.haar_unitary(dim, rng)
+        u_2q = linalg.haar_unitary(4, rng)
+        full = linalg.apply_unitary(state, u_full)
+        assert np.allclose(full.amplitudes, u_full.entries @ state.amplitudes)
+        # the two-qubit gate on qubits 0 and q - 1: big-endian, qubit 0 leads
+        two = linalg.apply_unitary(state, u_2q, [0, q - 1])
+        psi = state.amplitudes.reshape(2, dim // 4, 2).transpose(0, 2, 1).reshape(4, -1)
+        want = (u_2q.entries @ psi).reshape(2, 2, dim // 4).transpose(0, 2, 1).reshape(-1)
+        assert np.allclose(two.amplitudes, want)
+        assert linalg.haar_unitary(dim, rng).entries.shape == (dim, dim)
+
+        width = min(dim, 8)
+        pur = relstate.PurifiedState(q, {(relstate.Rel(),): {i: width**-0.5 + 0j for i in range(width)}})
+        recorded = relstate.pr_apply(pur, 0, list(range(q)), dim)
+        assert recorded.entry_count() == width * dim
+        view = harness.reduce_view(recorded)
+        assert view.qubit_count == q and abs(np.trace(view.entries) - 1.0) < 1e-12
+
+        views = []
+        for _ in range(20):
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            views.append(linalg.StateVector(v / np.linalg.norm(v), q).density())
+        ref = views[0]
+        assert 0.0 < harness.bootstrap_td_stderr(views, ref, seed) < 1.0
+
+        params = relstate.CFParams(2, max(1, q // 2), q)
+        assert relstate.is_collision_free([0], params)
+        assert relstate.cf_count((0,), params) > 0
 
 
 def test_sweep_bootstrap_on_a_list_is_the_full_matrix_formula():

@@ -91,7 +91,7 @@ def test_spru_is_bitwise_the_per_trial_loop(trials, stacks):
 
 @pytest.mark.parametrize("trials", [30, 301])
 def test_rank_projector_attack_is_bitwise_the_per_trial_loop(trials, stacks):
-    a_k, b_k = (np.array([pauli_string(kind, k, 1, 1).entries for k in range(2)]) for kind in "XZ")
+    a_k, b_k = (np.array([pauli_string(kind, k, 1, 1) for k in range(2)]) for kind in "XZ")
 
     def run():
         return np.array(list(rank_projector_attack(1, 1, 1, 3, a_k, b_k, trials, 123).values()))
