@@ -28,13 +28,9 @@ def _load_config(path, name):
         raise ValueError("config is missing schema_version")
     if cfg["schema_version"] != 1:
         raise ValueError(f"unsupported schema_version {cfg['schema_version']!r}")
-    allowed = CONFIG_KEYS | {f.name for f in dataclasses.fields(EXPERIMENTS[name].schema)}
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     if "experiment" in cfg and cfg["experiment"] != name:
         raise ValueError(f"config is for {cfg['experiment']!r}, not {name!r}")
-    for key in ("schema_version", "experiment", "jobs"):
+    for key in CONFIG_KEYS:
         cfg.pop(key, None)
     return cfg
 

@@ -614,41 +614,58 @@ def _open_slot(schema, rows, slot):
     return schema[:slot] + (("rel", b - a + 1),) + schema[slot + 1 :], rows, (a, b + 1)
 
 
-def _append_pair(state, schema, rows, span, free, x, per_label, place, n_qubits):
-    """The one recording step behind every recording map.
+def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
+    """One recording query: |x>|R> -> |F|^{-1/2} sum_{y in F} |y>|R+(x,y)>.
 
-    Each entry (label l, index i, amplitude a) goes to a / sqrt(#free(l))
-    at label l + (x, y) and index place(i, y), for every free output y of l;
-    (x, y) lands in the Rel block `span`, whose last column is PAD. x is
-    given per label when `per_label`, else per entry. `new` holds one row per
-    distinct (label, x, y), at least one per output label, and is interned in
-    place into the output table, so every path that reaches a relation lands
-    on its one label; entries that meet at one (label, index) are summed. The
+    The one recording step behind every recording map. The free outputs F of
+    a label depend on the joint image of its target slot and the label slots
+    in `shared_slots`: without `cf`, F holds the y < N outside that image;
+    with a CFParams `cf` (cf.n = log2 N), F is the collision-free set of that
+    image (the prefix rule, _free_prefixes). The input register spans log2(N)
+    qubits of the adversary register. ValueError where F is empty.
+
+    Each entry (label l, index i, amplitude a) goes to a / sqrt(#F(l)) at
+    label l + (x, y) and index i with y on the input qubits, for every y in
+    F(l), x the input qubits' value in i; (x, y) lands in the target Rel
+    block, widened by a PAD column if it is full. `new` holds one row per distinct (label, x,
+    y) and is interned in place into the output table, so every path that
+    reaches a relation lands on its one label; labels without entries are
+    dropped, and entries that meet at one (label, index) are summed. The
     entry cap is checked against the output size before anything is built.
     Peak: the input, the output, the sort order and sorted keys of _merge,
     and rank-loop temporaries the size of the input.
     """
-    lab, idx, amp = state.label_ids, state.indices, state.amplitudes
+    nq = N.bit_length() - 1
+    if 2**nq != N:
+        raise ValueError("oracle dimension must be a power of two")
+    if N > _PAIR_LIMIT:
+        raise ValueError("recorded pairs must lie in [0, 2^31)")
+    if len(input_qubits) != nq:
+        raise ValueError("input register must span log2(N) qubits")
+    if cf is not None and cf.n != nq:
+        raise ValueError(f"collision-free strings of {cf.n} bits do not fit an oracle of dimension {N}")
+    slots = [relation_slot] + [s for s in shared_slots or () if s != relation_slot]
+    if not state.label_count():
+        return state
+    spans = [_rel_span(state.schema, s) for s in slots]
+    free = _free_outputs(state.rows, spans, N) if cf is None else _cf_outputs(state.rows, spans, cf)
     nfree = free.sum(axis=1)
     if np.any(nfree == 0):
         raise ValueError("recording map undefined: no available outputs")
+    n, qubits = state.n_qubits, list(input_qubits)
+    lab, idx, amp = state.label_ids, state.indices, state.amplitudes
     per_entry = nfree[lab]
     total = int(per_entry.sum())
     _check_entries(total)
-    if np.any((x < 0) | (x >= _PAIR_LIMIT)):
-        raise ValueError("recorded inputs must lie in [0, 2^31)")
-    free_y = np.flatnonzero(free) % free.shape[1]  # free outputs, label by label
+    schema, rows, (a, b) = _open_slot(state.schema, state.rows, relation_slot)
+    free_y = np.flatnonzero(free) % N  # free outputs, label by label
     free_start = np.cumsum(nfree) - nfree
     ranks = range(int(nfree.max(initial=0)))
     # sources: distinct (label, x); triple (source s, rank r) sits at s_start[s] + r
-    if per_label:
-        src_lab, src_x, ent_src = np.arange(len(rows)), x, lab
-    else:
-        src_lab, ent_src = np.unique((lab << _Y_BITS) | x, return_inverse=True)
-        src_lab, src_x = src_lab >> _Y_BITS, src_lab & _Y_MASK
+    src_lab, ent_src = np.unique((lab << _Y_BITS) | extract_bits(idx, n, qubits), return_inverse=True)
+    src_lab, src_x = src_lab >> _Y_BITS, src_lab & _Y_MASK
     per_src = nfree[src_lab]
     s_start = np.cumsum(per_src) - per_src
-    a, b = span
     new = np.empty((int(per_src.sum()), rows.shape[1]), dtype=np.int64)
     for r in ranks:
         s = np.flatnonzero(per_src > r)
@@ -668,39 +685,11 @@ def _append_pair(state, schema, rows, span, free, x, per_label, place, n_qubits)
         e = np.flatnonzero(per_entry > r)
         stop = start + len(e)
         y = free_y[free_start[lab[e]] + r]
-        key[start:stop] = _key(n_qubits, t_lab[s_start[ent_src[e]] + r], place(idx[e], y))
+        key[start:stop] = _key(n, t_lab[s_start[ent_src[e]] + r], _deposit_bits(idx[e], n, qubits, y))
         out[start:stop] = scaled[e]
         start = stop
     del t_lab, scaled, per_entry, ent_src, free_y, free_start, s_start, e, y
-    return state._make(schema, table, *_merge(n_qubits, key, out), n_qubits=n_qubits)
-
-
-def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
-    """One recording query: |x>|R> -> |F|^{-1/2} sum_{y in F} |y>|R+(x,y)>.
-
-    The free outputs F of a label depend on the joint image of its target
-    slot and the label slots in `shared_slots`: without `cf`, F holds the
-    y < N outside that image; with a CFParams `cf` (cf.n = log2 N), F is
-    the collision-free set of that image (the prefix rule, _free_prefixes).
-    The input register spans log2(N) qubits of the adversary register.
-    ValueError where F is empty.
-    """
-    nq = N.bit_length() - 1
-    if 2**nq != N:
-        raise ValueError("oracle dimension must be a power of two")
-    if len(input_qubits) != nq:
-        raise ValueError("input register must span log2(N) qubits")
-    if cf is not None and cf.n != nq:
-        raise ValueError(f"collision-free strings of {cf.n} bits do not fit an oracle of dimension {N}")
-    slots = [relation_slot] + [s for s in shared_slots or () if s != relation_slot]
-    if not state.label_count():
-        return state
-    spans = [_rel_span(state.schema, s) for s in slots]
-    free = _free_outputs(state.rows, spans, N) if cf is None else _cf_outputs(state.rows, spans, cf)
-    n, qubits = state.n_qubits, list(input_qubits)
-    schema, rows, span = _open_slot(state.schema, state.rows, relation_slot)
-    x = extract_bits(state.indices, n, qubits)
-    return _append_pair(state, schema, rows, span, free, x, False, lambda i, y: _deposit_bits(i, n, qubits, y), n)
+    return state._make(schema, table, *_merge(n, key, out))
 
 
 def _prefix(y, params: CFParams):
@@ -814,28 +803,27 @@ def _cf_outputs(rows, spans, params: CFParams):
 
 
 def classical_record(state, oracle, w):
-    """Classical query w: append an oracle.n-qubit answer register and record.
+    """Classical query w: a register write plus pr_apply.
 
-    Per label, the recorded input is oracle.input_of(k, w), with k the key
-    slot value (0 without a key slot), and the pair lands in the Rel slot
-    oracle.slot_of(w), whose outputs the answer y avoids. `oracle` is a
-    harness ClassicalPROracle.
+    Per label, x = oracle.input_of(k, w), with k the key slot value (0
+    without a key slot), is written into a fresh oracle.n-qubit register,
+    and one pr_apply on that register records it in the Rel slot
+    oracle.slot_of(w). `oracle` is a harness ClassicalPROracle. ValueError
+    unless every input is an int in [0, 2^n).
     """
-    n = oracle.n
-    n_new = state.n_qubits + n
-    slot = oracle.slot_of(w)
-    schema, rows = state.schema, state.rows
-    if not len(rows):
-        return state._make(schema, rows, state.label_ids, state.indices, state.amplitudes, n_new)
-    free = _free_outputs(rows, [_rel_span(schema, slot)], 2**n)
-    if oracle.key_slot is None:
+    n, m, rows, slot = oracle.n, state.n_qubits, state.rows, oracle.slot_of(w)
+    if oracle.key_slot is None or not len(rows):
         keys = np.zeros(len(rows), dtype=np.int64)
     else:
-        keys = _int_column(schema, rows, oracle.key_slot)
+        keys = _int_column(state.schema, rows, oracle.key_slot)
     uk, kinv = np.unique(keys, return_inverse=True)
-    x = np.array([oracle.input_of(k, w) for k in uk.tolist()], dtype=np.int64)[kinv]
-    schema, rows, span = _open_slot(schema, rows, slot)
-    return _append_pair(state, schema, rows, span, free, x, True, lambda i, y: (i << n) | y, n_new)
+    x = [oracle.input_of(k, w) for k in uk.tolist()]
+    for v in x:
+        if not (_is_int(v) and 0 <= v < 2**n):
+            raise ValueError(f"classical input {v!r} of w = {w} is not an int in [0, 2^n), n = {n}")
+    idx = (state.indices << n) | np.array(x, dtype=np.int64)[kinv][state.label_ids]
+    wide = state._make(state.schema, rows, state.label_ids, idx, state.amplitudes, m + n)
+    return pr_apply(wide, slot, range(m, m + n), 2**n)
 
 
 def key_pauli(state, kind, lam, key_slot, input_qubits):

@@ -125,7 +125,8 @@ def test_config_rejections(tmp_path):
 
     assert attempt({"seed": 1}).exit_code == 2  # missing schema_version
     assert attempt({"schema_version": 2, "seed": 1}).exit_code == 2
-    assert attempt({"schema_version": 1, "seed": 1, "bogus": 3}).exit_code == 2
+    res = attempt({"schema_version": 1, "seed": 1, "bogus": 3})
+    assert res.exit_code == 2 and "unknown parameters: bogus" in res.output
     assert attempt({"schema_version": 1, "experiment": "exp_spru", "seed": 1}).exit_code == 2
     # json reads 1e400 as inf, which no seed stream accepts
     res = attempt({"schema_version": 1, "seed": 1e400})

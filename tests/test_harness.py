@@ -359,6 +359,15 @@ def test_classical_query_without_a_slot_is_refused():
         run_pr(prog, {"O": oracle}, (Rel(), 3))
 
 
+@pytest.mark.parametrize("x", [2, -1, 0.0, np.float64(1.0), True])
+def test_classical_input_outside_the_domain_is_refused(x):
+    # an n = 1 oracle takes inputs in [0, 2); a float is refused, not truncated
+    oracle = ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: x)
+    prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", 0),))
+    with pytest.raises(ValueError, match=r"not an int in \[0, 2\^n\), n = 1"):
+        run_pr(prog, {"O": oracle}, (Rel(),))
+
+
 def test_classical_recording_keyed_and_global():
     oracle = ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: k ^ w, key_slot=1)
     prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", 1),))

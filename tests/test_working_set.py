@@ -95,7 +95,7 @@ def programs(draw):
             shift = draw(st.integers(0, 3))
             bindings[f"C{j}"] = ClassicalPROracle(
                 n=1,
-                input_of=lambda k, w, s=shift: (k + w + s) % 4,
+                input_of=lambda k, w, s=shift: (k + w + s) % 2,
                 key_slot=draw(st.sampled_from([2, None])),
                 **CLASSICAL_MODES[mode],
             )
