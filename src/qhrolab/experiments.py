@@ -57,13 +57,11 @@ from .linalg import (
 )
 from .relstate import (
     CFParams,
-    KeyHadamard,
     PurifiedState,
     Rel,
     cf_count,
     cf_set,
     corx_count,
-    gather_pairs,
     is_collision_free,
     key_column,
     label_mask,
@@ -414,30 +412,31 @@ def _pru1_program(n, t, ell, rng):
     return AdversaryProgram(n=n, steps=tuple(steps))
 
 
-def _split_by_prefix_xor(mixed, ell, n, lam):
-    """The labels (Rel, h) of `mixed` rewritten to (Rel(sel), Rel(rest)).
+def _hybrid3_slices(psi3, n, lam):
+    """k -> the key-k slice of hybrid 2 that hybrid 3 `psi3` predicts.
 
-    sel is the one ell-subset of the pairs whose output prefixes XOR to h,
-    found by a column test over the C(w, ell) pair-position subsets;
-    ValueError unless exactly one subset matches on every label.
+    Hybrid 2 is 2^(-lam/2) sum_k |k> slice_k. The key-Hadamard isometry sends
+    it to phi(R, h) = 2^-lam sum_k (-1)^{h.k} slice_k(R) and then splits R
+    into the ell pairs of G, whose lam-bit output prefixes XOR to h, and the
+    rest, which gives psi3. Run backwards: label (Rel_G, Rel_U) of psi3 goes to
+    (R, h), R the pairs of both in one relation and h the XOR of Rel_G's
+    output prefixes (ValueError if two labels meet), and inverting the
+    Hadamard gives slice_k(R) = sum_h (-1)^{h.k} phi(R, h), with no scale
+    factor; entries of one (R, index) are summed.
     """
-    _, y, on = pair_columns(mixed, 0)
-    h = key_column(mixed, 1)
-    w = y.shape[1]
-    subsets = list(itertools.combinations(range(w), ell))
-    prefix = y >> (n - lam)
-    hits = np.zeros(len(h), dtype=np.int64)
-    pick = np.zeros(len(h), dtype=np.int64)
-    for i, sub in enumerate(subsets):
-        cols = list(sub)
-        match = on[:, cols].all(axis=1) & (np.bitwise_xor.reduce(prefix[:, cols], axis=1) == h)
-        hits += match
-        pick[match] = i
-    if np.any(hits != 1):
-        raise ValueError("prefix-XOR subset is not unique; collision-freeness violated")
-    sel = np.array(subsets, dtype=np.int64).reshape(len(subsets), ell)
-    rest = np.array([[c for c in range(w) if c not in sub] for sub in subsets], dtype=np.int64)
-    return gather_pairs(mixed, 0, [sel[pick], rest.reshape(len(subsets), w - ell)[pick]])
+    _, y, on = pair_columns(psi3, 0)
+    h = np.bitwise_xor.reduce(np.where(on, y >> (n - lam), 0), axis=1)
+    rows = np.sort(psi3.rows, axis=1)  # the padding of both slots sorts last
+    phi = label_rewrite(psi3, (("rel", rows.shape[1]), ("int",)), np.hstack([rows, h[:, None]]))
+    h = key_column(phi, 1)[phi.label_ids]  # per entry
+
+    def expected(k):
+        rows = phi.rows.copy()
+        rows[:, -1] = k
+        sign = np.array([1 - 2 * (bin(k & v).count("1") & 1) for v in range(2**lam)])
+        return PurifiedState.from_table(n, phi.schema, rows, phi.label_ids, phi.indices, phi.amplitudes * sign[h])
+
+    return expected
 
 
 @dataclass(frozen=True)
@@ -497,24 +496,22 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
     if ell > 0:
         desc_g = dataclasses.replace(pru_one_query(n, lam, slot=0, cf=cf), key_slot=1)
         keyed, apart = _hybrid_bindings(n, desc_g, cf)
-        # hybrid 2 runs one key at a time: each slice is reduced and added into
-        # the key-Hadamard transform before it is freed
-        hadamard = KeyHadamard(1, lam)
-        rho2, _ = key_sliced_view(prog, keyed, (Rel(), KeyInit(lam)), each=hadamard.add)
+        psi3 = run_pr(prog, apart, (Rel(), Rel()))
+        # hybrid 2 runs one key at a time: each slice is reduced and compared
+        # with the slice hybrid 3 predicts before it is freed
+        expected, gaps = _hybrid3_slices(psi3, n, lam), []
+        rho2, _ = key_sliced_view(
+            prog, keyed, (Rel(), KeyInit(lam)), each=lambda k, state: gaps.append(state.max_diff(expected(k)))
+        )
     else:
         # G is unkeyed and never queried, so every key slice is the same run
         keyed, apart = _hybrid_bindings(n, haar_slot(n, slot=0, cf=cf), cf)
         rho2 = reduce_view(run_pr(prog, keyed, (Rel(), 0)))
-    psi3 = run_pr(prog, apart, (Rel(), Rel()))
+        psi3 = run_pr(prog, apart, (Rel(), Rel()))
     rho3 = reduce_view(psi3)
     _check(entry, "td_hybrid2_vs_hybrid3", "EXACT", trace_distance(rho2, rho3), 1e-8)
-
     if ell > 0:
-        # each slice weighs 2^(-lam/2) in hybrid 2
-        mixed = hadamard.state(scale=2.0**-lam).prune(1e-12)
-        del hadamard
-        walked = _split_by_prefix_xor(mixed, ell, n, lam)
-        _check(entry, "isometry_state_match", "EXACT", walked.max_diff(psi3), 1e-8)
+        _check(entry, "isometry_state_match", "EXACT", max(gaps), 1e-8)
 
     # end-to-end Monte Carlo against independent oracles
     real_sampler, ideal_sampler = _keyed_samplers(pru_one_query(n, lam))

@@ -44,8 +44,6 @@ __all__ = [
     "project_good",
     "good_mass",
     "label_rewrite",
-    "KeyHadamard",
-    "gather_pairs",
 ]
 
 
@@ -550,6 +548,10 @@ class PurifiedState:
         """Largest amplitude difference over the union of labels/entries."""
         if other.n_qubits != self.n_qubits:
             raise ValueError("register mismatch")
+        if self.schema == other.schema and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in ("rows", "label_ids", "indices")
+        ):  # one layout: the union below would pair entry i with entry i
+            return float(np.max(np.abs(self.amplitudes - other.amplitudes), initial=0.0))
         ia, ib = self._common_ids(other)
         n = self.n_qubits
         keys = np.concatenate([(ia[self.label_ids] << n) | self.indices, (ib[other.label_ids] << n) | other.indices])
@@ -914,96 +916,3 @@ def label_rewrite(state, schema, rows):
     if out.label_count() < state.label_count():
         raise ValueError(f"label rewrite is not injective: {state.label_count()} labels meet in {out.label_count()}")
     return out
-
-
-def gather_pairs(state, slot, positions):
-    """Relabel every label to Rel slots gathered from the pairs of its Rel slot `slot`.
-
-    positions holds one (labels, width) int array per new slot, increasing
-    along each row: new slot i of a label holds the pairs at its row of
-    positions[i] (a position that holds padding adds nothing). Every
-    other slot is dropped. Amplitude vectors are untouched; raises if two
-    labels meet.
-    """
-    a, b = _rel_span(state.schema, slot)
-    blocks = [np.take_along_axis(state.rows[:, a:b], np.asarray(p, dtype=np.int64), axis=1) for p in positions]
-    rows = np.hstack([np.zeros((state.label_count(), 0), dtype=np.int64), *blocks])
-    return label_rewrite(state, tuple(("rel", blk.shape[1]) for blk in blocks), rows)
-
-
-class KeyHadamard:
-    """Hadamard transform of an integer key slot (2^lam keys), added one key slice at a time.
-
-    add(k, state_k) takes the branch of key k: a state whose labels all hold
-    k in the key slot. Label (rest, h) of state() holds
-    scale * sum_k (-1)^{h.k} state_k(rest), rest being a label without its
-    key. The sum is kept in a dense (2^lam, groups) block over the groups
-    (rest, index) met so far; the block grows by the union of the slice
-    supports, so a caller that frees each slice after adding it never holds
-    the whole keyed state.
-    """
-
-    def __init__(self, key_slot, lam):
-        self.key_slot, self.lam = key_slot, lam
-        self.table = self.groups = self.acc = None
-
-    def add(self, k, state):
-        lam, n = self.lam, state.n_qubits
-        if not 0 <= k < 2**lam or np.any(_int_column(state.schema, state.rows, self.key_slot) != k):
-            raise ValueError(f"key slice {k} holds labels of another key")
-        slot = range(len(state.schema))[self.key_slot]
-        a, _ = _slot_span(state.schema, slot)
-        rest = _Table(state.schema[:slot] + state.schema[slot + 1 :], np.delete(state.rows, a, axis=1))
-        if self.table is None:
-            self.n, self.slot = n, slot
-            joint = rest.schema, rest.rows[:0], rest.rows
-        elif n != self.n or slot != self.slot:
-            raise ValueError("key slices differ in register or key slot")
-        else:
-            joint = _joint_rows(self.table, rest)
-            if joint is None:
-                raise ValueError("key slices differ in label slots")
-        schema, old_rows, new_rows = joint
-        rows, inv = _intern(np.vstack([old_rows, new_rows]))
-        self.table = _Table(schema, rows)
-        old = len(old_rows)
-        new_groups = _key(n, inv[old:][state.label_ids], state.indices)
-        if self.groups is None:
-            old_groups = new_groups[:0]
-        else:
-            old_groups = _key(n, inv[:old][self.groups >> n], self.groups & ((1 << n) - 1))
-        groups = np.concatenate([old_groups, new_groups])
-        groups.sort()
-        groups = groups[np.concatenate(([True], groups[1:] != groups[:-1]))]
-        if self.acc is None or not np.array_equal(groups, old_groups):
-            acc = np.zeros((2**lam, len(groups)), dtype=complex)
-            if self.acc is not None:
-                acc[:, np.searchsorted(groups, old_groups)] = self.acc
-            self.acc = acc
-        self.groups = groups
-        at = np.searchsorted(groups, new_groups)
-        for h, odd in enumerate(_parity(np.arange(2**lam) & k).tolist()):
-            if odd:
-                self.acc[h, at] -= state.amplitudes
-            else:
-                self.acc[h, at] += state.amplitudes
-
-    def state(self, scale=None):
-        """The transformed state; scale defaults to 2^(-lam/2), the transform of
-        the sum of the slices (the slices of a uniform key, harness.key_slices,
-        weigh 2^(-lam/2) each: pass 2^-lam). Amplitudes of modulus <= 1e-14
-        are dropped, and so are labels left without entries."""
-        if self.table is None:
-            raise ValueError("no key slice was added")
-        lam, n = self.lam, self.n
-        amp = self.acc * (2.0 ** (-lam / 2.0) if scale is None else scale)
-        h, g = np.nonzero(np.abs(amp) > 1e-14)
-        amp = amp[h, g]
-        labs, lab = np.unique(((self.groups[g] >> n) << lam) | h, return_inverse=True)
-        a = sum(_width(spec) for spec in self.table.schema[: self.slot])
-        rows = np.insert(self.table.rows[labs >> lam], a, labs & ((1 << lam) - 1), axis=1)
-        schema = self.table.schema[: self.slot] + (("int",),) + self.table.schema[self.slot :]
-        entries = _merge(n, _key(n, lab, self.groups[g] & ((1 << n) - 1)), amp)
-        out = object.__new__(PurifiedState)
-        out._set(n, schema, rows, *entries)
-        return out

@@ -272,10 +272,45 @@ def test_record_point_reduces_no_full_keyed_state(monkeypatch):
 
 @pytest.mark.parametrize("h", [0, 1])
 def test_prefix_xor_split_needs_a_unique_subset(h):
-    # both outputs have prefix 0: two subsets give h = 0, none gives h = 1
-    rel = Rel([(0, 0), (1, 1)])
-    with pytest.raises(ValueError, match="not unique"):
-        experiments._split_by_prefix_xor(PurifiedState(2, {(rel, h): {0: 1.0}}), 1, 2, 1)
+    # G's outputs 2h and 2h + 1 share the prefix h at lam = 1, so two subsets
+    # of the pairs give h: (Rel{p}, Rel{q}) and (Rel{q}, Rel{p}) both go to
+    # (Rel{p, q}, h)
+    p, q = (0, 2 * h), (1, 2 * h + 1)
+    psi3 = PurifiedState(2, {(Rel([p]), Rel([q])): {0: 1.0}, (Rel([q]), Rel([p])): {0: 1.0}})
+    with pytest.raises(ValueError, match="not injective"):
+        experiments._hybrid3_slices(psi3, 2, 1)
+
+
+def test_hybrid3_slices_sum_labels_with_key_signs():
+    # G outputs with prefixes 1 and 0 part the labels into h = 1 and h = 0 of
+    # one R, and slice k sums them with the signs (-1)^(h k)
+    p, q = (0, 2), (1, 1)
+    psi3 = PurifiedState(2, {(Rel([p]), Rel([q])): {0: 0.5}, (Rel([q]), Rel([p])): {0: 1.0}})
+    expected = experiments._hybrid3_slices(psi3, 2, 1)
+    assert dict(expected(0).terms) == {(Rel([p, q]), 0): {0: 1.5}}
+    assert dict(expected(1).terms) == {(Rel([p, q]), 1): {0: 0.5}}
+
+
+def test_isometry_state_match_sees_one_flipped_sign(monkeypatch):
+    original = experiments._hybrid3_slices
+
+    def one_sign_flipped(psi3, n, lam):
+        expected = original(psi3, n, lam)
+
+        def slice_k(k):
+            state = expected(k)
+            if k != 1:
+                return state
+            amp = state.amplitudes.copy()
+            at = np.argmax(np.abs(amp))
+            amp[at] = -amp[at]
+            return PurifiedState.from_table(n, state.schema, state.rows.copy(), state.label_ids, state.indices, amp)
+
+        return slice_k
+
+    monkeypatch.setattr(experiments, "_hybrid3_slices", one_sign_flipped)
+    (check,) = checks_by_name(run_experiment("exp_pru1", {"seed": 3, "trials": 2}))["isometry_state_match"]
+    assert check["value"] > 1e-8 and not check["passed"]
 
 
 def test_pru1_unkeyed_hybrid2_runs_once(monkeypatch):

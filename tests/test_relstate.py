@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from qhrolab import relstate
 from qhrolab.relstate import (
     CFParams,
-    KeyHadamard,
     PurifiedState,
     Rel,
     cf_count,
     cf_set,
     corx,
     corx_count,
-    gather_pairs,
     is_collision_free,
     key_column,
     label_rewrite,
@@ -310,40 +308,6 @@ def test_pair_codes_write_what_pair_columns_read():
         pair_codes([2**31], [0])
 
 
-def key_slot_hadamard(state, key_slot, lam):
-    """The key-Hadamard transform of a whole state, added key slice by key slice."""
-    hadamard = KeyHadamard(key_slot, lam)
-    key = key_column(state, key_slot)
-    for k in np.unique(key).tolist():
-        hadamard.add(k, state.select_labels(key == k))
-    return hadamard.state()
-
-
-def test_key_slot_hadamard_involution():
-    st0 = two_label_state()
-    back = key_slot_hadamard(key_slot_hadamard(st0, 1, 1), 1, 1)
-    assert back.max_diff(st0) <= 1e-12
-
-
-def test_key_hadamard_rejects_a_slice_of_another_key():
-    hadamard = KeyHadamard(1, 1)
-    with pytest.raises(ValueError, match="another key"):
-        hadamard.add(0, two_label_state())
-    with pytest.raises(ValueError, match="no key slice"):
-        hadamard.state()
-
-
-def test_gather_pairs_regroups_a_relation():
-    st0 = PurifiedState(1, {(Rel([(0, 1), (2, 3), (4, 5)]), 9): {0: 0.6}, (Rel([(0, 1), (6, 7)]), 9): {1: 0.8}})
-    out = gather_pairs(st0, 0, [[[0, 2], [0, 1]], [[1], [2]]])
-    assert dict(out.terms) == {
-        (Rel([(0, 1), (4, 5)]), Rel([(2, 3)])): {0: 0.6},
-        (Rel([(0, 1), (6, 7)]), Rel()): {1: 0.8},
-    }
-    with pytest.raises(ValueError, match="not injective"):
-        gather_pairs(st0, 0, [[[0], [0]]])
-
-
 # ------------------------------------------------- collision-free recording
 
 
@@ -446,6 +410,20 @@ def test_purified_inner_and_diff():
         a.inner(PurifiedState(2, {}))
     with pytest.raises(ValueError, match="register mismatch"):
         a.max_diff(PurifiedState(2, {(0,): {0: 1.0}}))
+
+
+def test_max_diff_of_one_layout_is_the_union_difference():
+    # equal label tables and entries take the entrywise path; an extra empty
+    # label forces the union over labels, which must read the same bits
+    rng = np.random.default_rng(3)
+    labels = [(Rel([(0, 1)]), 2), (Rel([(1, 3), (2, 0)]), 5)]
+    a, b = (PurifiedState(2, {lab: {i: complex(*rng.normal(size=2)) for i in range(3)} for lab in labels}) for _ in "ab")
+    extra = b.rows[:1].copy()
+    extra[0, -1] = 7
+    wide = PurifiedState.from_table(2, b.schema, np.vstack([b.rows, extra]), b.label_ids, b.indices, b.amplitudes.copy())
+    assert wide.label_count() == 3 and wide.entry_count() == b.entry_count()
+    assert a.max_diff(b) == a.max_diff(wide) > 0.0
+    assert a.max_diff(a) == 0.0
 
 
 def dict_inner_and_diff(a, b):

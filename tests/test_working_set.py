@@ -80,8 +80,9 @@ def programs(draw):
     bindings = {}
     reg = n
     records = 0  # recordings so far; each multiplies the state by up to 2^n
-    for j in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(STEP_KINDS))
+    for j in range(1 + draw(st.integers(1, 4))):
+        # the first query is classical: every relation is still empty, so it has room to record
+        kind = "classical" if j == 0 else draw(st.sampled_from(STEP_KINDS))
         records += {"dense": 0, "sparse": 0, "two_query": 2}.get(kind, 1)
         if records > 3:
             break
