@@ -64,7 +64,10 @@ def cmd_describe(name):
 @main.command("run")
 @click.argument("name", type=click.Choice(sorted(EXPERIMENTS)), metavar="NAME")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
+@click.option(
+    "--seed", type=click.IntRange(0, 2**64 - 1), default=None, show_default="the config's seed, else 0",
+    help="overrides the config's seed",
+)
 @click.option("--trials", type=click.IntRange(1), default=None)
 @click.option("--out", "outdir", type=click.Path(), default="results", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both", show_default=True)
@@ -82,7 +85,9 @@ def cmd_run(name, config_path, seed, trials, outdir, fmt):
     try:
         if config_path:
             params.update(_load_config(config_path, name))
-        params.setdefault("seed", seed)
+        if seed is not None:
+            params["seed"] = seed
+        params.setdefault("seed", 0)
         if trials is not None:
             params["trials"] = trials
         EXPERIMENTS[name].schema.parse(params)

@@ -52,18 +52,19 @@ class OracleDescriptor:
         return tuple(s[1] for s in self.steps if s[0] == "pr")
 
 
-def pru_two_query(n: int, lam: int, slot: int = 0) -> OracleDescriptor:
-    """U (X^k tensor I) U: two queries to the common oracle per call."""
+def pru_two_query(n: int, lam: int) -> OracleDescriptor:
+    """U (X^k tensor I) U: two queries to the common oracle per call, both
+    recorded in label slot 0."""
     if lam > n or lam < 1:
         raise ValueError("key length must satisfy 1 <= lam <= n")
-    return OracleDescriptor(n=n, lam=lam, steps=(("pr", slot, None), ("pauli", "X"), ("pr", slot, None)))
+    return OracleDescriptor(n=n, lam=lam, steps=(("pr", 0, None), ("pauli", "X"), ("pr", 0, None)))
 
 
-def pru_one_query(n: int, lam: int, slot: int = 0, cf: CFParams | None = None) -> OracleDescriptor:
-    """(Z^k tensor I) U: a single query followed by a key phase."""
+def pru_one_query(n: int, lam: int, cf: CFParams | None = None) -> OracleDescriptor:
+    """(Z^k tensor I) U: a single query, recorded in label slot 0, followed by a key phase."""
     if lam > n:
         raise ValueError("key length exceeds register size")
-    return OracleDescriptor(n=n, lam=lam, steps=(("pr", slot, cf), ("pauli", "Z")))
+    return OracleDescriptor(n=n, lam=lam, steps=(("pr", 0, cf), ("pauli", "Z")))
 
 
 def haar_slot(n: int, slot: int = 0, cf: CFParams | None = None, shared_slots=None) -> OracleDescriptor:

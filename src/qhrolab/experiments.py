@@ -356,7 +356,7 @@ def exp_pru2(p: Pru2Params) -> ExperimentReport:
         entry = rep.add_point({"n": n, "lam": lam, "t": t, "ell": ell})
 
         # exact hybrid identities at the smallest grid point
-        desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
+        desc_g = dataclasses.replace(pru_two_query(n, lam), key_slot=1)
         keyed, apart = _hybrid_bindings(n, desc_g)
         rho2, mass = key_sliced_view(
             prog, keyed, (Rel(), KeyInit(lam)), mask=lambda labels: corx_count(labels, 0, 1) == ell
@@ -494,7 +494,7 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
     entry = rep.add_point({"n": n, "lam": lam, "t": t, "ell": ell})
 
     if ell > 0:
-        desc_g = dataclasses.replace(pru_one_query(n, lam, slot=0, cf=cf), key_slot=1)
+        desc_g = dataclasses.replace(pru_one_query(n, lam, cf=cf), key_slot=1)
         keyed, apart = _hybrid_bindings(n, desc_g, cf)
         psi3 = run_pr(prog, apart, (Rel(), Rel()))
         # hybrid 2 runs one key at a time: each slice is reduced and compared
@@ -765,20 +765,18 @@ def exp_cf_bound(p: CfBoundParams) -> ExperimentReport:
                         continue
                     cf = CFParams(ell, lam, n)
                     if exhaustive:
-                        for s_tuple in itertools.combinations(range(2**n), size):
-                            if not is_collision_free(s_tuple, cf):
-                                continue
-                            checked += 1
-                            if cf_count(s_tuple, cf) < bound:
-                                violations += 1
+                        sets = itertools.combinations(range(2**n), size)
+                    else:  # drawn lazily, in the loop's order
+                        sets = (tuple(sorted(rng.choice(2**n, size=size, replace=False))) for _ in range(sample_count))
+                    found = 0
+                    for s_tuple in sets:
+                        if is_collision_free(s_tuple, cf):
+                            found += 1
+                            violations += cf_count(s_tuple, cf) < bound
+                    if exhaustive:
+                        checked += found
                     else:
-                        for _ in range(sample_count):
-                            s_tuple = tuple(sorted(rng.choice(2**n, size=size, replace=False)))
-                            if not is_collision_free(s_tuple, cf):
-                                continue
-                            sampled += 1
-                            if cf_count(s_tuple, cf) < bound:
-                                violations += 1
+                        sampled += found
     entry = rep.add_point({"grid": f"n<={n_max},|S|<={smax},l<={ell_max}"})
     _check(entry, "bound_violations", "EXACT", violations, 0)
     entry["point"]["instances_checked"] = checked
@@ -845,7 +843,7 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
 
     rng = trial_rng(seed, 50_000 + n)
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("G")))
-    desc_g = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
+    desc_g = dataclasses.replace(pru_two_query(n, lam), key_slot=1)
     psi3 = run_pr(prog, {"G": haar_slot(n, slot=0)}, (Rel(),))
     rho3 = reduce_view(psi3)
     augmented = _augmented_part(psi3, N, lam, t)

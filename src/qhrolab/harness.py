@@ -30,7 +30,6 @@ from .relstate import (
     PurifiedState,
     classical_record,
     extract_bits,
-    good_mass,
     key_pauli,
     label_mask,
     pr_apply,
@@ -56,7 +55,6 @@ __all__ = [
     "bootstrap_td_pair",
     "haar_interleave",
     "phased_permutation_interleave",
-    "fourier_interleave",
 ]
 
 
@@ -315,7 +313,7 @@ def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=
         else:
             acc += view.entries
         if mask is not None:
-            mass += good_mass(state, label_mask(state, mask))
+            mass += state.norm_sq(label_mask(state, mask))
         if each is not None:
             each(k, state)
         del state
@@ -509,11 +507,3 @@ def phased_permutation_interleave(n_qubits, rng, targets=None):
     phases = np.exp(2j * np.pi * rng.random(2**k))
     return Interleave(sparse_map=(perm, phases), targets=tuple(targets) if targets is not None else tuple(range(n_qubits)))
 
-
-def fourier_interleave(targets):
-    """Hadamard layer on the given qubits (as a dense small gate)."""
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    gate = np.array([[1.0]], dtype=complex)
-    for _ in targets:
-        gate = np.kron(gate, h)
-    return Interleave(u=gate, targets=tuple(targets))

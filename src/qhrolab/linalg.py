@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 - big-endian qubit order: qubit 0 is the most significant bit of a basis
-  index, so basis_state(2, 1) is |01>.
+  index, so index 1 of a 2-qubit register is |01>.
 - registers are capped at QUBIT_CAP qubits per dense object.
 - exact identities are checked at 1e-9 (1e-10 where stated); statistical
   assertions carry explicit sample counts.
@@ -25,11 +25,9 @@ __all__ = [
     "UnitaryMatrix",
     "DensityMatrix",
     "trial_rng",
-    "basis_state",
     "haar_unitary",
     "haar_unitaries",
     "pauli_string",
-    "epr_state",
     "choi_state",
     "trace_distance",
     "apply_gate",
@@ -79,25 +77,9 @@ class StateVector:
         if not np.all(np.isfinite(amps)):
             raise ValueError("non-finite amplitudes")
 
-    @classmethod
-    def from_array(cls, amps) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex)
-        n = _qubits_of(amps.size)
-        if n is None:
-            raise ValueError("length is not a power of two")
-        return cls(amps, n)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def density(self) -> "DensityMatrix":
         v = self.amplitudes
         return DensityMatrix(np.outer(v, v.conj()))
-
-    def overlap(self, other: "StateVector") -> complex:
-        if other.qubit_count != self.qubit_count:
-            raise ValueError("dimension mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -136,15 +118,6 @@ class DensityMatrix:
         object.__setattr__(self, "qubit_count", n)
         if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
             raise ValueError("density matrix must be Hermitian")
-
-
-def basis_state(n: int, x: int) -> StateVector:
-    """Computational basis state |x> on n qubits (big-endian)."""
-    if not 0 <= x < 2**n:
-        raise ValueError(f"basis index {x} out of range for {n} qubits")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[x] = 1.0
-    return StateVector(amps, n)
 
 
 def _haar_stack(dim: int, rngs) -> np.ndarray:
@@ -194,18 +167,9 @@ def pauli_string(kind: str, k: int, lam: int, n: int) -> np.ndarray:
     raise ValueError(f"unknown Pauli kind {kind!r}")
 
 
-def epr_state(n: int) -> StateVector:
-    """|Omega> = 2^{-n/2} sum_x |x>|x> on 2n qubits."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dim = 2**n
-    amps = np.zeros(dim * dim, dtype=complex)
-    amps[np.arange(dim) * dim + np.arange(dim)] = dim**-0.5
-    return StateVector(amps, 2 * n)
-
-
 def choi_state(u):
-    """|Phi_U> = (I tensor U)|Omega>, whose amplitude at (x, y) is 2^(-n/2) U[y, x].
+    """|Phi_U> = (I tensor U)|Omega>, |Omega> = 2^(-n/2) sum_x |x>|x>: its
+    amplitude at (x, y) is 2^(-n/2) U[y, x].
     A (..., d, d) stack of unitaries gives the (..., d^2) stack of Choi vectors."""
     n = _qubits_of(u.shape[-1])
     if n is None:

@@ -42,7 +42,6 @@ __all__ = [
     "key_column",
     "corx_count",
     "project_good",
-    "good_mass",
     "label_rewrite",
 ]
 
@@ -117,7 +116,6 @@ _Y_BITS = 32
 _Y_MASK = (1 << _Y_BITS) - 1
 _PAIR_LIMIT = 1 << 31  # pair values must lie in [0, 2^31) to be packed
 _INT_LIMIT = 1 << 62  # integer slots hold values in (-2^62, 2^62)
-_DECODE_CHUNK = 1 << 12  # labels decoded per batch (label_chunks)
 _BLOCK_BYTES = 1 << 25  # bound on one dense complex block
 _ENTRY_CHUNK = 1 << 14  # entries per bounded batch of norm_sq and _merge
 _MASK_LABELS = 1 << 16  # labels per run of a column test (label_mask)
@@ -373,8 +371,7 @@ class PurifiedState:
     constructor's form.
     """
 
-    def __init__(self, n_qubits, terms=None):
-        terms = {} if terms is None else terms
+    def __init__(self, n_qubits, terms):
         schema, rows = _encode(list(terms))
         sizes = [len(vec) for vec in terms.values()]
         count = sum(sizes)
@@ -415,21 +412,12 @@ class PurifiedState:
     def _with_entries(self, lab, idx, amp):
         return self._make(self.schema, self.rows, lab, idx, amp)
 
-    @classmethod
-    def initial(cls, n_qubits, label, index=0, amp=1.0):
-        return cls(n_qubits, {tuple(label): {index: complex(amp)}})
-
     def __repr__(self):
         return f"PurifiedState(n_qubits={self.n_qubits}, labels={self.label_count()}, entries={self.entry_count()})"
 
-    def labels(self, start=0, stop=None):
-        """Decoded label tuples for table rows start..stop."""
-        return _decode(self.schema, self.rows[start:stop])
-
-    def label_chunks(self):
-        """(start, decoded labels) in bounded batches over the label table."""
-        for start in range(0, self.label_count(), _DECODE_CHUNK):
-            yield start, self.labels(start, start + _DECODE_CHUNK)
+    def labels(self):
+        """Decoded label tuples, one per table row."""
+        return _decode(self.schema, self.rows)
 
     @property
     def terms(self):
@@ -438,10 +426,9 @@ class PurifiedState:
             bounds = np.searchsorted(self.label_ids, np.arange(self.label_count() + 1))
             idx, amp = self.indices.tolist(), self.amplitudes.tolist()
             out = {}
-            for start, labels in self.label_chunks():
-                for k, lab in enumerate(labels, start):
-                    a, b = bounds[k], bounds[k + 1]
-                    out[lab] = MappingProxyType(dict(zip(idx[a:b], amp[a:b])))
+            for k, lab in enumerate(self.labels()):
+                a, b = bounds[k], bounds[k + 1]
+                out[lab] = MappingProxyType(dict(zip(idx[a:b], amp[a:b])))
             self._terms = MappingProxyType(out)
         return self._terms
 
@@ -465,22 +452,11 @@ class PurifiedState:
     def label_count(self):
         return len(self.rows)
 
-    def check_cap(self):
-        _check_entries(self.entry_count())
-
-    def select_labels(self, keep, on=None):
-        """The sub-state on the labels where the boolean mask `keep` holds
-        (and on the entries where `on` holds, if given)."""
-        on = keep[self.label_ids] if on is None else on
+    def select_labels(self, keep):
+        """The sub-state on the labels where the boolean mask `keep` holds."""
+        on = keep[self.label_ids]
         lab = (np.cumsum(keep) - 1)[self.label_ids[on]]
         return self._make(self.schema, self.rows[keep], lab, self.indices[on], self.amplitudes[on])
-
-    def prune(self, tol=0.0):
-        """Drop zero (or sub-tolerance) amplitudes and empty labels."""
-        on = np.abs(self.amplitudes) > tol
-        keep = np.zeros(self.label_count(), dtype=bool)
-        keep[self.label_ids[on]] = True
-        return self.select_labels(keep, on)
 
     def apply_matrix(self, mat, targets=None):
         """Apply a unitary to the adversary register of every label.
@@ -510,9 +486,8 @@ class PurifiedState:
             lab, idx, amp = _merge(n, _key(n, np.concatenate(labs), np.concatenate(idxs)), np.concatenate(amps))
         else:
             lab, idx, amp = self.label_ids, self.indices, self.amplitudes
-        st = self._with_entries(lab, idx, amp)
-        st.check_cap()
-        return st
+        _check_entries(len(amp))
+        return self._with_entries(lab, idx, amp)
 
     def apply_sparse_map(self, perm, phases, targets):
         """Apply a phased permutation on `targets`: the register value v on
@@ -897,11 +872,6 @@ def corx_count(table, rel_slot, key_slot):
 def project_good(state, keep):
     """The sub-state on the labels of the boolean mask `keep` (subnormalized)."""
     return state.select_labels(keep)
-
-
-def good_mass(state, keep):
-    """project_good(state, keep).norm_sq(), bitwise, without the sub-state."""
-    return state.norm_sq(keep)
 
 
 def label_rewrite(state, schema, rows):

@@ -41,7 +41,7 @@ def test_criterion_01_recording_isometry_exhaustive():
     images = []
     for rel in all_rels(N, 2):
         for x in range(N):
-            st = PurifiedState.initial(2, (rel,), index=x)
+            st = PurifiedState(2, {(rel,): {x: 1.0}})
             images.append(pr_apply(st, 0, [0, 1], N))
     key_index = {}
     rows = []

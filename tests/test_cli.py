@@ -98,6 +98,27 @@ def test_run_with_config(tmp_path):
     assert obj["params"]["n"] == 2 and obj["seed"] == 4
 
 
+def test_flags_override_the_config(tmp_path):
+    # an explicit --seed or --trials wins over the config; without the flag
+    # the config's seed applies, and without either the seed is 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "seed": 4, "trials": 300}))
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"schema_version": 1, "trials": 300}))
+    cases = [
+        (["--config", str(cfg), "--seed", "5", "--trials", "20"], 5, 20),
+        (["--config", str(cfg), "--trials", "20"], 4, 20),
+        (["--config", str(bare)], 0, 300),
+    ]
+    for i, (flags, seed, trials) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        res = CliRunner().invoke(main, ["run", "exp_spru", "--format", "json", "--out", str(out), *flags])
+        assert res.exit_code == 0, res.output
+        (run,) = os.listdir(out / "exp_spru")
+        obj = json.loads((out / "exp_spru" / run / "report.json").read_text())
+        assert (obj["seed"], obj["params"]["trials"]) == (seed, trials)
+
+
 def test_jobs_is_accepted_and_changes_nothing(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "jobs": 2}))

@@ -57,10 +57,11 @@ def test_haar_slot_concrete_is_u():
 
 def test_descriptor_metadata():
     cf = CFParams(1, 2, 2)
-    desc = pru_one_query(2, 2, slot=1, cf=cf)
-    assert desc.record_slots() == (1,)
-    assert desc.steps == (("pr", 1, cf), ("pauli", "Z"))
+    desc = pru_one_query(2, 2, cf=cf)
+    assert desc.record_slots() == (0,)
+    assert desc.steps == (("pr", 0, cf), ("pauli", "Z"))
     assert pru_two_query(3, 2).record_slots() == (0, 0)
+    assert haar_slot(2, slot=1, cf=cf).record_slots() == (1,)
 
 
 def test_prs_output_column():

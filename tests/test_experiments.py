@@ -175,8 +175,8 @@ def old_corx_good(ell):
 
 
 def predicate_mask(state, predicate):
-    """A label mask from a per-label predicate on decoded labels, a chunk at a time."""
-    return np.array([bool(predicate(lab)) for _, labels in state.label_chunks() for lab in labels], dtype=bool)
+    """A label mask from a per-label predicate on decoded labels."""
+    return np.array([bool(predicate(lab)) for lab in state.labels()], dtype=bool)
 
 
 def sliced_calls(monkeypatch):

@@ -19,7 +19,6 @@ from qhrolab.harness import (
     QuantumQuery,
     bootstrap_td_pair,
     bootstrap_td_stderr,
-    fourier_interleave,
     haar_interleave,
     haar_view_mc,
     key_sliced_view,
@@ -35,7 +34,6 @@ from qhrolab.linalg import (
     DensityMatrix,
     UnitaryMatrix,
     apply_unitary,
-    basis_state,
     haar_unitaries,
     haar_unitary,
     pauli_string,
@@ -51,6 +49,8 @@ from qhrolab.relstate import (
     label_rewrite,
     relation_state_vector,
 )
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 def test_program_validation():
@@ -133,7 +133,7 @@ def test_a_program_may_open_with_a_query():
 
 def test_classical_concrete_appends_register():
     prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", 3),))
-    out = run_concrete(prog, {"O": lambda w: basis_state(2, w).amplitudes[None]})
+    out = run_concrete(prog, {"O": lambda w: np.eye(4)[w][None]})
     assert out.shape == (1, 2**3)
     assert abs(out[0, 0b011] - 1.0) < 1e-12
 
@@ -199,7 +199,7 @@ def test_purified_full_hilbert_cross_check():
     rng = trial_rng(31)
     prog = AdversaryProgram(
         n=n,
-        steps=(haar_interleave(n, rng), QuantumQuery("U"), fourier_interleave((0,)), QuantumQuery("U")),
+        steps=(haar_interleave(n, rng), QuantumQuery("U"), Interleave(u=HADAMARD, targets=(0,)), QuantumQuery("U")),
     )
     psi = run_pr(prog, {"U": haar_slot(n)}, (Rel(),))
     dim_rel = 2 ** (2 * n * t)
@@ -319,7 +319,7 @@ def test_cf_recording_matches_plain_at_full_prefix():
     n = 4
     steps = []
     for _ in range(2):
-        steps += [QuantumQuery("U"), fourier_interleave((0, 1))]
+        steps += [QuantumQuery("U"), Interleave(u=np.kron(HADAMARD, HADAMARD), targets=(0, 1))]
     prog = AdversaryProgram(n=n, steps=tuple(steps))
     plain = reduce_view(run_pr(prog, {"U": haar_slot(n)}, (Rel(),)))
     tds = []
@@ -414,7 +414,7 @@ def test_keyed_descriptor_needs_key_slot():
 def sliced_setup(n=2, lam=2):
     """A two-query keyed program on a (Rel, key) label and its bindings."""
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, trial_rng(5)), QuantumQuery("G"), QuantumQuery("U")))
-    desc = dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=1)
+    desc = dataclasses.replace(pru_two_query(n, lam), key_slot=1)
     return prog, {"G": desc, "U": haar_slot(n, slot=0)}
 
 

@@ -14,9 +14,7 @@ from qhrolab.linalg import (
     UnitaryMatrix,
     apply_gate,
     apply_unitary,
-    basis_state,
     choi_state,
-    epr_state,
     haar_unitaries,
     haar_unitary,
     pauli_string,
@@ -27,7 +25,7 @@ from qhrolab.linalg import (
 
 def rand_state(dim, rng):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector.from_array(v / np.linalg.norm(v))
+    return StateVector(v / np.linalg.norm(v), dim.bit_length() - 1)
 
 
 def rand_density(n, rng, rank=2):
@@ -39,13 +37,16 @@ def rand_density(n, rng, rank=2):
 
 
 def test_basis_state_big_endian():
-    # qubit 0 is the most significant bit
-    assert basis_state(2, 1).amplitudes[1] == 1.0
-    x = UnitaryMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
-    flipped = apply_unitary(basis_state(2, 0), x, [0])
-    assert abs(flipped.amplitudes[2] - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        basis_state(2, 4)
+    # qubit 0 is the most significant bit: X on qubit 0 takes |00> to |10>
+    # (index 2), and X on qubit 1 takes it to |01> (index 1)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    zero = np.eye(4)[0]
+    assert np.array_equal(apply_gate(zero, x, [0], 2), np.eye(4)[2])
+    assert np.array_equal(apply_gate(zero, x, [1], 2), np.eye(4)[1])
+    # a two-qubit gate's index MSB is targets[0]: CNOT controlled by qubit 1
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    assert np.array_equal(apply_gate(np.eye(4)[1], cnot, [1, 0], 2), np.eye(4)[3])
+    assert np.array_equal(apply_gate(np.eye(4)[2], cnot, [1, 0], 2), np.eye(4)[2])
 
 
 def full_gate_matrix(gate, targets, n):
@@ -72,7 +73,7 @@ def test_apply_gate_matches_full_matrix():
 def test_apply_gate_rejects_invalid_targets():
     # numpy would read -1 as the last axis; the kernel must refuse it
     x = UnitaryMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
-    psi = basis_state(3, 0)
+    psi = StateVector(np.eye(8)[0], 3)
     for bad in (-1, 3):
         with pytest.raises(ValueError, match=f"target qubit {bad} "):
             apply_unitary(psi, x, [bad])
@@ -144,7 +145,7 @@ def test_pauli_string_action():
     n, lam = 3, 2
     for k in range(4):
         xk = UnitaryMatrix(pauli_string("X", k, lam, n))
-        out = apply_unitary(basis_state(n, 0), xk)
+        out = apply_unitary(StateVector(np.eye(2**n)[0], n), xk)
         assert abs(out.amplitudes[k << (n - lam)] - 1.0) < 1e-12
         zk = pauli_string("Z", k, lam, n)
         assert np.allclose(np.abs(np.diagonal(zk)), 1.0)
@@ -169,9 +170,14 @@ def test_pauli_xz_algebra():
     assert np.allclose(z @ x, sign * x @ z)
 
 
+def epr_state(n):
+    """|Omega> = 2^{-n/2} sum_x |x>|x> on 2n qubits."""
+    return StateVector(np.eye(2**n).ravel() / np.sqrt(2**n), 2 * n)
+
+
 def test_epr_and_choi():
     om = epr_state(2)
-    assert abs(om.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(om.amplitudes) - 1.0) < 1e-12
     assert abs(om.amplitudes[0b0101] - 0.5) < 1e-12
     assert np.max(np.abs(choi_state(np.eye(4)) - om.amplitudes)) < 1e-12
     # choi_state(u) applies u to the right half only
@@ -242,7 +248,7 @@ def test_trace_distance_pure_states():
         a = rand_state(4, rng)
         b = rand_state(4, rng)
         td = trace_distance(a.density(), b.density())
-        assert abs(td - np.sqrt(1.0 - abs(a.overlap(b)) ** 2)) < 1e-9
+        assert abs(td - np.sqrt(1.0 - abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)) < 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 4, 16, 64, 256])
@@ -274,7 +280,7 @@ def test_gentle_projection():
         p = float(np.linalg.norm(proj) ** 2)
         if p < 1e-6:
             continue
-        after = StateVector.from_array(proj / np.sqrt(p))
+        after = StateVector(proj / np.sqrt(p), 3)
         td = trace_distance(psi.density(), after.density())
         assert td <= np.sqrt(1.0 - p) + 1e-9
 
@@ -282,7 +288,8 @@ def test_gentle_projection():
 def test_mean_density_one_design():
     # 1e4 Haar dim-4 states average to the maximally mixed state
     rng = trial_rng(17)
-    samples = np.array([apply_unitary(basis_state(2, 0), haar_unitary(4, rng)).amplitudes for _ in range(10_000)])
+    zero = StateVector(np.eye(4)[0], 2)
+    samples = np.array([apply_unitary(zero, haar_unitary(4, rng)).amplitudes for _ in range(10_000)])
     mean = DensityMatrix(samples.T @ samples.conj() / len(samples))
     mixed = DensityMatrix(np.eye(4) / 4.0)
     assert trace_distance(mean, mixed) <= 0.05

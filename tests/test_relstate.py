@@ -112,7 +112,7 @@ def test_pr_apply_preserves_norm(seed, n, t):
 
 
 def test_pr_apply_image_avoidance():
-    state = PurifiedState.initial(1, (Rel([(0, 0)]),), index=1)
+    state = PurifiedState(1, {(Rel([(0, 0)]),): {1: 1.0}})
     out = pr_apply(state, 0, [0], 2)
     # only y=1 is free, amplitude 1
     assert set(out.terms) == {(Rel([(0, 0), (1, 1)]),)}
@@ -120,7 +120,7 @@ def test_pr_apply_image_avoidance():
 
 
 def test_pr_apply_full_relation_errors():
-    state = PurifiedState.initial(1, (Rel([(0, 0), (0, 1)]),))
+    state = PurifiedState(1, {(Rel([(0, 0), (0, 1)]),): {0: 1.0}})
     with pytest.raises(ValueError):
         pr_apply(state, 0, [0], 2)
     with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ def test_pr_apply_full_relation_errors():
 
 
 def test_pr_apply_shared_slots():
-    state = PurifiedState.initial(1, (Rel(), Rel([(1, 0)])))
+    state = PurifiedState(1, {(Rel(), Rel([(1, 0)])): {0: 1.0}})
     out = pr_apply(state, 0, [0], 2, shared_slots=(0, 1))
     # the other slot's image {0} is avoided
     assert set(out.terms) == {(Rel([(0, 1)]), Rel([(1, 0)]))}
@@ -136,7 +136,7 @@ def test_pr_apply_shared_slots():
 
 def test_pr_apply_entry_cap(monkeypatch):
     monkeypatch.setattr(relstate, "ENTRY_CAP", 4)
-    state = PurifiedState.initial(3, (Rel(),))
+    state = PurifiedState(3, {(Rel(),): {0: 1.0}})
     with pytest.raises(MemoryError, match="4-entry cap"):
         pr_apply(state, 0, [0, 1, 2], 8)
 
@@ -147,7 +147,7 @@ def test_pr_isometry_inner_products():
     cols = []
     for rel in all_rels(N, 1):
         for x in range(N):
-            st0 = PurifiedState.initial(2, (rel,), index=x)
+            st0 = PurifiedState(2, {(rel,): {x: 1.0}})
             cols.append(((rel, x), pr_apply(st0, 0, [0, 1], N)))
     for (ka, va), (kb, vb) in itertools.combinations(cols, 2):
         expect = 1.0 if ka == kb else 0.0
@@ -327,7 +327,7 @@ def test_pcfpr_uniform_over_cf_set():
     assert [len(free) for *_, free in cases] == [3, 9, 8, 12]
     for init, index, p, free in cases:
         n = p.n
-        state = PurifiedState.initial(n, init, index=index)
+        state = PurifiedState(n, {init: {index: 1.0}})
         out = pr_apply(state, 0, list(range(n)), 2**n, shared_slots=tuple(range(1, len(init))), cf=p)
         rel = init[0]
         assert set(out.terms) == {(Rel([*rel.pairs, (index, y)]), *init[1:]) for y in free}
@@ -339,17 +339,17 @@ def test_pcfpr_uniform_over_cf_set():
 
 def test_pcfpr_preconditions():
     p = CFParams(1, 2, 2)
-    overlap = PurifiedState.initial(2, (Rel([(0, 1)]), Rel([(1, 1)])))
+    overlap = PurifiedState(2, {(Rel([(0, 1)]), Rel([(1, 1)])): {0: 1.0}})
     with pytest.raises(ValueError):
         pr_apply(overlap, 0, [0, 1], 4, shared_slots=(1,), cf=p)
     p2 = CFParams(2, 2, 2)
     # {0,1,2,3} breaks fold-2 collision freeness inside the slot
-    bad = PurifiedState.initial(2, (Rel([(0, 0), (1, 1), (2, 2), (3, 3)]), Rel()))
+    bad = PurifiedState(2, {(Rel([(0, 0), (1, 1), (2, 2), (3, 3)]), Rel()): {0: 1.0}})
     with pytest.raises(ValueError):
         pr_apply(bad, 0, [0, 1], 4, shared_slots=(1,), cf=p2)
     # the strings must be the oracle's inputs
     with pytest.raises(ValueError, match="do not fit"):
-        pr_apply(PurifiedState.initial(2, (Rel(),)), 0, [0, 1], 4, cf=CFParams(1, 2, 3))
+        pr_apply(PurifiedState(2, {(Rel(),): {0: 1.0}}), 0, [0, 1], 4, cf=CFParams(1, 2, 3))
 
 
 # -------------------------------------------------------------- state class
@@ -360,11 +360,15 @@ def test_purified_state_helpers(monkeypatch):
     assert st0.label_count() == 2
     assert st0.entry_count() == 3
     assert abs(st0.norm_sq() - 1.0) < 1e-9
-    pruned = PurifiedState(1, {(0,): {0: 1e-15}, (1,): {1: 1.0}}).prune(1e-12)
-    assert set(pruned.terms) == {(1,)}
+
+    # a Hadamard spreads |0> over two entries: apply_matrix checks the cap on its output
+    hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    basis = PurifiedState(1, {(0,): {0: 1.0}})
+    monkeypatch.setattr(relstate, "ENTRY_CAP", 2)
+    assert basis.apply_matrix(hadamard).entry_count() == 2
     monkeypatch.setattr(relstate, "ENTRY_CAP", 1)
     with pytest.raises(MemoryError, match="1-entry cap"):
-        PurifiedState(1, {(0,): {0: 1.0, 1: 1.0}}).check_cap()
+        basis.apply_matrix(hadamard)
 
 
 @pytest.mark.parametrize(

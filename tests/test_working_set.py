@@ -37,7 +37,7 @@ from qhrolab.harness import (
     run_pr,
 )
 from qhrolab.linalg import trial_rng
-from qhrolab.relstate import CFParams, Rel, good_mass, pair_columns, project_good
+from qhrolab.relstate import CFParams, Rel, pair_columns, project_good
 
 KEEP = list(range(6))  # exp_prs keeps the first 2n qubits
 
@@ -63,9 +63,9 @@ def descriptor(kind, n, lam, fold, prefix):
     if kind == "pr_shared":
         return haar_slot(n, slot=1, shared_slots=(0, 1))
     if kind == "two_query":
-        return dataclasses.replace(pru_two_query(n, lam, slot=0), key_slot=2)
+        return dataclasses.replace(pru_two_query(n, lam), key_slot=2)
     if kind == "one_query_cf":
-        return dataclasses.replace(pru_one_query(n, lam, slot=0, cf=cf), key_slot=2)
+        return dataclasses.replace(pru_one_query(n, lam, cf=cf), key_slot=2)
     return haar_slot(n, slot=1, cf=cf, shared_slots=(1, 0))
 
 
@@ -178,7 +178,7 @@ def test_good_mass_is_projected_norm(stress_state, monkeypatch, chunk):
 
     if chunk is not None:
         monkeypatch.setattr(relstate, "_ENTRY_CHUNK", chunk)
-    mass = good_mass(stress_state, fixed_point)
+    mass = stress_state.norm_sq(fixed_point)
     assert 0.0 < mass < stress_state.norm_sq()
     assert mass == project_good(stress_state, fixed_point).norm_sq()
 
