@@ -36,8 +36,9 @@ class OracleDescriptor:
     """A keyed oracle as a sequence of steps applied left to right.
 
     Steps: ('pr', slot, cf) one recording query, collision-free when cf is
-    a CFParams and plain when it is None; ('pauli', 'X'|'Z') a
-    key-controlled Pauli layer on the lam-bit register prefix.
+    a CFParams and plain when it is None; ('pauli', 'X'|'Z') a Pauli layer
+    on the lam-bit register prefix, controlled by the key slot of the
+    init label.
     `shared_slots` lists the label slots whose joint image every recording
     step respects (defaults to each step's own slot).
     """
@@ -45,7 +46,6 @@ class OracleDescriptor:
     n: int
     lam: int = 0
     steps: tuple = ()
-    key_slot: int | None = None
     shared_slots: tuple | None = None
 
     def record_slots(self):

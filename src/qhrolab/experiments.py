@@ -160,9 +160,10 @@ def _kind(f):
     return {
         "bool": ("true or false", lambda v: isinstance(v, bool)),
         "str": ("one of " + ", ".join(map(json.dumps, choices or ())), lambda v: v in choices),
+        # a grid, whose scaling checks compare neighbouring points
         "tuple[int, ...]": (
-            f"a non-empty list of ints >= {lo}",
-            lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(is_int, v)),
+            f"a strictly increasing non-empty list of ints >= {lo}",
+            lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(is_int, v)) and list(v) == sorted(set(v)),
         ),
     }.get(f.type, (f"an int >= {lo}", lambda v: is_int(v) or (v is None and rule is not None)))
 
@@ -356,7 +357,7 @@ def exp_pru2(p: Pru2Params) -> ExperimentReport:
         entry = rep.add_point({"n": n, "lam": lam, "t": t, "ell": ell})
 
         # exact hybrid identities at the smallest grid point
-        desc_g = dataclasses.replace(pru_two_query(n, lam), key_slot=1)
+        desc_g = pru_two_query(n, lam)
         keyed, apart = _hybrid_bindings(n, desc_g)
         rho2, mass = key_sliced_view(
             prog, keyed, (Rel(), KeyInit(lam)), mask=lambda labels: corx_count(labels, 0, 1) == ell
@@ -368,7 +369,7 @@ def exp_pru2(p: Pru2Params) -> ExperimentReport:
         _check(entry, "td_hybrid2_vs_hybrid3", "EXACT", td23, bound23)
 
         # Monte Carlo against the exact hybrids
-        real_sampler, ideal_sampler = _keyed_samplers(pru_two_query(n, lam))
+        real_sampler, ideal_sampler = _keyed_samplers(desc_g)
         m_real, b_real = haar_view_mc(prog, real_sampler, trials, seed + 31 * i)
         m_ideal, b_ideal = haar_view_mc(prog, ideal_sampler, trials, seed + 31 * i + 1)
         b1 = 4.0 * (t + ell) * (t + ell - 1) / (N + 1)
@@ -494,8 +495,7 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
     entry = rep.add_point({"n": n, "lam": lam, "t": t, "ell": ell})
 
     if ell > 0:
-        desc_g = dataclasses.replace(pru_one_query(n, lam, cf=cf), key_slot=1)
-        keyed, apart = _hybrid_bindings(n, desc_g, cf)
+        keyed, apart = _hybrid_bindings(n, pru_one_query(n, lam, cf=cf), cf)
         psi3 = run_pr(prog, apart, (Rel(), Rel()))
         # hybrid 2 runs one key at a time: each slice is reduced and compared
         # with the slice hybrid 3 predicts before it is freed
@@ -579,6 +579,9 @@ class _OracleParams(Params):
     scaling: bool = _param(True)
 
     def _derive(self):
+        # at t = 0 or s = 0 both hybrids give one view, so its TD cannot decrease
+        if self.scaling and min(self.t, getattr(self, "s", self.t)) < 1:
+            raise ValueError("scaling needs t >= 1 and s >= 1 (s = t in exp_prfs): else every TD is 0")
         # the scaling points add one key bit at the same n
         if self.n < self.lam + getattr(self, "m_in", 0) + self.scaling:
             raise ValueError("need n >= lam + m_in, plus one when scaling")
@@ -663,9 +666,7 @@ def _oracle_views(game, n, lam, want_mass):
     keep = list(range(min(2 * n, n + game.t * n)))
 
     real_bind = {
-        game.oracle: ClassicalPROracle(
-            n=n, rel_slot=0, input_of=lambda k, w: ((k << m) | w) << (n - lam - m), key_slot=1
-        ),
+        game.oracle: ClassicalPROracle(n=n, rel_slot=(0,) * 2**m, input_of=lambda k, w: ((k << m) | w) << (n - lam - m)),
         "U": haar_slot(n, slot=0),
     }
     mask = game.good(n, lam) if want_mass else None
@@ -843,7 +844,6 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
 
     rng = trial_rng(seed, 50_000 + n)
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("G")))
-    desc_g = dataclasses.replace(pru_two_query(n, lam), key_slot=1)
     psi3 = run_pr(prog, {"G": haar_slot(n, slot=0)}, (Rel(),))
     rho3 = reduce_view(psi3)
     augmented = _augmented_part(psi3, N, lam, t)
@@ -852,7 +852,7 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
     # and never writes it; a slice weighs 2^(-lam/2) in psi2, and the
     # augmented parts are at the whole state's scale
     views, overlap = {}, 0.0
-    for k, state in key_slices(prog, {"G": desc_g}, (Rel(), KeyInit(lam))):
+    for k, state in key_slices(prog, {"G": pru_two_query(n, lam)}, (Rel(), KeyInit(lam))):
         good = project_good(state, label_mask(state, lambda labels: corx_count(labels, 0, 1) == ell))
         psi2p, psi3p = _split_surgery(good), augmented(k)
         overlap += psi2p.inner(psi3p)

@@ -120,22 +120,18 @@ class KeyInit:
 class ClassicalPROracle:
     """Recording semantics for a classical query.
 
-    input_of(k, w) builds the recorded oracle input. rel_slot is the Rel
-    label slot every query records into, or a tuple indexed by the classical
-    input w (one independent relation per w, as in an ideal world that
-    answers each w from its own oracle). A query's output avoids the outputs
-    of the slot it records into, and only those.
+    input_of(k, w) is the recorded input of query w at key k (0 without a
+    key slot). Query w records into the Rel label slot rel_slot[w] (one
+    relation per w answers each w from its own oracle), and its output
+    avoids the outputs of that slot only.
     """
 
     n: int
-    rel_slot: int | tuple
+    rel_slot: tuple
     input_of: object
-    key_slot: int | None = None
 
     def slot_of(self, w):
         """The label slot query w records into; ValueError if w has none."""
-        if not isinstance(self.rel_slot, tuple):
-            return self.rel_slot
         if not 0 <= w < len(self.rel_slot):
             raise ValueError(f"classical input {w} has no relation slot: rel_slot names {len(self.rel_slot)}")
         return self.rel_slot[w]
@@ -215,14 +211,14 @@ def _apply_interleave(state: PurifiedState, step: Interleave) -> PurifiedState:
     return state.apply_matrix(step.u, targets)
 
 
-def _quantum_query_pr(state, desc: OracleDescriptor, input_qubits):
+def _quantum_query_pr(state, desc: OracleDescriptor, input_qubits, key_slot):
     for s in desc.steps:
         if s[0] == "pr":
             state = pr_apply(state, s[1], list(input_qubits), 2**desc.n, desc.shared_slots, s[2])
         elif s[0] == "pauli":
-            if desc.key_slot is None:
-                raise ValueError("key-controlled Pauli needs a key slot")
-            state = key_pauli(state, s[1], desc.lam, desc.key_slot, list(input_qubits))
+            if key_slot is None:
+                raise ValueError("a key Pauli layer needs a key slot")
+            state = key_pauli(state, s[1], desc.lam, key_slot, list(input_qubits))
         else:
             raise ValueError(f"unknown descriptor step {s!r}")
     return state
@@ -231,9 +227,11 @@ def _quantum_query_pr(state, desc: OracleDescriptor, input_qubits):
 def run_pr(program: AdversaryProgram, bindings: dict, init_label) -> PurifiedState:
     """Exact purified execution.
 
-    init_label is a tuple of initial slot values; KeyInit(lam) slots expand
-    into the uniform key superposition.
+    init_label is a tuple of initial slot values, each a Rel or the key: an
+    int, or a KeyInit(lam) that expands into the uniform key superposition.
+    Key Pauli layers and classical inputs read the key slot (see _key_slot).
     """
+    key_slot = _key_slot(bindings, init_label)
     labels = [()]
     amp = 1.0
     for slot in init_label:
@@ -250,50 +248,54 @@ def run_pr(program: AdversaryProgram, bindings: dict, init_label) -> PurifiedSta
             desc = bindings[step.oracle_id]
             if not isinstance(desc, OracleDescriptor):
                 raise ValueError(f"oracle {step.oracle_id!r} is not a descriptor")
-            state = _quantum_query_pr(state, desc, _input_qubits(program, step))
+            state = _quantum_query_pr(state, desc, _input_qubits(program, step), key_slot)
         elif isinstance(step, ClassicalQuery):
             oracle = bindings[step.oracle_id]
             if not isinstance(oracle, ClassicalPROracle):
                 raise ValueError(f"oracle {step.oracle_id!r} is not a classical recorder")
-            state = classical_record(state, oracle, step.w)
+            state = classical_record(state, oracle, step.w, key_slot)
         else:
             raise ValueError(f"unknown step {step!r}")
     return state
 
 
-def _key_slot(init_label):
-    """(slot, lam) of the one KeyInit slot of an init label."""
-    slots = [(i, s.lam) for i, s in enumerate(init_label) if isinstance(s, KeyInit)]
-    if len(slots) != 1:
-        raise ValueError(f"key slicing needs exactly one KeyInit slot, not {len(slots)}")
-    return slots[0]
+def _key_slot(bindings, init_label):
+    """The one slot of init_label that holds the key, an int or a KeyInit,
+    or None. ValueError for a second one, or if an oracle records into or
+    avoids it: the key is only read."""
+    slots = [i for i, s in enumerate(init_label) if isinstance(s, (int, np.integer, KeyInit))]
+    if len(slots) > 1:
+        raise ValueError(f"an init label holds at most one key slot, not {len(slots)}")
+    for name, oracle in bindings.items():
+        if slots and slots[0] in {s % len(init_label) for s in _written_slots(oracle)}:
+            raise ValueError(f"oracle {name!r} records into or avoids key slot {slots[0]}, which does not hold a relation")
+    return slots[0] if slots else None
 
 
 def _written_slots(oracle):
     """Label slots an oracle records into or avoids."""
     if isinstance(oracle, ClassicalPROracle):
-        return set(oracle.rel_slot) if isinstance(oracle.rel_slot, tuple) else {oracle.rel_slot}
+        return set(oracle.rel_slot)
     if isinstance(oracle, OracleDescriptor):
         return {*oracle.record_slots(), *(oracle.shared_slots or ())}
     return set()
 
 
 def key_slices(program: AdversaryProgram, bindings: dict, init_label):
-    """(k, run_pr(...) with the one KeyInit(lam) slot of init_label holding k), for each key.
+    """(k, run_pr(...) with the KeyInit(lam) key slot of init_label holding k), for each key.
 
     The key is only read, by key Pauli layers and classical inputs, so the
     purified state of init_label is 2^(-lam/2) times the direct sum of these
     orthogonal per-key branches. Each slice is run when it is asked for, so
     a consumer that drops a slice before asking for the next never holds
-    two. ValueError, before any slice runs, if an oracle records into or
-    avoids the key slot.
+    two. ValueError, before any slice runs, without a KeyInit key slot or
+    where run_pr refuses its key slot.
     """
-    slot, lam = _key_slot(init_label)
-    width = len(init_label)
-    for name, oracle in bindings.items():
-        if slot in {s % width for s in _written_slots(oracle)}:
-            raise ValueError(f"oracle {name!r} writes key slot {slot}; it cannot be sliced by key")
-    return ((k, run_pr(program, bindings, init_label[:slot] + (k,) + init_label[slot + 1 :])) for k in range(2**lam))
+    slot = _key_slot(bindings, init_label)
+    if slot is None or not isinstance(init_label[slot], KeyInit):
+        raise ValueError("key slicing needs exactly one KeyInit slot")
+    keys = range(2 ** init_label[slot].lam)
+    return ((k, run_pr(program, bindings, init_label[:slot] + (k,) + init_label[slot + 1 :])) for k in keys)
 
 
 def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=None, mask=None, each=None):
@@ -304,7 +306,6 @@ def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=
     each slice is reduced, handed to each(k, slice) if given, and freed
     before the next. The mass is None without a mask.
     """
-    _, lam = _key_slot(init_label)
     acc, mass = None, 0.0
     for k, state in key_slices(program, bindings, init_label):
         view = reduce_view(state, keep)
@@ -317,8 +318,9 @@ def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=
         if each is not None:
             each(k, state)
         del state
-    acc *= 2.0**-lam
-    return DensityMatrix(acc), mass * 2.0**-lam if mask is not None else None
+    weight = 1.0 / (k + 1)  # 2^-lam, exactly: k + 1 = 2^lam slices
+    acc *= weight
+    return DensityMatrix(acc), mass * weight if mask is not None else None
 
 
 VIEW_QUBIT_CAP = 12  # qubits kept by reduce_view: a 4096 x 4096 density

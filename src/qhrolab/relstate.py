@@ -173,13 +173,6 @@ def _rel_span(schema, slot):
     return _slot_span(schema, slot)
 
 
-def _int_column(schema, rows, slot):
-    start, _ = _slot_span(schema, slot)
-    if schema[slot][0] != "int":
-        raise ValueError(f"label slot {slot} does not hold an integer key")
-    return rows[:, start]
-
-
 def _rels(block):
     """Rel objects for the rows of a code block; each pair tuple is built once."""
     codes, inv = np.unique(block, return_inverse=True)
@@ -779,20 +772,17 @@ def _cf_outputs(rows, spans, params: CFParams):
     return free_joint[:, np.arange(2**params.n) >> (params.n - params.prefix)][inv]
 
 
-def classical_record(state, oracle, w):
+def classical_record(state, oracle, w, key_slot):
     """Classical query w: a register write plus pr_apply.
 
-    Per label, x = oracle.input_of(k, w), with k the key slot value (0
-    without a key slot), is written into a fresh oracle.n-qubit register,
-    and one pr_apply on that register records it in the Rel slot
-    oracle.slot_of(w). `oracle` is a harness ClassicalPROracle. ValueError
-    unless every input is an int in [0, 2^n).
+    Per label, x = oracle.input_of(k, w), k the label's key (0 when key_slot
+    is None), is written into a fresh oracle.n-qubit register, and one
+    pr_apply on that register records it in the Rel slot oracle.slot_of(w).
+    `oracle` is a harness ClassicalPROracle. ValueError unless every input
+    is an int in [0, 2^n).
     """
     n, m, rows, slot = oracle.n, state.n_qubits, state.rows, oracle.slot_of(w)
-    if oracle.key_slot is None or not len(rows):
-        keys = np.zeros(len(rows), dtype=np.int64)
-    else:
-        keys = _int_column(state.schema, rows, oracle.key_slot)
+    keys = np.zeros(len(rows), dtype=np.int64) if key_slot is None or not len(rows) else key_column(state, key_slot)
     uk, kinv = np.unique(keys, return_inverse=True)
     x = [oracle.input_of(k, w) for k in uk.tolist()]
     for v in x:
@@ -809,7 +799,7 @@ def key_pauli(state, kind, lam, key_slot, input_qubits):
         return state
     n = state.n_qubits
     prefix = list(input_qubits)[:lam]
-    k = _int_column(state.schema, state.rows, key_slot)[state.label_ids]
+    k = key_column(state, key_slot)[state.label_ids]
     val = extract_bits(state.indices, n, prefix)
     if kind == "X":
         idx = _deposit_bits(state.indices, n, prefix, val ^ k)
@@ -856,7 +846,10 @@ def pair_codes(x, y):
 
 def key_column(table, slot):
     """The values of an integer slot, one per label."""
-    return _int_column(table.schema, table.rows, slot)
+    start, _ = _slot_span(table.schema, slot)
+    if table.schema[slot][0] != "int":
+        raise ValueError(f"label slot {slot} does not hold an integer key")
+    return table.rows[:, start]
 
 
 def corx_count(table, rel_slot, key_slot):

@@ -182,6 +182,23 @@ def test_run_invalid_params_exit_2(tmp_path):
     assert "n must be an int >= 2" in res.output
 
 
+@pytest.mark.parametrize(
+    "name,config,message",
+    [
+        ("exp_mh_bound", {"n_list": [3, 2]}, "n_list must be a strictly increasing non-empty list of ints >= 1"),
+        ("exp_prs", {"n": 3, "lam": 2, "t": 2, "s": 0}, "scaling needs t >= 1 and s >= 1"),
+    ],
+)
+def test_run_outside_the_scaling_domain_exits_2(tmp_path, name, config, message):
+    # a decreasing grid, or a game whose exact TD is 0, would fail a scaling check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, **config}))
+    res = CliRunner().invoke(main, ["run", name, "--seed", "11", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert f"invalid run: {message}" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_every_schema_field_is_described_and_configurable(tmp_path, name):
     schema = EXPERIMENTS[name].schema

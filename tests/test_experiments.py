@@ -460,6 +460,15 @@ def no_numerics(monkeypatch):
         ("exp_split_augment", {"seed": 1, "trials": 5}),
         ("exp_spru", {"seed": 1, "probes": 0}),
         ("exp_split_augment", {"seed": 9, "n": 1}),
+        # the scaling checks compare neighbouring grid points, so a grid increases
+        ("exp_mh_bound", {"seed": 11, "n_list": [3, 2], "trials": 4000}),
+        ("exp_mh_bound", {"seed": 11, "n_list": [2, 2], "trials": 4000}),
+        ("exp_pru2", {"seed": 7, "n_list": [4, 3]}),
+        # with no classical or no direct query the exact TD is 0, so scaling cannot pass
+        ("exp_prs", {"seed": 3, "n": 3, "lam": 2, "t": 0, "s": 2}),
+        ("exp_prs", {"seed": 3, "n": 3, "lam": 2, "t": 2, "s": 0}),
+        ("exp_prs", {"seed": 3, "n": 3, "lam": 1, "t": 1, "s": 0}),
+        ("exp_prfs", {"seed": 3, "n": 3, "lam": 1, "t": 0, "m_in": 1}),
     ],
 )
 def test_invalid_params_fail_before_numerics(no_numerics, name, params):
@@ -488,7 +497,7 @@ def test_split_augment_smallest_n_has_chained_pairs():
         ("exp_split_augment", {"n": 12}, {"n": 13}),
         # views on the first 2n qubits (n + t*n with fewer), at n + 1 when scaling
         ("exp_prs", {"n": 6, "lam": 1, "t": 1, "s": 0, "scaling": False}, {"n": 7, "lam": 1, "t": 1, "s": 0, "scaling": False}),
-        ("exp_prs", {"n": 5, "lam": 1, "t": 1, "s": 0}, {"n": 6, "lam": 1, "t": 1, "s": 0}),
+        ("exp_prs", {"n": 5, "lam": 1, "t": 1, "s": 1}, {"n": 6, "lam": 1, "t": 1, "s": 1}),
         ("exp_prs", {"n": 12, "lam": 1, "t": 0, "s": 1, "scaling": False}, {"n": 13, "lam": 1, "t": 0, "s": 1, "scaling": False}),
         ("exp_prfs", {"n": 5, "lam": 1, "t": 2}, {"n": 6, "lam": 1, "t": 2}),
         # the Monte Carlo register of n(1 + t) qubits: linalg.VEC_QUBIT_CAP
@@ -511,7 +520,8 @@ def typed_in_range(f, v):
     if f.type == "str":
         return v in f.metadata["choices"]
     if f.type == "tuple[int, ...]":
-        return type(v) in (list, tuple) and len(v) > 0 and all(type(x) is int and x >= lo for x in v)
+        ints = type(v) in (list, tuple) and len(v) > 0 and all(type(x) is int and x >= lo for x in v)
+        return ints and all(a < b for a, b in zip(v, v[1:]))
     if v is None:
         return f.metadata["rule"] is not None
     return type(v) is int and v >= lo
@@ -545,6 +555,17 @@ def named_params(draw):
 @given(case=named_params(), accepted=st.none())
 @example(case=("exp_mh_bound", {"seed": 1, "n_list": [1], "t": 2}), accepted=True)
 @example(case=("exp_mh_bound", {"seed": 1, "n_list": [3, 1], "t": 3}), accepted=False)
+@example(case=("exp_mh_bound", {"seed": 11, "n_list": [3, 2]}), accepted=False)
+@example(case=("exp_mh_bound", {"seed": 11, "n_list": [2, 2]}), accepted=False)
+@example(case=("exp_mh_bound", {"seed": 11, "n_list": [2, 3]}), accepted=True)
+@example(case=("exp_pru2", {"seed": 7, "n_list": [4, 3]}), accepted=False)
+@example(case=("exp_prs", {"seed": 3, "n": 3, "lam": 2, "t": 0, "s": 2}), accepted=False)
+@example(case=("exp_prs", {"seed": 3, "n": 3, "lam": 2, "t": 2, "s": 0}), accepted=False)
+@example(case=("exp_prs", {"seed": 3, "n": 3, "lam": 1, "t": 1, "s": 0}), accepted=False)
+@example(case=("exp_prs", {"seed": 3, "n": 3, "lam": 1, "t": 1, "s": 1}), accepted=True)
+@example(case=("exp_prs", {"seed": 3, "n": 3, "lam": 1, "t": 1, "s": 0, "scaling": False}), accepted=True)
+@example(case=("exp_prfs", {"seed": 3, "n": 3, "lam": 1, "t": 0, "m_in": 1}), accepted=False)
+@example(case=("exp_prfs", {"seed": 3, "n": 3, "lam": 1, "t": 1, "m_in": 1}), accepted=True)
 @example(case=("exp_prs", {"seed": 1, "n": 2, "lam": 1, "t": 2, "s": 2}), accepted=True)
 @example(case=("exp_prs", {"seed": 1, "n": 2, "lam": 1, "t": 5, "s": 0}), accepted=False)
 @example(case=("exp_prfs", {"seed": 1, "n": 2, "lam": 1, "m_in": 0, "t": 2}), accepted=True)

@@ -362,15 +362,16 @@ def test_classical_query_without_a_slot_is_refused():
 @pytest.mark.parametrize("x", [2, -1, 0.0, np.float64(1.0), True])
 def test_classical_input_outside_the_domain_is_refused(x):
     # an n = 1 oracle takes inputs in [0, 2); a float is refused, not truncated
-    oracle = ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: x)
+    oracle = ClassicalPROracle(n=1, rel_slot=(0,), input_of=lambda k, w: x)
     prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", 0),))
     with pytest.raises(ValueError, match=r"not an int in \[0, 2\^n\), n = 1"):
         run_pr(prog, {"O": oracle}, (Rel(),))
 
 
 def test_classical_recording_keyed_and_global():
-    oracle = ClassicalPROracle(n=1, rel_slot=0, input_of=lambda k, w: k ^ w, key_slot=1)
+    oracle = ClassicalPROracle(n=1, rel_slot=(0, 0), input_of=lambda k, w: k ^ w)
     prog = AdversaryProgram(n=1, steps=(ClassicalQuery("O", 1),))
+    # the int slot of the init label is the key slot that input_of reads
     psi = run_pr(prog, {"O": oracle}, (Rel([(1, 0)]), 1))
     # key 1, w 1 -> recorded input 0; output must dodge the slot's own image {0}
     ((lab, vec),) = psi.terms.items()
@@ -404,8 +405,14 @@ def test_haar_view_mc_determinism():
 
 def test_keyed_descriptor_needs_key_slot():
     prog = AdversaryProgram(n=2, steps=(QuantumQuery("G"),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Pauli layer needs a key slot"):
         run_pr(prog, {"G": pru_two_query(2, 2)}, (Rel(),))
+
+
+@pytest.mark.parametrize("init", [(Rel(), 0, 1), (Rel(), KeyInit(1), 0), (KeyInit(1), Rel(), KeyInit(2))])
+def test_an_init_label_holds_one_key_slot(init):
+    with pytest.raises(ValueError, match="at most one key slot"):
+        run_pr(AdversaryProgram(n=1), {}, init)
 
 
 # ------------------------------------------------------------ key slicing
@@ -414,8 +421,7 @@ def test_keyed_descriptor_needs_key_slot():
 def sliced_setup(n=2, lam=2):
     """A two-query keyed program on a (Rel, key) label and its bindings."""
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, trial_rng(5)), QuantumQuery("G"), QuantumQuery("U")))
-    desc = dataclasses.replace(pru_two_query(n, lam), key_slot=1)
-    return prog, {"G": desc, "U": haar_slot(n, slot=0)}
+    return prog, {"G": pru_two_query(n, lam), "U": haar_slot(n, slot=0)}
 
 
 def test_key_sliced_view_is_the_key_average():
@@ -428,15 +434,15 @@ def test_key_sliced_view_is_the_key_average():
     assert key_sliced_view(prog, bindings, init, keep=[0])[1] is None
 
 
-def writes_key(**fields):
-    return ClassicalPROracle(n=1, input_of=lambda k, w: k, key_slot=1, **{"rel_slot": 0, **fields})
+def writes_key(rel_slot):
+    return ClassicalPROracle(n=1, rel_slot=rel_slot, input_of=lambda k, w: k)
 
 
 @pytest.mark.parametrize(
     "oracle",
     [
-        writes_key(rel_slot=1),
-        writes_key(rel_slot=-2),
+        writes_key(rel_slot=(1,)),
+        writes_key(rel_slot=(-2,)),
         writes_key(rel_slot=(0, 1)),
         haar_slot(2, slot=-2),
         haar_slot(2, slot=1),
@@ -449,6 +455,10 @@ def test_key_slicing_refuses_oracles_that_write_the_key(oracle):
     prog, bindings = sliced_setup()
     with pytest.raises(ValueError, match="key slot"):
         key_sliced_view(prog, {**bindings, "W": oracle}, (Rel(), KeyInit(2), Rel()))
+    # the same check refuses a whole-state run, with the key expanded or as an int
+    for key in (KeyInit(2), 1):
+        with pytest.raises(ValueError, match="records into or avoids key slot 1"):
+            run_pr(prog, {**bindings, "W": oracle}, (Rel(), key, Rel()))
 
 
 def test_key_slices_refuse_before_running_a_slice(monkeypatch):
@@ -459,13 +469,13 @@ def test_key_slices_refuse_before_running_a_slice(monkeypatch):
 
     monkeypatch.setattr(harness, "run_pr", unreachable)
     with pytest.raises(ValueError, match="key slot"):
-        key_slices(prog, {**bindings, "W": writes_key(rel_slot=1)}, (Rel(), KeyInit(2), Rel()))
+        key_slices(prog, {**bindings, "W": writes_key(rel_slot=(1,))}, (Rel(), KeyInit(2), Rel()))
 
 
 @pytest.mark.parametrize("init", [(Rel(), 0), (Rel(), KeyInit(1), KeyInit(1)), ()])
 def test_key_slicing_needs_one_key_init_slot(init):
     prog, bindings = sliced_setup()
-    with pytest.raises(ValueError, match="exactly one KeyInit"):
+    with pytest.raises(ValueError, match="exactly one KeyInit|at most one key slot"):
         key_sliced_view(prog, bindings, init)
 
 

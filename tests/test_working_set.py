@@ -11,7 +11,6 @@ key); the largest state of the `record` benchmark workload is now the
 keyless ideal side (18,816 entries).
 """
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -47,7 +46,7 @@ KEEP = list(range(6))  # exp_prs keeps the first 2n qubits
 INIT_SLOTS = (Rel(), Rel(), None, Rel(), Rel())
 
 CLASSICAL_MODES = {
-    "slot": dict(rel_slot=0),
+    "slot": dict(rel_slot=(0, 0)),
     "per_w": dict(rel_slot=(3, 4)),
 }
 
@@ -63,9 +62,9 @@ def descriptor(kind, n, lam, fold, prefix):
     if kind == "pr_shared":
         return haar_slot(n, slot=1, shared_slots=(0, 1))
     if kind == "two_query":
-        return dataclasses.replace(pru_two_query(n, lam), key_slot=2)
+        return pru_two_query(n, lam)
     if kind == "one_query_cf":
-        return dataclasses.replace(pru_one_query(n, lam, cf=cf), key_slot=2)
+        return pru_one_query(n, lam, cf=cf)
     return haar_slot(n, slot=1, cf=cf, shared_slots=(1, 0))
 
 
@@ -94,10 +93,10 @@ def programs(draw):
             mode = draw(st.sampled_from(sorted(CLASSICAL_MODES)))
             w = draw(st.integers(0, 1))
             shift = draw(st.integers(0, 3))
+            reads_key = draw(st.booleans())
             bindings[f"C{j}"] = ClassicalPROracle(
                 n=1,
-                input_of=lambda k, w, s=shift: (k + w + s) % 2,
-                key_slot=draw(st.sampled_from([2, None])),
+                input_of=lambda k, w, s=shift, r=reads_key: (r * k + w + s) % 2,
                 **CLASSICAL_MODES[mode],
             )
             steps.append(ClassicalQuery(f"C{j}", w))
@@ -117,7 +116,7 @@ def keyed_stress_state():
     """
     n, lam = 3, 3
     prog = experiments._oracle_program(experiments._prs_game(2, 3), n)
-    copy = ClassicalPROracle(n=n, rel_slot=0, input_of=lambda k, w: 0, key_slot=2)
+    copy = ClassicalPROracle(n=n, rel_slot=(0,), input_of=lambda k, w: 0)
     return run_pr(prog, {"copy": copy, "U": haar_slot(n, slot=1)}, (Rel(), Rel(), KeyInit(lam)))
 
 
