@@ -12,8 +12,10 @@ a handful of whole-array operations (see PurifiedState).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -97,8 +99,8 @@ class CFParams:
     n: int
 
     def __post_init__(self):
-        if self.prefix > self.n:
-            raise ValueError("prefix length exceeds string length")
+        if not 0 <= self.prefix <= self.n:
+            raise ValueError("prefix length must lie in [0, n]")
         if self.fold < 1:
             raise ValueError("fold bound must be >= 1")
 
@@ -591,7 +593,7 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
     a label depend on the joint image of its target slot and the label slots
     in `shared_slots`: without `cf`, F holds the y < N outside that image;
     with a CFParams `cf` (cf.n = log2 N), F is the collision-free set of that
-    image (the prefix rule, _free_prefixes). The input register spans log2(N)
+    image (the prefix rule, _blocked). The input register spans log2(N)
     qubits of the adversary register. ValueError where F is empty.
 
     Each entry (label l, index i, amplitude a) goes to a / sqrt(#F(l)) at
@@ -662,36 +664,40 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
     return state._make(schema, table, *_merge(n, key, out))
 
 
-def _prefix(y, params: CFParams):
-    return y >> (params.n - params.prefix)
+def _blocked(strings, params: CFParams):
+    """The lam-bit prefixes (lam = params.prefix) that a new string may not
+    have, or None if S is not collision-free.
 
-
-def _subset_xors(strings, size, params):
-    out = []
-    for comb in itertools.combinations(strings, size):
-        acc = 0
-        for y in comb:
-            acc ^= _prefix(y, params)
-        out.append(acc)
-    return out
+    S is collision-free when, for every size k <= fold, its size-k subset
+    prefix-XORs are distinct. Adding y with prefix p makes the new size-k
+    XORs p ^ X, X a size-(k-1) XOR of S; these stay distinct among
+    themselves (XOR by p is a bijection), so y keeps S collision-free iff no
+    p ^ X is a size-k XOR of S, for k <= min(fold, |S|). A y in S fails at
+    k = 1, so this depends on the prefix alone. One walk over the sizes
+    checks S and collects the blocked prefixes.
+    """
+    prefixes = [y >> (params.n - params.prefix) for y in strings]
+    if any(not 0 <= p < 2**params.prefix for p in prefixes):  # y outside [0, 2^n)
+        raise ValueError(f"strings must lie in [0, 2^{params.n})")
+    blocked, prev = set(), [0]
+    for k in range(1, min(params.fold, len(prefixes)) + 1):
+        cur = [functools.reduce(operator.xor, comb) for comb in itertools.combinations(prefixes, k)]
+        if len(set(cur)) != len(cur):
+            return None
+        blocked.update(a ^ b for a in cur for b in prev)
+        prev = cur
+    return blocked
 
 
 def is_collision_free(strings, params: CFParams) -> bool:
     """Equal-size subset prefix-XORs are all distinct, for sizes <= fold."""
-    strings = list(strings)
-    if len(set(strings)) != len(strings):
-        return False
-    for size in range(1, min(params.fold, len(strings)) + 1):
-        xors = _subset_xors(strings, size, params)
-        if len(set(xors)) != len(xors):
-            return False
-    return True
+    return _blocked(strings, params) is not None
 
 
 def cf_set(strings, params: CFParams):
-    """All y whose addition keeps the set collision-free (y not in S).
+    """All y not in S whose addition keeps S collision-free.
 
-    The brute-force reference of the prefix rule (_free_prefixes), kept for
+    The brute-force reference of the prefix rule (_blocked), kept for
     cross-checks only: exhaustive over {0,1}^n, one candidate at a time.
     """
     s = set(strings)
@@ -699,76 +705,35 @@ def cf_set(strings, params: CFParams):
         raise ValueError("input set is not collision-free")
     if params.n > 12 or len(s) > 6 or params.fold > 3:
         raise ValueError("parameters beyond the brute-force envelope")
-    old = {size: set(_subset_xors(s, size, params)) for size in range(1, params.fold + 1)}
-    out = set()
-    for y in range(2**params.n):
-        if y in s:
-            continue
-        p = _prefix(y, params)
-        ok = True
-        for size in range(1, params.fold + 1):
-            prev = _subset_xors(s, size - 1, params) if size - 1 <= len(s) else []
-            new = {p ^ x for x in prev}
-            if len(new) != len(prev):
-                ok = False
-                break
-            cur = old.get(size, set())
-            if new & cur:
-                ok = False
-                break
-        if ok:
-            out.add(y)
-    return out
+    return {y for y in range(2**params.n) if y not in s and is_collision_free(s | {y}, params)}
 
 
-def _free_prefixes(strings, params: CFParams):
-    """(2^lam,) mask of the prefixes p whose strings y keep the collision-free
-    S collision-free, lam = params.prefix.
+def cf_count(strings, params: CFParams) -> int | None:
+    """|cf_set(strings)| by the prefix rule, or None if S is not collision-free.
 
-    Adding y only makes new size-k subset XORs p ^ X, X a size-(k-1) XOR of
-    S; these stay distinct among themselves (XOR by p is a bijection), so y
-    is free iff no p ^ X is a size-k XOR of S, for k <= min(fold, |S|). A y
-    in S fails at k = 1, so membership depends on the prefix alone.
+    Every y with a prefix that S does not block is free and no other y is,
+    so the count is #free prefixes * 2^(n - lam).
     """
-    free = np.ones(2**params.prefix, dtype=bool)
-    xors = [_subset_xors(strings, k, params) for k in range(min(params.fold, len(strings)) + 1)]
-    for prev, cur in zip(xors, xors[1:]):
-        free[np.bitwise_xor.outer(cur, prev).ravel()] = False
-    return free
-
-
-def cf_count(strings, params: CFParams) -> int:
-    """|cf_set(strings)| for a collision-free S, by the prefix rule.
-
-    Every y with a free prefix is free and none with another prefix is, so
-    the count is #free prefixes * 2^(n - lam). S is not checked.
-    """
-    return int(_free_prefixes(list(strings), params).sum()) << (params.n - params.prefix)
+    blocked = _blocked(strings, params)
+    return None if blocked is None else (2**params.prefix - len(blocked)) << (params.n - params.prefix)
 
 
 def _cf_outputs(rows, spans, params: CFParams):
     """(labels, 2^n) mask of the collision-free outputs of the joint image
-    of the given Rel spans.
+    of the given Rel spans, by one _blocked call per distinct joint image.
 
-    Preconditions (each slot's image, the joint image, and disjointness)
-    are checked once per distinct joint image, and the prefix rule
-    (_free_prefixes) runs once per distinct joint image.
+    The joint image keeps every output of every span, so it is collision-free
+    only if each span's image is and no two spans share an output (a shared
+    output repeats its prefix at size 1).
     """
     ys = np.hstack([np.where(rows[:, a:b] == PAD, PAD, rows[:, a:b] & _Y_MASK) for a, b in spans])
     joints, inv = _intern(np.sort(ys, axis=1))
-    _, first = np.unique(inv, return_index=True)
-    free_joint = np.zeros((len(joints), 2**params.prefix), dtype=bool)
+    free_joint = np.ones((len(joints), 2**params.prefix), dtype=bool)
     for d, row in enumerate(joints.tolist()):
-        joint = [y for y in row if y != PAD]
-        if len(set(joint)) != len(joint):
-            raise ValueError("relation slots are not disjoint")
-        for a, b in spans:
-            image = [c & _Y_MASK for c in rows[first[d], a:b].tolist() if c != PAD]
-            if not is_collision_free(sorted(image), params):
-                raise ValueError("a relation image is not collision-free")
-        if not is_collision_free(joint, params):
-            raise ValueError("the joint image is not collision-free")
-        free_joint[d] = _free_prefixes(joint, params)
+        blocked = _blocked([y for y in row if y != PAD], params)
+        if blocked is None:
+            raise ValueError("relation slots share an output or their joint image is not collision-free")
+        free_joint[d, list(blocked)] = False
     return free_joint[:, np.arange(2**params.n) >> (params.n - params.prefix)][inv]
 
 

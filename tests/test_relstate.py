@@ -170,6 +170,48 @@ def test_is_collision_free_basics():
         CFParams(2, 3, 2)
     with pytest.raises(ValueError):
         CFParams(0, 1, 2)
+    with pytest.raises(ValueError, match="prefix length"):
+        CFParams(1, -1, 3)
+    assert cf_count([0, 1, 2, 3], p) is None
+    with pytest.raises(ValueError, match="must lie in"):
+        is_collision_free([4], p)
+
+
+def collision_free_by_definition(strings, p):
+    """Distinct strings whose equal-size subset prefix-XORs are distinct, for sizes <= fold."""
+    prefixes = [y >> (p.n - p.prefix) for y in strings]
+    if len(set(strings)) != len(strings):
+        return False
+    for size in range(1, p.fold + 1):
+        xors = [np.bitwise_xor.reduce(c) for c in itertools.combinations(prefixes, size)]
+        if len(set(xors)) != len(xors):
+            return False
+    return True
+
+
+CF_CASES = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.builds(CFParams, st.integers(1, 3), st.integers(0, n), st.just(n)),
+        st.lists(st.integers(0, 2**n - 1), max_size=6),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CF_CASES)
+def test_is_collision_free_matches_the_definition(case):
+    p, strings = case
+    assert is_collision_free(strings, p) == collision_free_by_definition(strings, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CF_CASES, st.data())
+def test_subsets_of_a_collision_free_set_are_collision_free(case, data):
+    p, strings = case
+    s = sorted(set(strings))
+    assume(is_collision_free(s, p))
+    sub = data.draw(st.lists(st.sampled_from(s), unique=True) if s else st.just([]), label="subset")
+    assert is_collision_free(sub, p)
 
 
 def test_cf_set_closed_form_fold_one():
@@ -347,6 +389,13 @@ def test_pcfpr_preconditions():
     bad = PurifiedState(2, {(Rel([(0, 0), (1, 1), (2, 2), (3, 3)]), Rel()): {0: 1.0}})
     with pytest.raises(ValueError):
         pr_apply(bad, 0, [0, 1], 4, shared_slots=(1,), cf=p2)
+    # two shared slots hold output 2; {0,1} and {2,3} are each collision-free
+    # at fold 2, but their joint image has 0^3 == 1^2
+    shared = PurifiedState(2, {(Rel(), Rel([(0, 2)]), Rel([(1, 2)])): {0: 1.0}})
+    joint = PurifiedState(2, {(Rel([(0, 0), (1, 1)]), Rel([(0, 2), (1, 3)])): {0: 1.0}})
+    for state, slots, cf in ((shared, (1, 2), p), (joint, (1,), p2)):
+        with pytest.raises(ValueError, match="collision-free|disjoint"):
+            pr_apply(state, 0, [0, 1], 4, shared_slots=slots, cf=cf)
     # the strings must be the oracle's inputs
     with pytest.raises(ValueError, match="do not fit"):
         pr_apply(PurifiedState(2, {(Rel(),): {0: 1.0}}), 0, [0, 1], 4, cf=CFParams(1, 2, 3))
