@@ -22,6 +22,7 @@ __all__ = [
     "pru_one_query",
     "haar_slot",
     "concrete_oracle",
+    "prfs_input",
     "prfs_output",
     "spru",
     "spru_concrete",
@@ -91,6 +92,11 @@ def concrete_oracle(desc: OracleDescriptor, u, k=0) -> np.ndarray:
     return _check_unitary(mat)
 
 
+def prfs_input(k, w, n: int, lam: int, m: int):
+    """The basis index k || w || 0^{n-lam-m} of key k and function input w."""
+    return (k << m | w) << (n - lam - m)
+
+
 def prfs_output(u, k, w: int, n: int, lam: int, m: int) -> np.ndarray:
     """U |k || w || 0^{n-lam-m}>; at m = 0 (w = 0), the state generator's U |k || 0^{n-lam}>.
     A stack u with one key per matrix gives the stack of states."""
@@ -101,7 +107,7 @@ def prfs_output(u, k, w: int, n: int, lam: int, m: int) -> np.ndarray:
     k = np.asarray(k)
     if np.any((k < 0) | (k >= 2**lam)):
         raise ValueError("key out of range")
-    x = (k << m | w) << (n - lam - m)
+    x = prfs_input(k, w, n, lam, m)
     return np.take_along_axis(u, x[..., None, None], axis=-1)[..., 0]
 
 

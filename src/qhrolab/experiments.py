@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from . import attacks, constructions
 from .constructions import (
     concrete_oracle,
     haar_slot,
+    prfs_input,
     prfs_output,
     pru_one_query,
     pru_two_query,
@@ -105,9 +105,12 @@ class ExperimentReport:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        """One row per check; a field with a comma or a quote is quoted (RFC 4180)."""
         lines = ["point,check,kind,value,bound,stderr,passed"]
         for entry in self.grid:
             pt = ";".join(f"{k}={v}" for k, v in sorted(entry["point"].items()))
+            if "," in pt or '"' in pt:
+                pt = '"' + pt.replace('"', '""') + '"'
             for c in entry["checks"]:
                 lines.append(
                     f"{pt},{c['name']},{c['kind']},{c['value']!r},{c['bound']!r},{c['stderr']!r},{int(c['passed'])}"
@@ -136,6 +139,23 @@ def _check_ge(entry, name, kind, value, floor, stderr=0.0):
         entry, name, kind, value, floor, stderr,
         passed=float(value) >= float(floor) - 3.0 * float(stderr),
     )
+
+
+def _mc_check(entry, name, kind, bound, prog, trials, side, ref, boot_seed, keep=None):
+    """Check TD(Monte Carlo view of `side`, ref) <= bound + 3 stderr; return (TD, stderr).
+
+    A side is the (sampler, seed) of one haar_view_mc run; ref is an exact
+    view or a second side. The bootstrap stderr draws from boot_seed.
+    """
+    sides = [side, ref] if isinstance(ref, tuple) else [side]
+    (mean, batches), *other = [haar_view_mc(prog, sampler, trials, seed, keep=keep) for sampler, seed in sides]
+    if other:
+        (ref_mean, ref_batches), = other
+        td, se = trace_distance(mean, ref_mean), bootstrap_td_pair(batches, ref_batches, boot_seed)
+    else:
+        td, se = trace_distance(mean, ref), bootstrap_td_stderr(batches, ref, boot_seed)
+    _check(entry, name, kind, td, bound, se)
+    return td, se
 
 
 # ---------------------------------------------------------- parameter schemas
@@ -250,9 +270,8 @@ class MhBoundParams(Params):
         _within(max(self.n_list), QUBIT_CAP, "a sampled Haar unitary")
 
 
-def exp_mh_bound(p: MhBoundParams) -> ExperimentReport:
+def exp_mh_bound(p: MhBoundParams, rep):
     seed, t, trials, n_list = p.seed, p.t, p.trials, p.n_list
-    rep = ExperimentReport("exp_mh_bound", seed, p.recorded())
     rep.notes.append("recording-oracle view vs Haar Monte Carlo; bound 2t(t-1)/(N+1)")
     results = []
     for i, n in enumerate(n_list):
@@ -265,15 +284,12 @@ def exp_mh_bound(p: MhBoundParams) -> ExperimentReport:
         def sampler(rngs, n=n):
             return {"U": haar_unitaries(2**n, rngs)}
 
-        mean, batches = haar_view_mc(prog, sampler, trials, seed + i, keep=keep)
-        td = trace_distance(mean, pr_view)
-        se = bootstrap_td_stderr(batches, pr_view, seed + i)
-        bound = 2.0 * t * (t - 1) / (2**n + 1)
         entry = rep.add_point({"n": n, "N": 2**n})
-        _check(entry, "td_haar_vs_recording", "MC", td, bound, se)
+        bound = 2.0 * t * (t - 1) / (2**n + 1)
+        side = (sampler, seed + i)
+        td, se = _mc_check(entry, "td_haar_vs_recording", "MC", bound, prog, trials, side, pr_view, seed + i, keep)
         results.append((n, td, se))
     _scaling_checks(rep, results, "td_ratio_scaling")
-    return rep
 
 
 def _scaling_checks(rep, results, name):
@@ -343,9 +359,8 @@ class Pru2Params(Params):
         _within(max(self.n_list), VIEW_QUBIT_CAP, "the full-register view")
 
 
-def exp_pru2(p: Pru2Params) -> ExperimentReport:
+def exp_pru2(p: Pru2Params, rep):
     seed, t, ell, trials, n_list = p.seed, p.t, p.ell, p.trials, p.n_list
-    rep = ExperimentReport("exp_pru2", seed, p.recorded())
     rep.notes.append("two-query keyed construction; proof-internal identities exact, end-to-end MC")
     rep.notes.append(f"ASYMPTOTIC checks use the constant-slack policy C={SLACK}")
     ends = []
@@ -368,33 +383,25 @@ def exp_pru2(p: Pru2Params) -> ExperimentReport:
         _check(entry, "td_hybrid2_vs_hybrid3", "EXACT", td23, bound23)
 
         # Monte Carlo against the exact hybrids
-        real_sampler, ideal_sampler = _keyed_samplers(desc_g)
-        m_real, b_real = haar_view_mc(prog, real_sampler, trials, seed + 31 * i)
-        m_ideal, b_ideal = haar_view_mc(prog, ideal_sampler, trials, seed + 31 * i + 1)
+        real, ideal = _keyed_samplers(desc_g)
         b1 = 4.0 * (t + ell) * (t + ell - 1) / (N + 1)
         b3 = (t + ell) ** 2 / math.sqrt(N)
-        td12 = trace_distance(m_real, rho2)
-        se12 = bootstrap_td_stderr(b_real, rho2, seed + 41 * i)
-        _check(entry, "td_real_vs_hybrid2", "MC", td12, b1, se12)
-        td34 = trace_distance(m_ideal, rho3)
-        se34 = bootstrap_td_stderr(b_ideal, rho3, seed + 43 * i)
-        _check(entry, "td_ideal_vs_hybrid3", "ASYMPTOTIC", td34, SLACK * b3, se34)
+        _mc_check(entry, "td_real_vs_hybrid2", "MC", b1, prog, trials, (real, seed + 31 * i), rho2, seed + 41 * i)
+        ideal_side = (ideal, seed + 31 * i + 1)
+        _mc_check(entry, "td_ideal_vs_hybrid3", "ASYMPTOTIC", SLACK * b3, prog, trials, ideal_side, rho3, seed + 43 * i)
 
         # end-to-end on a three-query adversary (two keyed calls, one direct)
         # measured on a fixed two-qubit output register, where the signal
         # clears the Monte Carlo floor at the default trial count
         prog_end = AdversaryProgram(n=n, steps=(QuantumQuery("G"), QuantumQuery("U"), QuantumQuery("G")))
-        keep = [0, 1]
-        me_r, be_r = haar_view_mc(prog_end, real_sampler, trials, seed + 51 * i, keep=keep)
-        me_i, be_i = haar_view_mc(prog_end, ideal_sampler, trials, seed + 53 * i, keep=keep)
         q = t + ell + 2
         end_bound = 4.0 * q * (q - 1) / (N + 1) + 2.0 * math.sqrt(q * q / N) + SLACK * q * q / math.sqrt(N)
-        td_end = trace_distance(me_r, me_i)
-        se_end = bootstrap_td_pair(be_r, be_i, seed + 47 * i)
-        _check(entry, "td_end_to_end", "ASYMPTOTIC", td_end, end_bound, se_end)
+        td_end, se_end = _mc_check(
+            entry, "td_end_to_end", "ASYMPTOTIC", end_bound, prog_end, trials,
+            (real, seed + 51 * i), (ideal, seed + 53 * i), seed + 47 * i, keep=[0, 1],
+        )
         ends.append((n, td_end, se_end))
     _scaling_checks(rep, ends, "end_to_end_scaling")
-    return rep
 
 
 # ----------------------------------------------------------------- exp_pru1
@@ -481,14 +488,13 @@ class Pru1Params(Params):
 _CF_STUCK = {1: (2, 4), 2: (2, 3, 4, 6), 3: (2, 3, 4, 5, 6)}
 
 
-def exp_pru1(p: Pru1Params) -> ExperimentReport:
+def exp_pru1(p: Pru1Params, rep):
     """Secure mode; break mode (`mode` = "break") reads n, lam, trials and copies_per_key."""
     if p.mode == "break":
-        return _pru1_break(p)
+        return _pru1_break(p, rep)
     seed, n, lam, ell, t, trials = p.seed, p.n, p.lam, p.ell, p.t, p.trials
     N = 2**n
     cf = CFParams(max(ell, 1), lam, n)
-    rep = ExperimentReport("exp_pru1", seed, p.recorded())
     rep.notes.append("one-query keyed construction; hybrid equality is exact via the key-Hadamard isometry")
     prog = _pru1_program(n, t, ell, trial_rng(seed, 30_000 + n))
     entry = rep.add_point({"n": n, "lam": lam, "t": t, "ell": ell})
@@ -513,19 +519,14 @@ def exp_pru1(p: Pru1Params) -> ExperimentReport:
         _check(entry, "isometry_state_match", "EXACT", max(gaps), 1e-8)
 
     # end-to-end Monte Carlo against independent oracles
-    real_sampler, ideal_sampler = _keyed_samplers(pru_one_query(n, lam))
-    m_real, b_real = haar_view_mc(prog, real_sampler, trials, seed + 5)
-    m_ideal, b_ideal = haar_view_mc(prog, ideal_sampler, trials, seed + 6)
-    td_end = trace_distance(m_real, m_ideal)
-    se_end = bootstrap_td_pair(b_real, b_ideal, seed + 7)
+    real, ideal = _keyed_samplers(pru_one_query(n, lam))
     per_side = math.sqrt(max(ell, 1)) * t ** (ell + 1) / 2 ** (lam / 2.0) + 4.0 * t * (t - 1) / (N + 1)
-    _check(entry, "td_end_to_end", "ASYMPTOTIC", td_end, 2.0 * SLACK * per_side, se_end)
-    return rep
+    bound = 2.0 * SLACK * per_side
+    _mc_check(entry, "td_end_to_end", "ASYMPTOTIC", bound, prog, trials, (real, seed + 5), (ideal, seed + 6), seed + 7)
 
 
-def _pru1_break(p: Pru1Params) -> ExperimentReport:
+def _pru1_break(p: Pru1Params, rep):
     seed, n, lam, trials, copies_per_key = p.seed, p.n, p.lam, p.trials, p.copies_per_key
-    rep = ExperimentReport("exp_pru1", seed, p.recorded())
     rep.notes.append("key search by per-key SWAP-test batteries on prepared Choi states")
     rep.notes.append(
         "the two-query arm uses the best single-call preparation (pre X^k); the construction is not of that form"
@@ -557,7 +558,6 @@ def _pru1_break(p: Pru1Params) -> ExperimentReport:
     entry = rep.add_point({"n": n, "lam": lam, "copies_per_key": copies_per_key})
     _check_ge(entry, "advantage_one_query_arm", "MC", adv_one, 0.9)
     _check(entry, "advantage_two_query_arm", "MC", adv_two, 0.2)
-    return rep
 
 
 # ------------------------------------------------------- exp_prs / exp_prfs
@@ -571,6 +571,14 @@ def _pru1_break(p: Pru1Params) -> ExperimentReport:
 
 @dataclass(frozen=True)
 class _OracleParams(Params):
+    """The game's schema. A subclass adds its own field and the parts in which exp_prs and exp_prfs differ:
+      oracle, m   the keyed classical oracle's binding name; its function-input bits (query i asks i mod 2^m);
+      s           direct queries to U after the t classical ones;
+      matches     (x, k, shift) -> whether input x of a recorded pair is good at key k;
+      bound       (n, lam) -> hybrid distance bound before the slack;
+      note, mc_offset   the report's first note; the Monte Carlo seed, less the run's seed.
+    """
+
     n: int = _param(4, lo=1)
     lam: int = _param(2, lo=1)
     t: int = _param(2, lo=0)
@@ -579,14 +587,13 @@ class _OracleParams(Params):
 
     def _derive(self):
         # at t = 0 or s = 0 both hybrids give one view, so its TD cannot decrease
-        if self.scaling and min(self.t, getattr(self, "s", self.t)) < 1:
+        if self.scaling and min(self.t, self.s) < 1:
             raise ValueError("scaling needs t >= 1 and s >= 1 (s = t in exp_prfs): else every TD is 0")
         # the scaling points add one key bit at the same n
-        if self.n < self.lam + getattr(self, "m_in", 0) + self.scaling:
+        if self.n < self.lam + self.m + self.scaling:
             raise ValueError("need n >= lam + m_in, plus one when scaling")
-        # the real oracle records the t classical and s direct queries (s = t
-        # in exp_prfs) in one relation
-        if _above_pow2(self.t + getattr(self, "s", self.t), self.n):
+        # the real oracle records the t classical and s direct queries in one relation
+        if _above_pow2(self.t + self.s, self.n):
             raise ValueError("need t + s <= 2^n (2t <= 2^n in exp_prfs): a relation holds at most 2^n pairs")
         # the exact views keep the first 2n qubits (n + t*n with fewer), also
         # at the scaling point n + 1; the Monte Carlo register at n holds the
@@ -595,84 +602,81 @@ class _OracleParams(Params):
         _within(min(2 * top, top + self.t * top), VIEW_QUBIT_CAP, "the reduced view")
         _within(self.n * (1 + self.t), VEC_QUBIT_CAP, "the concrete register")
 
+    def good(self, n, lam):
+        """The column test passed by the labels where t recorded pairs of
+        slot 0 have an x that matches the key k of slot 1."""
+
+        def test(labels):
+            x, _, on = pair_columns(labels, 0)
+            return np.count_nonzero(on & self.matches(x, key_column(labels, 1)[:, None], n - lam), axis=1) == self.t
+
+        return test
+
 
 @dataclass(frozen=True)
 class PrsParams(_OracleParams):
     s: int = _param(2, lo=0)
+
+    oracle, m, mc_offset = "copy", 0, 3
+    note = "t keyed copies plus s oracle queries vs independent Haar-state copies"
+
+    @staticmethod
+    def matches(x, k, shift):
+        return x == k << shift
+
+    def bound(self, n, lam):
+        return math.sqrt(self.s / 2**lam) + (self.t + self.s) ** 2 / 2 ** (n / 2.0)
 
 
 @dataclass(frozen=True)
 class PrfsParams(_OracleParams):
     m_in: int = _param(1, lo=0)
 
+    oracle, mc_offset = "O", 4
+    note = "classical-query function-state oracle vs per-input independent Haar states"
+    m = property(lambda self: self.m_in)
+    s = property(lambda self: self.t)
 
-# A game is a namespace of the parts in which exp_prs and exp_prfs differ:
-#   oracle  binding name of the keyed classical oracle;
-#   m       function-input bits; classical query i asks w = i mod 2^m;
-#   t, s    classical queries, then direct queries to U;
-#   good    (n, lam) -> column test: every classical query is a good pair;
-#   bound   (n, lam) -> hybrid distance bound before the slack.
+    @staticmethod
+    def matches(x, k, shift):
+        return x >> shift == k
 
-
-def _good_pairs(t, match):
-    """good(n, lam) of a game: the column test passed by the labels where t
-    recorded pairs of slot 0 have an x that match(x, k, n - lam) accepts, k
-    the key of slot 1."""
-
-    def good(n, lam):
-        def test(labels):
-            x, _, on = pair_columns(labels, 0)
-            return np.count_nonzero(on & match(x, key_column(labels, 1)[:, None], n - lam), axis=1) == t
-
-        return test
-
-    return good
+    def bound(self, n, lam):
+        t = self.t
+        return t * t / 2 ** (n - self.m) + t * t / 2 ** (n / 2.0) + math.sqrt(t / 2**lam)
 
 
-def _prs_game(t, s):
-    return SimpleNamespace(
-        oracle="copy", m=0, t=t, s=s,
-        good=_good_pairs(t, lambda x, k, shift: x == k << shift),
-        bound=lambda n, lam: math.sqrt(s / 2**lam) + (t + s) ** 2 / 2 ** (n / 2.0),
-    )
-
-
-def _prfs_game(m, t):
-    return SimpleNamespace(
-        oracle="O", m=m, t=t, s=t,
-        good=_good_pairs(t, lambda x, k, shift: x >> shift == k),
-        bound=lambda n, lam: t * t / 2 ** (n - m) + t * t / 2 ** (n / 2.0) + math.sqrt(t / 2**lam),
-    )
-
-
-def _oracle_program(game, n):
-    steps = [ClassicalQuery(game.oracle, i % 2**game.m) for i in range(game.t)]
-    steps += [QuantumQuery("U", tuple(range(n))) for _ in range(game.s)]
+def _oracle_program(p, n):
+    steps = [ClassicalQuery(p.oracle, i % 2**p.m) for i in range(p.t)]
+    steps += [QuantumQuery("U", tuple(range(n))) for _ in range(p.s)]
     return AdversaryProgram(n=n, steps=tuple(steps))
 
 
-def _oracle_views(game, n, lam, want_mass):
+def _oracle_views(p, n, lam, want_mass):
     """Exact purified views: shared-slot keyed oracle vs one slot per w.
 
     The real side only reads its key, so it runs one key at a time
     (key_sliced_view). The ideal side has no key: its input depends on w
-    alone, so a uniform key register would only tensor the state 2^lam
-    times over without changing the view. Each purified state is freed
-    right after its reduction.
+    alone (the key reads as 0), so a uniform key register would only tensor
+    the state 2^lam times over without changing the view. Each purified
+    state is freed right after its reduction.
     """
-    m = game.m
-    prog = _oracle_program(game, n)
-    keep = list(range(min(2 * n, n + game.t * n)))
+    m = p.m
+    prog = _oracle_program(p, n)
+    keep = list(range(min(2 * n, n + p.t * n)))
+
+    def input_of(k, w):
+        return prfs_input(k, w, n, lam, m)
 
     real_bind = {
-        game.oracle: ClassicalPROracle(n=n, rel_slot=(0,) * 2**m, input_of=lambda k, w: ((k << m) | w) << (n - lam - m)),
+        p.oracle: ClassicalPROracle(n=n, rel_slot=(0,) * 2**m, input_of=input_of),
         "U": haar_slot(n, slot=0),
     }
-    mask = game.good(n, lam) if want_mass else None
+    mask = p.good(n, lam) if want_mass else None
     v_real, mass = key_sliced_view(prog, real_bind, (Rel(), KeyInit(lam)), keep, mask)
 
     ideal_bind = {
-        game.oracle: ClassicalPROracle(n=n, rel_slot=tuple(range(2**m)), input_of=lambda k, w: w << (n - lam - m)),
+        p.oracle: ClassicalPROracle(n=n, rel_slot=tuple(range(2**m)), input_of=input_of),
         "U": haar_slot(n, slot=2**m),
     }
     ideal = run_pr(prog, ideal_bind, (Rel(),) * 2**m + (Rel(),))
@@ -681,51 +685,40 @@ def _oracle_views(game, n, lam, want_mass):
     return prog, v_real, v_ideal, mass, keep
 
 
-def _oracle_experiment(rep, game, p, point, mc_seed):
-    """Exact hybrid distance at (n, lam) and its scaling points, plus an MC cross-check."""
+def _oracle_game(p: _OracleParams, rep):
+    """exp_prs and exp_prfs: the exact hybrid distance at (n, lam) and at its
+    scaling points, plus an MC cross-check. A grid point holds the game's
+    fields but trials and scaling."""
+    rep.notes.append(p.note)
     rep.notes.append("primary TD is exact between the two purified hybrid oracles, on the first 2n qubits")
     n, lam = p.n, p.lam
+    fields = {k: v for k, v in p.recorded().items() if k not in ("trials", "scaling")}
     points = [(n, lam), (n, lam + 1), (n + 1, lam)] if p.scaling else [(n, lam)]
     tds = {}
     for (nn, ll) in points:
         base = (nn, ll) == (n, lam)
-        prog, v_real, v_ideal, mass, keep = _oracle_views(game, nn, ll, want_mass=base)
+        prog, v_real, v_ideal, mass, keep = _oracle_views(p, nn, ll, want_mass=base)
         td = trace_distance(v_real, v_ideal)
         tds[(nn, ll)] = td
-        entry = rep.add_point({"n": nn, "lam": ll, **point})
-        _check(entry, "td_hybrid_real_vs_ideal", "ASYMPTOTIC", td, SLACK * game.bound(nn, ll))
+        entry = rep.add_point({**fields, "n": nn, "lam": ll})
+        _check(entry, "td_hybrid_real_vs_ideal", "ASYMPTOTIC", td, SLACK * p.bound(nn, ll))
         if base:
-            _check_ge(entry, "good_pair_mass", "EXACT", mass, 1.0 - game.s / 2**ll)
+            _check_ge(entry, "good_pair_mass", "EXACT", mass, 1.0 - p.s / 2**ll)
 
             # Monte Carlo cross-check against concrete sampling
-            def real_sampler(rngs, nn=nn, ll=ll):
+            def real(rngs, nn=nn, ll=ll):
                 u = haar_unitaries(2**nn, rngs)
                 k = [rng.integers(0, 2**ll) for rng in rngs]
-                return {game.oracle: lambda w: prfs_output(u, k, w, nn, ll, game.m), "U": u}
+                return {p.oracle: lambda w: prfs_output(u, k, w, nn, ll, p.m), "U": u}
 
-            mean, batches = haar_view_mc(prog, real_sampler, p.trials, mc_seed, keep=keep)
-            td_mc = trace_distance(mean, v_real)
-            se = bootstrap_td_stderr(batches, v_real, mc_seed)
-            q = game.t + game.s
-            _check(entry, "mc_real_vs_purified", "MC", td_mc, 2.0 * q * (q - 1) / (2**nn + 1), se)
+            q, mc_seed = p.t + p.s, p.seed + p.mc_offset
+            bound = 2.0 * q * (q - 1) / (2**nn + 1)
+            _mc_check(entry, "mc_real_vs_purified", "MC", bound, prog, p.trials, (real, mc_seed), v_real, mc_seed, keep)
     if p.scaling:
         entry = rep.add_point({"scaling": "lam,n"})
         for grown, at in (("lam", (n, lam + 1)), ("n", (n + 1, lam))):
             td, base_td = tds[at], tds[(n, lam)]
             _check(entry, f"td_strictly_decreasing_in_{grown}", "EXACT", td, base_td, passed=td < base_td)
-    return rep
-
-
-def exp_prs(p: PrsParams) -> ExperimentReport:
-    rep = ExperimentReport("exp_prs", p.seed, p.recorded())
-    rep.notes.append("t keyed copies plus s oracle queries vs independent Haar-state copies")
-    return _oracle_experiment(rep, _prs_game(p.t, p.s), p, {"t": p.t, "s": p.s}, p.seed + 3)
-
-
-def exp_prfs(p: PrfsParams) -> ExperimentReport:
-    rep = ExperimentReport("exp_prfs", p.seed, p.recorded())
-    rep.notes.append("classical-query function-state oracle vs per-input independent Haar states")
-    return _oracle_experiment(rep, _prfs_game(p.m_in, p.t), p, {"m_in": p.m_in, "t": p.t}, p.seed + 4)
 
 
 # -------------------------------------------------------------- exp_cf_bound
@@ -739,11 +732,14 @@ class CfBoundParams(Params):
     samples: int = _param(300, lo=0)
     exhaustive_cap: int = _param(60000, lo=0)
 
+    def _derive(self):
+        if self.n_max > 62:
+            raise ValueError("need n_max <= 62: sampled sets are drawn as 64-bit ints")
 
-def exp_cf_bound(p: CfBoundParams) -> ExperimentReport:
+
+def exp_cf_bound(p: CfBoundParams, rep):
     seed, n_max, ell_max, smax = p.seed, p.n_max, p.ell_max, p.smax
     sample_count, exhaustive_cap = p.samples, p.exhaustive_cap
-    rep = ExperimentReport("exp_cf_bound", seed, p.recorded())
     rep.notes.append("set-size lower bound 2^n - l*|S|^{2l}*2^{n-lam}; zero violations required")
     rep.notes.append(
         "cells beyond the exhaustive cap are covered by the vacuity argument plus seeded sampling"
@@ -809,7 +805,6 @@ def exp_cf_bound(p: CfBoundParams) -> ExperimentReport:
             cl += 1
     entry3 = rep.add_point({"spotcheck": "lam=n,l=1 complement"})
     _check(entry3, "closed_form_mismatches", "EXACT", cl, 0)
-    return rep
 
 
 # --------------------------------------------------------- exp_split_augment
@@ -829,17 +824,16 @@ class SplitAugmentParams(Params):
         _within(self.n, VIEW_QUBIT_CAP, "the full-register view")
 
 
-def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
+def exp_split_augment(p: SplitAugmentParams, rep):
     seed, n, t, ell = p.seed, p.n, p.t, p.ell
     N = 2**n
     lam = n
-    rep = ExperimentReport("exp_split_augment", seed, p.recorded())
     rep.notes.append("label-isometry chain: split the keyed recording, augment the plain one")
     entry = rep.add_point({"n": n, "t": t, "ell": ell})
     if t == 0:
         _check(entry, "fidelity", "EXACT", -1.0, -1.0, passed=True)
         rep.notes.append("t=0: both sides are the empty-query state; fidelity 1 by construction")
-        return rep
+        return
 
     rng = trial_rng(seed, 50_000 + n)
     prog = AdversaryProgram(n=n, steps=(haar_interleave(n, rng), QuantumQuery("G")))
@@ -866,7 +860,6 @@ def exp_split_augment(p: SplitAugmentParams) -> ExperimentReport:
     _check(entry, "reduced_view_invariance_split", "EXACT", trace_distance(v_psi2p, v_good), 1e-8)
     _check(entry, "reduced_view_invariance_augment", "EXACT", trace_distance(v_psi3p, rho3), 1e-8)
     entry["point"]["td_sides"] = float(trace_distance(rho2, rho3))
-    return rep
 
 
 # a split or augmented label (Rel{(x, y)}, z, k)
@@ -935,11 +928,10 @@ class SpruParams(Params):
         spru(self.n_block, self.overlap, self.lam_small)  # the layout's own checks
 
 
-def exp_spru(p: SpruParams) -> ExperimentReport:
+def exp_spru(p: SpruParams, rep):
     seed, n_block, overlap, lam_small, trials = p.seed, p.n_block, p.overlap, p.lam_small, p.trials
     layout = spru(n_block, overlap, lam_small)
     d = 2**layout.total_qubits
-    rep = ExperimentReport("exp_spru", seed, p.recorded())
     rep.notes.append("gluing second-moment check; the bound 5k^2/2^|B| is vacuous at desk scale and labeled so")
 
     rng = trial_rng(seed, 60_000)
@@ -985,7 +977,6 @@ def exp_spru(p: SpruParams) -> ExperimentReport:
     entry["point"]["bound_is_vacuous"] = bound >= 1.0
     entry["point"]["arithmetic_output_qubits_example"] = constructions.stretch_output_qubits(8, 4, 2)
     entry["point"]["arithmetic_key_bits_example"] = constructions.stretch_key_bits(4, 2)
-    return rep
 
 
 # ----------------------------------------------------------------- registry
@@ -993,7 +984,7 @@ def exp_spru(p: SpruParams) -> ExperimentReport:
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    fn: object
+    fn: object  # fn(params, report) fills the report that run_experiment made
     schema: type  # a Params subclass: names, defaults, types and ranges
     description: str
     bound: str
@@ -1023,14 +1014,14 @@ EXPERIMENTS = {
         "secure: exact equality; break: SWAP-test key search separates the two constructions",
     ),
     "exp_prs": ExperimentDef(
-        exp_prs,
+        _oracle_game,
         PrsParams,
         "multi-copy keyed state generator vs independent Haar state, with s oracle queries",
         "O(sqrt(s/2^lam) + (t+s)^2/sqrt(2^n)), C=5; good-pair mass >= 1 - s/2^lam",
         "exact hybrid TD <= C*bound, strictly decreasing in lam and n; MC cross-check within recording bound",
     ),
     "exp_prfs": ExperimentDef(
-        exp_prfs,
+        _oracle_game,
         PrfsParams,
         "classical-query keyed function-state oracle vs per-input independent Haar states",
         "O(t^2/2^(n-m) + t^2/sqrt(2^n) + sqrt(t/2^lam)), C=5; good-pair mass >= 1 - t/2^lam; needs n >= lam + m_in",
@@ -1065,4 +1056,7 @@ def run_experiment(name, params) -> ExperimentReport:
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
     d = EXPERIMENTS[name]
-    return d.fn(d.schema.parse(params))
+    p = d.schema.parse(params)
+    rep = ExperimentReport(name, p.seed, p.recorded())
+    d.fn(p, rep)
+    return rep

@@ -434,7 +434,7 @@ class PurifiedState:
         """Sum of |a|^2 left to right in entry order; chunked, bitwise one cumsum.
 
         With a boolean label mask `keep`, only the entries of those labels
-        count; the sum is bitwise that of select_labels(keep).norm_sq().
+        count; the sum is bitwise that of project_good(self, keep).norm_sq().
         """
         total = 0.0
         for lo in range(0, self.entry_count(), _ENTRY_CHUNK):
@@ -446,12 +446,6 @@ class PurifiedState:
 
     def label_count(self):
         return len(self.rows)
-
-    def select_labels(self, keep):
-        """The sub-state on the labels where the boolean mask `keep` holds."""
-        on = keep[self.label_ids]
-        lab = (np.cumsum(keep) - 1)[self.label_ids[on]]
-        return self._make(self.schema, self.rows[keep], lab, self.indices[on], self.amplitudes[on])
 
     def apply_matrix(self, mat, targets=None):
         """Apply a unitary to the adversary register of every label.
@@ -829,7 +823,9 @@ def corx_count(table, rel_slot, key_slot):
 
 def project_good(state, keep):
     """The sub-state on the labels of the boolean mask `keep` (subnormalized)."""
-    return state.select_labels(keep)
+    on = keep[state.label_ids]
+    lab = (np.cumsum(keep) - 1)[state.label_ids[on]]
+    return state._make(state.schema, state.rows[keep], lab, state.indices[on], state.amplitudes[on])
 
 
 def label_rewrite(state, schema, rows):

@@ -187,10 +187,12 @@ def test_run_invalid_params_exit_2(tmp_path):
     [
         ("exp_mh_bound", {"n_list": [3, 2]}, "n_list must be a strictly increasing non-empty list of ints >= 1"),
         ("exp_prs", {"n": 3, "lam": 2, "t": 2, "s": 0}, "scaling needs t >= 1 and s >= 1"),
+        ("exp_cf_bound", {"n_max": 63, "samples": 1, "exhaustive_cap": 0}, "need n_max <= 62"),
     ],
 )
 def test_run_outside_the_scaling_domain_exits_2(tmp_path, name, config, message):
-    # a decreasing grid, or a game whose exact TD is 0, would fail a scaling check
+    # a decreasing grid, or a game whose exact TD is 0, would fail a scaling
+    # check; a grid past n = 62 would draw sets that do not fit a 64-bit int
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, **config}))
     res = CliRunner().invoke(main, ["run", name, "--seed", "11", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -229,7 +231,7 @@ def test_run_resource_limit_exits_3(tmp_path, monkeypatch):
 def test_run_failure_after_parsing_exits_4(tmp_path, monkeypatch):
     d = EXPERIMENTS["exp_split_augment"]
 
-    def failing(p):
+    def failing(p, rep):
         raise ValueError("prefix-XOR subset is not unique; collision-freeness violated")
 
     monkeypatch.setitem(EXPERIMENTS, "exp_split_augment", dataclasses.replace(d, fn=failing))
@@ -254,10 +256,8 @@ def test_view_over_the_density_cap_exits_2(tmp_path):
 def test_non_finite_check_value_exits_4(tmp_path, monkeypatch):
     d = EXPERIMENTS["exp_split_augment"]
 
-    def nan_check(p):
-        rep = experiments.ExperimentReport("exp_split_augment", p.seed, p.recorded())
+    def nan_check(p, rep):
         experiments._check(rep.add_point({"n": p.n}), "fidelity", "EXACT", float("nan"), 1.0)
-        return rep
 
     monkeypatch.setitem(EXPERIMENTS, "exp_split_augment", dataclasses.replace(d, fn=nan_check))
     res = CliRunner().invoke(main, ["run", "exp_split_augment", "--out", str(tmp_path)])

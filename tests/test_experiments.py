@@ -1,6 +1,8 @@
 """Experiment registry: small-scale runs, determinism, and input validation."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -141,6 +143,34 @@ def test_report_serialization_and_determinism():
     assert a.to_json() != c.to_json()
 
 
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("exp_mh_bound", {"n_list": [2, 3], "trials": 50}),
+        ("exp_pru2", {"n_list": [3], "trials": 50}),
+        ("exp_pru1", {"trials": 20}),
+        ("exp_pru1", {"mode": "break", "trials": 5}),
+        ("exp_prs", {"n": 3, "lam": 1, "t": 1, "s": 1, "trials": 50}),
+        ("exp_prfs", {"n": 3, "lam": 1, "m_in": 1, "t": 1, "trials": 50}),
+        ("exp_cf_bound", {"n_max": 3, "samples": 5}),
+        ("exp_split_augment", {}),
+        ("exp_spru", {"trials": 20}),
+    ],
+)
+def test_report_csv_has_seven_fields_per_row(name, params):
+    # points such as "grid=n<=3,|S|<=4,l<=2" and "scaling=lam,n" hold commas
+    rep = run_experiment(name, {"seed": 3, **params})
+    text = rep.to_csv()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["point", "check", "kind", "value", "bound", "stderr", "passed"]
+    points = [";".join(f"{k}={v}" for k, v in sorted(e["point"].items())) for e in rep.grid for _ in e["checks"]]
+    assert [row[0] for row in rows[1:]] == points
+    for row, line in zip(rows, text.splitlines()):
+        assert len(row) == 7
+        # a field is quoted only when it holds a comma
+        assert line == ",".join(row) or any("," in f for f in row)
+
+
 def test_asymptotic_checks_are_flagged():
     rep = run_experiment("exp_spru", {"seed": 3, "trials": 300})
     kinds = {c["kind"] for e in rep.grid for c in e["checks"]}
@@ -157,9 +187,10 @@ def test_asymptotic_checks_are_flagged():
 # predicates they replaced.
 
 
-def oracle_game(kind, a, t):
-    """The folded game of exp_prs (`a` = s) or exp_prfs (`a` = m_in)."""
-    return experiments._prs_game(t, a) if kind == "prs" else experiments._prfs_game(a, t)
+def oracle_game(kind, a, t, n, lam):
+    """The parameters of exp_prs (`a` = s) or exp_prfs (`a` = m_in) at (n, lam), without scaling points."""
+    schema, name = (experiments.PrsParams, "s") if kind == "prs" else (experiments.PrfsParams, "m_in")
+    return schema.parse({"seed": 0, "n": n, "lam": lam, "t": t, name: a, "scaling": False})
 
 
 def old_prs_good(n, lam, t):
@@ -197,7 +228,7 @@ def run_sliced_point(kind, n, lam, a, t):
     if kind == "pru2":
         run_experiment("exp_pru2", {"seed": 7, "n_list": [n], "trials": 1})
         return old_corx_good(1)
-    experiments._oracle_views(oracle_game(kind, a, t), n, lam, want_mass=True)
+    experiments._oracle_views(oracle_game(kind, a, t, n, lam), n, lam, want_mass=True)
     return (old_prs_good if kind == "prs" else old_prfs_good)(n, lam, t)
 
 
@@ -261,7 +292,7 @@ def test_record_point_reduces_no_full_keyed_state(monkeypatch):
     counting(experiments)
     # the exp_prs point of the `record` benchmark workload: its full keyed
     # real side held 53,760 entries
-    experiments._oracle_views(oracle_game("prs", 3, 2), 3, 3, want_mass=True)
+    experiments._oracle_views(oracle_game("prs", 3, 2, 3, 3), 3, 3, want_mass=True)
     *slices, ideal = entries
     assert len(slices) == 2**3 and sum(slices) == 53_760
     assert max(entries) < 53_760 and ideal == 18_816
@@ -433,7 +464,7 @@ def test_pru1_mode_is_secure_or_break():
 def no_numerics(monkeypatch):
     """A registry whose experiment bodies fail the test when reached."""
 
-    def unreachable(p):
+    def unreachable(p, rep):
         raise AssertionError(f"numerics ran for {p!r}")
 
     for name, d in EXPERIMENTS.items():
@@ -469,6 +500,8 @@ def no_numerics(monkeypatch):
         ("exp_prs", {"seed": 3, "n": 3, "lam": 2, "t": 2, "s": 0}),
         ("exp_prs", {"seed": 3, "n": 3, "lam": 1, "t": 1, "s": 0}),
         ("exp_prfs", {"seed": 3, "n": 3, "lam": 1, "t": 0, "m_in": 1}),
+        # a sampled set of n = 63 bits does not fit a 64-bit int
+        ("exp_cf_bound", {"seed": 1, "n_max": 63, "samples": 1, "exhaustive_cap": 0}),
     ],
 )
 def test_invalid_params_fail_before_numerics(no_numerics, name, params):
@@ -524,7 +557,8 @@ def typed_in_range(f, v):
         return ints and all(a < b for a, b in zip(v, v[1:]))
     if v is None:
         return f.metadata["rule"] is not None
-    return type(v) is int and v >= lo
+    # exp_cf_bound draws sets of n_max-bit strings as 64-bit ints
+    return type(v) is int and v >= lo and not (f.name == "n_max" and v > 62)
 
 
 VALUES = st.one_of(
@@ -580,6 +614,8 @@ def named_params(draw):
 @example(case=("exp_spru", {"seed": 1, "n_block": 2, "overlap": 1, "lam_small": 2}), accepted=True)
 @example(case=("exp_spru", {"seed": 1, "n_block": 2, "overlap": 2}), accepted=False)
 @example(case=("exp_spru", {"seed": 1, "n_block": 2, "lam_small": 3}), accepted=False)
+@example(case=("exp_cf_bound", {"seed": 1, "n_max": 62, "samples": 1, "exhaustive_cap": 0}), accepted=True)
+@example(case=("exp_cf_bound", {"seed": 1, "n_max": 63, "samples": 1, "exhaustive_cap": 0}), accepted=False)
 def test_validator_accepts_only_typed_in_range_values(case, accepted):
     name, params = case
     schema = EXPERIMENTS[name].schema
@@ -609,6 +645,7 @@ def test_validator_accepts_only_typed_in_range_values(case, accepted):
         ("exp_pru1", {"seed": 1, "n": 1, "t": 2, "trials": 20}),
         ("exp_pru1", {"seed": 1, "n": 2, "ell": 2, "t": 3, "trials": 20}),
         ("exp_spru", {"seed": 1, "n_block": 2, "overlap": 1, "lam_small": 2, "trials": 20}),
+        ("exp_cf_bound", {"seed": 1, "n_max": 62, "samples": 1, "exhaustive_cap": 0}),
     ],
 )
 def test_domain_limits_at_the_boundary_run(name, params):
@@ -646,6 +683,6 @@ def test_ideal_side_is_maximally_mixed(monkeypatch, kind, a, n, lam):
     # one independent relation per w and one for U: on the first 2n qubits
     # the ideal view is I/4^n (largest deviation measured: 3.1e-17)
     monkeypatch.setattr(experiments, "key_sliced_view", lambda *args: (None, None))
-    _, _, v_ideal, _, keep = experiments._oracle_views(oracle_game(kind, a, 2), n, lam, want_mass=False)
+    _, _, v_ideal, _, keep = experiments._oracle_views(oracle_game(kind, a, 2, n, lam), n, lam, want_mass=False)
     assert len(keep) == 2 * n
     assert np.max(np.abs(v_ideal.entries - np.eye(4**n) / 4**n)) <= 1e-15

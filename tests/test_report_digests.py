@@ -33,3 +33,34 @@ def test_compare_lists_every_differing_run(tmp_path, capsys):
     assert [line.split(" ", 1)[1] for line in out.splitlines()[:-1]] == ["b", "c", "only_new", "only_old"]
     assert out.splitlines()[-1] == "4 of 5 runs differ"
     assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+
+
+def test_compare_says_when_the_environments_differ(tmp_path, capsys, monkeypatch):
+    tool = load_tool()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("NOT_A_THREAD_COUNT", "1")
+    env = tool.environment()
+    assert set(env) == {"numpy", "blas", "threads", "cpu_count"}
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1" and "NOT_A_THREAD_COUNT" not in env["threads"]
+    runs = {"a": {"sha256": "ab", "checks": []}}
+    files = {
+        "one": {"environment": {**env, "threads": {"OPENBLAS_NUM_THREADS": "1"}}, **runs},
+        "four": {"environment": {**env, "threads": {"OPENBLAS_NUM_THREADS": "4"}}, **runs},
+        "none": runs,  # written before the environment was recorded
+    }
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+
+    def compare(a, b):
+        code = tool.main(["--compare", str(tmp_path / f"{a}.json"), str(tmp_path / f"{b}.json")])
+        return code, capsys.readouterr().out.splitlines()
+
+    # the environment is not a run, and a difference in it fails nothing
+    assert compare("one", "one") == (0, ["0 of 1 runs differ"])
+    assert compare("one", "four") == (
+        0,
+        ["environment differs: threads: {'OPENBLAS_NUM_THREADS': '1'} -> {'OPENBLAS_NUM_THREADS': '4'}", "0 of 1 runs differ"],
+    )
+    code, out = compare("none", "one")
+    assert code == 0 and out[-1] == "0 of 1 runs differ"
+    assert [line.split(":")[1].strip() for line in out[:-1]] == sorted(env)

@@ -115,7 +115,8 @@ def keyed_stress_state():
     never read; exp_prs builds this hybrid without it.
     """
     n, lam = 3, 3
-    prog = experiments._oracle_program(experiments._prs_game(2, 3), n)
+    game = experiments.PrsParams.parse({"seed": 0, "n": n, "lam": lam, "t": 2, "s": 3, "scaling": False})
+    prog = experiments._oracle_program(game, n)
     copy = ClassicalPROracle(n=n, rel_slot=(0,), input_of=lambda k, w: 0)
     return run_pr(prog, {"copy": copy, "U": haar_slot(n, slot=1)}, (Rel(), Rel(), KeyInit(lam)))
 

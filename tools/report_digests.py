@@ -15,13 +15,17 @@ sits in:
 - secure exp_pru1 at fold 2 and fold 3, (ell, t, lam) = (2, 3, 3) and (3, 4, 3);
 
 and writes, per run, the SHA-256 of the report's to_json() and its
-(check, kind, verdict) list. --compare lists every run whose entry differs
-or that only one file holds, and exits 1 if there is one.
+(check, kind, verdict) list, and under "environment" the numpy version, its
+BLAS library, the *_NUM_THREADS variables and the CPU count: a report can
+differ in its last bit across BLAS builds and thread counts. --compare says
+which environment entries differ, lists every run whose entry differs or
+that only one file holds, and exits 1 if there is such a run.
 """
 
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -55,6 +59,19 @@ def digests():
     return out
 
 
+def environment():
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")}
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "threads": threads,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def compare(old, new):
     """The sorted keys whose entries differ, or that only one side holds."""
     return sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
@@ -67,9 +84,14 @@ def main(argv=None):
     group.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="two digest files to compare")
     args = ap.parse_args(argv)
     if args.out:
-        Path(args.out).write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+        out = {"environment": environment(), **digests()}
+        Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
         return 0
     old, new = (json.loads(Path(p).read_text()) for p in args.compare)
+    # a file written before the environment was recorded has none
+    env_old, env_new = (d.pop("environment", {}) for d in (old, new))
+    for key in compare(env_old, env_new):
+        print(f"environment differs: {key}: {env_old.get(key)!r} -> {env_new.get(key)!r}")
     differ = compare(old, new)
     for key in differ:
         print(f"differs: {key}")
