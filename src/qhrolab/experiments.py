@@ -65,7 +65,6 @@ from .relstate import (
     key_column,
     label_mask,
     label_rewrite,
-    pair_codes,
     pair_columns,
     project_good,
 )
@@ -431,17 +430,16 @@ def _hybrid3_slices(psi3, n, lam):
     Hadamard gives slice_k(R) = sum_h (-1)^{h.k} phi(R, h), with no scale
     factor; entries of one (R, index) are summed.
     """
-    _, y, on = pair_columns(psi3, 0)
+    rel_g, rel_u = pair_columns(psi3, 0), pair_columns(psi3, 1)
+    _, y, on = rel_g
     h = np.bitwise_xor.reduce(np.where(on, y >> (n - lam), 0), axis=1)
-    rows = np.sort(psi3.rows, axis=1)  # the padding of both slots sorts last
-    phi = label_rewrite(psi3, (("rel", rows.shape[1]), ("int",)), np.hstack([rows, h[:, None]]))
-    h = key_column(phi, 1)[phi.label_ids]  # per entry
+    phi = label_rewrite(psi3, [tuple(map(np.hstack, zip(rel_g, rel_u))), h])
+    rel, h = pair_columns(phi, 0), key_column(phi, 1)[phi.label_ids]  # h per entry
 
     def expected(k):
-        rows = phi.rows.copy()
-        rows[:, -1] = k
         sign = np.array([1 - 2 * (bin(k & v).count("1") & 1) for v in range(2**lam)])
-        return PurifiedState.from_table(n, phi.schema, rows, phi.label_ids, phi.indices, phi.amplitudes * sign[h])
+        slots = [rel, np.full(phi.label_count(), k)]
+        return PurifiedState.from_columns(n, slots, phi.label_ids, phi.indices, phi.amplitudes * sign[h])
 
     return expected
 
@@ -508,6 +506,7 @@ def exp_pru1(p: Pru1Params, rep):
         rho2, _ = key_sliced_view(
             prog, keyed, (Rel(), KeyInit(lam)), each=lambda k, state: gaps.append(state.max_diff(expected(k)))
         )
+        del expected  # and phi, before the Monte Carlo check
     else:
         # G is unkeyed and never queried, so every key slice is the same run
         keyed, apart = _hybrid_bindings(n, haar_slot(n, slot=0, cf=cf), cf)
@@ -862,10 +861,6 @@ def exp_split_augment(p: SplitAugmentParams, rep):
     entry["point"]["td_sides"] = float(trace_distance(rho2, rho3))
 
 
-# a split or augmented label (Rel{(x, y)}, z, k)
-_SPLIT_SCHEMA = (("rel", 1), ("int",), ("int",))
-
-
 def _split_surgery(good):
     """The label chain of one key slice: (Rel{p, q}, k) -> (Rel{(x, y)}, z, k).
 
@@ -886,7 +881,7 @@ def _split_surgery(good):
         raise ValueError("not exactly one ordered pair of positions matches")
     x_p, z = np.where(first, x[:, 0], x[:, 1]), np.where(first, y[:, 0], y[:, 1])
     y_q = np.where(first, y[:, 1], y[:, 0])
-    return label_rewrite(good, _SPLIT_SCHEMA, np.stack([pair_codes(x_p, y_q), z, k], axis=1))
+    return label_rewrite(good, [(x_p[:, None], y_q[:, None], True), z, k])
 
 
 def _augmented_part(psi3, N, lam, t):
@@ -898,17 +893,16 @@ def _augmented_part(psi3, N, lam, t):
     1/sqrt((N - t) * (2^lam - 2)) times psi3's.
     """
     x, y, _ = pair_columns(psi3, 0)
-    x, y = x[:, 0], y[:, 0]
-    code = pair_codes(x, y)
     z = np.arange(N)
 
     def part(k):
-        fresh = (z != y[:, None]) & (z != (x ^ k)[:, None]) & ((x ^ y) != k)[:, None]
-        # every entry once per fresh z of its label; equal rows are one label
+        fresh = (z != y) & (z != x ^ k) & (x ^ y != k)
+        # every entry once per fresh z of its label
         e, zs = np.nonzero(fresh[psi3.label_ids])
-        rows = np.stack([code[psi3.label_ids[e]], zs, np.full(len(e), k)], axis=1)
+        lab = psi3.label_ids[e]
+        slots = [(x[lab], y[lab], True), zs, np.full(len(e), k)]
         amp = psi3.amplitudes[e] / math.sqrt((N - t) * (2**lam - 2))
-        return PurifiedState.from_table(psi3.n_qubits, _SPLIT_SCHEMA, rows, np.arange(len(e)), psi3.indices[e], amp)
+        return PurifiedState.from_columns(psi3.n_qubits, slots, np.arange(len(e)), psi3.indices[e], amp)
 
     return part
 
@@ -926,6 +920,7 @@ class SpruParams(Params):
 
     def _derive(self):
         spru(self.n_block, self.overlap, self.lam_small)  # the layout's own checks
+        _within(2 * (2 * self.n_block - self.overlap), QUBIT_CAP, "a second-moment probe")
 
 
 def exp_spru(p: SpruParams, rep):

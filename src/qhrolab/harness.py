@@ -60,13 +60,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Interleave:
-    """A fixed unitary layer; dense matrix or a phased permutation.
-
-    Exactly one of `u` and `sparse_map` is set. `u` is a 2^k x 2^k unitary
-    array, checked once here. `sparse_map` is the pair (perm, phases) of
-    arrays over the 2^k basis values of `targets`: value v goes to perm[v]
-    times phases[v]. It keeps purified vectors sparse.
-    """
+    """A fixed unitary layer: exactly one of `u`, a 2^k x 2^k unitary array,
+    and `sparse_map`, a phased permutation that keeps purified vectors sparse:
+    arrays (perm, phases) over the 2^k basis values of `targets`, value v
+    going to perm[v] times phases[v]. Both are checked once here, where
+    `targets` None becomes qubits 0..k-1."""
 
     u: np.ndarray | None = None
     targets: tuple | None = None
@@ -77,11 +75,21 @@ class Interleave:
             raise ValueError("exactly one of u / sparse_map must be given")
         if self.u is not None:
             u = np.asarray(self.u, dtype=complex)
-            if u.ndim != 2 or u.shape[0] != u.shape[1] or _qubits_of(len(u)) is None:
+            k = _qubits_of(len(u)) if u.ndim == 2 and u.shape[0] == u.shape[1] else None
+            if k is None:
                 raise ValueError("interleave unitary must be square with a power-of-two side")
-            _check_cap(_qubits_of(len(u)))
+            _check_cap(k)
             _check_unitary(u)
             object.__setattr__(self, "u", u)
+        else:
+            perm, phases = map(np.asarray, self.sparse_map)
+            k = _qubits_of(len(perm)) if self.targets is None else len(self.targets)
+            ok = k is not None and perm.dtype.kind in "iu" and np.array_equal(np.sort(perm), np.arange(2**k))
+            if not ok or phases.shape != perm.shape or np.any(abs(abs(phases) - 1) > 1e-9):
+                raise ValueError("a sparse map permutes the 2^k values of its k targets, with unit-modulus phases")
+            object.__setattr__(self, "sparse_map", (perm, phases))
+        if self.targets is None:
+            object.__setattr__(self, "targets", tuple(range(k)))
 
 
 @dataclass(frozen=True)
@@ -178,15 +186,14 @@ def run_concrete(program: AdversaryProgram, bindings: dict) -> np.ndarray:
     state = np.eye(1, 2**q, dtype=complex)
     for step in program.steps:
         if isinstance(step, Interleave):
-            targets = list(step.targets) if step.targets is not None else list(range(program.reg_qubits))
             if step.u is None:
                 perm, phases = step.sparse_map
-                mat, order = qubits_first(state, targets, q)
+                mat, order = qubits_first(state, step.targets, q)
                 out = np.zeros_like(mat)
                 out[:, perm] = phases[:, None] * mat
                 state = qubits_restore(out, order)
             else:
-                state = apply_gate(state, step.u, targets, q)
+                state = apply_gate(state, step.u, step.targets, q)
         elif isinstance(step, QuantumQuery):
             targets = list(_input_qubits(program, step))
             u = _stack(step.oracle_id, bindings[step.oracle_id], len(state), (2 ** len(targets),) * 2)
@@ -202,13 +209,6 @@ def run_concrete(program: AdversaryProgram, bindings: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- purified
-
-
-def _apply_interleave(state: PurifiedState, step: Interleave) -> PurifiedState:
-    targets = list(step.targets) if step.targets is not None else list(range(state.n_qubits))
-    if step.sparse_map is not None:
-        return state.apply_sparse_map(*step.sparse_map, targets)
-    return state.apply_matrix(step.u, targets)
 
 
 def _quantum_query_pr(state, desc: OracleDescriptor, input_qubits, key_slot):
@@ -243,7 +243,10 @@ def run_pr(program: AdversaryProgram, bindings: dict, init_label) -> PurifiedSta
     state = PurifiedState(program.reg_qubits, {l: {0: complex(amp)} for l in labels})
     for step in program.steps:
         if isinstance(step, Interleave):
-            state = _apply_interleave(state, step)
+            if step.u is None:
+                state = state.apply_sparse_map(*step.sparse_map, step.targets)
+            else:
+                state = state.apply_matrix(step.u, step.targets)
         elif isinstance(step, QuantumQuery):
             desc = bindings[step.oracle_id]
             if not isinstance(desc, OracleDescriptor):
@@ -507,5 +510,5 @@ def phased_permutation_interleave(n_qubits, rng, targets=None):
     k = len(targets) if targets is not None else n_qubits
     perm = rng.permutation(2**k)
     phases = np.exp(2j * np.pi * rng.random(2**k))
-    return Interleave(sparse_map=(perm, phases), targets=tuple(targets) if targets is not None else tuple(range(n_qubits)))
+    return Interleave(sparse_map=(perm, phases), targets=None if targets is None else tuple(targets))
 

@@ -40,7 +40,6 @@ __all__ = [
     "corx",
     "label_mask",
     "pair_columns",
-    "pair_codes",
     "key_column",
     "corx_count",
     "project_good",
@@ -111,7 +110,8 @@ class CFParams:
 # one spec per slot:
 #   ("int",)    one column holding the integer;
 #   ("rel", w)  w columns of sorted pair codes x << 32 | y, padded with PAD.
-# A slot holds one of these kinds in every label of the state.
+# A slot holds one of these kinds in every label of the state. Callers see
+# only slot columns: pair_columns and key_column read them, _table writes them.
 
 PAD = np.iinfo(np.int64).max  # unused pair position; sorts after every code
 _Y_BITS = 32
@@ -127,34 +127,47 @@ def _is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_))
 
 
-def _rel_block(rels):
-    """Code block of a list of Rel (one row each), or None if a pair does not pack."""
-    if not all(isinstance(r, Rel) for r in rels):
-        return None
-    lengths = np.array([len(r.pairs) for r in rels], dtype=np.int64)
-    pairs = np.array([p for r in rels for p in r.pairs]).reshape(-1, 2)
-    if len(pairs) and (pairs.dtype.kind not in "iu" or not np.all((pairs >= 0) & (pairs < _PAIR_LIMIT))):
-        return None
-    pairs = pairs.astype(np.int64)
-    block = np.full((len(rels), int(lengths.max(initial=0))), PAD, dtype=np.int64)
-    owner = np.repeat(np.arange(len(rels)), lengths)
-    column = np.arange(len(owner)) - (np.cumsum(lengths) - lengths)[owner]
-    block[owner, column] = (pairs[:, 0] << _Y_BITS) | pairs[:, 1]
-    return block
-
-
-def _slot_block(slot, values):
-    """(spec, block) storing the values of label slot `slot` across all labels."""
-    block = _rel_block(values)
-    if block is not None:
-        return ("rel", block.shape[1]), block
-    if all(_is_int(v) and -_INT_LIMIT < v < _INT_LIMIT for v in values):
-        return ("int",), np.array(values, dtype=np.int64).reshape(-1, 1)
-    odd = next((v for v in values if type(v) is not type(values[0])), values[0])
-    raise ValueError(
-        f"label slot {slot} cannot hold a {type(odd).__name__}: a slot holds a Rel (pairs in [0, 2^31)) "
+def _slot_error(slot, kind):
+    return ValueError(
+        f"label slot {slot} cannot hold a {kind}: a slot holds a Rel (pairs in [0, 2^31)) "
         "or an int in (-2^62, 2^62), of one kind in every label"
     )
+
+
+def _table(slots):
+    """(schema, rows) of the label table of the given slot columns: a Rel slot
+    as pair_columns returns it, (x, y, present) with `present` possibly True,
+    and an int slot as key_column returns it."""
+    schema, blocks = [], []
+    for s, col in enumerate(slots):
+        if isinstance(col, tuple):
+            x, y, on = col
+            if not np.all(np.where(on, (x >= 0) & (x < _PAIR_LIMIT) & (y >= 0) & (y < _PAIR_LIMIT), True)):
+                raise _slot_error(s, "Rel")
+            block = np.asarray(x, dtype=np.int64) << _Y_BITS | np.asarray(y, dtype=np.int64)
+            np.copyto(block, PAD, where=np.logical_not(on))
+            block.sort(axis=1, kind="stable")  # quicker on short rows
+            schema.append(("rel", block.shape[1]))
+        elif np.all((col > -_INT_LIMIT) & (col < _INT_LIMIT)):
+            block = np.asarray(col, dtype=np.int64)[:, None]
+            schema.append(("int",))
+        else:
+            raise _slot_error(s, "int")
+        blocks.append(block)
+    return tuple(schema), np.hstack(blocks) if blocks else np.zeros((1, 0), dtype=np.int64)
+
+
+def _column(slot, values):
+    """The _table column of one slot's label values."""
+    if all(isinstance(v, Rel) and all(_is_int(a) for p in v for a in p) for v in values):
+        on = np.arange(max(map(len, values))) < np.array(list(map(len, values)))[:, None]
+        pairs = np.array([p for r in values for p in r]).reshape(-1, 2)  # object past int64
+        x, y = np.zeros((2,) + on.shape, dtype=pairs.dtype)
+        x[on], y[on] = pairs.T
+        return x, y, on
+    if all(_is_int(v) for v in values):
+        return np.array(values)
+    raise _slot_error(slot, type(next((v for v in values if type(v) is not type(values[0])), values[0])).__name__)
 
 
 def _width(spec):
@@ -182,20 +195,6 @@ def _rels(block):
     lengths = np.count_nonzero(block != PAD, axis=1).tolist()
     pair = pairs.__getitem__
     return [Rel._canonical(tuple(map(pair, row[:k]))) for row, k in zip(inv.reshape(block.shape).tolist(), lengths)]
-
-
-def _encode(labels):
-    """(schema, rows) for a list of label tuples."""
-    if not labels:
-        return (), np.zeros((0, 0), dtype=np.int64)
-    if len({len(lab) for lab in labels}) != 1:
-        raise ValueError("all labels of a state must have the same number of slots")
-    schema, blocks = [], [np.zeros((len(labels), 0), dtype=np.int64)]
-    for s in range(len(labels[0])):
-        spec, block = _slot_block(s, [lab[s] for lab in labels])
-        blocks.append(block)
-        schema.append(spec)
-    return tuple(schema), np.hstack(blocks)
 
 
 def _decode(schema, rows):
@@ -355,8 +354,8 @@ class PurifiedState:
     """Superposition over purification labels with sparse register vectors.
 
     Built from {label: {basis index: amplitude}}: a label is a tuple of
-    slots, each holding a Rel or an int key (or from a label table and
-    entry arrays, `from_table`), and `n_qubits` is the size of the
+    slots, each holding a Rel or an int key (or from slot columns and
+    entry arrays, `from_columns`), and `n_qubits` is the size of the
     adversary register the basis indices live on.
     Internally the labels are the distinct rows of the int64
     table `rows` (layout in `schema`, see the label table notes above), and
@@ -367,28 +366,26 @@ class PurifiedState:
     """
 
     def __init__(self, n_qubits, terms):
-        schema, rows = _encode(list(terms))
+        if len({len(lab) for lab in terms}) > 1:
+            raise ValueError("all labels of a state must have the same number of slots")
+        table = _table([_column(s, v) for s, v in enumerate(zip(*terms))]) if terms else ((), np.zeros((0, 0), dtype=np.int64))
         sizes = [len(vec) for vec in terms.values()]
         count = sum(sizes)
         lab = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
         idx = np.fromiter((i for vec in terms.values() for i in vec), dtype=np.int64, count=count)
         amp = np.fromiter((a for vec in terms.values() for a in vec.values()), dtype=complex, count=count)
-        self._gather(n_qubits, schema, rows, lab, idx, amp)
+        self._gather(n_qubits, *table, lab, idx, amp)
 
     @classmethod
-    def from_table(cls, n_qubits, schema, rows, label_ids, indices, amplitudes):
-        """The state whose entry i is amplitudes[i] at basis index indices[i] of
-        the label in row label_ids[i] of the label table (schema, rows). Equal
-        rows are one label, and entries that meet are summed. Consumes `rows`
-        and `amplitudes`.
-        """
-        st = object.__new__(cls)
-        st._gather(n_qubits, schema, rows, label_ids, indices, amplitudes)
-        return st
+    def from_columns(cls, n_qubits, slots, label_ids, indices, amplitudes):
+        """Entry i is amplitudes[i] at basis index indices[i] of label row label_ids[i]
+        of the slot columns `slots` (see _table); equal rows are one label, and
+        entries that meet are summed. Consumes `amplitudes`."""
+        return object.__new__(cls)._gather(n_qubits, *_table(slots), label_ids, indices, amplitudes)
 
     def _gather(self, n_qubits, schema, rows, lab, idx, amp):
         table, inv = _intern(rows)
-        self._set(n_qubits, schema, table, *_merge(n_qubits, _key(n_qubits, inv[lab], idx), amp))
+        return self._set(n_qubits, schema, table, *_merge(n_qubits, _key(n_qubits, inv[lab], idx), amp))
 
     def _set(self, n_qubits, schema, rows, lab, idx, amp):
         self.n_qubits = n_qubits
@@ -397,12 +394,11 @@ class PurifiedState:
             arr.flags.writeable = False
         self.rows, self.label_ids, self.indices, self.amplitudes = rows, lab, idx, amp
         self._terms = None
+        return self
 
     def _make(self, schema, rows, lab, idx, amp, n_qubits=None):
-        st = object.__new__(PurifiedState)
         n = self.n_qubits if n_qubits is None else n_qubits
-        st._set(n, schema, rows, lab, idx, amp)
-        return st
+        return object.__new__(PurifiedState)._set(n, schema, rows, lab, idx, amp)
 
     def _with_entries(self, lab, idx, amp):
         return self._make(self.schema, self.rows, lab, idx, amp)
@@ -535,7 +531,7 @@ def relation_state_vector(rel, n: int) -> np.ndarray:
     sum over permutations pi of |x_pi(1)..x_pi(t)> |y_pi(1)..y_pi(t)>,
     normalized by 1/sqrt(t! * prod_a m_a!) (m_a = pair multiplicities).
     """
-    pairs = list(rel.pairs if isinstance(rel, Rel) else rel)
+    pairs = list(rel)
     t = len(pairs)
     if 2 * n * t > 24:
         raise ValueError("relation state exceeds the 24-qubit desk cap")
@@ -769,8 +765,7 @@ def key_pauli(state, kind, lam, key_slot, input_qubits):
 
 def corx(rel, k: int):
     """Ordered pairs ((u,v),(u',v')) in R x R with v xor u' = k."""
-    pairs = list(rel.pairs if isinstance(rel, Rel) else rel)
-    return {(p, q) for p in pairs for q in pairs if p[1] ^ q[0] == k}
+    return {(p, q) for p in rel for q in rel if p[1] ^ q[0] == k}
 
 
 # Column tests read a label table (`schema` and `rows`): a whole
@@ -792,15 +787,6 @@ def pair_columns(table, slot):
     a, b = _rel_span(table.schema, slot)
     codes = table.rows[:, a:b]
     return codes >> _Y_BITS, codes & _Y_MASK, codes != PAD
-
-
-def pair_codes(x, y):
-    """The label-table codes of the pairs (x, y), for the Rel slot columns of
-    new label rows (pair_columns reads them back)."""
-    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-    if np.any((x < 0) | (x >= _PAIR_LIMIT) | (y < 0) | (y >= _PAIR_LIMIT)):
-        raise ValueError("pair values must lie in [0, 2^31)")
-    return (x << _Y_BITS) | y
 
 
 def key_column(table, slot):
@@ -828,15 +814,15 @@ def project_good(state, keep):
     return state._make(state.schema, state.rows[keep], lab, state.indices[on], state.amplitudes[on])
 
 
-def label_rewrite(state, schema, rows):
-    """The state with label i moved to row i of the label table (schema, rows).
-
-    Amplitude vectors are untouched. Consumes `rows`. Raises if two labels
-    meet, which would make the rewrite non-isometric.
-    """
+def label_rewrite(state, slots):
+    """The state with label i moved to row i of the slot columns `slots` (see
+    _table). Amplitude vectors are untouched. Raises if two labels meet, which
+    would make the rewrite non-isometric."""
+    schema, rows = _table(slots)
     if len(rows) != state.label_count():
         raise ValueError("a label rewrite needs one row per label")
-    out = PurifiedState.from_table(state.n_qubits, schema, rows, state.label_ids, state.indices, state.amplitudes.copy())
+    amp = state.amplitudes.copy()
+    out = object.__new__(PurifiedState)._gather(state.n_qubits, schema, rows, state.label_ids, state.indices, amp)
     if out.label_count() < state.label_count():
         raise ValueError(f"label rewrite is not injective: {state.label_count()} labels meet in {out.label_count()}")
     return out

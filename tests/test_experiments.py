@@ -14,7 +14,17 @@ from hypothesis import strategies as st
 from qhrolab import experiments, harness, relstate
 from qhrolab.experiments import EXPERIMENTS, SLACK, run_experiment
 from qhrolab.harness import KeyInit, key_sliced_view, reduce_view, run_pr
-from qhrolab.relstate import CFParams, PurifiedState, Rel, cf_set, corx, label_mask, project_good
+from qhrolab.relstate import (
+    CFParams,
+    PurifiedState,
+    Rel,
+    cf_set,
+    corx,
+    key_column,
+    label_mask,
+    pair_columns,
+    project_good,
+)
 
 
 def checks_by_name(report):
@@ -335,7 +345,8 @@ def test_isometry_state_match_sees_one_flipped_sign(monkeypatch):
             amp = state.amplitudes.copy()
             at = np.argmax(np.abs(amp))
             amp[at] = -amp[at]
-            return PurifiedState.from_table(n, state.schema, state.rows.copy(), state.label_ids, state.indices, amp)
+            slots = [pair_columns(state, 0), key_column(state, 1)]
+            return PurifiedState.from_columns(n, slots, state.label_ids, state.indices, amp)
 
         return slice_k
 
@@ -536,6 +547,8 @@ def test_split_augment_smallest_n_has_chained_pairs():
         # the Monte Carlo register of n(1 + t) qubits: linalg.VEC_QUBIT_CAP
         ("exp_prs", {"n": 6, "lam": 1, "t": 3, "s": 0, "scaling": False}, {"n": 6, "lam": 1, "t": 4, "s": 0, "scaling": False}),
         ("exp_prfs", {"n": 6, "lam": 1, "t": 3, "scaling": False}, {"n": 6, "lam": 1, "t": 4, "scaling": False}),
+        # exp_spru's (d^2, d^2) probes on 2(2 n_block - overlap) qubits: linalg.QUBIT_CAP
+        ("exp_spru", {"n_block": 4, "overlap": 1}, {"n_block": 5, "overlap": 2}),
     ],
 )
 def test_size_caps_are_schema_checks(name, at_cap, over_cap):

@@ -47,6 +47,7 @@ from qhrolab.relstate import (
     PurifiedState,
     Rel,
     label_rewrite,
+    pair_columns,
     relation_state_vector,
 )
 
@@ -68,8 +69,49 @@ def test_program_validation():
         # a zero-strided view stands in for the oversized array
         Interleave(u=np.broadcast_to(np.zeros(1, dtype=complex), (2 ** (QUBIT_CAP + 1),) * 2))
     assert Interleave(u=np.eye(2, dtype=int)).u.dtype == complex
+    assert Interleave(sparse_map=(np.array([1, 0]), np.exp(1j * np.array([0.3, 2.0]))), targets=(1,)).targets == (1,)
     prog = AdversaryProgram(n=2, m_anc=1, steps=(QuantumQuery("U"), QuantumQuery("U")))
     assert prog.reg_qubits == 3
+
+
+@pytest.mark.parametrize(
+    "perm,phases,targets",
+    [
+        ([0, 0], [1.0, 2.0], (0,)),  # neither a permutation nor unit phases
+        ([0, 0], [1.0, 1.0], (0,)),  # a repeated value
+        ([1, 0], [1.0, 2.0], (0,)),  # a phase of modulus 2
+        ([1, 0], [1.0, 1.0 + 1e-6], (0,)),  # off by more than 1e-9
+        ([1, 0], [1.0, 1.0], (0, 1)),  # two targets take 4 values
+        ([1, 0, 2], [1.0, 1.0, 1.0], None),  # no power-of-two size
+        ([1.0, 0.0], [1.0, 1.0], (0,)),  # values that are not integers
+    ],
+)
+def test_sparse_map_is_a_phased_permutation(perm, phases, targets):
+    with pytest.raises(ValueError, match="sparse map"):
+        Interleave(sparse_map=(np.array(perm), np.array(phases, dtype=complex)), targets=targets)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_interleave_without_targets_acts_on_its_first_qubits(k):
+    # a classical query grows the register to 2 qubits; a layer of 2^k
+    # without targets then acts on qubits 0..k-1 in both interpreters
+    dense = haar_interleave(k, trial_rng(27))
+    sparse = phased_permutation_interleave(k, trial_rng(28))
+    assert dense.targets == sparse.targets == tuple(range(k))
+    reply = {"C": lambda w: np.eye(2)[1][None]}
+    recorder = {"C": ClassicalPROracle(n=1, rel_slot=(0,), input_of=lambda key, w: 1)}
+    for layer, explicit in (
+        (dense, Interleave(u=dense.u, targets=tuple(range(k)))),
+        (sparse, Interleave(sparse_map=sparse.sparse_map, targets=tuple(range(k)))),
+    ):
+        progs = [
+            AdversaryProgram(n=1, steps=(haar_interleave(1, trial_rng(29)), ClassicalQuery("C", 0), step))
+            for step in (layer, explicit)
+        ]
+        concrete = [run_concrete(prog, reply) for prog in progs]
+        assert concrete[0].tobytes() == concrete[1].tobytes()
+        purified = [run_pr(prog, recorder, (Rel(),)) for prog in progs]
+        assert purified[0].max_diff(purified[1]) == 0.0
 
 
 def test_run_concrete_matches_matrix():
@@ -223,7 +265,7 @@ def test_label_rewrite_invisible_in_view():
     psi = run_pr(prog, {"U": haar_slot(n)}, (Rel(),))
     before = reduce_view(psi)
     # every label gains an integer slot holding 7
-    moved = label_rewrite(psi, psi.schema + (("int",),), np.hstack([psi.rows, np.full((psi.label_count(), 1), 7)]))
+    moved = label_rewrite(psi, [pair_columns(psi, 0), np.full(psi.label_count(), 7)])
     assert moved.label_count() == psi.label_count()
     after = reduce_view(moved)
     assert np.max(np.abs(before.entries - after.entries)) <= 1e-12

@@ -20,7 +20,7 @@ from qhrolab.relstate import (
     is_collision_free,
     key_column,
     label_rewrite,
-    pair_codes,
+    pair_columns,
     pr_apply,
     project_good,
     relation_state_vector,
@@ -325,29 +325,29 @@ def test_project_good_splits_mass():
 def test_label_rewrite_injective_only():
     st0 = two_label_state()
     # (Rel, k) -> (k, Rel): the two slots trade columns
-    moved = label_rewrite(st0, (("int",), ("rel", 1)), st0.rows[:, ::-1].copy())
+    moved = label_rewrite(st0, [key_column(st0, 1), pair_columns(st0, 0)])
     assert dict(moved.terms) == {(0, Rel([(0, 0)])): {0: 0.6, 1: 0.3j}, (1, Rel([(1, 1)])): {1: 0.74161984870957}}
     with pytest.raises(ValueError, match="not injective"):
-        label_rewrite(st0, (("int",),), np.zeros((2, 1), dtype=np.int64))
+        label_rewrite(st0, [np.zeros(2, dtype=np.int64)])
     with pytest.raises(ValueError, match="one row per label"):
-        label_rewrite(st0, (("int",),), np.zeros((1, 1), dtype=np.int64))
+        label_rewrite(st0, [np.zeros(1, dtype=np.int64)])
 
 
-def test_from_table_merges_equal_rows():
-    rows = np.array([[5], [3], [5]], dtype=np.int64)
+def test_from_columns_merges_equal_rows():
+    keys = np.array([5, 3, 5], dtype=np.int64)
     amps = np.array([0.5, 0.25, 0.5, 1.0], dtype=complex)
-    st0 = PurifiedState.from_table(1, (("int",),), rows, np.array([0, 1, 2, 2]), np.array([0, 1, 0, 1]), amps)
+    st0 = PurifiedState.from_columns(1, [keys], np.array([0, 1, 2, 2]), np.array([0, 1, 0, 1]), amps)
     assert dict(st0.terms) == {(3,): {1: 0.25}, (5,): {0: 1.0, 1: 1.0}}
 
 
-def test_pair_codes_write_what_pair_columns_read():
-    codes = pair_codes([0, 7], [3, 2**31 - 1]).reshape(-1, 1)
-    st0 = PurifiedState.from_table(1, (("rel", 1),), codes, np.arange(2), np.zeros(2, dtype=np.int64), np.ones(2, dtype=complex))
+def test_from_columns_writes_what_pair_columns_read():
+    pairs = (np.array([[0], [7]]), np.array([[3], [2**31 - 1]]), True)
+    st0 = PurifiedState.from_columns(1, [pairs], np.arange(2), np.zeros(2, dtype=np.int64), np.ones(2, dtype=complex))
     assert set(st0.terms) == {(Rel([(0, 3)]),), (Rel([(7, 2**31 - 1)]),)}
-    x, y, on = relstate.pair_columns(st0, 0)
+    x, y, on = pair_columns(st0, 0)
     assert x[:, 0].tolist() == [0, 7] and y[:, 0].tolist() == [3, 2**31 - 1] and on.all()
     with pytest.raises(ValueError):
-        pair_codes([2**31], [0])
+        PurifiedState.from_columns(1, [(np.array([[2**31]]), np.array([[0]]), True)], [0], [0], np.ones(1, dtype=complex))
 
 
 # ------------------------------------------------- collision-free recording
@@ -471,9 +471,10 @@ def test_max_diff_of_one_layout_is_the_union_difference():
     rng = np.random.default_rng(3)
     labels = [(Rel([(0, 1)]), 2), (Rel([(1, 3), (2, 0)]), 5)]
     a, b = (PurifiedState(2, {lab: {i: complex(*rng.normal(size=2)) for i in range(3)} for lab in labels}) for _ in "ab")
-    extra = b.rows[:1].copy()
-    extra[0, -1] = 7
-    wide = PurifiedState.from_table(2, b.schema, np.vstack([b.rows, extra]), b.label_ids, b.indices, b.amplitudes.copy())
+    # b's labels and one more: the first label with key 7
+    pairs = tuple(np.vstack([c, c[:1]]) for c in pair_columns(b, 0))
+    keys = np.append(key_column(b, 1), 7)
+    wide = PurifiedState.from_columns(2, [pairs, keys], b.label_ids, b.indices, b.amplitudes.copy())
     assert wide.label_count() == 3 and wide.entry_count() == b.entry_count()
     assert a.max_diff(b) == a.max_diff(wide) > 0.0
     assert a.max_diff(a) == 0.0

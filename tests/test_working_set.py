@@ -36,7 +36,7 @@ from qhrolab.harness import (
     run_pr,
 )
 from qhrolab.linalg import trial_rng
-from qhrolab.relstate import CFParams, Rel, pair_columns, project_good
+from qhrolab.relstate import CFParams, PurifiedState, Rel, key_column, pair_columns, project_good
 
 KEEP = list(range(6))  # exp_prs keeps the first 2n qubits
 
@@ -167,6 +167,70 @@ def test_random_program_views_are_chunk_invariant(case):
         return  # the recording map is undefined on this program
     for keep in (None, list(range(min(state.n_qubits, 3)))):
         assert_same_view(unit_chunk_view(state, keep), reduce_view(state, keep))
+
+
+# ------------------------------------------------------- the label encoder
+
+
+def assert_columns_rebuild(state):
+    """from_columns, fed every slot's columns, rebuilds the state bitwise."""
+    slots = [pair_columns(state, s) if spec[0] == "rel" else key_column(state, s) for s, spec in enumerate(state.schema)]
+    out = PurifiedState.from_columns(state.n_qubits, slots, state.label_ids, state.indices, state.amplitudes.copy())
+    assert out.schema == state.schema
+    for name in ("rows", "label_ids", "indices", "amplitudes"):
+        a, b = getattr(out, name), getattr(state, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def dict_states(draw):
+    pair = st.integers(0, 2**31 - 1)
+    rel = st.lists(st.tuples(pair, pair), max_size=3, unique_by=lambda p: p[1]).map(Rel)
+    key = st.integers(-(2**62) + 1, 2**62 - 1)
+    kinds = draw(st.lists(st.sampled_from((rel, key)), min_size=1, max_size=3))
+    labels = draw(st.lists(st.tuples(*kinds), min_size=1, max_size=6, unique=True))
+    amp = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    return PurifiedState(2, {lab: draw(st.dictionaries(st.integers(0, 3), amp, max_size=4)) for lab in labels})
+
+
+@settings(max_examples=50, deadline=None)
+@given(dict_states())
+def test_from_columns_rebuilds_dict_states(state):
+    assert_columns_rebuild(state)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs())
+def test_from_columns_rebuilds_recorded_states(case):
+    program, bindings, init = case
+    try:
+        state = run_pr(program, bindings, init)
+    except ValueError:
+        return  # the recording map is undefined on this program
+    assert_columns_rebuild(state)
+
+
+def test_from_columns_sorts_each_relation():
+    # pairs out of order with a gap: the label is the Rel of the present pairs
+    x, y, on = np.array([[5, 9, 1]]), np.array([[2, 9, 3]]), np.array([[True, False, True]])
+    state = PurifiedState.from_columns(1, [(x, y, on), np.array([4])], [0], [1], np.ones(1, dtype=complex))
+    assert state.labels() == [(Rel([(1, 3), (5, 2)]), 4)]
+    assert pair_columns(state, 0)[2].tolist() == [[True, True, False]]
+
+
+@pytest.mark.parametrize(
+    "slot,kind",
+    [
+        ((np.array([[2**31]]), np.array([[0]]), True), "Rel"),
+        ((np.array([[0]]), np.array([[2**31]]), True), "Rel"),
+        ((np.array([[-1]]), np.array([[0]]), True), "Rel"),
+        (np.array([2**62]), "int"),
+        (np.array([-(2**62)]), "int"),
+    ],
+)
+def test_from_columns_refuses_values_that_do_not_pack(slot, kind):
+    with pytest.raises(ValueError, match=f"label slot 1 cannot hold a {kind}:"):
+        PurifiedState.from_columns(1, [np.zeros(1, dtype=np.int64), slot], [0], [0], np.ones(1, dtype=complex))
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
