@@ -26,14 +26,8 @@ from .linalg import (
     qubits_restore,
     trial_rng,
 )
-from .relstate import (
-    PurifiedState,
-    classical_record,
-    extract_bits,
-    key_pauli,
-    label_mask,
-    pr_apply,
-)
+from .labels import label_mask
+from .relstate import PurifiedState, classical_record, extract_bits, key_pauli, pr_apply
 
 __all__ = [
     "Interleave",
@@ -305,7 +299,7 @@ def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=
     """(view, good mass) of run_pr(program, bindings, init_label), one key at a time.
 
     The view, and the mass on the labels that pass the column test `mask`
-    (see relstate.label_mask), are 2^-lam times the sums over key_slices;
+    (see labels.label_mask), are 2^-lam times the sums over key_slices;
     each slice is reduced, handed to each(k, slice) if given, and freed
     before the next. The mass is None without a mask.
     """

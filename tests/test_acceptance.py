@@ -13,7 +13,8 @@ import numpy as np
 from qhrolab.attacks import choi_from_copies, rank_ratio
 from qhrolab.experiments import run_experiment
 from qhrolab.linalg import choi_state, haar_unitary, trial_rng
-from qhrolab.relstate import PurifiedState, Rel, corx, pr_apply
+from qhrolab.labels import Rel, corx
+from qhrolab.relstate import PurifiedState, pr_apply
 
 
 def checks_by_name(report):

@@ -7,7 +7,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from qhrolab import experiments
+from qhrolab import skeleton
 from qhrolab.cli import _load_config, main
 from qhrolab.experiments import EXPERIMENTS
 
@@ -257,7 +257,7 @@ def test_non_finite_check_value_exits_4(tmp_path, monkeypatch):
     d = EXPERIMENTS["exp_split_augment"]
 
     def nan_check(p, rep):
-        experiments._check(rep.add_point({"n": p.n}), "fidelity", "EXACT", float("nan"), 1.0)
+        skeleton._check(rep.add_point({"n": p.n}), "fidelity", "EXACT", float("nan"), 1.0)
 
     monkeypatch.setitem(EXPERIMENTS, "exp_split_augment", dataclasses.replace(d, fn=nan_check))
     res = CliRunner().invoke(main, ["run", "exp_split_augment", "--out", str(tmp_path)])

@@ -11,20 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qhrolab import experiments, harness, relstate
+from qhrolab import bounds, harness, keyed, labels, relstate, skeleton
 from qhrolab.experiments import EXPERIMENTS, SLACK, run_experiment
 from qhrolab.harness import KeyInit, key_sliced_view, reduce_view, run_pr
-from qhrolab.relstate import (
-    CFParams,
-    PurifiedState,
-    Rel,
-    cf_set,
-    corx,
-    key_column,
-    label_mask,
-    pair_columns,
-    project_good,
-)
+from qhrolab.labels import Rel, corx, key_column, label_mask, pair_columns
+from qhrolab.relstate import CFParams, PurifiedState, cf_set, project_good
 
 
 def checks_by_name(report):
@@ -48,7 +39,7 @@ def test_registry_shape():
     }
     for d in EXPERIMENTS.values():
         assert d.description and d.bound and d.pass_rule
-        assert dataclasses.is_dataclass(d.schema) and issubclass(d.schema, experiments.Params)
+        assert dataclasses.is_dataclass(d.schema) and issubclass(d.schema, skeleton.Params)
     assert SLACK == 5.0
 
 
@@ -199,7 +190,7 @@ def test_asymptotic_checks_are_flagged():
 
 def oracle_game(kind, a, t, n, lam):
     """The parameters of exp_prs (`a` = s) or exp_prfs (`a` = m_in) at (n, lam), without scaling points."""
-    schema, name = (experiments.PrsParams, "s") if kind == "prs" else (experiments.PrfsParams, "m_in")
+    schema, name = (bounds.PrsParams, "s") if kind == "prs" else (bounds.PrfsParams, "m_in")
     return schema.parse({"seed": 0, "n": n, "lam": lam, "t": t, name: a, "scaling": False})
 
 
@@ -221,7 +212,7 @@ def predicate_mask(state, predicate):
 
 
 def sliced_calls(monkeypatch):
-    """Record (args, result) of every key_sliced_view call made by experiments."""
+    """Record (args, result) of every key_sliced_view call made by the experiment families."""
     calls = []
 
     def recording(program, bindings, init_label, keep=None, mask=None):
@@ -229,7 +220,8 @@ def sliced_calls(monkeypatch):
         calls.append(((program, bindings, init_label, keep, mask), out))
         return out
 
-    monkeypatch.setattr(experiments, "key_sliced_view", recording)
+    for module in (keyed, bounds):
+        monkeypatch.setattr(module, "key_sliced_view", recording)
     return calls
 
 
@@ -238,7 +230,7 @@ def run_sliced_point(kind, n, lam, a, t):
     if kind == "pru2":
         run_experiment("exp_pru2", {"seed": 7, "n_list": [n], "trials": 1})
         return old_corx_good(1)
-    experiments._oracle_views(oracle_game(kind, a, t, n, lam), n, lam, want_mass=True)
+    bounds._oracle_views(oracle_game(kind, a, t, n, lam), n, lam, want_mass=True)
     return (old_prs_good if kind == "prs" else old_prfs_good)(n, lam, t)
 
 
@@ -254,7 +246,7 @@ def run_sliced_point(kind, n, lam, a, t):
     ],
 )
 def test_key_sliced_view_matches_full_state(monkeypatch, kind, n, lam, a, t):
-    monkeypatch.setattr(relstate, "_MASK_LABELS", 1000)  # many label runs per mask
+    monkeypatch.setattr(labels, "_MASK_LABELS", 1000)  # many label runs per mask
     calls = sliced_calls(monkeypatch)
     old_good = run_sliced_point(kind, n, lam, a, t)
     (program, bindings, init_label, keep, mask), (view, mass) = calls[0]
@@ -277,7 +269,7 @@ def test_split_augment_corx_mask_matches_predicate(monkeypatch):
         projected.append((state, keep))
         return project_good(state, keep)
 
-    monkeypatch.setattr(experiments, "project_good", recording)
+    monkeypatch.setattr(keyed, "project_good", recording)
     run_experiment("exp_split_augment", {"seed": 9})
     # one projection per key slice
     assert len(projected) == 2**3
@@ -299,10 +291,10 @@ def test_record_point_reduces_no_full_keyed_state(monkeypatch):
         monkeypatch.setattr(module, "reduce_view", counting_reduce_view)
 
     counting(harness)
-    counting(experiments)
+    counting(bounds)
     # the exp_prs point of the `record` benchmark workload: its full keyed
     # real side held 53,760 entries
-    experiments._oracle_views(oracle_game("prs", 3, 2, 3, 3), 3, 3, want_mass=True)
+    bounds._oracle_views(oracle_game("prs", 3, 2, 3, 3), 3, 3, want_mass=True)
     *slices, ideal = entries
     assert len(slices) == 2**3 and sum(slices) == 53_760
     assert max(entries) < 53_760 and ideal == 18_816
@@ -319,7 +311,7 @@ def test_prefix_xor_split_needs_a_unique_subset(h):
     p, q = (0, 2 * h), (1, 2 * h + 1)
     psi3 = PurifiedState(2, {(Rel([p]), Rel([q])): {0: 1.0}, (Rel([q]), Rel([p])): {0: 1.0}})
     with pytest.raises(ValueError, match="not injective"):
-        experiments._hybrid3_slices(psi3, 2, 1)
+        keyed._hybrid3_slices(psi3, 2, 1)
 
 
 def test_hybrid3_slices_sum_labels_with_key_signs():
@@ -327,13 +319,13 @@ def test_hybrid3_slices_sum_labels_with_key_signs():
     # one R, and slice k sums them with the signs (-1)^(h k)
     p, q = (0, 2), (1, 1)
     psi3 = PurifiedState(2, {(Rel([p]), Rel([q])): {0: 0.5}, (Rel([q]), Rel([p])): {0: 1.0}})
-    expected = experiments._hybrid3_slices(psi3, 2, 1)
+    expected = keyed._hybrid3_slices(psi3, 2, 1)
     assert dict(expected(0).terms) == {(Rel([p, q]), 0): {0: 1.5}}
     assert dict(expected(1).terms) == {(Rel([p, q]), 1): {0: 0.5}}
 
 
 def test_isometry_state_match_sees_one_flipped_sign(monkeypatch):
-    original = experiments._hybrid3_slices
+    original = keyed._hybrid3_slices
 
     def one_sign_flipped(psi3, n, lam):
         expected = original(psi3, n, lam)
@@ -350,7 +342,7 @@ def test_isometry_state_match_sees_one_flipped_sign(monkeypatch):
 
         return slice_k
 
-    monkeypatch.setattr(experiments, "_hybrid3_slices", one_sign_flipped)
+    monkeypatch.setattr(keyed, "_hybrid3_slices", one_sign_flipped)
     (check,) = checks_by_name(run_experiment("exp_pru1", {"seed": 3, "trials": 2}))["isometry_state_match"]
     assert check["value"] > 1e-8 and not check["passed"]
 
@@ -363,7 +355,7 @@ def test_pru1_unkeyed_hybrid2_runs_once(monkeypatch):
         return run_pr(program, bindings, init_label)
 
     monkeypatch.setattr(harness, "run_pr", recording)
-    monkeypatch.setattr(experiments, "run_pr", recording)
+    monkeypatch.setattr(keyed, "run_pr", recording)
     cs = checks_by_name(run_experiment("exp_pru1", {"seed": 3, "ell": 0, "trials": 2}))
     # with ell = 0, G is never queried: hybrid 2 runs once, with a plain key
     assert inits == [(Rel(), 0), (Rel(), Rel())]
@@ -381,7 +373,7 @@ def test_secure_pru1_never_builds_a_cf_set(monkeypatch, ell):
         raise AssertionError("cf_set was called")
 
     monkeypatch.setattr(relstate, "cf_set", refuse)
-    monkeypatch.setattr(experiments, "cf_set", refuse)
+    monkeypatch.setattr(bounds, "cf_set", refuse)
     assert run_experiment("exp_pru1", params).to_json() == reference
 
 
@@ -401,13 +393,13 @@ def two_pair_state(rel, k):
 )
 def test_split_surgery_needs_one_matching_pair(rel, k, match):
     with pytest.raises(ValueError, match=match):
-        experiments._split_surgery(two_pair_state(rel, k))
+        keyed._split_surgery(two_pair_state(rel, k))
 
 
 def test_split_surgery_moves_z_out_of_the_relation():
     # p = (x, z) and q = (z ^ k, y), with p first and then second in the Rel
     st0 = PurifiedState(1, {(Rel([(0, 3), (6, 6)]), 5): {0: 0.6}, (Rel([(5, 2), (3, 7)]), 1): {1: 0.8}})
-    out = experiments._split_surgery(st0)
+    out = keyed._split_surgery(st0)
     assert dict(out.terms) == {(Rel([(0, 6)]), 3, 5): {0: 0.6}, (Rel([(5, 7)]), 2, 1): {1: 0.8}}
 
 
@@ -417,7 +409,7 @@ def test_split_augment_never_decodes_labels(monkeypatch):
 
     reference = run_experiment("exp_split_augment", {"seed": 9, "n": 3}).to_json()
     monkeypatch.setattr(relstate, "_decode", refuse)
-    monkeypatch.setattr(relstate, "_rels", refuse)
+    monkeypatch.setattr(labels, "_rels", refuse)
     assert run_experiment("exp_split_augment", {"seed": 9, "n": 3}).to_json() == reference
 
 
@@ -438,7 +430,7 @@ def test_no_whole_keyed_state_is_built(monkeypatch, name, params, lam):
         return state
 
     monkeypatch.setattr(harness, "run_pr", recording)
-    monkeypatch.setattr(experiments, "run_pr", recording)
+    monkeypatch.setattr(keyed, "run_pr", recording)
     run_experiment(name, params)
     assert not any(isinstance(slot, KeyInit) for _, _, init, _ in calls for slot in init)
     program, bindings, init, _ = next(c for c in calls if isinstance(c[2][-1], int))
@@ -685,7 +677,7 @@ def smallest_stuck_set(fold, lam):
 
 
 def test_secure_query_limits_match_exhaustive_search():
-    for fold, stuck in experiments._CF_STUCK.items():
+    for fold, stuck in keyed._CF_STUCK.items():
         for lam in range(1, 5):
             assert smallest_stuck_set(fold, lam) == (stuck[lam - 1] if lam <= len(stuck) else None)
 
@@ -695,7 +687,7 @@ def test_secure_query_limits_match_exhaustive_search():
 def test_ideal_side_is_maximally_mixed(monkeypatch, kind, a, n, lam):
     # one independent relation per w and one for U: on the first 2n qubits
     # the ideal view is I/4^n (largest deviation measured: 3.1e-17)
-    monkeypatch.setattr(experiments, "key_sliced_view", lambda *args: (None, None))
-    _, _, v_ideal, _, keep = experiments._oracle_views(oracle_game(kind, a, 2, n, lam), n, lam, want_mass=False)
+    monkeypatch.setattr(bounds, "key_sliced_view", lambda *args: (None, None))
+    _, _, v_ideal, _, keep = bounds._oracle_views(oracle_game(kind, a, 2, n, lam), n, lam, want_mass=False)
     assert len(keep) == 2 * n
     assert np.max(np.abs(v_ideal.entries - np.eye(4**n) / 4**n)) <= 1e-15

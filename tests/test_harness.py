@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qhrolab import experiments, harness
+from qhrolab import experiments, harness, skeleton
 from qhrolab.constructions import haar_slot, pru_one_query, pru_two_query
 from qhrolab.harness import (
     AdversaryProgram,
@@ -42,14 +42,8 @@ from qhrolab.linalg import (
     trace_distance,
     trial_rng,
 )
-from qhrolab.relstate import (
-    CFParams,
-    PurifiedState,
-    Rel,
-    label_rewrite,
-    pair_columns,
-    relation_state_vector,
-)
+from qhrolab.labels import Rel, pair_columns, relation_state_vector
+from qhrolab.relstate import CFParams, PurifiedState, label_rewrite
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -550,7 +544,7 @@ def mc_calls():
                 seen.append((program, sampler))
                 return haar_view_mc(program, sampler, trials, master_seed, keep)
 
-            mp.setattr(experiments, "haar_view_mc", record)
+            mp.setattr(skeleton, "haar_view_mc", record)
             experiments.run_experiment(name, {**params, "seed": 1, "trials": 1})
             assert len(seen) == count
             calls[kind] = seen

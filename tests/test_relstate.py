@@ -9,21 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhrolab import relstate
+from qhrolab.labels import Rel, corx, corx_count, key_column, pair_columns, relation_state_vector
 from qhrolab.relstate import (
     CFParams,
     PurifiedState,
-    Rel,
     cf_count,
     cf_set,
-    corx,
-    corx_count,
     is_collision_free,
-    key_column,
     label_rewrite,
-    pair_columns,
     pr_apply,
     project_good,
-    relation_state_vector,
 )
 
 

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qhrolab import attacks, experiments, harness
+from qhrolab import attacks, bounds, harness, keyed
 from qhrolab.attacks import rank_projector_attack, swap_or_attack
 from qhrolab.experiments import run_experiment
 from qhrolab.linalg import choi_state, haar_unitaries, pauli_string, trial_rng
@@ -23,23 +23,23 @@ def stacks(request, monkeypatch):
     at the module's bound or at 1. The test's own calls run at this
     parameter's bound, and the Haar stacks they draw must hold more than one
     trial, or exactly one."""
-    bounds = [harness._STACK_BYTES, 1]
+    stack_bytes = [harness._STACK_BYTES, 1]
     if request.param == "one trial per stack":
-        bounds.reverse()
-    monkeypatch.setattr(harness, "_STACK_BYTES", bounds[0])
+        stack_bytes.reverse()
+    monkeypatch.setattr(harness, "_STACK_BYTES", stack_bytes[0])
     sizes = []
 
     def spy(dim, rngs):
         sizes.append(len(rngs))
         return haar_unitaries(dim, rngs)
 
-    modules = (experiments, attacks)
+    modules = (keyed, bounds, attacks)
     for module in modules:
         monkeypatch.setattr(module, "haar_unitaries", spy)
 
     def at_other_bound(f):
         with monkeypatch.context() as mp:
-            mp.setattr(harness, "_STACK_BYTES", bounds[1])
+            mp.setattr(harness, "_STACK_BYTES", stack_bytes[1])
             for module in modules:
                 mp.setattr(module, "haar_unitaries", haar_unitaries)
             return f()

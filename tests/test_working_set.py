@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qhrolab import experiments, harness, relstate
+from qhrolab import bounds, harness, relstate
 from qhrolab.constructions import haar_slot, pru_one_query, pru_two_query
 from qhrolab.harness import (
     AdversaryProgram,
@@ -36,7 +36,8 @@ from qhrolab.harness import (
     run_pr,
 )
 from qhrolab.linalg import trial_rng
-from qhrolab.relstate import CFParams, PurifiedState, Rel, key_column, pair_columns, project_good
+from qhrolab.labels import Rel, key_column, pair_columns
+from qhrolab.relstate import CFParams, PurifiedState, project_good
 
 KEEP = list(range(6))  # exp_prs keeps the first 2n qubits
 
@@ -115,8 +116,8 @@ def keyed_stress_state():
     never read; exp_prs builds this hybrid without it.
     """
     n, lam = 3, 3
-    game = experiments.PrsParams.parse({"seed": 0, "n": n, "lam": lam, "t": 2, "s": 3, "scaling": False})
-    prog = experiments._oracle_program(game, n)
+    game = bounds.PrsParams.parse({"seed": 0, "n": n, "lam": lam, "t": 2, "s": 3, "scaling": False})
+    prog = bounds._oracle_program(game, n)
     copy = ClassicalPROracle(n=n, rel_slot=(0,), input_of=lambda k, w: 0)
     return run_pr(prog, {"copy": copy, "U": haar_slot(n, slot=1)}, (Rel(), Rel(), KeyInit(lam)))
 
@@ -211,11 +212,16 @@ def test_from_columns_rebuilds_recorded_states(case):
 
 
 def test_from_columns_sorts_each_relation():
-    # pairs out of order with a gap: the label is the Rel of the present pairs
-    x, y, on = np.array([[5, 9, 1]]), np.array([[2, 9, 3]]), np.array([[True, False, True]])
-    state = PurifiedState.from_columns(1, [(x, y, on), np.array([4])], [0], [1], np.ones(1, dtype=complex))
-    assert state.labels() == [(Rel([(1, 3), (5, 2)]), 4)]
-    assert pair_columns(state, 0)[2].tolist() == [[True, True, False]]
+    # pairs out of order with a gap, and out of order at the first position
+    # only: the label is the Rel of the present pairs
+    for x, y, on, rel in (
+        ([5, 9, 1], [2, 9, 3], [True, False, True], [(1, 3), (5, 2)]),
+        ([4, 1, 9], [0, 5, 9], [True, True, False], [(1, 5), (4, 0)]),
+    ):
+        cols = (np.array([x]), np.array([y]), np.array([on]))
+        state = PurifiedState.from_columns(1, [cols, np.array([4])], [0], [1], np.ones(1, dtype=complex))
+        assert state.labels() == [(Rel(rel), 4)]
+        assert pair_columns(state, 0)[2].tolist() == [[True, True, False]]
 
 
 @pytest.mark.parametrize(
