@@ -317,8 +317,9 @@ def exp_split_augment(p: SplitAugmentParams, rep):
     lam = n
     rep.notes.append("label-isometry chain: split the keyed recording, augment the plain one")
     entry = rep.add_point({"n": n, "t": t, "ell": ell})
+    floor = math.sqrt(1.0 - (t * t + t * ell) / N)
     if t == 0:
-        _check(entry, "fidelity", "EXACT", -1.0, -1.0, passed=True)
+        _check_ge(entry, "fidelity", "EXACT", 1.0, floor)
         rep.notes.append("t=0: both sides are the empty-query state; fidelity 1 by construction")
         return
 
@@ -343,7 +344,7 @@ def exp_split_augment(p: SplitAugmentParams, rep):
     v_psi3p = DensityMatrix(views["psi3p"])
 
     fid = 2.0 ** (-lam / 2.0) * abs(overlap)
-    _check_ge(entry, "fidelity", "EXACT", fid, math.sqrt(1.0 - (t * t + t * ell) / N) - 1e-9)
+    _check_ge(entry, "fidelity", "EXACT", fid, floor - 1e-9)
     _check(entry, "reduced_view_invariance_split", "EXACT", trace_distance(v_psi2p, v_good), 1e-8)
     _check(entry, "reduced_view_invariance_augment", "EXACT", trace_distance(v_psi3p, rho3), 1e-8)
     entry["point"]["td_sides"] = float(trace_distance(rho2, rho3))

@@ -20,6 +20,8 @@ __all__ = [
     "label_mask",
     "pair_columns",
     "key_column",
+    "add_pairs",
+    "common_ids",
     "corx_count",
 ]
 
@@ -73,12 +75,13 @@ class Rel:
 #   ("int",)    one column holding the integer;
 #   ("rel", w)  w columns of sorted pair codes x << 32 | y, padded with PAD.
 # A slot holds one of these kinds in every label of the state. Callers see
-# only slot columns: pair_columns and key_column read them, _table writes them.
+# only slot columns: pair_columns and key_column read them, _table and
+# add_pairs write them, and common_ids matches the labels of two tables.
 
 PAD = np.iinfo(np.int64).max  # unused pair position; sorts after every code
 _Y_BITS = 32
 _Y_MASK = (1 << _Y_BITS) - 1
-_PAIR_LIMIT = 1 << 31  # pair values must lie in [0, 2^31) to be packed
+_PAIR_BITS = 31  # pair values must lie in [0, 2^31) to be packed
 _INT_LIMIT = 1 << 62  # integer slots hold values in (-2^62, 2^62)
 _MASK_LABELS = 1 << 16  # labels per run of a column test (label_mask)
 
@@ -102,7 +105,7 @@ def _table(slots):
     for s, col in enumerate(slots):
         if isinstance(col, tuple):
             x, y, on = col
-            if not np.all(np.where(on, (x >= 0) & (x < _PAIR_LIMIT) & (y >= 0) & (y < _PAIR_LIMIT), True)):
+            if np.any(((x | y) >> _PAIR_BITS) * on):  # a present value outside [0, 2^31)
                 raise _slot_error(s, "Rel")
             block = np.asarray(x, dtype=np.int64) << _Y_BITS | np.asarray(y, dtype=np.int64)
             np.copyto(block, PAD, where=np.logical_not(on))
@@ -124,7 +127,11 @@ def _column(slot, values):
     """The _table column of one slot's label values."""
     if all(isinstance(v, Rel) and all(_is_int(a) for p in v for a in p) for v in values):
         on = np.arange(max(map(len, values))) < np.array(list(map(len, values)))[:, None]
-        pairs = np.array([p for r in values for p in r]).reshape(-1, 2)  # object past int64
+        flat = [p for r in values for p in r]
+        try:
+            pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # exact values past int64, for _table to reject
+            pairs = np.array(flat, dtype=object)
         x, y = np.zeros((2,) + on.shape, dtype=pairs.dtype)
         x[on], y[on] = pairs.T
         return x, y, on
@@ -169,31 +176,6 @@ def _decode(schema, rows):
 
 
 _Table = namedtuple("_Table", "schema rows")  # a label table without entries
-
-
-def _joint_rows(a, b):
-    """(schema, rows of a, rows of b): two label tables in one layout, with
-    relation blocks padded to the wider table.
-
-    None if the labels differ in slot count or in the kind of a slot (an
-    int or a Rel): such labels are never equal.
-    """
-    if len(a.schema) != len(b.schema):
-        return None
-    schema = []
-    cols_a, cols_b = [np.zeros((len(a.rows), 0), dtype=np.int64)], [np.zeros((len(b.rows), 0), dtype=np.int64)]
-    for s, (sa, sb) in enumerate(zip(a.schema, b.schema)):
-        ba = a.rows[:, slice(*_slot_span(a.schema, s))]
-        bb = b.rows[:, slice(*_slot_span(b.schema, s))]
-        if sa[0] != sb[0]:
-            return None
-        if sa[0] == "rel":  # pad both Rel blocks to the wider one
-            sa = ("rel", max(sa[1], sb[1]))
-            ba, bb = (np.pad(x, ((0, 0), (0, sa[1] - x.shape[1])), constant_values=PAD) for x in (ba, bb))
-        schema.append(sa)
-        cols_a.append(ba)
-        cols_b.append(bb)
-    return tuple(schema), np.hstack(cols_a), np.hstack(cols_b)
 
 
 def _digits(col, digit):
@@ -294,6 +276,41 @@ def pair_columns(table, slot):
     a, b = _rel_span(table.schema, slot)
     codes = table.rows[:, a:b]
     return codes >> _Y_BITS, codes & _Y_MASK, codes != PAD
+
+
+def add_pairs(table, slot, src, x, y):
+    """(schema, rows) of new labels, not interned: row i is label src[i] of
+    `table` with the pair (x[i], y[i]) added to its Rel slot `slot`, and the
+    slot's pairs sorted. The block keeps its width if no label uses its last
+    column, and widens by one column otherwise."""
+    schema, rows = table.schema, table.rows
+    a, b = _rel_span(schema, slot)
+    if b == a or np.any(rows[:, b - 1] != PAD):
+        rows = np.insert(rows, b, PAD, axis=1)
+        slot = range(len(schema))[slot]
+        schema = schema[:slot] + (("rel", b - a + 1),) + schema[slot + 1 :]
+        b += 1
+    new = rows[src]
+    new[:, b - 1] = x << _Y_BITS | y
+    new[:, a:b].sort(axis=1)
+    return schema, new
+
+
+def common_ids(a, b):
+    """Label ids of the tables a and b in one numbering, equal where their
+    labels are equal: their stacked rows interned, with Rel blocks padded to
+    the wider table. Labels that differ in slot count or in the kind of a
+    slot are never equal."""
+    na, nb = len(a.rows), len(b.rows)
+    if not (na and nb) or [s[0] for s in a.schema] != [s[0] for s in b.schema]:
+        return np.arange(na), np.arange(na, na + nb)
+    blocks = [np.zeros((na + nb, 0), dtype=np.int64)]
+    for s in range(len(a.schema)):
+        ba, bb = (t.rows[:, slice(*_slot_span(t.schema, s))] for t in (a, b))
+        w = max(ba.shape[1], bb.shape[1])
+        blocks.append(np.vstack([np.pad(c, ((0, 0), (0, w - c.shape[1])), constant_values=PAD) for c in (ba, bb)]))
+    _, inv = _intern(np.hstack(blocks))
+    return inv[:na], inv[na:]
 
 
 def key_column(table, slot):

@@ -22,19 +22,17 @@ from types import MappingProxyType
 import numpy as np
 
 from .labels import (
-    _PAIR_LIMIT,
-    _Y_BITS,
-    _Y_MASK,
-    PAD,
+    _PAIR_BITS,
     Rel,
     _column,
     _decode,
     _intern,
     _is_int,
-    _joint_rows,
-    _rel_span,
     _table,
+    add_pairs,
+    common_ids,
     key_column,
+    pair_columns,
 )
 
 ENTRY_CAP = 2**24  # total stored amplitude entries across all labels
@@ -276,23 +274,13 @@ class PurifiedState:
         idx = _deposit_bits(self.indices, n, targets, perm[val])
         return self._with_entries(*_merge(n, _key(n, self.label_ids, idx), self.amplitudes * phases[val]))
 
-    def _common_ids(self, other):
-        """Label ids of both states in one numbering: their stacked label rows, interned."""
-        na, nb = self.label_count(), other.label_count()
-        joint = _joint_rows(self, other) if na and nb else None
-        if joint is None:
-            return np.arange(na), np.arange(na, na + nb)
-        _, a, b = joint
-        _, inv = _intern(np.vstack([a, b]))
-        return inv[:na], inv[na:]
-
     def _entry_keys(self, ids):
         return (ids[self.label_ids] << self.n_qubits) | self.indices
 
     def inner(self, other):
         if other.n_qubits != self.n_qubits:
             raise ValueError("register mismatch")
-        ia, ib = self._common_ids(other)
+        ia, ib = common_ids(self, other)
         _, pa, pb = np.intersect1d(self._entry_keys(ia), other._entry_keys(ib), return_indices=True)
         return complex(np.sum(self.amplitudes[pa].conj() * other.amplitudes[pb]))
 
@@ -304,7 +292,7 @@ class PurifiedState:
             np.array_equal(getattr(self, a), getattr(other, a)) for a in ("rows", "label_ids", "indices")
         ):  # one layout: the union below would pair entry i with entry i
             return float(np.max(np.abs(self.amplitudes - other.amplitudes), initial=0.0))
-        ia, ib = self._common_ids(other)
+        ia, ib = common_ids(self, other)
         n = self.n_qubits
         keys = np.concatenate([(ia[self.label_ids] << n) | self.indices, (ib[other.label_ids] << n) | other.indices])
         if not len(keys):
@@ -319,26 +307,14 @@ class PurifiedState:
 # ---------------------------------------------------------- recording engine
 
 
-def _free_outputs(rows, spans, N):
-    """(labels, N) mask of the outputs y < N outside every given Rel image."""
-    free = np.ones((len(rows), N), dtype=bool)
-    for a, b in spans:
-        block = rows[:, a:b]
-        r, c = np.nonzero(block != PAD)
-        y = block[r, c] & _Y_MASK
-        ok = y < N
-        free[r[ok], y[ok]] = False
+def _free_outputs(state, slots, N):
+    """(labels, N) mask of the outputs y < N outside the image of every given Rel slot."""
+    free = np.ones((state.label_count(), N), dtype=bool)
+    for slot in slots:
+        _, y, on = pair_columns(state, slot)
+        r, c = np.nonzero(on & (y < N))
+        free[r, y[r, c]] = False
     return free
-
-
-def _open_slot(schema, rows, slot):
-    """Make sure the target Rel block ends in a PAD column (widen it if not)."""
-    a, b = _rel_span(schema, slot)
-    if b > a and not np.any(rows[:, b - 1] != PAD):
-        return schema, rows, (a, b)
-    rows = np.insert(rows, b, PAD, axis=1)
-    slot = range(len(schema))[slot]
-    return schema[:slot] + (("rel", b - a + 1),) + schema[slot + 1 :], rows, (a, b + 1)
 
 
 def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
@@ -353,9 +329,9 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
 
     Each entry (label l, index i, amplitude a) goes to a / sqrt(#F(l)) at
     label l + (x, y) and index i with y on the input qubits, for every y in
-    F(l), x the input qubits' value in i; (x, y) lands in the target Rel
-    block, widened by a PAD column if it is full. `new` holds one row per distinct (label, x,
-    y) and is interned in place into the output table, so every path that
+    F(l), x the input qubits' value in i; labels.add_pairs writes (x, y)
+    into the target Rel slot. The new labels, one per distinct (label, x, y),
+    are interned in place into the output table, so every path that
     reaches a relation lands on its one label; labels without entries are
     dropped, and entries that meet at one (label, index) are summed. The
     entry cap is checked against the output size before anything is built.
@@ -365,7 +341,7 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
     nq = N.bit_length() - 1
     if 2**nq != N:
         raise ValueError("oracle dimension must be a power of two")
-    if N > _PAIR_LIMIT:
+    if nq > _PAIR_BITS:
         raise ValueError("recorded pairs must lie in [0, 2^31)")
     if len(input_qubits) != nq:
         raise ValueError("input register must span log2(N) qubits")
@@ -374,8 +350,7 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
     slots = [relation_slot] + [s for s in shared_slots or () if s != relation_slot]
     if not state.label_count():
         return state
-    spans = [_rel_span(state.schema, s) for s in slots]
-    free = _free_outputs(state.rows, spans, N) if cf is None else _cf_outputs(state.rows, spans, cf)
+    free = _free_outputs(state, slots, N) if cf is None else _cf_outputs(state, slots, cf)
     nfree = free.sum(axis=1)
     if np.any(nfree == 0):
         raise ValueError("recording map undefined: no available outputs")
@@ -384,23 +359,24 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
     per_entry = nfree[lab]
     total = int(per_entry.sum())
     _check_entries(total)
-    schema, rows, (a, b) = _open_slot(state.schema, state.rows, relation_slot)
     free_y = np.flatnonzero(free) % N  # free outputs, label by label
     free_start = np.cumsum(nfree) - nfree
     ranks = range(int(nfree.max(initial=0)))
     # sources: distinct (label, x); triple (source s, rank r) sits at s_start[s] + r
-    src_lab, ent_src = np.unique((lab << _Y_BITS) | extract_bits(idx, n, qubits), return_inverse=True)
-    src_lab, src_x = src_lab >> _Y_BITS, src_lab & _Y_MASK
+    src_lab, ent_src = np.unique((lab << nq) | extract_bits(idx, n, qubits), return_inverse=True)
+    src_lab, src_x = src_lab >> nq, src_lab & (N - 1)
     per_src = nfree[src_lab]
     s_start = np.cumsum(per_src) - per_src
-    new = np.empty((int(per_src.sum()), rows.shape[1]), dtype=np.int64)
+    new_lab, new_x, new_y = np.empty((3, int(per_src.sum())), dtype=np.int64)
     for r in ranks:
         s = np.flatnonzero(per_src > r)
         t = s_start[s] + r
-        new[t] = rows[src_lab[s]]
-        new[t, b - 1] = (src_x[s] << _Y_BITS) | free_y[free_start[src_lab[s]] + r]
+        new_lab[t] = src_lab[s]
+        new_x[t] = src_x[s]
+        new_y[t] = free_y[free_start[src_lab[s]] + r]
     del src_lab, src_x, per_src, s, t
-    new[:, a:b].sort(axis=1)
+    schema, new = add_pairs(state, relation_slot, new_lab, new_x, new_y)
+    del new_lab, new_x, new_y
     table, t_lab = _intern(new)
     del new
     # every entry times every free output of its label
@@ -473,19 +449,20 @@ def cf_count(strings, params: CFParams) -> int | None:
     return None if blocked is None else (2**params.prefix - len(blocked)) << (params.n - params.prefix)
 
 
-def _cf_outputs(rows, spans, params: CFParams):
+def _cf_outputs(state, slots, params: CFParams):
     """(labels, 2^n) mask of the collision-free outputs of the joint image
-    of the given Rel spans, by one _blocked call per distinct joint image.
+    of the given Rel slots, by one _blocked call per distinct joint image.
 
-    The joint image keeps every output of every span, so it is collision-free
-    only if each span's image is and no two spans share an output (a shared
+    The joint image keeps every output of every slot, so it is collision-free
+    only if each slot's image is and no two slots share an output (a shared
     output repeats its prefix at size 1).
     """
-    ys = np.hstack([np.where(rows[:, a:b] == PAD, PAD, rows[:, a:b] & _Y_MASK) for a, b in spans])
+    # outputs are >= 0, so -1 marks an unused pair position
+    ys = np.hstack([np.where(on, y, -1) for _, y, on in (pair_columns(state, s) for s in slots)])
     joints, inv = _intern(np.sort(ys, axis=1))
     free_joint = np.ones((len(joints), 2**params.prefix), dtype=bool)
     for d, row in enumerate(joints.tolist()):
-        blocked = _blocked([y for y in row if y != PAD], params)
+        blocked = _blocked([y for y in row if y >= 0], params)
         if blocked is None:
             raise ValueError("relation slots share an output or their joint image is not collision-free")
         free_joint[d, list(blocked)] = False

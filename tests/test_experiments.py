@@ -105,6 +105,9 @@ def test_split_augment_exact_floor():
 
 def test_split_augment_degenerate_t0():
     rep = run_experiment("exp_split_augment", {"seed": 5, "t": 0, "ell": 0})
+    # both sides are the empty-query state: fidelity 1 against the floor sqrt(1 - 0)
+    (fid,) = checks_by_name(rep)["fidelity"]
+    assert (fid["value"], fid["bound"], fid["passed"]) == (1.0, 1.0, True)
     assert rep.passed
 
 

@@ -345,6 +345,41 @@ def test_from_columns_writes_what_pair_columns_read():
         PurifiedState.from_columns(1, [(np.array([[2**31]]), np.array([[0]]), True)], [0], [0], np.ones(1, dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [-1, -(2**70), 2**31, 2**32 + 1, 2**63 - 1, 2**63, 2**64])
+def test_pair_values_outside_31_bits_are_refused(bad):
+    for pair in [(bad, 0), (0, bad)]:
+        with pytest.raises(ValueError, match="label slot 0 cannot hold a Rel"):
+            PurifiedState(1, {(Rel([pair]),): {0: 1.0}})
+    # slot columns: only present pairs are tested, so the padding may hold anything
+    dtype = np.int64 if -(2**63) <= bad < 2**63 else object
+
+    def state(x):
+        pairs = (np.array([[x, 2**40]], dtype=dtype), np.array([[5, -5]]), np.array([[True, False]]))
+        return PurifiedState.from_columns(1, [pairs], [0], [0], np.ones(1, dtype=complex))
+
+    with pytest.raises(ValueError, match="label slot 0 cannot hold a Rel"):
+        state(bad)
+    assert state(2**31 - 1).labels() == [(Rel([(2**31 - 1, 5)]),)]
+
+
+def test_pr_apply_reuses_a_free_last_column_and_widens_a_full_block():
+    full = PurifiedState(2, {(Rel([(3, 2)]),): {1: 1.0}})
+    # the same label in a two-column block whose last column no label uses
+    pairs = (np.array([[3, 0]]), np.array([[2, 0]]), np.array([[True, False]]))
+    spare = PurifiedState.from_columns(2, [pairs], [0], [1], np.ones(1, dtype=complex))
+    assert full.schema == (("rel", 1),) and spare.schema == (("rel", 2),)
+    for state in (full, spare):
+        out = pr_apply(state, 0, [0, 1], 4)
+        assert out.schema == (("rel", 2),)
+        x, y, on = pair_columns(out, 0)
+        # the new pair (1, y) sorts before (3, 2)
+        assert on.all() and x.tolist() == [[1, 3]] * 3 and y.tolist() == [[0, 2], [1, 2], [3, 2]]
+        assert dict(out.terms) == dict(pr_apply(full, 0, [0, 1], 4).terms)
+    out = pr_apply(out, 0, [0, 1], 4)
+    assert out.schema == (("rel", 3),)
+    assert all(lab.pairs == tuple(sorted(lab.pairs)) and len(lab) == 3 for lab, in out.labels())
+
+
 # ------------------------------------------------- collision-free recording
 
 

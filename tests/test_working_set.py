@@ -271,7 +271,7 @@ def test_recording_step_peak_is_input_plus_output(monkeypatch):
 
     monkeypatch.setattr(harness, "pr_apply", traced)
     keyed_stress_state()
-    # the last oracle query: 12,544 labels in, 75,264 out; about 1.24x here,
+    # the last oracle query: 12,544 labels in, 75,264 out; about 1.16x here,
     # and about 1.86x with sorted entry copies and a second label table
     peak, size = steps[-1]
     assert size > 9e6
