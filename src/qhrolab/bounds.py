@@ -298,7 +298,7 @@ def exp_cf_bound(p: CfBoundParams, rep):
     entry["point"]["instances_sampled"] = sampled
     entry["point"]["vacuous_cells"] = vacuous
 
-    # cross-check the vectorized counter against the set builder
+    # cross-check the prefix-rule counter against the brute-force cf_set
     mism = 0
     for _ in range(100):
         n = int(rng.integers(2, 7))

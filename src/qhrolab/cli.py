@@ -6,6 +6,7 @@ No numerics live here; everything routes through the experiments registry.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -26,13 +27,26 @@ def _load_config(path, name):
         raise ValueError("config must be a flat JSON object")
     if "schema_version" not in cfg:
         raise ValueError("config is missing schema_version")
-    if cfg["schema_version"] != 1:
+    if type(cfg["schema_version"]) is not int or cfg["schema_version"] != 1:
         raise ValueError(f"unsupported schema_version {cfg['schema_version']!r}")
     if "experiment" in cfg and cfg["experiment"] != name:
         raise ValueError(f"config is for {cfg['experiment']!r}, not {name!r}")
     for key in CONFIG_KEYS:
         cfg.pop(key, None)
     return cfg
+
+
+def _new_rundir(base):
+    """Create and return the run directory `base`, or, if it exists, the
+    first of base-2, base-3, ... that does not: two runs never share one."""
+    os.makedirs(os.path.dirname(base), exist_ok=True)
+    for i in itertools.count(1):
+        rundir = base if i == 1 else f"{base}-{i}"
+        try:
+            os.mkdir(rundir)
+            return rundir
+        except FileExistsError:
+            pass
 
 
 @click.group()
@@ -107,8 +121,7 @@ def cmd_run(name, config_path, seed, trials, outdir, fmt):
         sys.exit(4)
 
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-    rundir = os.path.join(outdir, name, f"{stamp}-{report.seed}")
-    os.makedirs(rundir, exist_ok=True)
+    rundir = _new_rundir(os.path.join(outdir, name, f"{stamp}-{report.seed}"))
     written = []
     if fmt in ("json", "both"):
         p = os.path.join(rundir, "report.json")

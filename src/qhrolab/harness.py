@@ -17,6 +17,7 @@ from .constructions import OracleDescriptor
 from .linalg import (
     DensityMatrix,
     _check_cap,
+    _check_targets,
     _check_unitary,
     _haar_stack,
     _qubits_of,
@@ -39,7 +40,6 @@ __all__ = [
     "VIEW_QUBIT_CAP",
     "run_concrete",
     "run_pr",
-    "key_slices",
     "key_sliced_view",
     "reduce_view",
     "view_of_state",
@@ -82,8 +82,10 @@ class Interleave:
             if not ok or phases.shape != perm.shape or np.any(abs(abs(phases) - 1) > 1e-9):
                 raise ValueError("a sparse map permutes the 2^k values of its k targets, with unit-modulus phases")
             object.__setattr__(self, "sparse_map", (perm, phases))
-        if self.targets is None:
-            object.__setattr__(self, "targets", tuple(range(k)))
+        targets = tuple(range(k) if self.targets is None else self.targets)
+        if len(targets) != k:
+            raise ValueError(f"a 2^{k} x 2^{k} gate takes {k} targets, not {len(targets)}")
+        object.__setattr__(self, "targets", targets)
 
 
 @dataclass(frozen=True)
@@ -278,33 +280,25 @@ def _written_slots(oracle):
     return set()
 
 
-def key_slices(program: AdversaryProgram, bindings: dict, init_label):
-    """(k, run_pr(...) with the KeyInit(lam) key slot of init_label holding k), for each key.
+def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=None, mask=None, each=None):
+    """(view, good mass) of run_pr(program, bindings, init_label), one key at a time.
 
     The key is only read, by key Pauli layers and classical inputs, so the
-    purified state of init_label is 2^(-lam/2) times the direct sum of these
-    orthogonal per-key branches. Each slice is run when it is asked for, so
-    a consumer that drops a slice before asking for the next never holds
-    two. ValueError, before any slice runs, without a KeyInit key slot or
-    where run_pr refuses its key slot.
+    purified state of init_label is 2^(-lam/2) times the direct sum of the
+    orthogonal slices run_pr gives with its KeyInit(lam) key slot holding k.
+    The view, and the mass on the labels that pass the column test `mask`
+    (see labels.label_mask), are 2^-lam times the sums over the slices; each
+    slice is run, reduced, handed to each(k, slice) if given, and freed
+    before the next runs. The mass is None without a mask. ValueError,
+    before any slice runs, without a KeyInit key slot or where run_pr
+    refuses its key slot.
     """
     slot = _key_slot(bindings, init_label)
     if slot is None or not isinstance(init_label[slot], KeyInit):
         raise ValueError("key slicing needs exactly one KeyInit slot")
-    keys = range(2 ** init_label[slot].lam)
-    return ((k, run_pr(program, bindings, init_label[:slot] + (k,) + init_label[slot + 1 :])) for k in keys)
-
-
-def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=None, mask=None, each=None):
-    """(view, good mass) of run_pr(program, bindings, init_label), one key at a time.
-
-    The view, and the mass on the labels that pass the column test `mask`
-    (see labels.label_mask), are 2^-lam times the sums over key_slices;
-    each slice is reduced, handed to each(k, slice) if given, and freed
-    before the next. The mass is None without a mask.
-    """
     acc, mass = None, 0.0
-    for k, state in key_slices(program, bindings, init_label):
+    for k in range(2 ** init_label[slot].lam):
+        state = run_pr(program, bindings, init_label[:slot] + (k,) + init_label[slot + 1 :])
         view = reduce_view(state, keep)
         if acc is None:
             acc = view.entries
@@ -334,9 +328,7 @@ def reduce_view(purified: PurifiedState, keep=None) -> DensityMatrix:
     formed in bounded chunks, in the summation order of one pass over all groups.
     """
     n = purified.n_qubits
-    keep = list(range(n)) if keep is None else list(keep)
-    if any(not 0 <= q < n for q in keep) or len(set(keep)) != len(keep):
-        raise ValueError("invalid qubit indices")
+    keep = list(range(n)) if keep is None else _check_targets(keep, n)
     kq = len(keep)
     if kq > VIEW_QUBIT_CAP:
         raise ValueError(f"reduced view exceeds the {VIEW_QUBIT_CAP}-qubit density cap")
@@ -496,7 +488,8 @@ def bootstrap_td_stderr(batch_means, reference: DensityMatrix, master_seed):
 
 def haar_interleave(n_qubits, rng, targets=None):
     """A Haar-random dense layer: haar_unitaries' draw from rng, whose one unitarity check is Interleave's."""
-    return Interleave(u=_haar_stack(2 ** (len(targets) if targets else n_qubits), [rng])[0], targets=tuple(targets) if targets else None)
+    k = len(targets) if targets is not None else n_qubits
+    return Interleave(u=_haar_stack(2**k, [rng])[0], targets=targets)
 
 
 def phased_permutation_interleave(n_qubits, rng, targets=None):
@@ -504,5 +497,5 @@ def phased_permutation_interleave(n_qubits, rng, targets=None):
     k = len(targets) if targets is not None else n_qubits
     perm = rng.permutation(2**k)
     phases = np.exp(2j * np.pi * rng.random(2**k))
-    return Interleave(sparse_map=(perm, phases), targets=None if targets is None else tuple(targets))
+    return Interleave(sparse_map=(perm, phases), targets=targets)
 

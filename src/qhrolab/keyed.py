@@ -18,7 +18,6 @@ from .harness import (
     QuantumQuery,
     haar_interleave,
     key_sliced_view,
-    key_slices,
     phased_permutation_interleave,
     reduce_view,
     run_pr,
@@ -333,14 +332,17 @@ def exp_split_augment(p: SplitAugmentParams, rep):
     # and never writes it; a slice weighs 2^(-lam/2) in psi2, and the
     # augmented parts are at the whole state's scale
     views, overlap = {}, 0.0
-    for k, state in key_slices(prog, {"G": pru_two_query(n, lam)}, (Rel(), KeyInit(lam))):
+
+    def each(k, state):
+        nonlocal overlap
         good = project_good(state, label_mask(state, lambda labels: corx_count(labels, 0, 1) == ell))
         psi2p, psi3p = _split_surgery(good), augmented(k)
         overlap += psi2p.inner(psi3p)
-        for name, st in (("rho2", state), ("good", good), ("psi2p", psi2p), ("psi3p", psi3p)):
+        for name, st in (("good", good), ("psi2p", psi2p), ("psi3p", psi3p)):
             views[name] = views.get(name, 0) + reduce_view(st).entries
-        del state, good, psi2p, psi3p
-    rho2, v_good, v_psi2p = (DensityMatrix(views[name] * 2.0**-lam) for name in ("rho2", "good", "psi2p"))
+
+    rho2, _ = key_sliced_view(prog, {"G": pru_two_query(n, lam)}, (Rel(), KeyInit(lam)), each=each)
+    v_good, v_psi2p = (DensityMatrix(views[name] * 2.0**-lam) for name in ("good", "psi2p"))
     v_psi3p = DensityMatrix(views["psi3p"])
 
     fid = 2.0 ** (-lam / 2.0) * abs(overlap)

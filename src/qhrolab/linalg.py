@@ -189,21 +189,29 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return _trace_distance(rho.entries, sigma.entries)
 
 
-def qubits_first(vec, targets, n):
-    """(matrix, axis order) of an n-qubit vector: row index the `targets` bits
-    (targets[0] most significant), column index the other qubits in order.
-    Leading axes of `vec` (a stack of vectors) lead the matrix too.
-    ValueError unless the targets are distinct and in [0, n)."""
+def _check_targets(targets, n):
+    """`targets` as a list; ValueError unless they are distinct qubits of [0, n):
+    the target rule of every gate kernel (qubits_first, relstate.extract_bits)."""
     order, seen = list(targets), set()
     for q in order:
         if not 0 <= q < n or q in seen:
             raise ValueError(f"target qubit {q} must be distinct and in [0, {n})")
         seen.add(q)
-    order += [q for q in range(n) if q not in seen]
+    return order
+
+
+def qubits_first(vec, targets, n):
+    """(matrix, axis order) of an n-qubit vector: row index the `targets` bits
+    (targets[0] most significant), column index the other qubits in order.
+    Leading axes of `vec` (a stack of vectors) lead the matrix too.
+    ValueError unless the targets are distinct and in [0, n)."""
+    order = _check_targets(targets, n)
+    k = len(order)
+    order += [q for q in range(n) if q not in order]
     vec = np.asarray(vec, dtype=complex)
     lead = vec.shape[:-1]
     axes = [*range(len(lead)), *(len(lead) + q for q in order)]
-    return vec.reshape(lead + (2,) * n).transpose(axes).reshape(lead + (2 ** len(seen), -1)), order
+    return vec.reshape(lead + (2,) * n).transpose(axes).reshape(lead + (2**k, -1)), order
 
 
 def qubits_restore(mat, order):
@@ -224,9 +232,7 @@ def apply_gate(vec, gate, targets, n):
 def apply_unitary(state: StateVector, u: UnitaryMatrix, targets=None) -> StateVector:
     """Apply u to the given target qubits (defaults to the whole register)."""
     n = state.qubit_count
-    if targets is None:
-        targets = list(range(n))
-    targets = list(targets)
+    targets = list(range(n) if targets is None else targets)
     if u.entries.shape[0] != 2 ** len(targets):
         raise ValueError("gate size does not match target count")
     out = apply_gate(state.amplitudes, u.entries, targets, n)

@@ -34,6 +34,7 @@ from .labels import (
     key_column,
     pair_columns,
 )
+from .linalg import _check_targets
 
 ENTRY_CAP = 2**24  # total stored amplitude entries across all labels
 _BLOCK_BYTES = 1 << 25  # bound on one dense complex block
@@ -72,9 +73,10 @@ class CFParams:
 
 
 def extract_bits(indices, n_qubits, qubits):
-    """Values of `qubits` (first qubit most significant) in each basis index."""
+    """Values of `qubits` (first qubit most significant) in each basis index;
+    ValueError unless they are distinct and in [0, n_qubits)."""
     val = np.zeros_like(indices)
-    for q in qubits:
+    for q in _check_targets(qubits, n_qubits):
         val = (val << 1) | ((indices >> (n_qubits - 1 - q)) & 1)
     return val
 
@@ -269,7 +271,6 @@ class PurifiedState:
         `targets` goes to perm[v], times phases[v]. Keeps sparse vectors sparse.
         """
         n = self.n_qubits
-        targets = list(targets)
         val = extract_bits(self.indices, n, targets)
         idx = _deposit_bits(self.indices, n, targets, perm[val])
         return self._with_entries(*_merge(n, _key(n, self.label_ids, idx), self.amplitudes * phases[val]))
@@ -354,7 +355,7 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
     nfree = free.sum(axis=1)
     if np.any(nfree == 0):
         raise ValueError("recording map undefined: no available outputs")
-    n, qubits = state.n_qubits, list(input_qubits)
+    n = state.n_qubits
     lab, idx, amp = state.label_ids, state.indices, state.amplitudes
     per_entry = nfree[lab]
     total = int(per_entry.sum())
@@ -363,7 +364,7 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
     free_start = np.cumsum(nfree) - nfree
     ranks = range(int(nfree.max(initial=0)))
     # sources: distinct (label, x); triple (source s, rank r) sits at s_start[s] + r
-    src_lab, ent_src = np.unique((lab << nq) | extract_bits(idx, n, qubits), return_inverse=True)
+    src_lab, ent_src = np.unique((lab << nq) | extract_bits(idx, n, input_qubits), return_inverse=True)
     src_lab, src_x = src_lab >> nq, src_lab & (N - 1)
     per_src = nfree[src_lab]
     s_start = np.cumsum(per_src) - per_src
@@ -388,7 +389,7 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
         e = np.flatnonzero(per_entry > r)
         stop = start + len(e)
         y = free_y[free_start[lab[e]] + r]
-        key[start:stop] = _key(n, t_lab[s_start[ent_src[e]] + r], _deposit_bits(idx[e], n, qubits, y))
+        key[start:stop] = _key(n, t_lab[s_start[ent_src[e]] + r], _deposit_bits(idx[e], n, input_qubits, y))
         out[start:stop] = scaled[e]
         start = stop
     del t_lab, scaled, per_entry, ent_src, free_y, free_start, s_start, e, y
@@ -495,7 +496,7 @@ def key_pauli(state, kind, lam, key_slot, input_qubits):
     if not state.label_count():
         return state
     n = state.n_qubits
-    prefix = list(input_qubits)[:lam]
+    prefix = _check_targets(input_qubits, n)[:lam]
     k = key_column(state, key_slot)[state.label_ids]
     val = extract_bits(state.indices, n, prefix)
     if kind == "X":

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -83,6 +84,23 @@ def test_run_reports_are_reproducible(tmp_path):
     assert read("a") == read("b")
 
 
+def test_runs_in_one_second_get_their_own_directories(tmp_path, monkeypatch):
+    # the directory is named by the UTC second and the seed; a second run
+    # that shares both takes the next free suffix
+    frozen = time.gmtime(0)
+    monkeypatch.setattr(time, "gmtime", lambda *args: frozen)
+    cfg = tmp_path / "t0.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "t": 0}))
+    runs = (["--format", "json"], ["--config", str(cfg), "--format", "csv"])
+    for flags in runs:
+        res = CliRunner().invoke(main, ["run", "exp_split_augment", "--seed", "5", "--out", str(tmp_path), *flags])
+        assert res.exit_code == 0, res.output
+    root = tmp_path / "exp_split_augment"
+    assert sorted(os.listdir(root)) == ["19700101T000000-5", "19700101T000000-5-2"]
+    assert os.listdir(root / "19700101T000000-5") == ["report.json"]
+    assert os.listdir(root / "19700101T000000-5-2") == ["report.csv"]
+
+
 def test_run_with_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -146,6 +164,10 @@ def test_config_rejections(tmp_path):
 
     assert attempt({"seed": 1}).exit_code == 2  # missing schema_version
     assert attempt({"schema_version": 2, "seed": 1}).exit_code == 2
+    # only the int 1 is version 1: json's true and 1.0 compare equal to it
+    for version in (True, 1.0):
+        res = attempt({"schema_version": version, "seed": 1})
+        assert res.exit_code == 2 and f"unsupported schema_version {version!r}" in res.output
     res = attempt({"schema_version": 1, "seed": 1, "bogus": 3})
     assert res.exit_code == 2 and "unknown parameters: bogus" in res.output
     assert attempt({"schema_version": 1, "experiment": "exp_spru", "seed": 1}).exit_code == 2
@@ -188,11 +210,13 @@ def test_run_invalid_params_exit_2(tmp_path):
         ("exp_mh_bound", {"n_list": [3, 2]}, "n_list must be a strictly increasing non-empty list of ints >= 1"),
         ("exp_prs", {"n": 3, "lam": 2, "t": 2, "s": 0}, "scaling needs t >= 1 and s >= 1"),
         ("exp_cf_bound", {"n_max": 63, "samples": 1, "exhaustive_cap": 0}, "need n_max <= 62"),
+        ("exp_spru", {"n_block": 5, "overlap": 2}, "a second-moment probe would span 16 qubits, over the 14-qubit cap"),
     ],
 )
 def test_run_outside_the_scaling_domain_exits_2(tmp_path, name, config, message):
     # a decreasing grid, or a game whose exact TD is 0, would fail a scaling
-    # check; a grid past n = 62 would draw sets that do not fit a 64-bit int
+    # check; a grid past n = 62 would draw sets that do not fit a 64-bit int,
+    # and an exp_spru layout this wide would build matrices past the qubit cap
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, **config}))
     res = CliRunner().invoke(main, ["run", name, "--seed", "11", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qhrolab import experiments, harness, skeleton
-from qhrolab.constructions import haar_slot, pru_one_query, pru_two_query
+from qhrolab.constructions import OracleDescriptor, concrete_oracle, haar_slot, pru_one_query, pru_two_query
 from qhrolab.harness import (
     AdversaryProgram,
     ClassicalPROracle,
@@ -22,7 +22,6 @@ from qhrolab.harness import (
     haar_interleave,
     haar_view_mc,
     key_sliced_view,
-    key_slices,
     phased_permutation_interleave,
     reduce_view,
     run_concrete,
@@ -83,6 +82,53 @@ def test_program_validation():
 def test_sparse_map_is_a_phased_permutation(perm, phases, targets):
     with pytest.raises(ValueError, match="sparse map"):
         Interleave(sparse_map=(np.array(perm), np.array(phases, dtype=complex)), targets=targets)
+
+
+TARGET_RULE = r"target qubit -?\d must be distinct and in \[0, 2\)"
+U4 = haar_unitaries(4, [trial_rng(61)])[0]
+# (step after one query of G, kept qubits, error) on a 2-qubit register; the
+# oracle X is one key Pauli layer, which acts on the lam-bit input prefix
+MALFORMED = {
+    "dense_on_a_repeat": (lambda: Interleave(u=U4, targets=(0, 0)), None, TARGET_RULE),
+    "query_on_a_repeat": (lambda: QuantumQuery("G", (1, 1)), None, TARGET_RULE),
+    "key_pauli_on_a_repeat_past_its_prefix": (lambda: QuantumQuery("X", (0, 0)), None, TARGET_RULE),
+    "sparse_on_a_repeat": (lambda: phased_permutation_interleave(2, trial_rng(62), targets=(1, 1)), None, TARGET_RULE),
+    "negative_target": (lambda: Interleave(u=U4, targets=(0, -1)), None, TARGET_RULE),
+    "target_past_the_register": (lambda: Interleave(u=U4, targets=(0, 2)), None, TARGET_RULE),
+    "side_not_two_to_the_targets": (lambda: Interleave(u=U4, targets=(1,)), None, "takes 2 targets, not 1"),
+    "keep_with_a_repeat": (lambda: QuantumQuery("G"), (0, 0), TARGET_RULE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_both_interpreters_refuse_a_malformed_step(case):
+    # a purified view of such a step used to come back with a wrong trace,
+    # or a unit trace and wrong entries, where run_concrete refused it
+    make, keep, error = MALFORMED[case]
+    init = (Rel(), KeyInit(1))
+    descs = {"G": pru_two_query(2, 1), "X": OracleDescriptor(n=2, lam=1, steps=(("pauli", "X"),))}
+    u = haar_unitaries(4, [trial_rng(63)])
+    oracles = {name: concrete_oracle(desc, u, [1]) for name, desc in descs.items()}
+    views = [
+        lambda prog: reduce_view(run_pr(prog, descs, init), keep),
+        lambda prog: key_sliced_view(prog, descs, init, keep),
+        lambda prog: view_of_state(run_concrete(prog, oracles)[0], keep),
+    ]
+    for view in views:
+        with pytest.raises(ValueError, match=error):
+            view(AdversaryProgram(n=2, steps=(QuantumQuery("G"), make())))
+
+
+def test_a_haar_layer_on_no_targets_is_a_global_phase():
+    step = haar_interleave(2, trial_rng(64), targets=[])
+    assert step.targets == () and step.u.shape == (1, 1)
+    first = (haar_interleave(2, trial_rng(65)),)
+    progs = [AdversaryProgram(n=2, steps=steps) for steps in (first + (step,), first)]
+    after, before = (run_concrete(prog, {}) for prog in progs)
+    assert np.allclose(after, step.u[0, 0] * before, rtol=0, atol=1e-12)
+    after, before = (run_pr(prog, {}, (Rel(),)) for prog in progs)
+    assert np.array_equal(after.indices, before.indices)
+    assert np.allclose(after.amplitudes, step.u[0, 0] * before.amplitudes, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -497,7 +543,7 @@ def test_key_slicing_refuses_oracles_that_write_the_key(oracle):
             run_pr(prog, {**bindings, "W": oracle}, (Rel(), key, Rel()))
 
 
-def test_key_slices_refuse_before_running_a_slice(monkeypatch):
+def test_key_sliced_view_refuses_before_running_a_slice(monkeypatch):
     prog, bindings = sliced_setup()
 
     def unreachable(*args):
@@ -505,7 +551,7 @@ def test_key_slices_refuse_before_running_a_slice(monkeypatch):
 
     monkeypatch.setattr(harness, "run_pr", unreachable)
     with pytest.raises(ValueError, match="key slot"):
-        key_slices(prog, {**bindings, "W": writes_key(rel_slot=(1,))}, (Rel(), KeyInit(2), Rel()))
+        key_sliced_view(prog, {**bindings, "W": writes_key(rel_slot=(1,))}, (Rel(), KeyInit(2), Rel()))
 
 
 @pytest.mark.parametrize("init", [(Rel(), 0), (Rel(), KeyInit(1), KeyInit(1)), ()])

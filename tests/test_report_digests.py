@@ -1,8 +1,11 @@
-"""tools/report_digests.py --compare finds every run whose digest or check list differs."""
+"""tools/report_digests.py: --compare finds every run whose digest or check list differs, and
+the runs cover every registered experiment."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,3 +67,27 @@ def test_compare_says_when_the_environments_differ(tmp_path, capsys, monkeypatch
     code, out = compare("none", "one")
     assert code == 0 and out[-1] == "0 of 1 runs differ"
     assert [line.split(":")[1].strip() for line in out[:-1]] == sorted(env)
+
+
+def test_runs_name_every_experiment_and_both_pru1_modes():
+    from qhrolab.experiments import EXPERIMENTS
+
+    runs = load_tool().runs()
+    assert {name for _, name, _ in runs} == set(EXPERIMENTS)
+    assert {params.get("mode", "secure") for _, name, params in runs if name == "exp_pru1"} == {"secure", "break"}
+    assert len({key for key, _, _ in runs}) == len(runs)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        # CI compared these across two runs before its determinism check became
+        # two runs of this tool, which holds them only at other trial counts
+        ("exp_mh_bound", {"seed": 11, "trials": 1000}),
+        ("exp_pru2", {"seed": 7, "n_list": [3], "trials": 300}),
+    ],
+)
+def test_a_rerun_gives_the_same_report(name, params):
+    from qhrolab.experiments import run_experiment
+
+    assert run_experiment(name, params).to_json() == run_experiment(name, params).to_json()

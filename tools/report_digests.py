@@ -12,7 +12,8 @@ sits in:
 - every perfbench workload at pool offsets 0-31 (perfbench/workloads.runs_for);
 - the acceptance runs of tools/bench_acceptance.RUNS;
 - exp_pru1 break mode at seeds 3-7;
-- secure exp_pru1 at fold 2 and fold 3, (ell, t, lam) = (2, 3, 3) and (3, 4, 3);
+- secure exp_pru1 at fold 2 and fold 3, (ell, t, lam) = (2, 3, 3) and (3, 4, 3),
+  and at ell = 0 (t = 2), which records collision-free outputs beside an int key;
 
 and writes, per run, the SHA-256 of the report's to_json() and its
 (check, kind, verdict) list, and under "environment" the numpy version, its
@@ -44,7 +45,8 @@ def runs():
             out += [(f"{workload}/{offset}", name, params) for name, params in runs_for(workload, offset)]
     out += [(f"criterion_{crit}", name, params) for crit, name, params in RUNS]
     out += [("break", "exp_pru1", {"seed": seed, "mode": "break"}) for seed in range(3, 8)]
-    out += [("secure", "exp_pru1", {"seed": 3, "ell": ell, "t": t, "lam": 3, "trials": 50}) for ell, t in ((2, 3), (3, 4))]
+    secure = [{"ell": 2, "t": 3, "lam": 3}, {"ell": 3, "t": 4, "lam": 3}, {"ell": 0, "t": 2}]
+    out += [("secure", "exp_pru1", {"seed": 3, **params, "trials": 50}) for params in secure]
     return [(f"{key} {name} {json.dumps(params, sort_keys=True)}", name, params) for key, name, params in out]
 
 
