@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .labels import _is_int
 from .linalg import _check_unitary, pauli_string
 from .relstate import CFParams
 
@@ -34,20 +35,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleDescriptor:
-    """A keyed oracle as a sequence of steps applied left to right.
+    """A keyed oracle on n qubits as a sequence of steps applied left to right.
 
-    Steps: ('pr', slot, cf) one recording query, collision-free when cf is
-    a CFParams and plain when it is None; ('pauli', 'X'|'Z') a Pauli layer
-    on the lam-bit register prefix, controlled by the key slot of the
-    init label.
-    `shared_slots` lists the label slots whose joint image every recording
-    step respects (defaults to each step's own slot).
+    Steps: ('pr', slot, cf) one recording query into an int label slot,
+    collision-free when cf is a CFParams of cf.n = n and plain when it is
+    None; ('pauli', 'X'|'Z') a Pauli layer on the lam-bit register prefix,
+    controlled by the key slot of the init label. `shared_slots` lists the
+    label slots whose joint image every recording step respects (defaults
+    to each step's own slot). Both interpreters read the rule checked here.
     """
 
     n: int
     lam: int = 0
     steps: tuple = ()
     shared_slots: tuple | None = None
+
+    def __post_init__(self):
+        if not (_is_int(self.n) and _is_int(self.lam) and self.n >= 1 and 0 <= self.lam <= self.n):
+            raise ValueError(f"an oracle needs ints n >= 1 and 0 <= lam <= n, not n = {self.n!r}, lam = {self.lam!r}")
+        for s in self.steps:
+            cf = s[2] if isinstance(s, tuple) and len(s) == 3 and s[0] == "pr" and _is_int(s[1]) else ""
+            if not (cf is None or isinstance(cf, CFParams) and cf.n == self.n or s in (("pauli", "X"), ("pauli", "Z"))):
+                raise ValueError(f"a step is ('pr', int slot, None | CFParams of n = {self.n}) or ('pauli', 'X' | 'Z'): {s!r}")
 
     def record_slots(self):
         return tuple(s[1] for s in self.steps if s[0] == "pr")
@@ -56,15 +65,13 @@ class OracleDescriptor:
 def pru_two_query(n: int, lam: int) -> OracleDescriptor:
     """U (X^k tensor I) U: two queries to the common oracle per call, both
     recorded in label slot 0."""
-    if lam > n or lam < 1:
+    if lam < 1:
         raise ValueError("key length must satisfy 1 <= lam <= n")
     return OracleDescriptor(n=n, lam=lam, steps=(("pr", 0, None), ("pauli", "X"), ("pr", 0, None)))
 
 
 def pru_one_query(n: int, lam: int, cf: CFParams | None = None) -> OracleDescriptor:
     """(Z^k tensor I) U: a single query, recorded in label slot 0, followed by a key phase."""
-    if lam > n:
-        raise ValueError("key length exceeds register size")
     return OracleDescriptor(n=n, lam=lam, steps=(("pr", 0, cf), ("pauli", "Z")))
 
 
@@ -80,15 +87,12 @@ def concrete_oracle(desc: OracleDescriptor, u, k=0) -> np.ndarray:
         raise ValueError("oracle register mismatch")
     if np.any((np.asarray(k) < 0) | (np.asarray(k) >= 2**desc.lam)):
         raise ValueError("key out of range")
-    mat = np.eye(2**desc.n, dtype=complex)
+    mat = np.broadcast_to(np.eye(2**desc.n, dtype=complex), u.shape)  # a stack u gives a stack without steps
     for step in desc.steps:
         if step[0] == "pr":
             mat = u @ mat
-        elif step[0] == "pauli":
-            paulis = np.array([pauli_string(step[1], j, desc.lam, desc.n) for j in range(2**desc.lam)])
-            mat = paulis[k] @ mat
         else:
-            raise ValueError(f"unknown step {step!r}")
+            mat = np.array([pauli_string(step[1], j, desc.lam, desc.n) for j in range(2**desc.lam)])[k] @ mat
     return _check_unitary(mat)
 
 

@@ -27,7 +27,7 @@ from .linalg import (
     qubits_restore,
     trial_rng,
 )
-from .labels import label_mask
+from .labels import _is_int, label_mask
 from .relstate import PurifiedState, classical_record, extract_bits, key_pauli, pr_apply
 
 __all__ = [
@@ -124,21 +124,20 @@ class KeyInit:
 class ClassicalPROracle:
     """Recording semantics for a classical query.
 
-    input_of(k, w) is the recorded input of query w at key k (0 without a
-    key slot). Query w records into the Rel label slot rel_slot[w] (one
-    relation per w answers each w from its own oracle), and its output
-    avoids the outputs of that slot only.
+    input_of(k, w) is the recorded input, of n >= 1 qubits, of query w at
+    key k (0 without a key slot). Query w records into the Rel label slot
+    rel_slot[w] (one relation per w answers each w from its own oracle), and
+    its output avoids the outputs of that slot only.
     """
 
     n: int
     rel_slot: tuple
     input_of: object
 
-    def slot_of(self, w):
-        """The label slot query w records into; ValueError if w has none."""
-        if not 0 <= w < len(self.rel_slot):
-            raise ValueError(f"classical input {w} has no relation slot: rel_slot names {len(self.rel_slot)}")
-        return self.rel_slot[w]
+    def __post_init__(self):
+        slots = self.rel_slot if isinstance(self.rel_slot, tuple) else ()
+        if not (_is_int(self.n) and self.n >= 1 and slots and all(map(_is_int, slots))):
+            raise ValueError(f"a classical recorder needs an int n >= 1 and a non-empty tuple of int slots, not {self!r}")
 
 
 def _input_qubits(program, q):
@@ -207,27 +206,15 @@ def run_concrete(program: AdversaryProgram, bindings: dict) -> np.ndarray:
 # ---------------------------------------------------------------- purified
 
 
-def _quantum_query_pr(state, desc: OracleDescriptor, input_qubits, key_slot):
-    for s in desc.steps:
-        if s[0] == "pr":
-            state = pr_apply(state, s[1], list(input_qubits), 2**desc.n, desc.shared_slots, s[2])
-        elif s[0] == "pauli":
-            if key_slot is None:
-                raise ValueError("a key Pauli layer needs a key slot")
-            state = key_pauli(state, s[1], desc.lam, key_slot, list(input_qubits))
-        else:
-            raise ValueError(f"unknown descriptor step {s!r}")
-    return state
-
-
 def run_pr(program: AdversaryProgram, bindings: dict, init_label) -> PurifiedState:
     """Exact purified execution.
 
     init_label is a tuple of initial slot values, each a Rel or the key: an
     int, or a KeyInit(lam) that expands into the uniform key superposition.
-    Key Pauli layers and classical inputs read the key slot (see _key_slot).
+    Key Pauli layers and classical inputs read the key slot; _check_queries
+    checks every query before the first step.
     """
-    key_slot = _key_slot(bindings, init_label)
+    key_slot = _check_queries(program, bindings, init_label)
     labels = [()]
     amp = 1.0
     for slot in init_label:
@@ -244,40 +231,49 @@ def run_pr(program: AdversaryProgram, bindings: dict, init_label) -> PurifiedSta
             else:
                 state = state.apply_matrix(step.u, step.targets)
         elif isinstance(step, QuantumQuery):
-            desc = bindings[step.oracle_id]
-            if not isinstance(desc, OracleDescriptor):
-                raise ValueError(f"oracle {step.oracle_id!r} is not a descriptor")
-            state = _quantum_query_pr(state, desc, _input_qubits(program, step), key_slot)
-        elif isinstance(step, ClassicalQuery):
-            oracle = bindings[step.oracle_id]
-            if not isinstance(oracle, ClassicalPROracle):
-                raise ValueError(f"oracle {step.oracle_id!r} is not a classical recorder")
-            state = classical_record(state, oracle, step.w, key_slot)
+            desc, targets = bindings[step.oracle_id], list(_input_qubits(program, step))
+            for s in desc.steps:
+                if s[0] == "pr":
+                    state = pr_apply(state, s[1], targets, 2**desc.n, desc.shared_slots, s[2])
+                else:
+                    state = key_pauli(state, s[1], desc.lam, key_slot, targets)
         else:
-            raise ValueError(f"unknown step {step!r}")
+            state = classical_record(state, bindings[step.oracle_id], step.w, key_slot)
     return state
 
 
-def _key_slot(bindings, init_label):
-    """The one slot of init_label that holds the key, an int or a KeyInit,
-    or None. ValueError for a second one, or if an oracle records into or
-    avoids it: the key is only read."""
+def _check_queries(program, bindings, init_label):
+    """init_label's one key slot (an int or a KeyInit) or None. ValueError for
+    a second key slot, an oracle recording into or avoiding it, an unknown
+    step, a binding of the wrong type, an input register not of desc.n
+    distinct qubits, a Pauli layer without a key slot or a w without a Rel slot."""
     slots = [i for i, s in enumerate(init_label) if isinstance(s, (int, np.integer, KeyInit))]
     if len(slots) > 1:
         raise ValueError(f"an init label holds at most one key slot, not {len(slots)}")
-    for name, oracle in bindings.items():
-        if slots and slots[0] in {s % len(init_label) for s in _written_slots(oracle)}:
-            raise ValueError(f"oracle {name!r} records into or avoids key slot {slots[0]}, which does not hold a relation")
-    return slots[0] if slots else None
-
-
-def _written_slots(oracle):
-    """Label slots an oracle records into or avoids."""
-    if isinstance(oracle, ClassicalPROracle):
-        return set(oracle.rel_slot)
-    if isinstance(oracle, OracleDescriptor):
-        return {*oracle.record_slots(), *(oracle.shared_slots or ())}
-    return set()
+    key, q = slots[0] if slots else None, program.reg_qubits
+    for step in program.steps:
+        oracle = bindings[step.oracle_id] if isinstance(step, (QuantumQuery, ClassicalQuery)) else None
+        if isinstance(step, QuantumQuery):
+            width = len(_check_targets(_input_qubits(program, step), q))
+            if not isinstance(oracle, OracleDescriptor) or oracle.n != width:
+                raise ValueError(f"oracle {step.oracle_id!r} is not a descriptor of {width} qubits")
+            if key is None and any(s[0] == "pauli" for s in oracle.steps):
+                raise ValueError("a key Pauli layer needs a key slot")
+        elif isinstance(step, ClassicalQuery):
+            if not isinstance(oracle, ClassicalPROracle):
+                raise ValueError(f"oracle {step.oracle_id!r} is not a classical recorder")
+            if not 0 <= step.w < len(oracle.rel_slot):
+                raise ValueError(f"classical input {step.w} has no relation slot: rel_slot names {len(oracle.rel_slot)}")
+            q += oracle.n
+        elif not isinstance(step, Interleave):
+            raise ValueError(f"unknown step {step!r}")
+    for name, oracle in bindings.items() if slots else ():
+        written = oracle.rel_slot if isinstance(oracle, ClassicalPROracle) else ()
+        if isinstance(oracle, OracleDescriptor):
+            written = oracle.record_slots() + tuple(oracle.shared_slots or ())
+        if key in {s % len(init_label) for s in written}:
+            raise ValueError(f"oracle {name!r} records into or avoids key slot {key}, which does not hold a relation")
+    return key
 
 
 def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=None, mask=None, each=None):
@@ -291,11 +287,11 @@ def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=
     slice is run, reduced, handed to each(k, slice) if given, and freed
     before the next runs. The mass is None without a mask. ValueError,
     before any slice runs, without a KeyInit key slot or where run_pr
-    refuses its key slot.
+    refuses a query (_check_queries).
     """
-    slot = _key_slot(bindings, init_label)
-    if slot is None or not isinstance(init_label[slot], KeyInit):
+    if sum(isinstance(s, KeyInit) for s in init_label) != 1:
         raise ValueError("key slicing needs exactly one KeyInit slot")
+    slot = _check_queries(program, bindings, init_label)
     acc, mass = None, 0.0
     for k in range(2 ** init_label[slot].lam):
         state = run_pr(program, bindings, init_label[:slot] + (k,) + init_label[slot + 1 :])

@@ -346,8 +346,6 @@ def pr_apply(state, relation_slot, input_qubits, N, shared_slots=None, cf=None):
         raise ValueError("recorded pairs must lie in [0, 2^31)")
     if len(input_qubits) != nq:
         raise ValueError("input register must span log2(N) qubits")
-    if cf is not None and cf.n != nq:
-        raise ValueError(f"collision-free strings of {cf.n} bits do not fit an oracle of dimension {N}")
     slots = [relation_slot] + [s for s in shared_slots or () if s != relation_slot]
     if not state.label_count():
         return state
@@ -475,11 +473,11 @@ def classical_record(state, oracle, w, key_slot):
 
     Per label, x = oracle.input_of(k, w), k the label's key (0 when key_slot
     is None), is written into a fresh oracle.n-qubit register, and one
-    pr_apply on that register records it in the Rel slot oracle.slot_of(w).
+    pr_apply on that register records it in the Rel slot oracle.rel_slot[w].
     `oracle` is a harness ClassicalPROracle. ValueError unless every input
     is an int in [0, 2^n).
     """
-    n, m, rows, slot = oracle.n, state.n_qubits, state.rows, oracle.slot_of(w)
+    n, m, rows, slot = oracle.n, state.n_qubits, state.rows, oracle.rel_slot[w]
     keys = np.zeros(len(rows), dtype=np.int64) if key_slot is None or not len(rows) else key_column(state, key_slot)
     uk, kinv = np.unique(keys, return_inverse=True)
     x = [oracle.input_of(k, w) for k in uk.tolist()]
@@ -492,7 +490,9 @@ def classical_record(state, oracle, w, key_slot):
 
 
 def key_pauli(state, kind, lam, key_slot, input_qubits):
-    """Key-controlled X^k (kind 'X') or Z^k on the lam-bit prefix of the input."""
+    """Key-controlled X^k (kind 'X') or Z^k (kind 'Z') on the lam-bit prefix of the input."""
+    if kind not in ("X", "Z"):
+        raise ValueError(f"unknown Pauli kind {kind!r}")
     if not state.label_count():
         return state
     n = state.n_qubits

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qhrolab import experiments, harness, skeleton
 from qhrolab.constructions import OracleDescriptor, concrete_oracle, haar_slot, pru_one_query, pru_two_query
@@ -117,6 +119,127 @@ def test_both_interpreters_refuse_a_malformed_step(case):
     for view in views:
         with pytest.raises(ValueError, match=error):
             view(AdversaryProgram(n=2, steps=(QuantumQuery("G"), make())))
+
+
+NOT_A = "oracle 'D' is not a"  # run_concrete: "... stack of"; run_pr: "... descriptor of"
+# (binding D, its program's steps on a 2-qubit register or None where D is
+# refused when it is built, error); at the parent run_pr returned a view, or
+# failed only as a step ran, where run_concrete refused, or the reverse
+ORACLE_RULE = {
+    "pauli_layer_on_a_narrower_register": (
+        lambda: OracleDescriptor(n=2, lam=1, steps=(("pauli", "X"),)),
+        (QuantumQuery("D", (0,)),),
+        NOT_A,
+    ),
+    "no_steps_on_a_narrower_register": (lambda: OracleDescriptor(n=2), (QuantumQuery("D", (0,)),), NOT_A),
+    "key_longer_than_the_register": (lambda: OracleDescriptor(n=1, lam=2, steps=(("pauli", "X"),)), None, "lam <= n"),
+    "negative_key_length": (lambda: OracleDescriptor(n=2, lam=-1), None, "0 <= lam"),
+    "pauli_y": (lambda: OracleDescriptor(n=2, lam=1, steps=(("pauli", "Y"),)), None, "a step is"),
+    "no_qubits": (lambda: OracleDescriptor(n=0), None, "n >= 1"),
+    "cf_of_another_width": (
+        lambda: OracleDescriptor(n=2, steps=(("pr", 0, CFParams(1, 1, 3)),)),
+        None,
+        "CFParams of n = 2",
+    ),
+    "cf_not_a_cfparams": (lambda: OracleDescriptor(n=2, steps=(("pr", 0, "x"),)), None, "a step is"),
+    "classical_w_past_rel_slot": (
+        lambda: ClassicalPROracle(n=1, rel_slot=(0,), input_of=lambda k, w: k),
+        (ClassicalQuery("D", 0), ClassicalQuery("D", 1)),
+        "classical input 1 has no relation slot",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_RULE))
+def test_both_interpreters_read_one_oracle_rule(case, monkeypatch):
+    make, steps, error = ORACLE_RULE[case]
+    if steps is None:
+        with pytest.raises(ValueError, match=error):
+            make()
+        return
+    oracle, prog, init = make(), AdversaryProgram(n=2, steps=steps), (Rel(), KeyInit(1))
+    built = []  # run_pr builds its initial state after its one check
+    monkeypatch.setattr(harness, "PurifiedState", lambda *args: built.append(args) or PurifiedState(*args))
+    views = [lambda: run_pr(prog, {"D": oracle}, init), lambda: key_sliced_view(prog, {"D": oracle}, init)]
+    if isinstance(oracle, OracleDescriptor):  # a concrete classical oracle has no relation slots
+        u = concrete_oracle(oracle, haar_unitaries(4, [trial_rng(66)]), [0])
+        views.append(lambda: run_concrete(prog, {"D": u}))
+    for view in views:
+        with pytest.raises(ValueError, match=error):
+            view()
+    assert not built
+
+
+@pytest.mark.parametrize(
+    "n,rel_slot",
+    [(0, (0,)), (1.0, (0,)), (True, (0,)), (1, ()), (1, [0]), (1, (0.0,)), (1, (0, "1")), (1, np.array([0]))],
+)
+def test_a_classical_recorder_checks_itself(n, rel_slot):
+    with pytest.raises(ValueError, match="a classical recorder needs"):
+        ClassicalPROracle(n=n, rel_slot=rel_slot, input_of=lambda k, w: 0)
+
+
+def _in_oracle_rule(n, lam, steps):
+    """The descriptor rule, restated: ints 1 <= n and 0 <= lam <= n; steps
+    ('pr', int slot, None or a CFParams of n bits) or ('pauli', 'X' | 'Z')."""
+
+    def step_ok(s):
+        if isinstance(s, tuple) and len(s) == 3 and s[0] == "pr" and type(s[1]) is int:
+            return s[2] is None or isinstance(s[2], CFParams) and s[2].n == n
+        return s in (("pauli", "X"), ("pauli", "Z"))
+
+    return type(n) is int and type(lam) is int and 1 <= n and 0 <= lam <= n and all(map(step_ok, steps))
+
+
+def _cf_step(m):
+    return st.builds(lambda fold, prefix: ("pr", 0, CFParams(fold, prefix, m)), st.integers(1, 2), st.integers(0, m))
+
+
+def _mostly(good, bad):
+    """good three times in four, else bad."""
+    return st.one_of(good, good, good, bad)
+
+
+GOOD_STEPS = st.sampled_from([("pr", 0, None), ("pauli", "X"), ("pauli", "Z")])
+BAD_STEPS = st.sampled_from([("pauli", "Y"), ("pr", 0, "x"), ("pr", 0.0, None), ("pr", 0), ["pauli", "X"], "pr"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_mostly(st.integers(1, 3), st.sampled_from([-1, 0, 2.0, True])), reg=st.integers(2, 3), data=st.data())
+def test_one_oracle_rule_for_both_interpreters(n, reg, data):
+    # a descriptor is refused exactly where it breaks the rule; a valid one,
+    # queried on a drawn register, runs in both interpreters or is refused by both
+    m = n if type(n) is int and n >= 1 else 2
+    lam = data.draw(_mostly(st.integers(0, m), st.sampled_from([-1, m + 1, 1.0])))
+    step = _mostly(st.one_of(GOOD_STEPS, _cf_step(m)), st.one_of(BAD_STEPS, _cf_step(m % 3 + 1)))
+    steps = data.draw(st.lists(step, max_size=3))
+    if not _in_oracle_rule(n, lam, steps):
+        with pytest.raises(ValueError):
+            OracleDescriptor(n=n, lam=lam, steps=tuple(steps))
+        return
+    desc = OracleDescriptor(n=n, lam=lam, steps=tuple(steps))
+    # one recording step at most: past N queries the recording map runs out of outputs
+    assume(len(desc.record_slots()) <= 1)
+    query = data.draw(
+        st.one_of(
+            st.none(),
+            st.permutations(range(reg)).map(lambda p: tuple(p[:n])),
+            st.lists(st.integers(-1, 3), max_size=4).map(tuple),
+        )
+    )
+    prog = AdversaryProgram(n=reg, steps=(haar_interleave(reg, trial_rng(67)), QuantumQuery("D", query)))
+    k = data.draw(st.integers(0, 2**lam - 1))
+    results = []
+    for run in (
+        lambda: run_pr(prog, {"D": desc}, (Rel(), KeyInit(lam))),
+        lambda: run_concrete(prog, {"D": concrete_oracle(desc, haar_unitaries(2**n, [trial_rng(68)]), [k])}),
+    ):
+        try:
+            run()
+            results.append("runs")
+        except ValueError:
+            results.append("refused")
+    assert results[0] == results[1]
 
 
 def test_a_haar_layer_on_no_targets_is_a_global_phase():
@@ -552,6 +675,10 @@ def test_key_sliced_view_refuses_before_running_a_slice(monkeypatch):
     monkeypatch.setattr(harness, "run_pr", unreachable)
     with pytest.raises(ValueError, match="key slot"):
         key_sliced_view(prog, {**bindings, "W": writes_key(rel_slot=(1,))}, (Rel(), KeyInit(2), Rel()))
+    # a query of the wrong width, and a binding of the wrong type
+    for oracle in (haar_slot(1), writes_key(rel_slot=(0,))):
+        with pytest.raises(ValueError, match="oracle 'U' is not a descriptor of 2 qubits"):
+            key_sliced_view(prog, {**bindings, "U": oracle}, (Rel(), KeyInit(2)))
 
 
 @pytest.mark.parametrize("init", [(Rel(), 0), (Rel(), KeyInit(1), KeyInit(1)), ()])

@@ -16,6 +16,7 @@ from qhrolab.relstate import (
     cf_count,
     cf_set,
     is_collision_free,
+    key_pauli,
     label_rewrite,
     pr_apply,
     project_good,
@@ -426,9 +427,15 @@ def test_pcfpr_preconditions():
     for state, slots, cf in ((shared, (1, 2), p), (joint, (1,), p2)):
         with pytest.raises(ValueError, match="collision-free|disjoint"):
             pr_apply(state, 0, [0, 1], 4, shared_slots=slots, cf=cf)
-    # the strings must be the oracle's inputs
-    with pytest.raises(ValueError, match="do not fit"):
-        pr_apply(PurifiedState(2, {(Rel(),): {0: 1.0}}), 0, [0, 1], 4, cf=CFParams(1, 2, 3))
+
+
+def test_key_pauli_refuses_an_unknown_kind():
+    # a kind other than X or Z used to apply Z
+    state = PurifiedState(2, {(Rel(), 1): {0b10: 1.0}, (Rel(), 0): {0b10: 1.0}})
+    assert dict(key_pauli(state, "Z", 1, 1, [0, 1]).terms) == {(Rel(), 1): {0b10: -1.0}, (Rel(), 0): {0b10: 1.0}}
+    for kind in ("Y", "z", None):
+        with pytest.raises(ValueError, match="unknown Pauli kind"):
+            key_pauli(state, kind, 1, 1, [0, 1])
 
 
 # -------------------------------------------------------------- state class
