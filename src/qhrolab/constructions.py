@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import _is_int
-from .linalg import _check_unitary, pauli_string
+from .linalg import _check_key, _check_unitary, pauli_string
 from .relstate import CFParams
 
 __all__ = [
@@ -85,14 +85,13 @@ def concrete_oracle(desc: OracleDescriptor, u, k=0) -> np.ndarray:
     layers use key k; or as a stack, from a stack u and one key per matrix."""
     if u.shape[-1] != 2**desc.n:
         raise ValueError("oracle register mismatch")
-    if np.any((np.asarray(k) < 0) | (np.asarray(k) >= 2**desc.lam)):
-        raise ValueError("key out of range")
+    k = _check_key(k, desc.lam)
     mat = np.broadcast_to(np.eye(2**desc.n, dtype=complex), u.shape)  # a stack u gives a stack without steps
     for step in desc.steps:
         if step[0] == "pr":
             mat = u @ mat
-        else:
-            mat = np.array([pauli_string(step[1], j, desc.lam, desc.n) for j in range(2**desc.lam)])[k] @ mat
+        else:  # the layers of the given keys only, one per matrix
+            mat = np.reshape([pauli_string(step[1], j, desc.lam, desc.n) for j in k.flat], k.shape + u.shape[-2:]) @ mat
     return _check_unitary(mat)
 
 
@@ -108,10 +107,7 @@ def prfs_output(u, k, w: int, n: int, lam: int, m: int) -> np.ndarray:
         raise ValueError("need n >= lam + m")
     if not 0 <= w < 2**m:
         raise ValueError("function input out of range")
-    k = np.asarray(k)
-    if np.any((k < 0) | (k >= 2**lam)):
-        raise ValueError("key out of range")
-    x = prfs_input(k, w, n, lam, m)
+    x = prfs_input(_check_key(k, lam), w, n, lam, m)
     return np.take_along_axis(u, x[..., None, None], axis=-1)[..., 0]
 
 
@@ -149,10 +145,8 @@ def spru_concrete(layout: SpruLayout, u: np.ndarray, k: int, k1: int, k2: int) -
     nb = layout.n_block
     if np.shape(u) != (2**nb, 2**nb):
         raise ValueError("block unitary register mismatch")
-    lam = max(layout.lam_small, 1)
-    block = u @ pauli_string("X", k, lam, nb) @ u
-    x1 = pauli_string("X", k1, lam, nb)
-    x2 = pauli_string("X", k2, lam, nb)
+    xk, x1, x2 = (pauli_string("X", j, layout.lam_small, nb) for j in (k, k1, k2))
+    block = u @ xk @ u
     rest = 2 ** (layout.total_qubits - nb)
     ab = np.kron(block @ x1 @ block, np.eye(rest))
     bc = np.kron(np.eye(rest), block @ x2 @ block)

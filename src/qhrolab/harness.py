@@ -17,6 +17,7 @@ from .constructions import OracleDescriptor
 from .linalg import (
     DensityMatrix,
     _check_cap,
+    _check_key,
     _check_targets,
     _check_unitary,
     _haar_stack,
@@ -115,9 +116,13 @@ class AdversaryProgram:
 
 @dataclass(frozen=True)
 class KeyInit:
-    """Marks a label slot initialized to the uniform key superposition."""
+    """Marks a label slot initialized to the uniform superposition of the keys 0 .. 2^lam - 1, lam an int >= 0."""
 
     lam: int
+
+    def __post_init__(self):
+        if not (_is_int(self.lam) and self.lam >= 0):
+            raise ValueError(f"a key slot needs an int lam >= 0, not {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -245,8 +250,8 @@ def run_pr(program: AdversaryProgram, bindings: dict, init_label) -> PurifiedSta
 def _check_queries(program, bindings, init_label):
     """init_label's one key slot (an int or a KeyInit) or None. ValueError for
     a second key slot, an oracle recording into or avoiding it, an unknown
-    step, a binding of the wrong type, an input register not of desc.n
-    distinct qubits, a Pauli layer without a key slot or a w without a Rel slot."""
+    step, a binding of the wrong type, an input register not of desc.n distinct
+    qubits, a Pauli layer without a key slot or narrower than its keys, or a w without a Rel slot."""
     slots = [i for i, s in enumerate(init_label) if isinstance(s, (int, np.integer, KeyInit))]
     if len(slots) > 1:
         raise ValueError(f"an init label holds at most one key slot, not {len(slots)}")
@@ -257,8 +262,11 @@ def _check_queries(program, bindings, init_label):
             width = len(_check_targets(_input_qubits(program, step), q))
             if not isinstance(oracle, OracleDescriptor) or oracle.n != width:
                 raise ValueError(f"oracle {step.oracle_id!r} is not a descriptor of {width} qubits")
-            if key is None and any(s[0] == "pauli" for s in oracle.steps):
-                raise ValueError("a key Pauli layer needs a key slot")
+            if any(s[0] == "pauli" for s in oracle.steps):
+                if key is None:
+                    raise ValueError("a key Pauli layer needs a key slot")
+                top = init_label[key]  # the slot's largest key
+                _check_key(2**top.lam - 1 if isinstance(top, KeyInit) else top, oracle.lam)
         elif isinstance(step, ClassicalQuery):
             if not isinstance(oracle, ClassicalPROracle):
                 raise ValueError(f"oracle {step.oracle_id!r} is not a classical recorder")

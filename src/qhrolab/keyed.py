@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import attacks
+from . import attacks, linalg
 from .constructions import concrete_oracle, haar_slot, pru_one_query, pru_two_query
 from .harness import (
     VIEW_QUBIT_CAP,
@@ -171,7 +171,7 @@ def _hybrid3_slices(psi3, n, lam):
     rel, h = pair_columns(phi, 0), key_column(phi, 1)[phi.label_ids]  # h per entry
 
     def expected(k):
-        sign = np.array([1 - 2 * (bin(k & v).count("1") & 1) for v in range(2**lam)])
+        sign = np.where(linalg.key_pauli_action("Z", k, np.arange(2**lam))[1], -1, 1)
         slots = [rel, np.full(phi.label_count(), k)]
         return PurifiedState.from_columns(n, slots, phi.label_ids, phi.indices, phi.amplitudes * sign[h])
 

@@ -28,6 +28,7 @@ __all__ = [
     "haar_unitary",
     "haar_unitaries",
     "pauli_string",
+    "key_pauli_action",
     "choi_state",
     "trace_distance",
     "apply_gate",
@@ -150,21 +151,41 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
     return UnitaryMatrix(_haar_stack(dim, [rng])[0])
 
 
+def _check_key(k, lam):
+    """k as an int array; ValueError unless it holds ints in [0, 2^lam): the rule of every key layer and key slot."""
+    arr = np.asarray(k)
+    if lam < 0 or arr.dtype.kind not in "iu" or np.any((arr < 0) | (arr >= 2**lam)):
+        raise ValueError(f"key out of range: a {lam}-bit key is an int in [0, 2^{lam})")
+    return arr
+
+
+def _parity(v):
+    """Parity of the set bits of each non-negative int64."""
+    for s in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> s)
+    return v & 1
+
+
+def key_pauli_action(kind, k, v):
+    """(v', odd) of a key layer on key-register values v: X^k sends v to v ^ k (odd False), and Z^k
+    keeps v and flips the sign where v & k has odd parity. ValueError for a kind but 'X' or 'Z'."""
+    if kind == "X":
+        return v ^ k, False
+    if kind == "Z":
+        return v, _parity(v & k) == 1
+    raise ValueError(f"unknown Pauli kind {kind!r}")
+
+
 def pauli_string(kind: str, k: int, lam: int, n: int) -> np.ndarray:
     """X^k tensor I or Z^k tensor I on n qubits, key k on the lam-bit prefix."""
     _check_cap(n)
     if lam > n:
         raise ValueError("key length exceeds register size")
-    if not 0 <= k < 2**lam:
-        raise ValueError("key out of range")
     idx = np.arange(2**n)
-    mask = k << (n - lam)
-    if kind == "X":
-        return np.eye(2**n, dtype=complex)[idx ^ mask]  # column y holds a 1 in row y ^ mask
-    if kind == "Z":
-        phases = (-1.0) ** np.array([bin(mask & y).count("1") for y in idx])
-        return np.diag(phases.astype(complex))
-    raise ValueError(f"unknown Pauli kind {kind!r}")
+    out, odd = key_pauli_action(kind, int(_check_key(k, lam)) << (n - lam), idx)
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    mat[out, idx] = np.where(odd, -1.0, 1.0)  # column y holds +-1 in row y' of the action
+    return mat
 
 
 def choi_state(u):

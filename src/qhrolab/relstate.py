@@ -34,7 +34,7 @@ from .labels import (
     key_column,
     pair_columns,
 )
-from .linalg import _check_targets
+from .linalg import _check_targets, key_pauli_action
 
 ENTRY_CAP = 2**24  # total stored amplitude entries across all labels
 _BLOCK_BYTES = 1 << 25  # bound on one dense complex block
@@ -89,13 +89,6 @@ def _deposit_bits(indices, n_qubits, qubits, val):
         s = n_qubits - 1 - q
         out = (out & ~(1 << s)) | (((val >> (nb - 1 - b)) & 1) << s)
     return out
-
-
-def _parity(v):
-    """Parity of the set bits of each non-negative int64."""
-    for s in (32, 16, 8, 4, 2, 1):
-        v = v ^ (v >> s)
-    return v & 1
 
 
 def _group_batches(ginv, n_groups, width):
@@ -490,20 +483,14 @@ def classical_record(state, oracle, w, key_slot):
 
 
 def key_pauli(state, kind, lam, key_slot, input_qubits):
-    """Key-controlled X^k (kind 'X') or Z^k (kind 'Z') on the lam-bit prefix of the input."""
-    if kind not in ("X", "Z"):
-        raise ValueError(f"unknown Pauli kind {kind!r}")
+    """The key layer linalg.key_pauli_action(kind, k, .) of each label's key k on the input's lam-bit prefix."""
     if not state.label_count():
         return state
     n = state.n_qubits
     prefix = _check_targets(input_qubits, n)[:lam]
-    k = key_column(state, key_slot)[state.label_ids]
-    val = extract_bits(state.indices, n, prefix)
-    if kind == "X":
-        idx = _deposit_bits(state.indices, n, prefix, val ^ k)
-        return state._with_entries(*_merge(n, _key(n, state.label_ids, idx), state.amplitudes.copy()))
-    odd = _parity(val & k) == 1
-    return state._with_entries(state.label_ids, state.indices, np.where(odd, -state.amplitudes, state.amplitudes))
+    val, odd = key_pauli_action(kind, key_column(state, key_slot)[state.label_ids], extract_bits(state.indices, n, prefix))
+    idx = _deposit_bits(state.indices, n, prefix, val)
+    return state._with_entries(*_merge(n, _key(n, state.label_ids, idx), np.where(odd, -state.amplitudes, state.amplitudes)))
 
 
 def project_good(state, keep):

@@ -1,5 +1,7 @@
 """Keyed constructions: descriptor/matrix agreement and register bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,26 @@ def test_one_query_concrete_matrix():
     assert np.max(np.abs(g - expect)) < 1e-10
     with pytest.raises(ValueError):
         pru_one_query(2, 3)
+
+
+@pytest.mark.parametrize("make", [pru_one_query, pru_two_query])
+def test_concrete_oracle_builds_only_the_given_keys(make):
+    # at n = lam = 8 all 256 Pauli layers per key layer traced 514 MiB for this 2-MiB stack
+    n, k = 8, [5, 200]
+    desc = make(n, n)
+    u = haar_unitaries(2**n, [trial_rng(70), trial_rng(71)])
+    tracemalloc.start()
+    try:
+        g = concrete_oracle(desc, u, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for t in range(2):  # bit for bit the per-trial product
+        expect = np.eye(2**n, dtype=complex)
+        for step in desc.steps:
+            expect = (u[t] if step[0] == "pr" else pauli_string(step[1], k[t], n, n)) @ expect
+        assert g[t].tobytes() == expect.tobytes()
 
 
 def test_haar_slot_concrete_is_u():
@@ -116,6 +138,12 @@ def test_spru_concrete_zero_keys():
         spru_concrete(lay, haar_unitaries(8, [rng])[0], 0, 0, 0)
     with pytest.raises(ValueError, match="not unitary"):
         spru_concrete(lay, 2 * np.eye(4), 0, 0, 0)
+    # a zero-bit inner key allows only k = 0; a nonzero key used to act on the block's top qubit
+    lay0 = spru(2, 1, 0)
+    assert np.max(np.abs(spru_concrete(lay0, u, 0, 0, 0) - expect)) < 1e-9
+    for keys in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        with pytest.raises(ValueError, match="key out of range"):
+            spru_concrete(lay0, u, *keys)
 
 
 def test_spru_concrete_keyed_arm():

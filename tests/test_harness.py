@@ -170,6 +170,43 @@ def test_both_interpreters_read_one_oracle_rule(case, monkeypatch):
     assert not built
 
 
+KEY_RANGE = "key out of range"
+KEY_LENGTH = "a key slot needs an int lam >= 0"
+# (key slot of the init label, the key concrete_oracle is given, whether
+# key_sliced_view takes the slot, error); at the parent KeyInit(-1) and
+# KeyInit(1.5) raised TypeError, KeyInit(True) ran as lam 1, and the rest ran
+# against a 1-bit key layer on the key's low bit (2 and 3 as 0 and 1)
+KEY_RULE = {
+    "negative_key_length": (lambda: KeyInit(-1), -1, True, KEY_LENGTH),
+    "fractional_key_length": (lambda: KeyInit(1.5), 1.5, True, KEY_LENGTH),
+    "bool_key_length": (lambda: KeyInit(True), True, True, KEY_LENGTH),
+    "key_length_past_lam": (lambda: KeyInit(2), 3, True, KEY_RANGE),
+    "int_key_2": (lambda: 2, 2, False, KEY_RANGE),
+    "int_key_3": (lambda: 3, 3, False, KEY_RANGE),
+    "int_key_5": (lambda: 5, 5, False, KEY_RANGE),
+    "negative_int_key": (lambda: -1, -1, False, KEY_RANGE),
+}
+
+
+@pytest.mark.parametrize("kind", ["X", "Z"])
+@pytest.mark.parametrize("case", sorted(KEY_RULE))
+def test_both_interpreters_read_one_key_rule(case, kind, monkeypatch):
+    make, key, sliced, error = KEY_RULE[case]
+    desc = OracleDescriptor(n=2, lam=1, steps=(("pauli", kind),))
+    with pytest.raises(ValueError, match=KEY_RANGE):
+        concrete_oracle(desc, haar_unitaries(4, [trial_rng(69)]), [key])
+    prog, bindings = AdversaryProgram(n=2, steps=(QuantumQuery("D"),)), {"D": desc}
+    built = []  # run_pr builds its initial state after its one check
+    monkeypatch.setattr(harness, "PurifiedState", lambda *args: built.append(args) or PurifiedState(*args))
+    views = [lambda: run_pr(prog, bindings, (Rel(), make()))]
+    if sliced:
+        views.append(lambda: key_sliced_view(prog, bindings, (Rel(), make())))
+    for view in views:
+        with pytest.raises(ValueError, match=error):
+            view()
+    assert not built
+
+
 @pytest.mark.parametrize(
     "n,rel_slot",
     [(0, (0,)), (1.0, (0,)), (True, (0,)), (1, ()), (1, [0]), (1, (0.0,)), (1, (0, "1")), (1, np.array([0]))],
@@ -208,7 +245,8 @@ BAD_STEPS = st.sampled_from([("pauli", "Y"), ("pr", 0, "x"), ("pr", 0.0, None), 
 @given(n=_mostly(st.integers(1, 3), st.sampled_from([-1, 0, 2.0, True])), reg=st.integers(2, 3), data=st.data())
 def test_one_oracle_rule_for_both_interpreters(n, reg, data):
     # a descriptor is refused exactly where it breaks the rule; a valid one,
-    # queried on a drawn register, runs in both interpreters or is refused by both
+    # queried on a drawn register with a key slot of a drawn width, runs in
+    # both interpreters or is refused by both
     m = n if type(n) is int and n >= 1 else 2
     lam = data.draw(_mostly(st.integers(0, m), st.sampled_from([-1, m + 1, 1.0])))
     step = _mostly(st.one_of(GOOD_STEPS, _cf_step(m)), st.one_of(BAD_STEPS, _cf_step(m % 3 + 1)))
@@ -228,10 +266,13 @@ def test_one_oracle_rule_for_both_interpreters(n, reg, data):
         )
     )
     prog = AdversaryProgram(n=reg, steps=(haar_interleave(reg, trial_rng(67)), QuantumQuery("D", query)))
-    k = data.draw(st.integers(0, 2**lam - 1))
+    width = data.draw(st.integers(0, lam + 1))
+    # a key of exactly `width` bits; a descriptor without key layers takes no key
+    keyed = any(s[0] == "pauli" for s in desc.steps)
+    k = data.draw(st.integers(2**width // 2, 2**width - 1)) if keyed else 0
     results = []
     for run in (
-        lambda: run_pr(prog, {"D": desc}, (Rel(), KeyInit(lam))),
+        lambda: run_pr(prog, {"D": desc}, (Rel(), KeyInit(width))),
         lambda: run_concrete(prog, {"D": concrete_oracle(desc, haar_unitaries(2**n, [trial_rng(68)]), [k])}),
     ):
         try:
@@ -240,6 +281,33 @@ def test_one_oracle_rule_for_both_interpreters(n, reg, data):
         except ValueError:
             results.append("refused")
     assert results[0] == results[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_one_key_rule_for_both_interpreters(n, data):
+    # a descriptor with key layers is run on a key slot of a drawn width or a
+    # drawn int key: run_pr refuses it exactly where concrete_oracle refuses
+    # the slot's largest key, which is where that key is not in [0, 2^lam)
+    lam = data.draw(st.integers(0, n))
+    steps = data.draw(st.lists(st.sampled_from([("pauli", "X"), ("pauli", "Z")]), min_size=1, max_size=2))
+    steps.insert(data.draw(st.integers(0, len(steps))), ("pr", 0, None))
+    desc = OracleDescriptor(n=n, lam=lam, steps=tuple(steps))
+    slot = data.draw(st.one_of(st.integers(0, n + 1).map(KeyInit), st.integers(-2, 2 ** (n + 1))))
+    top = 2**slot.lam - 1 if isinstance(slot, KeyInit) else slot
+    prog = AdversaryProgram(n=n, steps=(haar_interleave(n, trial_rng(72)), QuantumQuery("D")))
+    runs = [
+        lambda: run_pr(prog, {"D": desc}, (Rel(), slot)),
+        lambda: concrete_oracle(desc, haar_unitaries(2**n, [trial_rng(73)]), [top]),
+    ]
+    if isinstance(slot, KeyInit):
+        runs.append(lambda: key_sliced_view(prog, {"D": desc}, (Rel(), slot)))
+    for run in runs:
+        if 0 <= top < 2**lam:
+            run()
+        else:
+            with pytest.raises(ValueError, match="key out of range"):
+                run()
 
 
 def test_a_haar_layer_on_no_targets_is_a_global_phase():

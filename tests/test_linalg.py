@@ -157,6 +157,11 @@ def test_pauli_string_action():
         pauli_string("X", 4, 2, 3)
     with pytest.raises(ValueError):
         pauli_string("X", 0, 3, 2)
+    # a key of no bits is 0; a negative key length holds no key (it gave the identity)
+    assert np.array_equal(pauli_string("Z", 0, 0, 2), np.eye(4))
+    for k, lam in ((0, -1), (1, 0), (1.0, 1), (True, 1)):
+        with pytest.raises(ValueError, match="key out of range"):
+            pauli_string("X", k, lam, 2)
     with pytest.raises(ValueError, match="cap"):
         pauli_string("X", 0, 1, QUBIT_CAP + 1)
 

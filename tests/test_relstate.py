@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qhrolab import relstate
 from qhrolab.labels import Rel, corx, corx_count, key_column, pair_columns, relation_state_vector
+from qhrolab.linalg import key_pauli_action, pauli_string
 from qhrolab.relstate import (
     CFParams,
     PurifiedState,
@@ -436,6 +437,19 @@ def test_key_pauli_refuses_an_unknown_kind():
     for kind in ("Y", "z", None):
         with pytest.raises(ValueError, match="unknown Pauli kind"):
             key_pauli(state, kind, 1, 1, [0, 1])
+
+
+@pytest.mark.parametrize("kind", ["X", "Z"])
+def test_one_key_action_for_the_matrix_and_the_recording(kind):
+    # X^k sends v to v ^ k; Z^k flips the sign where v & k has odd parity
+    for lam in range(5):
+        for k, v in itertools.product(range(2**lam), repeat=2):
+            w, odd = key_pauli_action(kind, k, v)
+            assert (w, bool(odd)) == ((v ^ k, False) if kind == "X" else (v, bin(v & k).count("1") % 2 == 1))
+            sign = -1.0 if odd else 1.0
+            assert np.array_equal(pauli_string(kind, k, lam, lam)[:, v], sign * np.eye(2**lam)[w])
+            state = PurifiedState(lam, {(Rel(), k): {v: 1.0}})
+            assert dict(key_pauli(state, kind, lam, 1, range(lam)).terms) == {(Rel(), k): {w: sign}}
 
 
 # -------------------------------------------------------------- state class

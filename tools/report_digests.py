@@ -14,6 +14,8 @@ sits in:
 - exp_pru1 break mode at seeds 3-7;
 - secure exp_pru1 at fold 2 and fold 3, (ell, t, lam) = (2, 3, 3) and (3, 4, 3),
   and at ell = 0 (t = 2), which records collision-free outputs beside an int key;
+- secure exp_pru1 at n = lam = 5 and exp_pru2 at n = lam = 4, whose X and Z key
+  layers are wider than the 3 bits of every other run;
 
 and writes, per run, the SHA-256 of the report's to_json() and its
 (check, kind, verdict) list, and under "environment" the numpy version, its
@@ -47,6 +49,8 @@ def runs():
     out += [("break", "exp_pru1", {"seed": seed, "mode": "break"}) for seed in range(3, 8)]
     secure = [{"ell": 2, "t": 3, "lam": 3}, {"ell": 3, "t": 4, "lam": 3}, {"ell": 0, "t": 2}]
     out += [("secure", "exp_pru1", {"seed": 3, **params, "trials": 50}) for params in secure]
+    out += [("secure", "exp_pru1", {"seed": 3, "n": 5, "t": 2, "ell": 1, "trials": 50})]
+    out += [("secure", "exp_pru2", {"seed": 7, "n_list": [4], "trials": 50})]
     return [(f"{key} {name} {json.dumps(params, sort_keys=True)}", name, params) for key, name, params in out]
 
 
