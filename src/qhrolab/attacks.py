@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .harness import trial_stacks
-from .linalg import _check_unitary, _qubits_of, apply_gate, choi_state, haar_unitaries, qubits_first
+from .linalg import VIEW_QUBIT_CAP, _check_unitary, _qubits_of, _within, apply_gate, choi_state, haar_unitaries, qubits_first
 
 __all__ = [
     "choi_from_copies",
@@ -144,8 +144,7 @@ def rank_projector_attack(m, lam, ell, t, a_k, b_k, trials, master_seed) -> dict
     the mean acceptances, the null's stderr, the rank bound, the projector's
     idempotency deviation and the advantage (keyed minus null acceptance).
     """
-    if 2 * m * (t + ell) > 12:
-        raise ValueError("total register exceeds the 12-qubit cap")
+    _within(2 * m * (t + ell), VIEW_QUBIT_CAP, "the projector's register")
     if 2**lam > 16:
         raise ValueError("key space too large for the desk-scale projector")
     if trials < 1:

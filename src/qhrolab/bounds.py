@@ -25,9 +25,9 @@ from .harness import (
     trial_stacks,
 )
 from .labels import Rel, key_column, pair_columns
-from .linalg import QUBIT_CAP, VEC_QUBIT_CAP, haar_unitaries, trace_distance, trial_rng
+from .linalg import QUBIT_CAP, VEC_QUBIT_CAP, _within, haar_unitaries, trace_distance, trial_rng
 from .relstate import CFParams, cf_count, cf_set
-from .skeleton import SLACK, Params, _above_pow2, _check, _check_ge, _mc_check, _param, _scaling_checks, _within
+from .skeleton import SLACK, Params, _above_pow2, _check, _check_ge, _mc_check, _param, _scaling_checks
 
 __all__ = ["exp_mh_bound", "exp_cf_bound", "exp_spru"]
 
@@ -113,12 +113,13 @@ class _OracleParams(Params):
         # the real oracle records the t classical and s direct queries in one relation
         if _above_pow2(self.t + self.s, self.n):
             raise ValueError("need t + s <= 2^n (2t <= 2^n in exp_prfs): a relation holds at most 2^n pairs")
-        # the exact views keep the first 2n qubits (n + t*n with fewer), also
-        # at the scaling point n + 1; the Monte Carlo register at n holds the
-        # t classical answers
-        top = self.n + self.scaling
-        _within(min(2 * top, top + self.t * top), VIEW_QUBIT_CAP, "the reduced view")
+        # the exact views, also at the scaling point n + 1; the MC register holds the t answers
+        _within(self.kept(self.n + self.scaling), VIEW_QUBIT_CAP, "the reduced view")
         _within(self.n * (1 + self.t), VEC_QUBIT_CAP, "the concrete register")
+
+    def kept(self, n):
+        """The qubits an exact view at n keeps: the first 2n, or n + t*n with fewer."""
+        return min(2 * n, n + self.t * n)
 
     def good(self, n, lam):
         """The column test passed by the labels where t recorded pairs of
@@ -181,7 +182,7 @@ def _oracle_views(p, n, lam, want_mass):
     """
     m = p.m
     prog = _oracle_program(p, n)
-    keep = list(range(min(2 * n, n + p.t * n)))
+    keep = list(range(p.kept(n)))
 
     def input_of(k, w):
         return prfs_input(k, w, n, lam, m)
@@ -337,8 +338,8 @@ class SpruParams(Params):
     probes: int = _param(6, lo=1)
 
     def _derive(self):
-        spru(self.n_block, self.overlap, self.lam_small)  # the layout's own checks
-        _within(2 * (2 * self.n_block - self.overlap), QUBIT_CAP, "a second-moment probe")
+        layout = spru(self.n_block, self.overlap, self.lam_small)  # the layout's own checks
+        _within(2 * layout.total_qubits, QUBIT_CAP, "a second-moment probe")
 
 
 def exp_spru(p: SpruParams, rep):

@@ -78,11 +78,8 @@ def cmd_describe(name):
 @main.command("run")
 @click.argument("name", type=click.Choice(sorted(EXPERIMENTS)), metavar="NAME")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option(
-    "--seed", type=click.IntRange(0, 2**64 - 1), default=None, show_default="the config's seed, else 0",
-    help="overrides the config's seed",
-)
-@click.option("--trials", type=click.IntRange(1), default=None)
+@click.option("--seed", type=int, default=None, show_default="the config's seed, else 0", help="overrides the config's seed")
+@click.option("--trials", type=int, default=None)
 @click.option("--out", "outdir", type=click.Path(), default="results", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both", show_default=True)
 @click.option("--jobs", type=click.IntRange(1), expose_value=False, help="accepted for schema v1; has no effect")

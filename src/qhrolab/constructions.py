@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import _is_int
-from .linalg import _check_key, _check_unitary, pauli_string
+from .linalg import VIEW_QUBIT_CAP, _check_key, _check_unitary, _within, pauli_string
 from .relstate import CFParams
 
 __all__ = [
@@ -124,10 +124,9 @@ class SpruLayout:
         if not 0 < self.overlap < self.n_block:
             raise ValueError("overlap must satisfy 0 < overlap < n_block")
         total = 2 * self.n_block - self.overlap
-        if total > 12:
-            raise ValueError("joint register exceeds the 12-qubit cap")
-        if self.lam_small > self.n_block:
-            raise ValueError("inner key longer than a block")
+        _within(total, VIEW_QUBIT_CAP, "the joint register")
+        if not 0 <= self.lam_small <= self.n_block:
+            raise ValueError("inner key must have 0 to n_block bits")
         object.__setattr__(self, "total_qubits", total)
 
 

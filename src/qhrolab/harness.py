@@ -15,14 +15,16 @@ import numpy as np
 
 from .constructions import OracleDescriptor
 from .linalg import (
+    QUBIT_CAP,
+    VIEW_QUBIT_CAP,
     DensityMatrix,
-    _check_cap,
     _check_key,
     _check_targets,
     _check_unitary,
     _haar_stack,
     _qubits_of,
     _trace_distance,
+    _within,
     apply_gate,
     qubits_first,
     qubits_restore,
@@ -73,7 +75,7 @@ class Interleave:
             k = _qubits_of(len(u)) if u.ndim == 2 and u.shape[0] == u.shape[1] else None
             if k is None:
                 raise ValueError("interleave unitary must be square with a power-of-two side")
-            _check_cap(k)
+            _within(k, QUBIT_CAP, "an interleave unitary")
             _check_unitary(u)
             object.__setattr__(self, "u", u)
         else:
@@ -161,7 +163,8 @@ def _pure_views(states, keep) -> np.ndarray:
 
 
 def view_of_state(amps, keep=None) -> DensityMatrix:
-    """Density of a pure state's 2^q amplitudes, optionally partial-traced to `keep` qubits."""
+    """Density of a pure state's 2^q amplitudes, optionally partial-traced to `keep` qubits.
+    No experiment calls it: tests use it as the dense partial-trace reference, for reduce_view too."""
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 1 or _qubits_of(amps.size) is None:
         raise ValueError("a pure state is a vector of 2^q amplitudes")
@@ -318,7 +321,6 @@ def key_sliced_view(program: AdversaryProgram, bindings: dict, init_label, keep=
     return DensityMatrix(acc), mass * weight if mask is not None else None
 
 
-VIEW_QUBIT_CAP = 12  # qubits kept by reduce_view: a 4096 x 4096 density
 _RUN_ENTRIES = 1 << 12  # entries per reduce_view run; a run holds whole labels
 _PAIR_CHUNK = 1 << 12  # (entry, entry) products per reduce_view batch
 
@@ -334,8 +336,7 @@ def reduce_view(purified: PurifiedState, keep=None) -> DensityMatrix:
     n = purified.n_qubits
     keep = list(range(n)) if keep is None else _check_targets(keep, n)
     kq = len(keep)
-    if kq > VIEW_QUBIT_CAP:
-        raise ValueError(f"reduced view exceeds the {VIEW_QUBIT_CAP}-qubit density cap")
+    _within(kq, VIEW_QUBIT_CAP, "the reduced view")
     dk = 2**kq
     labs, idxs = purified.label_ids, purified.indices
     mask = sum(1 << (n - 1 - q) for q in keep)

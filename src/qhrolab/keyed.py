@@ -24,9 +24,9 @@ from .harness import (
     trial_stacks,
 )
 from .labels import Rel, corx_count, key_column, label_mask, pair_columns
-from .linalg import VEC_QUBIT_CAP, DensityMatrix, choi_state, haar_unitaries, pauli_string, trace_distance, trial_rng
+from .linalg import VEC_QUBIT_CAP, DensityMatrix, _within, choi_state, haar_unitaries, pauli_string, trace_distance, trial_rng
 from .relstate import CFParams, PurifiedState, label_rewrite, project_good
-from .skeleton import SLACK, Params, _check, _check_ge, _mc_check, _param, _scaling_checks, _within
+from .skeleton import SLACK, Params, _check, _check_ge, _mc_check, _param, _scaling_checks
 
 __all__ = ["exp_pru2", "exp_pru1", "exp_split_augment"]
 

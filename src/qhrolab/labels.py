@@ -13,6 +13,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from .linalg import VEC_QUBIT_CAP, _within
+
 __all__ = [
     "Rel",
     "relation_state_vector",
@@ -232,11 +234,11 @@ def relation_state_vector(rel, n: int) -> np.ndarray:
     Returns the 2^(2nt) amplitudes of the unit vector proportional to
     sum over permutations pi of |x_pi(1)..x_pi(t)> |y_pi(1)..y_pi(t)>,
     normalized by 1/sqrt(t! * prod_a m_a!) (m_a = pair multiplicities).
+    No experiment calls it: tests use it as the dense reference of a label's register state.
     """
     pairs = list(rel)
     t = len(pairs)
-    if 2 * n * t > 24:
-        raise ValueError("relation state exceeds the 24-qubit desk cap")
+    _within(2 * n * t, VEC_QUBIT_CAP, "a relation state")
     mult = {}
     for p in pairs:
         mult[p] = mult.get(p, 0) + 1
@@ -253,7 +255,7 @@ def relation_state_vector(rel, n: int) -> np.ndarray:
 
 
 def corx(rel, k: int):
-    """Ordered pairs ((u,v),(u',v')) in R x R with v xor u' = k."""
+    """Ordered pairs ((u,v),(u',v')) in R x R with v xor u' = k: the tests' reference for corx_count."""
     return {(p, q) for p in rel for q in rel if p[1] ^ q[0] == k}
 
 

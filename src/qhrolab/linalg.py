@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 - big-endian qubit order: qubit 0 is the most significant bit of a basis
   index, so index 1 of a 2-qubit register is |01>.
-- registers are capped at QUBIT_CAP qubits per dense object.
+- dense objects are capped in qubits (the *_QUBIT_CAP below); _within is the one cap test.
 - exact identities are checked at 1e-9 (1e-10 where stated); statistical
   assertions carry explicit sample counts.
 """
@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-QUBIT_CAP = 14
+QUBIT_CAP = 14  # dense matrices: unitaries, Pauli strings, interleaves, density matrices
 VEC_QUBIT_CAP = 24  # pure vectors may be larger than matrix-backed objects
+VIEW_QUBIT_CAP = 12  # reduced views, spru's joint register, the rank projector: 4096 x 4096 matrices
 
 __all__ = [
     "QUBIT_CAP",
     "VEC_QUBIT_CAP",
+    "VIEW_QUBIT_CAP",
     "StateVector",
     "UnitaryMatrix",
     "DensityMatrix",
@@ -43,9 +45,10 @@ def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(master_seed), int(trial_index))))
 
 
-def _check_cap(qubits: int) -> None:
-    if qubits > QUBIT_CAP:
-        raise ValueError(f"register of {qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
+def _within(qubits, cap, what):
+    """ValueError if `what` would span more than `cap` qubits: the one size rule, run before allocating."""
+    if qubits > cap:
+        raise ValueError(f"{what} would span {qubits} qubits, over the {cap}-qubit cap")
 
 
 def _check_unitary(mat):
@@ -69,8 +72,7 @@ class StateVector:
     qubit_count: int
 
     def __post_init__(self):
-        if self.qubit_count > VEC_QUBIT_CAP:
-            raise ValueError(f"register of {self.qubit_count} qubits exceeds the {VEC_QUBIT_CAP}-qubit cap")
+        _within(self.qubit_count, VEC_QUBIT_CAP, "a state vector")
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1 or amps.size != 2**self.qubit_count:
@@ -98,7 +100,7 @@ class UnitaryMatrix:
         n = _qubits_of(mat.shape[0])
         object.__setattr__(self, "qubit_count", n)
         if n is not None:
-            _check_cap(n)
+            _within(n, QUBIT_CAP, "a unitary")
         _check_unitary(mat)
 
 
@@ -115,7 +117,7 @@ class DensityMatrix:
         n = _qubits_of(mat.shape[0]) if mat.ndim == 2 and mat.shape[0] == mat.shape[1] else None
         if n is None:
             raise ValueError("density matrix must be square with a power-of-two side")
-        _check_cap(n)
+        _within(n, QUBIT_CAP, "a density matrix")
         object.__setattr__(self, "qubit_count", n)
         if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
             raise ValueError("density matrix must be Hermitian")
@@ -125,6 +127,7 @@ def _haar_stack(dim: int, rngs) -> np.ndarray:
     """haar_unitaries without its unitarity check: the one Haar draw."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    _within(int(dim - 1).bit_length(), QUBIT_CAP, "a Haar unitary")
     a = np.empty((len(rngs), dim, dim), dtype=complex)
     for g, rng in zip(a, rngs):
         g.real = rng.standard_normal((dim, dim))
@@ -178,7 +181,7 @@ def key_pauli_action(kind, k, v):
 
 def pauli_string(kind: str, k: int, lam: int, n: int) -> np.ndarray:
     """X^k tensor I or Z^k tensor I on n qubits, key k on the lam-bit prefix."""
-    _check_cap(n)
+    _within(n, QUBIT_CAP, "a Pauli string")
     if lam > n:
         raise ValueError("key length exceeds register size")
     idx = np.arange(2**n)

@@ -192,7 +192,7 @@ class PurifiedState:
         return f"PurifiedState(n_qubits={self.n_qubits}, labels={self.label_count()}, entries={self.entry_count()})"
 
     def labels(self):
-        """Decoded label tuples, one per table row."""
+        """Decoded label tuples, one per table row: `terms` and the tests' reference reading of the table."""
         return _decode(self.schema, self.rows)
 
     @property

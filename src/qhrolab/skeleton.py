@@ -195,9 +195,3 @@ class Params:
 def _above_pow2(x, n):
     """x > 2^n, without building 2^n for a large n."""
     return x > 1 << min(n, x.bit_length())
-
-
-def _within(qubits, cap, what):
-    """ValueError if a run would build `what` on more than `cap` qubits."""
-    if qubits > cap:
-        raise ValueError(f"{what} would span {qubits} qubits, over the {cap}-qubit cap")

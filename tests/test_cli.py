@@ -137,6 +137,36 @@ def test_flags_override_the_config(tmp_path):
         assert (obj["seed"], obj["params"]["trials"]) == (seed, trials)
 
 
+def test_a_seed_past_64_bits_runs_by_flag_and_by_config(tmp_path):
+    # the schema is the one judge of a seed: --seed takes what a config's seed takes
+    seed = 2**70
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "seed": seed}))
+    reports = []
+    for sub, flags in (("flag", ["--seed", str(seed)]), ("config", ["--config", str(cfg)])):
+        out = tmp_path / sub
+        res = CliRunner().invoke(main, ["run", "exp_split_augment", "--format", "json", "--out", str(out), *flags])
+        assert res.exit_code == 0, res.output
+        (run,) = os.listdir(out / "exp_split_augment")
+        reports.append((out / "exp_split_augment" / run / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["seed"] == seed == 1180591620717411303424
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--seed", "-1"], "invalid run: seed must be an int >= 0, not -1"),
+        (["--trials", "0"], "invalid run: trials must be an int >= 1, not 0"),
+    ],
+)
+def test_out_of_range_flags_exit_2_with_the_schemas_message(tmp_path, flags, message):
+    res = CliRunner().invoke(main, ["run", "exp_spru", "--out", str(tmp_path / "o"), *flags])
+    assert res.exit_code == 2
+    assert message in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_jobs_is_accepted_and_changes_nothing(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "jobs": 2}))

@@ -1,5 +1,6 @@
 """Keyed constructions: descriptor/matrix agreement and register bookkeeping."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from qhrolab.constructions import (
     stretch_key_bits,
     stretch_output_qubits,
 )
+from qhrolab.experiments import EXPERIMENTS
 from qhrolab.linalg import haar_unitaries, pauli_string, trial_rng
 from qhrolab.relstate import CFParams
 
@@ -123,6 +125,25 @@ def test_spru_layout():
         spru(8, 1, 1)
     with pytest.raises(ValueError):
         spru(3, 1, 4)
+    with pytest.raises(ValueError, match="inner key must have 0 to n_block bits"):
+        spru(2, 1, -1)
+
+
+def test_spru_schema_keeps_its_domain():
+    # the schema refused a negative lam_small before the layout did, and still does
+    # so itself; its domain, restated: 0 < overlap < n_block, 0 <= lam_small <= n_block,
+    # and (d^2, d^2) probes on 2(2 n_block - overlap) <= 14 qubits
+    schema = EXPERIMENTS["exp_spru"].schema
+    for n_block, overlap, lam_small in itertools.product(range(1, 9), range(-1, 9), range(-1, 10)):
+        params = {"seed": 1, "n_block": n_block, "overlap": overlap, "lam_small": lam_small}
+        ok = 0 < overlap < n_block and 0 <= lam_small <= n_block and 2 * (2 * n_block - overlap) <= 14
+        try:
+            schema.parse(params)
+            assert ok, params
+        except ValueError:
+            assert not ok, params
+    with pytest.raises(ValueError, match="lam_small must be an int >= 0, not -1"):
+        schema.parse({"seed": 1, "n_block": 2, "overlap": 1, "lam_small": -1})
 
 
 def test_spru_concrete_zero_keys():

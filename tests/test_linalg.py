@@ -1,11 +1,17 @@
 """Dense substrate tests: conventions, identities, and statistical sanity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhrolab.harness import view_of_state
+from qhrolab import linalg
+from qhrolab.attacks import rank_projector_attack
+from qhrolab.constructions import spru
+from qhrolab.harness import Interleave, reduce_view, view_of_state
+from qhrolab.labels import relation_state_vector
 from qhrolab.linalg import (
     QUBIT_CAP,
     _trace_distance,
@@ -21,6 +27,7 @@ from qhrolab.linalg import (
     trace_distance,
     trial_rng,
 )
+from qhrolab.relstate import PurifiedState
 
 
 def rand_state(dim, rng):
@@ -128,6 +135,36 @@ def test_caps():
         # the cap check fires before the Hermitian check; a zero-strided
         # view stands in for the oversized array
         DensityMatrix(np.broadcast_to(np.zeros(1, dtype=complex), (2 ** (QUBIT_CAP + 1),) * 2))
+
+
+def _oversized(qubits):
+    """A zero-strided stand-in for a 2^qubits-square array."""
+    return np.broadcast_to(np.zeros(1, dtype=complex), (2**qubits,) * 2)
+
+
+@pytest.mark.parametrize(
+    "build,qubits,cap",
+    [
+        (lambda: StateVector(Unconvertible(), 25), 25, 24),
+        (lambda: UnitaryMatrix(_oversized(15)), 15, 14),
+        (lambda: DensityMatrix(_oversized(15)), 15, 14),
+        (lambda: pauli_string("X", 0, 1, 15), 15, 14),
+        (lambda: haar_unitaries(2**15, [Unconvertible()]), 15, 14),
+        (lambda: Interleave(u=_oversized(15)), 15, 14),
+        (lambda: reduce_view(PurifiedState(13, {(0,): {0: 1.0}})), 13, 12),
+        (lambda: spru(7, 1, 1), 13, 12),
+        (lambda: rank_projector_attack(1, 1, 3, 4, None, None, 1, 0), 14, 12),
+        (lambda: relation_state_vector([(0, 0)] * 3, 5), 30, 24),
+    ],
+    ids=[
+        "StateVector", "UnitaryMatrix", "DensityMatrix", "pauli_string", "haar_unitaries", "Interleave",
+        "reduce_view", "spru", "rank_projector_attack", "relation_state_vector",
+    ],
+)
+def test_every_size_refusal_reads_the_one_cap_rule(build, qubits, cap):
+    # each refusal runs before anything of that size is allocated (or drawn)
+    with pytest.raises(ValueError, match=rf"^.+ would span {qubits} qubits, over the {cap}-qubit cap$"):
+        build()
 
 
 def test_sizes_come_from_the_array():
@@ -298,6 +335,36 @@ def test_mean_density_one_design():
     mean = DensityMatrix(samples.T @ samples.conj() / len(samples))
     mixed = DensityMatrix(np.eye(4) / 4.0)
     assert trace_distance(mean, mixed) <= 0.05
+
+
+def _first_trace_moment_in_window(dim, draws=4000):
+    """Whether the mean of |tr U|^2 over `draws` samples of haar_unitaries lies
+    within 5 stderr of 1.
+
+    For Haar U, E |tr U|^2 = 1 at every d and E |tr U|^4 = 2 for d >= 2, so
+    |tr U|^2 has variance 1 and its mean over 4,000 draws a stderr of
+    1/sqrt(4000) = 0.016.
+    """
+    u = haar_unitaries(dim, [trial_rng(29, dim)] * draws)
+    mean = float(np.mean(np.abs(np.trace(u, axis1=1, axis2=2)) ** 2))
+    return abs(mean - 1.0) <= 5 / math.sqrt(draws)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_haar_first_trace_moment(dim):
+    assert _first_trace_moment_in_window(dim)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_the_trace_moment_catches_a_draw_without_the_phase_fix(dim, monkeypatch):
+    # plain QR of a Ginibre matrix is not Haar (Mezzadri 2007): its mean of
+    # |tr U|^2 reads about 1.35, 1.86 and 2.66 at d = 2, 4 and 8
+    def plain_qr(dim, rngs):
+        a = np.stack([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for rng in rngs])
+        return np.linalg.qr(a)[0]
+
+    monkeypatch.setattr(linalg, "_haar_stack", plain_qr)
+    assert not _first_trace_moment_in_window(dim)
 
 
 def test_trial_rng_deterministic():

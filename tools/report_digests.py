@@ -16,6 +16,7 @@ sits in:
   and at ell = 0 (t = 2), which records collision-free outputs beside an int key;
 - secure exp_pru1 at n = lam = 5 and exp_pru2 at n = lam = 4, whose X and Z key
   layers are wider than the 3 bits of every other run;
+- exp_split_augment at seed 2^70, past the 64 bits of every other seed;
 
 and writes, per run, the SHA-256 of the report's to_json() and its
 (check, kind, verdict) list, and under "environment" the numpy version, its
@@ -51,6 +52,7 @@ def runs():
     out += [("secure", "exp_pru1", {"seed": 3, **params, "trials": 50}) for params in secure]
     out += [("secure", "exp_pru1", {"seed": 3, "n": 5, "t": 2, "ell": 1, "trials": 50})]
     out += [("secure", "exp_pru2", {"seed": 7, "n_list": [4], "trials": 50})]
+    out += [("wide_seed", "exp_split_augment", {"seed": 2**70})]
     return [(f"{key} {name} {json.dumps(params, sort_keys=True)}", name, params) for key, name, params in out]
 
 
