@@ -155,7 +155,8 @@ def rank_projector_attack(m, lam, ell, t, a_k, b_k, trials, master_seed) -> dict
     _check_unitary(b_k)
     pi = rank_projector(m, t, ell, [np.kron(a.T, b) for a, b in zip(a_k, b_k)])
     acc_keyed, acc_null = [], []
-    for _, rngs, held in trial_stacks(trials, master_seed):
+
+    def stack(_, rngs):
         u = haar_unitaries(2**m, rngs)
         v = haar_unitaries(2**m, rngs)
         k = np.array([rng.integers(0, 2**lam) for rng in rngs])
@@ -167,7 +168,9 @@ def rank_projector_attack(m, lam, ell, t, a_k, b_k, trials, master_seed) -> dict
             proj = (pi @ vecs[:, :, None])[:, :, 0]
             sq = sum(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in (proj.real, proj.imag))
             acc.extend(_abs2(np.sqrt(sq)).tolist())
-        held += [keyed, null]
+        return [keyed, null]
+
+    trial_stacks(trials, master_seed, stack)
     keyed_acceptance, null_acceptance = float(np.mean(acc_keyed)), float(np.mean(acc_null))
     return {
         "keyed_acceptance": keyed_acceptance,

@@ -368,7 +368,8 @@ def exp_spru(p: SpruParams, rep):
 
     acc = [np.zeros((d * d, d * d), dtype=complex) for _ in probe_ops]
     eye = np.eye(rest)[None]
-    for _, rngs, held in trial_stacks(trials, seed, first=70_000):
+
+    def stack(_, rngs):
         ua = haar_unitaries(2**n_block, rngs)
         ub = haar_unitaries(2**n_block, rngs)
         w = np.kron(eye, ub) @ np.kron(ua, eye)
@@ -377,7 +378,9 @@ def exp_spru(p: SpruParams, rep):
         for total, x in zip(acc, probe_ops):
             for term in w2 @ x @ w2h:  # one trial at a time: a sum over the stack rounds differently
                 total += term
-        held.append(w2)
+        return [w2]
+
+    trial_stacks(trials, seed, stack, first=70_000)
     # the Haar twirl projects onto the symmetric and antisymmetric subspaces
     swap = np.eye(d * d)[np.arange(d * d).reshape(d, d).T.reshape(-1)]
     projectors = [(q, np.trace(q).real) for q in ((np.eye(d * d) + swap) / 2, (np.eye(d * d) - swap) / 2)]

@@ -20,6 +20,12 @@ from .experiments import EXPERIMENTS, field_doc, run_experiment
 CONFIG_KEYS = {"schema_version", "experiment", "jobs"}  # besides the experiment's parameters
 
 
+def _check_jobs(jobs):
+    """ValueError unless jobs is an int >= 1 (true is not): the one rule of --jobs and a config's jobs."""
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1, not {jobs!r}")
+
+
 def _load_config(path, name):
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -31,6 +37,8 @@ def _load_config(path, name):
         raise ValueError(f"unsupported schema_version {cfg['schema_version']!r}")
     if "experiment" in cfg and cfg["experiment"] != name:
         raise ValueError(f"config is for {cfg['experiment']!r}, not {name!r}")
+    if "jobs" in cfg:
+        _check_jobs(cfg["jobs"])
     for key in CONFIG_KEYS:
         cfg.pop(key, None)
     return cfg
@@ -82,8 +90,8 @@ def cmd_describe(name):
 @click.option("--trials", type=int, default=None)
 @click.option("--out", "outdir", type=click.Path(), default="results", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]), default="both", show_default=True)
-@click.option("--jobs", type=click.IntRange(1), expose_value=False, help="accepted for schema v1; has no effect")
-def cmd_run(name, config_path, seed, trials, outdir, fmt):
+@click.option("--jobs", type=int, default=None, help="accepted for schema v1; has no effect")
+def cmd_run(name, config_path, seed, trials, outdir, fmt, jobs):
     """Run one experiment and write report files.
 
     Exits 0 when every check passes, 1 on a failed check, 2 on an unknown
@@ -96,6 +104,8 @@ def cmd_run(name, config_path, seed, trials, outdir, fmt):
     try:
         if config_path:
             params.update(_load_config(config_path, name))
+        if jobs is not None:
+            _check_jobs(jobs)
         if seed is not None:
             params["seed"] = seed
         params.setdefault("seed", 0)

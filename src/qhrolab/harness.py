@@ -374,18 +374,20 @@ _RESAMPLES = 200  # resamples per bootstrap stderr
 _STACK_BYTES = 1 << 17  # the most bytes one array that a stack of trials holds may take
 
 
-def trial_stacks(trials, master_seed, first=0):
-    """(lo, rngs, held) of each byte-bounded stack of seeded trials, in trial
-    order: trials lo, lo + 1, ... draw from rngs, trial t from
-    trial_rng(master_seed, first + t). The loop body puts the arrays it made,
-    each with a leading trial axis, in `held`. The first stack holds one
-    trial; the largest per-trial array held sizes the later stacks to _STACK_BYTES."""
+def trial_stacks(trials, master_seed, body, first=0):
+    """Run body(lo, rngs) once per byte-bounded stack of seeded trials, in
+    trial order: trials lo, lo + 1, ... draw from rngs, trial t from
+    trial_rng(master_seed, first + t). The body returns the arrays it made,
+    each with a leading trial axis. The first stack holds one trial; the
+    largest per-trial slice returned sizes the later stacks to _STACK_BYTES.
+    A stack's generators and arrays are dropped before the next stack's
+    generators are built: a body keeps nothing of a stack past its return."""
     hi, size = 0, 1
     while hi < trials:
         lo, hi = hi, min(trials, hi + size)
-        held = []
-        yield lo, [trial_rng(master_seed, first + t) for t in range(lo, hi)], held
+        held = body(lo, [trial_rng(master_seed, first + t) for t in range(lo, hi)])
         size = max(1, _STACK_BYTES // max(a[0].nbytes for a in held))
+        del held
 
 
 def haar_view_mc(program, sampler, trials, master_seed, keep=None):
@@ -403,8 +405,10 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None):
     if trials < 1:
         raise ValueError("need at least one trial")
     batches = min(_BATCHES, trials)
-    sums = None  # the (batches, d(d+1)/2) batch sums, allocated once the first stack gives d
-    for lo, rngs, held in trial_stacks(trials, master_seed):
+    sums = d = low = None  # the (batches, d(d+1)/2) batch sums, allocated once the first stack gives d
+
+    def stack(lo, rngs):
+        nonlocal sums, d, low
         bindings = sampler(rngs)
         states = run_concrete(program, bindings)
         views = _pure_views(states, keep)
@@ -416,7 +420,9 @@ def haar_view_mc(program, sampler, trials, master_seed, keep=None):
         packed = np.broadcast_to(views.reshape(len(views), -1).take(low, axis=1), (len(rngs), len(low)))
         for t, row in enumerate(packed, lo):
             sums[t % batches] += row
-        held += [states, views, *(b for b in bindings.values() if isinstance(b, np.ndarray))]
+        return [states, views, *(b for b in bindings.values() if isinstance(b, np.ndarray))]
+
+    trial_stacks(trials, master_seed, stack)
     total = sums.sum(axis=0) / trials
     # every batch holds a trial
     sums /= np.bincount(np.arange(trials) % batches)[:, None]

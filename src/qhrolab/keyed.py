@@ -267,7 +267,8 @@ def _pru1_break(p: Pru1Params, rep):
     ident = np.eye(2**n)
     z_k, x_k = (np.array([pauli_string(kind, k, lam, n) for k in range(2**lam)]) for kind in "ZX")
     wins = np.zeros((2, 2))  # successes per (arm, real / null oracle)
-    for _, rngs, held in trial_stacks(trials, seed):
+
+    def stack(_, rngs):
         u = haar_unitaries(2**n, rngs)
         v = haar_unitaries(2**n, rngs)
         kstar = np.array([rng.integers(0, 2**lam) for rng in rngs])
@@ -285,7 +286,9 @@ def _pru1_break(p: Pru1Params, rep):
             for which, o in enumerate((oracle, o_null)):
                 _, won = attacks.swap_or_attack(o, cands[arm], copies_per_key, rngs)
                 wins[arm, which] += won.sum()
-        held.append(cands.transpose(2, 0, 1, 3))
+        return [cands.transpose(2, 0, 1, 3)]
+
+    trial_stacks(trials, seed, stack)
     # both arms saw o_null once per trial
     adv_one, adv_two = (wins[:, 0] - wins[:, 1]) / trials
     entry = rep.add_point({"n": n, "lam": lam, "copies_per_key": copies_per_key})

@@ -182,6 +182,21 @@ def test_jobs_is_accepted_and_changes_nothing(tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("jobs", [0, "many", True, 2.0])
+def test_jobs_has_one_rule_for_flag_and_config(jobs, tmp_path):
+    # an int >= 1 that is not a bool, whether from --jobs or a config's jobs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "jobs": jobs}))
+    routes = [["--config", str(cfg)]]
+    if jobs in (0, "many"):
+        routes.append(["--jobs", str(jobs)])
+    for extra in routes:
+        res = CliRunner().invoke(main, ["run", "exp_split_augment", "--out", str(tmp_path / "o"), *extra])
+        assert res.exit_code == 2, (extra, res.output)
+        assert "jobs must be an int >= 1" in res.output or "'many' is not a valid integer" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_rejections(tmp_path):
     runner = CliRunner()
 

@@ -591,6 +591,32 @@ def test_two_oracle_recording_bound():
     assert td <= 4.0 * 2 * 1 / (2**n + 1) + 3.0 * se
 
 
+def _stderr_over_spread(seeds=16):
+    """The mean bootstrap stderr of exp_mh_bound's MC TD at n = 3 (2,000
+    trials) over the TD's seed-to-seed standard deviation, over `seeds` seeds."""
+    tds, ses = [], []
+    for seed in range(seeds):
+        rep = experiments.run_experiment("exp_mh_bound", {"seed": seed, "n_list": [3], "trials": 2000})
+        (check,) = [c for e in rep.grid for c in e["checks"] if c["name"] == "td_haar_vs_recording"]
+        tds.append(check["value"])
+        ses.append(check["stderr"])
+    return np.mean(ses) / np.std(tds, ddof=1)
+
+
+def test_the_bootstrap_stderr_matches_the_seed_to_seed_spread():
+    # reads 1.30 over seeds 0-15; it checks the stderr's spread, not the TD's bias
+    assert 0.5 <= _stderr_over_spread() <= 2
+
+
+@pytest.mark.parametrize("scale", [10, 0.1])
+def test_the_spread_test_catches_a_mis_scaled_stderr(scale, monkeypatch):
+    def scaled(*args):
+        return scale * bootstrap_td_stderr(*args)
+
+    monkeypatch.setattr(skeleton, "bootstrap_td_stderr", scaled)
+    assert not 0.5 <= _stderr_over_spread() <= 2
+
+
 def test_cf_recording_matches_plain_at_full_prefix():
     # fold-1 with a full-length prefix avoids exactly the image: identical views;
     # shorter prefixes move the view monotonically away
